@@ -2,8 +2,9 @@
 
 Two routes compute every value:
 
-* ``shell``  - direct square-shell summation under a :class:`TruncationPlan`
-  (the ground-truth route; cost grows like tol**-1 in points);
+* ``shell``  - direct summation over a box of the Lagrange-reduced basis
+  under a :class:`TruncationPlan` (the ground-truth route; cost grows like
+  tol**-1 in points);
 * ``series`` - exact unimodular reduction of the basis, homogeneity scaling,
   and the exponentially convergent row-sum series of :mod:`weierforms.trig`.
 
@@ -132,13 +133,14 @@ def shell_value(
 ) -> CertifiedValue:
     """Principal part plus the planned shell sum, with the plan's certificate."""
     z = complex(z)
-    total, rounding = shell_sum(lat, z, plan.shell_radius, kind)
+    total, rounding = shell_sum(lat, z, plan.box, kind)
     if kind == "wp":
         principal = 1.0 / (z * z)
     else:
         principal = 1.0 / z
     value = principal + total
-    err = plan.tail_bound + rounding + 4.0 * _EPS * abs(principal)
+    # principal: z*z (2.83 u) and Smith's division (7.07 u); the sum: u (|p| + |total|)
+    err = plan.tail_bound + rounding + 6.0 * _EPS * abs(principal) + _EPS * abs(total)
     return CertifiedValue(value, err)
 
 
@@ -147,9 +149,7 @@ def _try_shell(
 ) -> CertifiedValue | None:
     budget = FORCED_SHELL_POINTS if route == "shell" else AUTO_SHELL_POINTS
     try:
-        plan = plan_truncation(
-            lat_reduced, abs(z), 3, 0.5 * tol, kind=kind, shell_cap=shell_cap
-        )
+        plan = plan_truncation(lat_reduced, abs(z), 0.5 * tol, kind=kind, shell_cap=shell_cap)
     except DomainError:
         if route == "shell":
             raise PrecisionError(
@@ -194,7 +194,7 @@ def wp_lattice(
 ) -> CertifiedValue:
     """wp(lattice, z) with certified absolute error <= tol.
 
-    Summed over square shells of the Lagrange-reduced basis when that is
+    Summed over a box of the Lagrange-reduced basis when that is
     affordable (a unimodular relabeling of the same lattice points), and by
     the reduced row-sum series otherwise.
     """
@@ -299,13 +299,14 @@ def describe_route(lat, z: complex, tol: float = DEFAULT_TOL, *, route: str = "a
     if route in ("auto", "shell"):
         budget = FORCED_SHELL_POINTS if route == "shell" else AUTO_SHELL_POINTS
         try:
-            plan = plan_truncation(lat_reduced, abs(z), 3, 0.5 * tol, kind=kind, shell_cap=shell_cap)
+            plan = plan_truncation(lat_reduced, abs(z), 0.5 * tol, kind=kind, shell_cap=shell_cap)
         except (DomainError, PrecisionError):
             plan = None
         if plan is not None and plan.point_count <= budget:
             return {
                 "route": "shell",
-                "shells": plan.shell_radius,
+                "c_max": plan.c_max,
+                "d_max": plan.d_max,
                 "points": plan.point_count,
                 "tail_bound": plan.tail_bound,
                 "shell_constant": plan.shell_constant,

@@ -1,18 +1,41 @@
-"""Square-shell lattice summation with a provable truncation tail bound.
+"""Box lattice summation with a provable truncation tail bound.
 
-The direct sums run over square shells max(|c|,|d|) = n, n = 1..N, in the
-(given or Lagrange-reduced) generator basis.  Each shell is symmetric under
-omega -> -omega, and the paired summands decay like |omega|**-4:
+The direct sums run over the box |c| <= c_max, |d| <= d_max of a generator
+basis (the Lagrange-reduced one on the shell route), w = c*omega1 + d*omega2.
+The box is symmetric under w -> -w, so it is summed as half a box (rows
+d >= 1 with every c, and the row d = 0 with c >= 1) of paired summands
 
-  wp pair:    |f(w) + f(-w)| <= (88/9) |z|^2 / |w|^4    for |z/w| <= 1/2
-  wzeta pair: |f(w) + f(-w)| <= (8/3)  |z|^3 / |w|^4    for |z/w| <= 1/2
+  wp pair:    f(w) + f(-w) = 2 z^2 (3w^2 - z^2) / ((z-w)^2 (z+w)^2 w^2)
+  wzeta pair: f(w) + f(-w) = 2 z^3 / ((z-w) (z+w) w^2)
 
-(from the even/odd power series of the paired summand, with the geometric
-majorant Sum (2k+1) 4^(1-k) = 44/9).  Per shell the pairs split into axis
-points (modulus exactly n|omega_i|), corner pairs (>= n*max(e1,e2)) and edge
-runs bounded via max(|c| h1, n e2) resp. max(|d| h2, n e1); summing the
-resulting per-shell bounds over n > N gives the closed-form tail used by
-``plan_truncation``.
+with r = |z/w| < 1 their even/odd power series give
+
+  |f(w) + f(-w)| <= 2 S(r) |z|^p / |w|^4,
+  S_wp(r) = (3 - r^2) / (1 - r^2)^2,  p = 2;   S_wzeta(r) = 1 / (1 - r^2),  p = 3
+
+(S(1/2) = 44/9 resp. 4/3; on real tails r is tiny and S is near 3 resp. 1).
+
+Tail.  h1 = covolume/|omega2| and h2 = covolume/|omega1| are the distances of
+omega1 from the line R*omega2 and of omega2 from R*omega1, so |w| >= |c| h1
+and |w| >= |d| h2.  A point outside the box has |d| > d_max or |c| > c_max,
+hence |w| >= min((d_max+1) h2, (c_max+1) h1) =: R and r <= z_bound / R,
+which the planner keeps <= 1/2.  The omitted part of the sum is half the sum
+of the pairs outside the box, so it is at most S(r) |z|^p Sum_out |w|^-4.
+Row lemma: the points of one row d lie on a line at distance rho = |d| h2
+from R*omega1 with spacing L = |omega1|; |w|^-4 is unimodal along the line,
+so the row sums to at most rho^-4 + (1/L) Int (rho^2 + x^2)^-2 dx
+= rho^-4 + pi / (2 L rho^3).  Summing the rows |d| > d_max (convexity:
+Sum_{d > D} d^-s <= (D + 1/2)^(1-s) / (s-1)), and the same for the full
+columns |c| > c_max with omega2, h1:
+
+  Sum_out |w|^-4 <= pi / (2 |omega1| h2^3 X^2) + 2 / (3 h2^4 X^3)
+                  + pi / (2 |omega2| h1^3 Y^2) + 2 / (3 h1^4 Y^3),
+  X = d_max + 1/2,  Y = c_max + 1/2.
+
+Aspect.  The two leading N^-2 terms balance, which minimises the point count
+for a given bound, at c_max/d_max = sqrt(|omega1| h2^3 / (|omega2| h1^3))
+(1/20 for the basis (20i, 1)).  ``plan_truncation`` inverts the leading
+terms in closed form and steps d_max up until the bound holds.
 """
 
 from __future__ import annotations
@@ -31,212 +54,257 @@ _EPS = math.ulp(1.0)
 
 SHELL_CAP = 10**6
 
-PAIR_COEFF_WP = 88.0 / 9.0
-PAIR_COEFF_WZETA = 8.0 / 3.0
+# summand kind -> p, the power of |z| in the pair majorant
+_KINDS = {"wp": 2, "wzeta": 3}
+_MARGIN_SLACK = 1.0 + 1e-12
+# half-box points per numpy block
+_BLOCK_POINTS = 1 << 15
 
 
 @dataclass(frozen=True)
 class TruncationPlan:
-    """Shell radius with a proven bound on the omitted tail.
+    """Box |c| <= c_max, |d| <= d_max with a proven bound on the omitted tail.
 
-    ``tail_bound`` bounds the absolute value of the full sum over all shells
-    beyond ``shell_radius`` for any |z| <= z_bound; ``shell_constant`` is the
-    uniform per-shell modulus lower bound delta (|omega| >= delta * shell).
+    ``tail_bound`` bounds the absolute value of the sum over all lattice
+    points outside the box for any |z| <= z_bound; ``shell_constant`` is the
+    uniform modulus lower bound delta (|w| >= delta * max(|c|, |d|)).
     """
 
-    shell_radius: int
+    c_max: int
+    d_max: int
     tail_bound: float
     shell_constant: float
     kind: str
     z_bound: float
-    k: int
+
+    @property
+    def box(self) -> tuple[int, int]:
+        return self.c_max, self.d_max
 
     @property
     def point_count(self) -> int:
-        n = self.shell_radius
-        return (2 * n + 1) ** 2 - 1
+        return (2 * self.c_max + 1) * (2 * self.d_max + 1) - 1
 
 
-def _tail_bound(lat: Lattice, amplitude: float, p: int, n_shells: int) -> float:
-    """Tail sum over shells n > n_shells of amplitude / L(c,d)**p, paired.
+def _check_margin(lat: Lattice, z_bound: float) -> None:
+    delta = lat.geometry.delta
+    if z_bound > delta * _MARGIN_SLACK:
+        raise DomainError(
+            f"|z| = {z_bound:.6g} exceeds the shell constant {delta:.6g}; "
+            "the margin |z/w| <= 1/2 would fail beyond the first shell"
+        )
 
-    Uses the per-point lower bounds documented in the module docstring.
-    """
+
+def _outside_coeffs(lat: Lattice) -> tuple[float, float, float, float]:
+    """(a_rows, b_rows, a_cols, b_cols) of the bound on Sum_out |w|^-4."""
     g = lat.geometry
-    w1a, w2a = abs(lat.omega1), abs(lat.omega2)
-    nf = float(n_shells)
-    axis_corner = (w1a**-p + w2a**-p + 2.0 * max(g.e1, g.e2) ** -p) * nf ** (1 - p) / (p - 1)
-    edge_coeff = (p / (p - 1.0)) * (g.e2 ** (1 - p) / g.h1 + g.e1 ** (1 - p) / g.h2)
-    edges = 2.0 * edge_coeff * nf ** (2 - p) / (p - 2)
-    return amplitude * (axis_corner + edges)
+    return (
+        math.pi / (2.0 * abs(lat.omega1) * g.h2**3),
+        2.0 / (3.0 * g.h2**4),
+        math.pi / (2.0 * abs(lat.omega2) * g.h1**3),
+        2.0 / (3.0 * g.h1**4),
+    )
+
+
+def _pair_coeff(kind: str, r2: float) -> float:
+    """S(r) for r^2 = r2 <= 1/4."""
+    if kind == "wp":
+        return (3.0 - r2) / (1.0 - r2) ** 2
+    return 1.0 / (1.0 - r2)
+
+
+def _tail_bound(lat: Lattice, kind: str, z_bound: float, c_max: int, d_max: int) -> float:
+    """Bound on |Sum of f(w) over the lattice points outside the box| for |z| <= z_bound."""
+    g = lat.geometry
+    a_rows, b_rows, a_cols, b_cols = _outside_coeffs(lat)
+    x, y = d_max + 0.5, c_max + 0.5
+    outside = a_rows / x**2 + b_rows / x**3 + a_cols / y**2 + b_cols / y**3
+    r = z_bound / min((d_max + 1) * g.h2, (c_max + 1) * g.h1)
+    return _pair_coeff(kind, r * r) * z_bound ** _KINDS[kind] * outside
 
 
 def plan_truncation(
     lat: Lattice,
     z_bound: float,
-    k: int = 3,
     tol: float = 1e-8,
     *,
     kind: str = "wp",
     shell_cap: int = SHELL_CAP,
 ) -> TruncationPlan:
-    """Smallest shell radius whose proven tail bound is <= tol.
+    """Box of the aspect rule whose proven tail bound is <= tol.
 
-    ``k`` is the decay exponent of the unpaired summand (3 for both
-    Weierstrass families); pairing improves the tail exponent by one.
-    Requires z_bound <= delta so that |z/omega| <= 1/2 holds on every shell
-    beyond the first, keeping the pair majorants valid on the tail.
+    Requires z_bound <= delta, so that |z/w| <= 1/2 holds beyond the first
+    shell; the box always contains the first shell and is large enough that
+    |z/w| <= 1/2 on every point outside it.  ``shell_cap`` caps
+    max(c_max, d_max).
     """
-    if k < 3:
-        raise DomainError(f"decay exponent must be >= 3, got {k}")
-    if kind not in ("wp", "wzeta"):
+    if kind not in _KINDS:
         raise DomainError(f"unknown summand kind {kind!r}")
     z_bound = float(z_bound)
     if z_bound < 0.0:
         raise DomainError("z_bound must be nonnegative")
-    g = lat.geometry
-    if z_bound > g.delta * (1.0 + 1e-12):
-        raise DomainError(
-            f"z_bound {z_bound:.6g} exceeds the shell constant {g.delta:.6g}; "
-            "the margin |z/omega| <= 1/2 would fail beyond the first shell"
-        )
-    if k == 3:
-        p = 4
-        if kind == "wp":
-            amplitude = PAIR_COEFF_WP * z_bound**2
-        else:
-            amplitude = PAIR_COEFF_WZETA * z_bound**3
-    else:
-        # no pairing gain claimed for higher k; crude doubled point majorant
-        p = k
-        amplitude = 2.0 * 10.0 * z_bound
-
-    n_margin = max(1, math.ceil(2.0 * z_bound / g.delta - 1.0))
-    if not math.isfinite(tol):
-        n = n_margin
-        return TruncationPlan(n, _tail_bound(lat, amplitude, p, n), g.delta, kind, z_bound, k)
-    if tol <= 0.0:
+    _check_margin(lat, z_bound)
+    if not tol > 0.0:
         raise DomainError("tol must be positive")
-
-    lo, hi = n_margin, shell_cap
-    if _tail_bound(lat, amplitude, p, hi) > tol:
-        raise PrecisionError(
-            f"tolerance {tol:.3g} unreachable within the shell cap {shell_cap}"
-        )
-    if _tail_bound(lat, amplitude, p, lo) <= tol:
-        hi = lo
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _tail_bound(lat, amplitude, p, mid) <= tol:
-            hi = mid
-        else:
-            lo = mid + 1
-    return TruncationPlan(hi, _tail_bound(lat, amplitude, p, hi), g.delta, kind, z_bound, k)
+    g = lat.geometry
+    a_rows, b_rows, a_cols, b_cols = _outside_coeffs(lat)
+    aspect = math.sqrt(a_cols / a_rows)
+    d_min = max(1, math.ceil(2.0 * z_bound / g.h2) - 1)
+    c_min = max(1, math.ceil(2.0 * z_bound / g.h1) - 1)
+    unreachable = f"tolerance {tol:.3g} unreachable within the shell cap {shell_cap}"
+    if max(c_min, d_min) > shell_cap or _tail_bound(lat, kind, z_bound, shell_cap, shell_cap) > tol:
+        raise PrecisionError(unreachable)
+    d = d_min
+    amp = _pair_coeff(kind, 0.0) * z_bound ** _KINDS[kind]
+    if math.isfinite(tol) and amp > 0.0:
+        # leading terms with c_max = aspect * d_max, X = d_max + 1/2:
+        # amp * (2 a_rows / X^2 + (b_rows + b_cols / aspect^3) / X^3) = tol,
+        # i.e. X^3 - a X - b = 0; Newton from above the root stays above it
+        a = 2.0 * amp * a_rows / tol
+        b = amp * (b_rows + b_cols / aspect**3) / tol
+        x = max(math.sqrt(2.0 * a), (2.0 * b) ** (1.0 / 3.0))
+        for _ in range(8):
+            x -= (x**3 - a * x - b) / (3.0 * x * x - a)
+        d = max(d, math.floor(x - 0.5))
+    while True:
+        c = max(c_min, math.ceil(aspect * d))
+        if max(c, d) > shell_cap:
+            raise PrecisionError(unreachable)
+        tail = _tail_bound(lat, kind, z_bound, c, d)
+        if tail <= tol:
+            return TruncationPlan(c, d, tail, g.delta, kind, z_bound)
+        d += 1
 
 
 # ---------------------------------------------------------------------------
-# Summation kernels.  The summands are the absolutely convergent single-term
-# forms
-#   wp:    1/(z-w)^2 - 1/w^2  ==  (2 - z/w) z / (1 - z/w)^2 * w^-3
-#   wzeta: 1/(z-w) + 1/w + z/w^2  ==  -z^2 / (1 - z/w) * w^-3
-# evaluated in the algebraically identical arrangements
-#   wp:    ((w + (w-z)) * z) / ((w-z)^2 w^2)
-#   wzeta: -z^2 / ((w-z) w^2)
-# which cost fewer operations per point.  Kahan compensation keeps the
-# accumulated rounding below ~4 eps * sum|term|.
+# Summation kernel.  Each half-box point contributes the half pair
+#   wp:    g = z^2 (3w^2 - z^2) / (((z-w)(z+w))^2 w^2)
+#   wzeta: g = z^3 / ((z-w)(z+w) w^2)
+# (one complex division, no cancellation), the sum is doubled exactly.
+#
+# Rounding, u = 2^-53.  Per operation (normwise, relative): complex + and -,
+# and a real times a complex: u; complex *: 2*sqrt(2) u (Higham, Lemma 3.5,
+# with or without FMA); complex / (Smith's algorithm, as in numpy and
+# CPython): 5*sqrt(2) u.  First order, relative errors add along a product:
+#   wp:    w^2: 2.83;  3w^2 - z^2: 2 * (3.83 u over 3|w|^2 + |z|^2 <= 2|3w^2 - z^2|,
+#          as |z| <= |w| on the lattice) + 1 = 8.66;  num = z^2 (3w^2 - z^2): 14.32;
+#          (z-w)(z+w): 4.83;  squared: 12.49;  den: 18.15;  g: 39.54 -> 40 u
+#   wzeta: z^3: 5.66;  den = (z-w)(z+w) w^2: 10.49;  g: 23.22 -> 24 u
+# w = c*omega1 + d*omega2 is itself rounded: each component is two products
+# and a sum, so |dw| <= 2u (|c| |omega1| + |d| |omega2|) <= 2u M |w| with
+# M = |omega1|/h1 + |omega2|/h2 (|c| <= |w|/h1, |d| <= |w|/h2).  That moves g
+# by |dw| |g'|, |g'/g| <= 5/|w| + 2/|w-z| + 2/|w+z| (wp) resp.
+# 2/|w| + 1/|w-z| + 1/|w+z| (wzeta).  Beyond the first shell |w| >= 2 delta
+# >= 2|z|, so |w -+ z| >= |w|/2 and the shift costs at most 26 M u (wp)
+# resp. 12 M u (wzeta).  In the first shell, where z may sit near w, the
+# points omega1 and omega2 are formed exactly (products by 0 and 1, sums with
+# 0) and omega2 -+ omega1 with one rounding, |dw| <= u |w|; those two get
+# their own term, twice the derivative bound at the point, valid while
+# |dw| <= |w -+ z|/16 (otherwise the bound is infinite).  Each row is summed
+# by numpy in some order, at most (len - 1) u Sum|g| for any order, and the
+# row partials by math.fsum, correctly rounded: u Sum|g|.  Sum|g| is
+# accumulated as Sum(|Re g| + |Im g|).  The factor 1.01 covers the
+# second-order terms and the rounding of that accumulation (relative < 1e-8).
 
-try:  # pragma: no cover - exercised indirectly
-    import numba as _numba
-
-    @_numba.njit(cache=False, fastmath=False)
-    def _kernel(w1, w2, z, n0, n1, wp_kind):
-        total = 0.0 + 0.0j
-        comp = 0.0 + 0.0j
-        absacc = 0.0
-        for n in range(n0, n1 + 1):
-            # top/bottom rows d = +-n, then side columns c = +-n
-            for c in range(-n, n + 1):
-                for d in (n, -n):
-                    w = c * w1 + d * w2
-                    a = w - z
-                    if wp_kind:
-                        s = (w + a) * z / (a * a * w * w)
-                    else:
-                        s = -z * z / (a * w * w)
-                    y = s - comp
-                    t = total + y
-                    comp = (t - total) - y
-                    total = t
-                    absacc += abs(s.real) + abs(s.imag)
-            for d in range(-n + 1, n):
-                for c in (n, -n):
-                    w = c * w1 + d * w2
-                    a = w - z
-                    if wp_kind:
-                        s = (w + a) * z / (a * a * w * w)
-                    else:
-                        s = -z * z / (a * w * w)
-                    y = s - comp
-                    t = total + y
-                    comp = (t - total) - y
-                    total = t
-                    absacc += abs(s.real) + abs(s.imag)
-        return total, absacc
-
-    _HAVE_NUMBA = True
-except Exception:  # pragma: no cover
-    _HAVE_NUMBA = False
+_ARITH_U = {"wp": 40.0, "wzeta": 24.0}
+_SHIFT_U = {"wp": 26.0, "wzeta": 12.0}
 
 
-def _shell_arrays(n0: int, n1: int):
-    cs, ds = [], []
-    for n in range(n0, n1 + 1):
-        row = np.arange(-n, n + 1)
-        side = np.arange(-n + 1, n)
-        cs += [row, row, np.full(side.size, n), np.full(side.size, -n)]
-        ds += [np.full(row.size, n), np.full(row.size, -n), side, side]
-    return np.concatenate(cs), np.concatenate(ds)
+def _half_pairs(w, z: complex, zpow: complex, wp_kind: bool, q, t):
+    """Half pair summands g at the points ``w``, computed in place.
+
+    ``zpow`` is z^2 (wp) or z^3 (wzeta); ``q`` and ``t`` are scratch arrays
+    of the shape of ``w``.  Returns the array holding g (``w`` or ``q``).
+    """
+    np.subtract(z, w, out=q)
+    q *= np.add(z, w, out=t)
+    w *= w
+    if wp_kind:
+        q *= q
+        q *= w
+        w *= 3.0
+        w -= zpow
+        w *= zpow
+        w /= q
+        return w
+    q *= w
+    return np.divide(zpow, q, out=q)
 
 
-def _numpy_sum(w1, w2, z, n_shells, wp_kind, chunk_points=2_000_000):
-    re_parts, im_parts = [], []
-    absacc = 0.0
-    n = 1
-    while n <= n_shells:
-        n1, pts = n, 0
-        while n1 <= n_shells and pts < chunk_points:
-            pts += 8 * n1
-            n1 += 1
-        c, d = _shell_arrays(n, n1 - 1)
-        w = c * w1 + d * w2
-        a = w - z
+def _first_shell_rounding(w1, w2, z, zpow, c_max, d_max, wp_kind) -> float:
+    """Bound on the shift of the half pairs at omega2 -+ omega1 by the rounding of w."""
+    if c_max < 1 or d_max < 1:
+        return 0.0
+    w = np.array([w2 - w1, w2 + w1])
+    g = np.abs(_half_pairs(w.copy(), z, zpow, wp_kind, np.empty(2, complex), np.empty(2, complex)))
+    extra = 0.0
+    for wk, gk in zip(w, g):
+        dw = 0.5 * _EPS * (1.0 + _EPS) * abs(wk)
+        near_m, near_p, wa = abs(wk - z), abs(wk + z), abs(wk)
+        if dw > min(near_m, near_p, wa) / 16.0:
+            return math.inf
         if wp_kind:
-            s = (w + a) * z / (a * a * w * w)
+            log_deriv = 5.0 / wa + 2.0 / near_m + 2.0 / near_p
         else:
-            s = -z * z / (a * w * w)
-        re_parts.append(float(np.sum(s.real)))
-        im_parts.append(float(np.sum(s.imag)))
-        absacc += float(np.sum(np.abs(s.real)) + np.sum(np.abs(s.imag)))
-        n = n1
-    return complex(math.fsum(re_parts), math.fsum(im_parts)), absacc
+            log_deriv = 2.0 / wa + 1.0 / near_m + 1.0 / near_p
+        extra += 2.0 * gk * dw * log_deriv
+    return extra
 
 
-def shell_sum(lat: Lattice, z: complex, n_shells: int, kind: str = "wp") -> tuple[complex, float]:
-    """Sum the chosen summand over shells 1..n_shells in the basis of ``lat``.
+def shell_sum(
+    lat: Lattice, z: complex, box: tuple[int, int], kind: str = "wp"
+) -> tuple[complex, float]:
+    """Sum the chosen summand over the box (c_max, d_max) in the basis of ``lat``.
 
     Returns (sum, rounding_bound).  The principal part (1/z^2 or 1/z) is not
-    included.  Deterministic: fixed shell order and in-shell walk.
+    included.  Requires |z| <= delta (the planner's precondition), which the
+    rounding bound relies on.  Deterministic: fixed blocks and summation order.
     """
-    if kind not in ("wp", "wzeta"):
+    if kind not in _KINDS:
         raise DomainError(f"unknown summand kind {kind!r}")
-    if n_shells < 0:
-        raise DomainError("shell count must be nonnegative")
-    if n_shells == 0:
+    c_max, d_max = (int(n) for n in box)
+    if c_max < 0 or d_max < 0:
+        raise DomainError("box half-widths must be nonnegative")
+    if c_max == 0 and d_max == 0:
         return 0.0 + 0.0j, 0.0
-    w1, w2, zz = complex(lat.omega1), complex(lat.omega2), complex(z)
-    if _HAVE_NUMBA:
-        total, absacc = _kernel(w1, w2, zz, 1, int(n_shells), kind == "wp")
-    else:
-        total, absacc = _numpy_sum(w1, w2, zz, int(n_shells), kind == "wp")
-    rounding = 64.0 * _EPS * absacc
+    zz = complex(z)
+    _check_margin(lat, abs(zz))
+    wp_kind = kind == "wp"
+    w1, w2 = complex(lat.omega1), complex(lat.omega2)
+    zpow = zz * zz if wp_kind else zz * zz * zz
+
+    cw1 = np.arange(-c_max, c_max + 1) * w1
+    step = max(1, _BLOCK_POINTS // cw1.size)
+    # scratch for the points and two temporaries, reused by every block
+    bufs = np.empty((3, min(step, max(d_max, 1)), cw1.size), complex)
+    re_parts: list[float] = []
+    im_parts: list[float] = []
+    absacc = 0.0
+
+    def add(w, q, t):
+        nonlocal absacc
+        g = _half_pairs(w, zz, zpow, wp_kind, q, t)
+        rows = g.sum(axis=-1)
+        re_parts.extend(np.atleast_1d(rows.real).tolist())
+        im_parts.extend(np.atleast_1d(rows.imag).tolist())
+        flat = g.view(np.float64)
+        np.abs(flat, out=flat)
+        absacc += float(flat.sum())
+
+    if c_max:
+        row0 = bufs[:, 0, :c_max]
+        row0[0] = cw1[c_max + 1 :]
+        add(*row0)
+    for d0 in range(1, d_max + 1, step):
+        dw2 = np.arange(d0, min(d0 + step, d_max + 1)) * w2
+        block = bufs[:, : dw2.size]
+        np.add(dw2[:, None], cw1, out=block[0])
+        add(*block)
+    total = 2.0 * complex(math.fsum(re_parts), math.fsum(im_parts))
+
+    g = lat.geometry
+    spread = abs(w1) / g.h1 + abs(w2) / g.h2
+    per_term = _ARITH_U[kind] + _SHIFT_U[kind] * spread + cw1.size
+    rounding = 1.01 * _EPS * per_term * absacc
+    rounding += 2.0 * _first_shell_rounding(w1, w2, zz, zpow, c_max, d_max, wp_kind)
     return total, rounding

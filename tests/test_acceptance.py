@@ -46,7 +46,7 @@ def test_criterion_1_cusp_value_half_shell_route():
     _report(
         1,
         f"|f(0,1/2)(20i) - 2pi^2/3| = {residual:.3e} < 1e-6 via shell plan "
-        f"(N={route['shells']}, tail={route['tail_bound']:.2e}) in {elapsed:.2f}s",
+        f"(box {route['c_max']}x{route['d_max']}, tail={route['tail_bound']:.2e}) in {elapsed:.2f}s",
     )
 
 
@@ -153,9 +153,9 @@ def test_criterion_10_doubling_validates_plans():
         for off in offsets:
             z = off * delta
             for kind in ("wp", "wzeta"):
-                plan = plan_truncation(lat, abs(z), 3, 1e-3, kind=kind)
+                plan = plan_truncation(lat, abs(z), 1e-3, kind=kind)
                 base = shell_value(lat, z, plan, kind)
-                doubled, _ = shell_sum(lat, z, 2 * plan.shell_radius, kind)
+                doubled, _ = shell_sum(lat, z, (2 * plan.c_max, 2 * plan.d_max), kind)
                 principal = 1.0 / (z * z) if kind == "wp" else 1.0 / z
                 change = abs(base.value - (principal + doubled))
                 assert change < plan.tail_bound

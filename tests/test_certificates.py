@@ -7,6 +7,8 @@ block sums in binary64.
 
 from __future__ import annotations
 
+import cmath
+import math
 import random
 
 import pytest
@@ -83,3 +85,32 @@ class TestRandomizedCertificates:
             cz = wzeta(tau, z, 1e-8)
             truthz = mp_wzeta(tau, z)
             assert abs(cz.value - truthz) <= cz.error, (tau, z)
+
+
+class TestShellSoundnessGrid:
+    """Forced shell route against the 30-digit oracle over cell shapes and offsets.
+
+    Tall cells exercise the box aspect rule (c_max/d_max down to 1/50); the
+    offsets reach the margin |z| = delta, the largest |z| the route accepts.
+    """
+
+    OFFSETS = [(rho, 0.3 + k * math.pi / 4) for k, rho in enumerate((0.2, 0.45, 0.7, 1.0) * 2)]
+    TOLS = (1e-3, 1e-4, 1e-5, 1e-6)
+
+    @pytest.mark.parametrize("re_tau", [0.0, 0.5, -0.5])
+    @pytest.mark.parametrize("im_tau", [0.87, 2.0, 5.0, 20.0, 50.0])
+    def test_shell_certificates_contain_oracle(self, im_tau, re_tau):
+        tau = complex(re_tau, im_tau)
+        lat = Lattice(tau, 1.0)
+        delta = lat.lagrange_reduced().geometry.delta
+        for k, (rho, theta) in enumerate(self.OFFSETS):
+            z = rho * delta * cmath.exp(1j * theta)
+            for j, (kind, fn, oracle) in enumerate(
+                (("wp", wp_lattice, mp_wp), ("wzeta", wzeta_lattice, mp_wzeta))
+            ):
+                tol = self.TOLS[(j - k) % 4]
+                cv = fn(lat, z, tol, route="shell")
+                # Im of the reduced ratio is >= sqrt(3)/2: 12 rows reach 1e-30
+                truth = oracle(tau, z, rows=12, dps=30)
+                assert abs(cv.value - truth) <= cv.error, (tau, z, kind, tol)
+                assert cv.error <= tol

@@ -33,15 +33,15 @@ class TestDispatchEdges:
             wp_lattice(Lattice(1j, 1.0), 0.5, 1e-8, route="warp")
 
     def test_forced_shell_budget_guard(self):
-        # feasible under the cap but over the runtime point budget
+        # feasible under the cap but over the runtime point budget (~1.2e9 points)
         with pytest.raises(PrecisionError):
-            wp_lattice(Lattice(2j, 1.0), 0.3 + 0.2j, 1e-8, route="shell")
+            wp_lattice(Lattice(1j, 1.0), 0.4, 1e-8, route="shell")
 
     def test_describe_route_shell(self):
         info = describe_route(Lattice(20j, 1.0), 0.5, 1e-8, route="shell", kind="wp")
         assert info["route"] == "shell"
         assert info["tail_bound"] <= 0.5e-8
-        assert info["points"] == (2 * info["shells"] + 1) ** 2 - 1
+        assert info["points"] == (2 * info["c_max"] + 1) * (2 * info["d_max"] + 1) - 1
 
     def test_describe_route_infeasible_shell(self):
         info = describe_route(Lattice(20j, 1.0), 10j, 1e-8, route="shell", kind="wp")
@@ -65,16 +65,21 @@ class TestStripPreconditions:
 
 class TestShellSumEdges:
     def test_zero_shells(self):
-        total, rounding = shell_sum(Lattice(1j, 1.0), 0.3, 0)
+        total, rounding = shell_sum(Lattice(1j, 1.0), 0.3, (0, 0))
         assert total == 0 and rounding == 0.0
 
     def test_bad_kind(self):
         with pytest.raises(DomainError):
-            shell_sum(Lattice(1j, 1.0), 0.3, 5, "sigma")
+            shell_sum(Lattice(1j, 1.0), 0.3, (5, 5), "sigma")
 
     def test_negative_count(self):
         with pytest.raises(DomainError):
-            shell_sum(Lattice(1j, 1.0), 0.3, -1)
+            shell_sum(Lattice(1j, 1.0), 0.3, (-1, 2))
+
+    def test_point_outside_margin(self):
+        # the rounding bound needs |z| <= delta, as the planner does
+        with pytest.raises(DomainError):
+            shell_sum(Lattice(1j, 1.0), 1.2, (5, 5))
 
 
 class TestMiscValidation:

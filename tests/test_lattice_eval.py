@@ -271,27 +271,27 @@ class TestEta:
 
 class TestPlans:
     def test_infinite_tol_gives_single_shell(self):
-        plan = plan_truncation(Lattice(1j, 1.0), 0.4, 3, math.inf)
-        assert plan.shell_radius == 1
+        plan = plan_truncation(Lattice(1j, 1.0), 0.4, math.inf)
+        assert plan.box == (1, 1)
 
     def test_monotone_in_tol(self):
         lat = Lattice(1j, 1.0)
         last = 0
         for tol in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-            n = plan_truncation(lat, 0.4, 3, tol).shell_radius
+            n = plan_truncation(lat, 0.4, tol).point_count
             assert n >= last
             last = n
 
     def test_margin_precondition(self):
         with pytest.raises(DomainError):
-            plan_truncation(Lattice(1j, 1.0), 1.5, 3, 1e-6)
+            plan_truncation(Lattice(1j, 1.0), 1.5, 1e-6)
 
     def test_cap_exhaustion(self):
         with pytest.raises(PrecisionError):
-            plan_truncation(Lattice(1j, 1.0), 0.4, 3, 1e-9, shell_cap=100)
+            plan_truncation(Lattice(1j, 1.0), 0.4, 1e-9, shell_cap=100)
 
     def test_reference_plan_reaches_1e8(self):
-        plan = plan_truncation(Lattice(1j, 1.0), 0.4, 3, 1e-8)
+        plan = plan_truncation(Lattice(1j, 1.0), 0.4, 1e-8)
         assert plan.tail_bound <= 1e-8
 
     @pytest.mark.parametrize(
@@ -304,27 +304,33 @@ class TestPlans:
     )
     def test_doubling_stays_within_tail_bound(self, lat, z):
         for kind in ("wp", "wzeta"):
-            plan = plan_truncation(lat, abs(z), 3, 1e-4, kind=kind)
+            plan = plan_truncation(lat, abs(z), 1e-4, kind=kind)
             a = shell_value(lat, z, plan, kind)
-            doubled, _ = shell_sum(lat, z, 2 * plan.shell_radius, kind)
+            doubled, _ = shell_sum(lat, z, (2 * plan.c_max, 2 * plan.d_max), kind)
             principal = 1.0 / (z * z) if kind == "wp" else 1.0 / z
             assert abs(a.value - (principal + doubled)) < plan.tail_bound
 
 
 class TestKernelParity:
-    def test_numpy_fallback_matches_jit_kernel(self, monkeypatch):
-        import weierforms.shells as shells
-
-        lat = Lattice(0.4 + 1.3j, 1.0)
+    def test_paired_half_box_matches_unpaired_full_box(self):
+        w1, w2 = 0.4 + 1.3j, 1.0
         z = 0.27 - 0.19j
-        fast = {}
-        for kind in ("wp", "wzeta"):
-            fast[kind] = shell_sum(lat, z, 120, kind)
-        monkeypatch.setattr(shells, "_HAVE_NUMBA", False)
-        for kind in ("wp", "wzeta"):
-            total, rounding = shells.shell_sum(lat, z, 120, kind)
-            assert abs(total - fast[kind][0]) <= 1e-12
-            assert rounding >= 0.0
+        unpaired = {
+            "wp": lambda w: 1.0 / (z - w) ** 2 - 1.0 / w**2,
+            "wzeta": lambda w: 1.0 / (z - w) + 1.0 / w + z / w**2,
+        }
+        for c_max, d_max in ((7, 9), (12, 3), (0, 5), (4, 0)):
+            for kind, f in unpaired.items():
+                terms = [
+                    f(c * w1 + d * w2)
+                    for c in range(-c_max, c_max + 1)
+                    for d in range(-d_max, d_max + 1)
+                    if c or d
+                ]
+                ref = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+                total, rounding = shell_sum(Lattice(w1, w2), z, (c_max, d_max), kind)
+                assert abs(total - ref) <= 1e-13 * abs(ref)
+                assert 0.0 < rounding < 1e-12
 
 
 class TestErrors:
