@@ -326,9 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=None, help="absolute tolerance (default 1e-8)")
     common.add_argument("--seed", type=int, default=None, help="seed for the property harness")
     common.add_argument("--format", choices=("json", "csv", "text"), default=None, dest="output_format")
-    common.add_argument("--convention", choices=("paper-b", "standard-c"), default=None)
     common.add_argument("--route", choices=("auto", "shell", "series"), default=None)
-    common.add_argument("--jobs", type=int, default=None, help="worker pool size for suites")
     common.add_argument("--shell-cap", type=int, default=None, dest="shell_cap")
     common.add_argument("--slack", type=float, default=None, help="cusp-limit slack for tables")
     common.add_argument("--config", default=None, help="key=value config file")
@@ -371,9 +369,7 @@ def main(argv: list[str] | None = None) -> int:
             "tolerance": args.tol,
             "seed": args.seed,
             "output_format": args.output_format,
-            "convention": args.convention,
             "route": args.route,
-            "jobs": args.jobs,
             "shell_cap": args.shell_cap,
             "slack": args.slack,
         }

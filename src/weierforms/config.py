@@ -7,17 +7,15 @@ WEIER_TOL environment variable > built-in defaults.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import DomainError
-from .evaluate import TOL_FLOOR
-from .forms import CONVENTIONS
+from .evaluate import _ROUTES, TOL_FLOOR
 from .shells import SHELL_CAP
 
 __all__ = ["RunConfig", "load_config"]
 
 _FORMATS = ("json", "csv", "text")
-_ROUTES = ("auto", "shell", "series")
 
 
 @dataclass(frozen=True)
@@ -26,9 +24,7 @@ class RunConfig:
     shell_cap: int = SHELL_CAP
     output_format: str = "text"
     seed: int = 0
-    convention: str = "paper-b"
     route: str = "auto"
-    jobs: int = field(default_factory=lambda: os.cpu_count() or 1)
     slack: float = 1e-6
 
     def __post_init__(self):
@@ -38,12 +34,8 @@ class RunConfig:
             raise DomainError("shell cap must be positive")
         if self.output_format not in _FORMATS:
             raise DomainError(f"output format must be one of {_FORMATS}")
-        if self.convention not in CONVENTIONS:
-            raise DomainError(f"convention must be one of {CONVENTIONS}")
         if self.route not in _ROUTES:
             raise DomainError(f"route must be one of {_ROUTES}")
-        if self.jobs < 1:
-            raise DomainError("jobs must be >= 1")
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -54,9 +46,7 @@ _FIELD_PARSERS = {
     "shell_cap": int,
     "output_format": str,
     "seed": int,
-    "convention": str,
     "route": str,
-    "jobs": int,
     "slack": float,
 }
 

@@ -8,10 +8,19 @@ Two routes compute every value:
 * ``series`` - exact unimodular reduction of the basis, homogeneity scaling,
   and the exponentially convergent row-sum series of :mod:`weierforms.trig`.
 
-``auto`` picks the shell route when its planned cost is small and falls back
-to the series route otherwise.  Both return a :class:`CertifiedValue` whose
-error field is a rigorous absolute bound, and they agree within the sum of
-their certificates (exercised heavily by the test-suite).
+One planner, ``_plan_shell``, makes the shell-admission decision for both
+evaluation and :func:`describe_route`: it returns the admitted plan, or a
+refusal because |z| exceeds the margin of the reduced basis, the tolerance
+is out of reach within ``shell_cap``, or the box has more points than the
+budget (``AUTO_SHELL_POINTS`` for ``auto``, ``FORCED_SHELL_POINTS`` for
+``shell``).  ``auto`` falls back to the series route on a refusal, and also
+when the summed shell certificate exceeds ``tol``; ``shell`` raises
+:class:`PrecisionError` with the reason instead.  Both routes return a
+:class:`CertifiedValue` whose error field is a rigorous absolute bound, and
+they agree within the sum of their certificates (exercised heavily by the
+test-suite).
+
+Each public call reduces the basis (Lagrange) and guards against poles once.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from .arith import CertifiedValue
 from .errors import DomainError, PoleError, PrecisionError
 from .lattice import Lattice, TauLattice, reduce_tau_matrix
 from .shells import SHELL_CAP, TruncationPlan, plan_truncation, shell_sum
-from .trig import eta_pair_strip, wp_strip, wzeta_strip
+from .trig import checked_difference, eta_pair_strip, wp_strip, wzeta_strip
 
 __all__ = [
     "DEFAULT_TOL",
@@ -73,10 +82,9 @@ def _check_args(tol: float, route: str) -> None:
         raise DomainError(f"tolerance must be >= {TOL_FLOOR}, got {tol!r}")
 
 
-def _pole_guard(lat: Lattice, lat_reduced: Lattice, z: complex) -> None:
-    z0, m, n = lat_reduced.reduce_point(z)
-    delta = lat_reduced.geometry.delta
-    if abs(z0) < POLE_RTOL * delta:
+def _pole_guard(lat_reduced: Lattice, z: complex) -> None:
+    z0, _, _ = lat_reduced.reduce_point(z)
+    if abs(z0) < POLE_RTOL * lat_reduced.geometry.delta:
         raise PoleError(
             f"z = {z!r} lies on the lattice (within {POLE_RTOL:g} * shell constant)",
             nearest=z - z0,
@@ -96,26 +104,18 @@ def _reduction_data(lat: Lattice):
     return tau_r, lat.omega2 * j1
 
 
-def _series_wp(lat: Lattice, z: complex, tol: float) -> CertifiedValue:
-    tau_r, jj = _reduction_data(lat)
-    latr = Lattice(tau_r, 1.0)
-    z0, _, _ = latr.reduce_point(z / jj)
-    if abs(z0) < POLE_RTOL * latr.geometry.delta:
-        raise PoleError(f"z = {z!r} lies on the lattice", nearest=z - z0 * jj)
-    cv = wp_strip(tau_r, z0, tol * abs(jj) ** 2)
-    return cv.scaled(jj**-2)
-
-
 def _bucket_tol(tol: float) -> float:
     return 10.0 ** math.floor(math.log10(max(tol, 1e-14)))
 
 
-def _series_wzeta(lat: Lattice, z: complex, tol: float) -> CertifiedValue:
+def _series(lat: Lattice, z: complex, tol: float, kind: str) -> CertifiedValue:
     tau_r, jj = _reduction_data(lat)
     latr = Lattice(tau_r, 1.0)
     z0, m, n = latr.reduce_point(z / jj)
     if abs(z0) < POLE_RTOL * latr.geometry.delta:
         raise PoleError(f"z = {z!r} lies on the lattice", nearest=z - z0 * jj)
+    if kind == "wp":
+        return wp_strip(tau_r, z0, tol * abs(jj) ** 2).scaled(jj**-2)
     scaled_tol = tol * abs(jj)
     cv = wzeta_strip(tau_r, z0, 0.5 * scaled_tol)
     if m or n:
@@ -144,34 +144,34 @@ def shell_value(
     return CertifiedValue(value, err)
 
 
-def _try_shell(
-    lat_reduced: Lattice, z: complex, tol: float, kind: str, route: str, shell_cap: int
-) -> CertifiedValue | None:
+def _plan_shell(
+    lat_reduced: Lattice, z: complex, tol: float, route: str, kind: str, shell_cap: int
+) -> tuple[TruncationPlan | None, str]:
+    """The shell-admission decision: the admitted plan, or None and the reason for refusal."""
     budget = FORCED_SHELL_POINTS if route == "shell" else AUTO_SHELL_POINTS
     try:
         plan = plan_truncation(lat_reduced, abs(z), 0.5 * tol, kind=kind, shell_cap=shell_cap)
     except DomainError:
-        if route == "shell":
-            raise PrecisionError(
-                "shell route infeasible: |z| exceeds the margin of the reduced basis"
-            )
-        return None
-    except PrecisionError:
-        if route == "shell":
-            raise
-        return None
+        return None, "shell route infeasible: |z| exceeds the margin of the reduced basis"
+    except PrecisionError as exc:
+        return None, str(exc)
     if plan.point_count > budget:
+        return None, f"shell route needs {plan.point_count:,} points, over the budget {budget:,}"
+    return plan, ""
+
+
+def _evaluate(lat, lat_reduced, z, tol, route, kind, shell_cap) -> CertifiedValue:
+    """Evaluate a pole-guarded request: the admitted shell plan, else the series."""
+    if route != "series":
+        plan, reason = _plan_shell(lat_reduced, z, tol, route, kind, shell_cap)
+        if plan is not None:
+            cv = shell_value(lat_reduced, z, plan, kind)
+            if cv.error <= tol:
+                return cv
+            reason = "shell certificate exceeds the requested tolerance"
         if route == "shell":
-            raise PrecisionError(
-                f"shell route needs {plan.point_count:,} points, over the budget {budget:,}"
-            )
-        return None
-    cv = shell_value(lat_reduced, z, plan, kind)
-    if cv.error > tol:
-        if route == "shell":
-            raise PrecisionError("shell certificate exceeds the requested tolerance")
-        return None
-    return cv
+            raise PrecisionError(reason)
+    return _series(lat, z, tol, kind)
 
 
 def _dispatch(lat, z, tol, route, kind, shell_cap) -> CertifiedValue:
@@ -179,14 +179,8 @@ def _dispatch(lat, z, tol, route, kind, shell_cap) -> CertifiedValue:
     lat = _as_lattice(lat)
     z = complex(z)
     lat_reduced = lat.lagrange_reduced()
-    _pole_guard(lat, lat_reduced, z)
-    if route in ("auto", "shell"):
-        cv = _try_shell(lat_reduced, z, tol, kind, route, shell_cap)
-        if cv is not None:
-            return cv
-    if kind == "wp":
-        return _series_wp(lat, z, tol)
-    return _series_wzeta(lat, z, tol)
+    _pole_guard(lat_reduced, z)
+    return _evaluate(lat, lat_reduced, z, tol, route, kind, shell_cap)
 
 
 def wp_lattice(
@@ -214,12 +208,13 @@ def wp(tau, z: complex, tol: float = DEFAULT_TOL, *, route: str = "auto", shell_
     z is first reduced by the period lattice (an exact symmetry of wp), so
     only the reduced representative is ever summed.
     """
-    t = _as_tau(tau)
-    lat = Lattice(t, 1.0)
+    _check_args(tol, route)
+    lat = Lattice(_as_tau(tau), 1.0)
     z = complex(z)
-    _pole_guard(lat, lat.lagrange_reduced(), z)
+    lat_reduced = lat.lagrange_reduced()
+    _pole_guard(lat_reduced, z)
     z0, _, _ = lat.reduce_point(z)
-    return wp_lattice(lat, z0, tol, route=route, shell_cap=shell_cap)
+    return _evaluate(lat, lat_reduced, z0, tol, route, "wp", shell_cap)
 
 
 def wzeta(tau, z: complex, tol: float = DEFAULT_TOL, *, route: str = "auto", shell_cap: int = SHELL_CAP) -> CertifiedValue:
@@ -232,20 +227,16 @@ def wzeta(tau, z: complex, tol: float = DEFAULT_TOL, *, route: str = "auto", she
     t = _as_tau(tau)
     lat = Lattice(t, 1.0)
     z = complex(z)
-    _pole_guard(lat, lat.lagrange_reduced(), z)
+    lat_reduced = lat.lagrange_reduced()
+    _pole_guard(lat_reduced, z)
     z0, m, n = lat.reduce_point(z)
     if m == 0 and n == 0:
-        return wzeta_lattice(lat, z0, tol, route=route, shell_cap=shell_cap)
-    base = wzeta_lattice(lat, z0, 0.5 * tol, route=route, shell_cap=shell_cap)
+        return _evaluate(lat, lat_reduced, z0, tol, route, "wzeta", shell_cap)
+    # the base value gets half the budget, which must meet the floor too
+    _check_args(0.5 * tol, route)
+    base = _evaluate(lat, lat_reduced, z0, 0.5 * tol, route, "wzeta", shell_cap)
     eta1, eta2 = eta12(t, 0.25 * tol / (abs(m) + abs(n)), route=route, shell_cap=shell_cap)
     return base + eta1 * m + eta2 * n
-
-
-def _eta_diff_shell(lat: Lattice, period: complex, s0: complex, tol: float, shell_cap: int) -> CertifiedValue:
-    z0 = s0 - 0.5 * period
-    hi = wzeta_lattice(lat, z0 + period, tol, route="shell", shell_cap=shell_cap)
-    lo = wzeta_lattice(lat, z0, tol, route="shell", shell_cap=shell_cap)
-    return hi - lo
 
 
 @lru_cache(maxsize=256)
@@ -254,15 +245,12 @@ def _eta12_cached(t: complex, tol: float, route: str, shell_cap: int) -> tuple[C
         # literal differences of shell evaluations; base points straddle the
         # period so both endpoints stay inside the summation margin
         lat = Lattice(t, 1.0)
-        quarter = 0.25 * tol
-        eta1 = _eta_diff_shell(lat, t, 0.25, quarter, shell_cap)
-        eta1b = _eta_diff_shell(lat, t, 0.375, quarter, shell_cap)
-        if abs(eta1.value - eta1b.value) > 4.0 * tol + eta1.error + eta1b.error:
-            raise PrecisionError("eta1 depends on the base point beyond tolerance")
-        eta2 = _eta_diff_shell(lat, 1.0, 0.13j, quarter, shell_cap)
-        eta2b = _eta_diff_shell(lat, 1.0, -0.07 + 0.09j, quarter, shell_cap)
-        if abs(eta2.value - eta2b.value) > 4.0 * tol + eta2.error + eta2b.error:
-            raise PrecisionError("eta2 depends on the base point beyond tolerance")
+
+        def wz(z: complex) -> CertifiedValue:
+            return wzeta_lattice(lat, z, 0.25 * tol, route="shell", shell_cap=shell_cap)
+
+        eta1 = checked_difference(wz, t, 0.25 - 0.5 * t, 0.375 - 0.5 * t, tol, "eta1")
+        eta2 = checked_difference(wz, 1.0, 0.13j - 0.5, -0.07 + 0.09j - 0.5, tol, "eta2")
         return eta1, eta2
     # series route: quasi-periods of the reduced ratio, transported back along
     # the unimodular basis change (quasi-periods are additive in the period)
@@ -281,7 +269,10 @@ def eta12(tau, tol: float = DEFAULT_TOL, *, route: str = "auto", shell_cap: int 
 
     eta1 = wzeta(tau, z + tau) - wzeta(tau, z) and eta2 the same with z + 1;
     both are computed as such differences and checked to be independent of
-    the base point to within 4 tol.
+    the base point to within 4 tol.  ``route="shell"`` takes eta1 between
+    base points near -tau/2 and +tau/2; from Im tau of about 1.85 one of them
+    lies beyond the summation margin (the shortest period), and it raises
+    PrecisionError.
     """
     _check_args(tol, route)
     t = _as_tau(tau)
@@ -295,14 +286,9 @@ def describe_route(lat, z: complex, tol: float = DEFAULT_TOL, *, route: str = "a
     _check_args(tol, route)
     lat = _as_lattice(lat)
     z = complex(z)
-    lat_reduced = lat.lagrange_reduced()
-    if route in ("auto", "shell"):
-        budget = FORCED_SHELL_POINTS if route == "shell" else AUTO_SHELL_POINTS
-        try:
-            plan = plan_truncation(lat_reduced, abs(z), 0.5 * tol, kind=kind, shell_cap=shell_cap)
-        except (DomainError, PrecisionError):
-            plan = None
-        if plan is not None and plan.point_count <= budget:
+    if route != "series":
+        plan, _ = _plan_shell(lat.lagrange_reduced(), z, tol, route, kind, shell_cap)
+        if plan is not None:
             return {
                 "route": "shell",
                 "c_max": plan.c_max,

@@ -25,11 +25,12 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
+from typing import Callable
 
 from .arith import CertifiedValue
 from .errors import DomainError, PrecisionError
 
-__all__ = ["wp_strip", "wzeta_strip", "eta_pair_strip", "TAU_IM_MIN"]
+__all__ = ["wp_strip", "wzeta_strip", "checked_difference", "eta_pair_strip", "TAU_IM_MIN"]
 
 _EPS = math.ulp(1.0)
 _PI = math.pi
@@ -140,6 +141,26 @@ def wzeta_strip(tau: complex, z: complex, tol: float) -> CertifiedValue:
     return CertifiedValue(acc, err)
 
 
+def checked_difference(
+    wz: Callable[[complex], CertifiedValue],
+    period: complex,
+    base: complex,
+    base_b: complex,
+    tol: float,
+    name: str,
+) -> CertifiedValue:
+    """The quasi-period wz(base + period) - wz(base) of a certified wzeta.
+
+    The same difference at ``base_b`` must agree to within 4 tol plus both
+    certificates; otherwise PrecisionError names the quasi-period.
+    """
+    eta = wz(base + period) - wz(base)
+    eta_b = wz(base_b + period) - wz(base_b)
+    if abs(eta.value - eta_b.value) > 4.0 * tol + eta.error + eta_b.error:
+        raise PrecisionError(f"{name} depends on the base point beyond tolerance")
+    return eta
+
+
 @lru_cache(maxsize=512)
 def eta_pair_strip(tau: complex, tol: float) -> tuple[CertifiedValue, CertifiedValue]:
     """Quasi-periods (eta1, eta2) of tau*Z + Z for a reduced tau.
@@ -151,24 +172,10 @@ def eta_pair_strip(tau: complex, tol: float) -> tuple[CertifiedValue, CertifiedV
     """
     if tau.imag < TAU_IM_MIN:
         raise DomainError(f"eta pair needs Im tau >= {TAU_IM_MIN}, got {tau.imag}")
-    quarter = 0.25 * tol
 
-    def diff(z0: complex, period: complex) -> CertifiedValue:
-        hi = wzeta_strip(tau, z0 + period, quarter)
-        lo = wzeta_strip(tau, z0, quarter)
-        return hi - lo
+    def wz(z: complex) -> CertifiedValue:
+        return wzeta_strip(tau, z, 0.25 * tol)
 
-    base1 = 0.25 - 0.5 * tau
-    base1b = 0.375 - 0.5 * tau
-    eta1 = diff(base1, tau)
-    eta1b = diff(base1b, tau)
-    if abs(eta1.value - eta1b.value) > 4.0 * tol + eta1.error + eta1b.error:
-        raise PrecisionError("eta1 depends on the base point beyond tolerance")
-
-    base2 = 0.21 + 0.13j
-    base2b = 0.37 - 0.09j
-    eta2 = diff(base2, 1.0)
-    eta2b = diff(base2b, 1.0)
-    if abs(eta2.value - eta2b.value) > 4.0 * tol + eta2.error + eta2b.error:
-        raise PrecisionError("eta2 depends on the base point beyond tolerance")
+    eta1 = checked_difference(wz, tau, 0.25 - 0.5 * tau, 0.375 - 0.5 * tau, tol, "eta1")
+    eta2 = checked_difference(wz, 1.0, 0.21 + 0.13j, 0.37 - 0.09j, tol, "eta2")
     return eta1, eta2

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -115,13 +114,6 @@ def _random_label(rng: random.Random) -> RationalPair:
             return p
 
 
-def _pmap(fn, items, jobs: int):
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # covariance suites
 
@@ -152,7 +144,7 @@ def _covariance_suite(name: str, weight: int, config: RunConfig, instances: int 
             status="pass" if residual <= bound else "fail",
         )
 
-    rows = _pmap(check, cases, config.jobs)
+    rows = [check(case) for case in cases]
     return SuiteReport(name, config.seed, tuple(rows))
 
 
@@ -210,7 +202,7 @@ def suite_defect_gstt(config: RunConfig) -> SuiteReport:
             status="pass" if residual <= bound else "fail",
         )
 
-    rows = _pmap(check, cases, config.jobs)
+    rows = [check(case) for case in cases]
     return SuiteReport("defect-gstt", config.seed, tuple(rows))
 
 
@@ -250,7 +242,7 @@ def suite_theorem_hrst(config: RunConfig) -> SuiteReport:
             status="pass" if residual <= bound else "fail",
         )
 
-    rows = _pmap(check, cases, config.jobs)
+    rows = [check(case) for case in cases]
     return SuiteReport("theorem-hrst", config.seed, tuple(rows))
 
 
@@ -291,7 +283,7 @@ def suite_theorem_hU(config: RunConfig) -> SuiteReport:
             status="pass" if residual <= bound else "fail",
         )
 
-    rows = _pmap(check, cases, config.jobs)
+    rows = [check(case) for case in cases]
     return SuiteReport("theorem-hU", config.seed, tuple(rows))
 
 

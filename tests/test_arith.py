@@ -57,9 +57,16 @@ class TestBernoulli:
 
     def test_concurrent_first_access(self):
         # fresh interpreter so the memo table really is cold when the
-        # threads race on it
+        # threads race on it; it imports the same weierforms as this one
+        import os
         import subprocess
         import sys
+
+        import weierforms
+
+        src = os.path.dirname(os.path.dirname(weierforms.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
 
         code = (
             "import threading\n"
@@ -74,7 +81,7 @@ class TestBernoulli:
             "assert all(r == results[0] for r in results)\n"
             "assert results[0] == bernoulli(220)\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
 
 

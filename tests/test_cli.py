@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 
 import pytest
 
@@ -131,6 +132,13 @@ class TestDeterminism:
         code2, out2 = run_cli(capsys, "verify", "identities", "--seed", "7", "--format", "json")
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_verify_json_independent_of_core_count(self, capsys, monkeypatch):
+        outs = []
+        for cores in (1, 64):
+            monkeypatch.setattr(os, "cpu_count", lambda n=cores: n)
+            outs.append(run_cli(capsys, "verify", "cusp-f", "--format", "json"))
+        assert outs[0] == outs[1]
 
     def test_csv_shape(self, capsys):
         code, out = run_cli(capsys, "verify", "eies-bound", "--format", "csv")

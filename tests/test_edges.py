@@ -17,12 +17,50 @@ from weierforms import (
     shell_sum,
     slash,
     wp_lattice,
+    wzeta_lattice,
 )
 from weierforms.config import RunConfig
+from weierforms.shells import SHELL_CAP
 from weierforms.trig import wp_strip, wzeta_strip
 
 
+# (kind, basis, z, tol, shell_cap, route auto resolves to, forced-shell refusal)
+ROUTE_CASES = [
+    # |z| beyond the margin of the reduced basis
+    ("wp", (1j, 1.0), 1.2, 1e-8, SHELL_CAP, "series", "margin"),
+    ("wzeta", (1j, 1.0), 1.2, 1e-8, SHELL_CAP, "series", "margin"),
+    # tolerance out of reach within the shell cap
+    ("wp", (1j, 1.0), 0.3, 1e-8, 100, "series", "shell cap 100"),
+    ("wzeta", (1j, 1.0), 0.3, 1e-8, 100, "series", "shell cap 100"),
+    # over the auto budget, within the forced one
+    ("wp", (1j, 1.0), 0.3, 1e-6, SHELL_CAP, "series", None),
+    ("wzeta", (1j, 1.0), 0.3, 1e-6, SHELL_CAP, "series", None),
+    # over the forced budget
+    ("wp", (1j, 1.0), 0.4, 1e-8, SHELL_CAP, "series", "over the budget 800,000,000"),
+    # admitted
+    ("wp", (0.3 + 1.2j, 1.0), 0.2 - 0.1j, 1e-4, SHELL_CAP, "shell", None),
+    ("wzeta", (0.3 + 1.2j, 1.0), 0.2 - 0.1j, 1e-4, SHELL_CAP, "shell", None),
+    # admitted, but the summed certificate (principal part near the pole) exceeds tol
+    ("wp", (1j, 1.0), 1e-7, 1e-12, SHELL_CAP, "shell", "certificate exceeds"),
+    ("wzeta", (1j, 1.0), 1e-7, 1e-12, SHELL_CAP, "shell", "certificate exceeds"),
+]
+
+
 class TestDispatchEdges:
+    @pytest.mark.parametrize("kind,basis,z,tol,cap,resolved,refusal", ROUTE_CASES)
+    def test_auto_route_follows_the_plan(self, kind, basis, z, tol, cap, resolved, refusal):
+        fn = wp_lattice if kind == "wp" else wzeta_lattice
+        lat = Lattice(*basis)
+        info = describe_route(lat, z, tol, route="auto", kind=kind, shell_cap=cap)
+        assert info["route"] == resolved
+        if refusal:
+            with pytest.raises(PrecisionError, match=refusal):
+                fn(lat, z, tol, route="shell", shell_cap=cap)
+        route = "series" if resolved == "series" or refusal else "shell"
+        expected = fn(lat, z, tol, route=route, shell_cap=cap)
+        auto = fn(lat, z, tol, route="auto", shell_cap=cap)
+        assert (auto.value, auto.error) == (expected.value, expected.error)
+
     def test_tuple_accepted_as_lattice(self):
         a = wp_lattice((1j, 1.0), 0.5, 1e-8)
         b = wp_lattice(Lattice(1j, 1.0), 0.5, 1e-8)
@@ -106,10 +144,6 @@ class TestMiscValidation:
             RunConfig(tolerance=1e-15)
         with pytest.raises(DomainError):
             RunConfig(output_format="yaml")
-        with pytest.raises(DomainError):
-            RunConfig(jobs=0)
-        with pytest.raises(DomainError):
-            RunConfig(convention="rowwise")
         cfg = RunConfig(seed=5)
         d = cfg.as_dict()
         assert d["seed"] == 5 and d["tolerance"] == 1e-8

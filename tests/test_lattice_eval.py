@@ -268,6 +268,13 @@ class TestEta:
         assert abs(eta2.value - math.pi) <= eta2.error + 1e-6
         assert abs(eta1.value + 1j * math.pi) <= eta1.error + 1e-6
 
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 1.2j])
+    def test_shell_route_eta_matches_series(self, tau):
+        shell = eta12(tau, 1e-4, route="shell")
+        series = eta12(tau, 1e-4, route="series")
+        for a, b in zip(shell, series):
+            assert abs(a.value - b.value) <= a.error + b.error
+
 
 class TestPlans:
     def test_infinite_tol_gives_single_shell(self):
