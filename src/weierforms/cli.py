@@ -20,7 +20,7 @@ from .errors import WeierError
 from .evaluate import describe_route, wp_lattice, wzeta_lattice
 from .forms import FormSpec, RationalPair
 from .lattice import Lattice
-from .verify import SUITES, run_suite
+from .verify import SUITES, VerifyRow, run_suite
 
 __all__ = ["main"]
 
@@ -64,18 +64,18 @@ def _value_payload(z: complex | None) -> dict | None:
     return {"re": z.real, "im": z.imag}
 
 
-def _row_payload(row: dict) -> dict:
+def _row_payload(row: VerifyRow) -> dict:
     return {
-        "id": row["id"],
-        "inputs": row["inputs"],
-        "value": _value_payload(row.get("value")),
-        "error": row.get("error"),
-        "bound": row.get("bound"),
-        "status": row["status"],
+        "id": row.id,
+        "inputs": row.inputs,
+        "value": _value_payload(row.value),
+        "error": row.error,
+        "bound": row.bound,
+        "status": row.status,
     }
 
 
-def _emit(command: str, config: RunConfig, rows: list[dict], notes: tuple[str, ...] = (), stream=None) -> None:
+def _emit(command: str, config: RunConfig, rows: list[VerifyRow], notes: tuple[str, ...] = (), stream=None) -> None:
     out = stream or sys.stdout
     fmt = config.output_format
     if fmt == "json":
@@ -92,25 +92,23 @@ def _emit(command: str, config: RunConfig, rows: list[dict], notes: tuple[str, .
         writer = csv.writer(out)
         writer.writerow(["id", "inputs", "value_re", "value_im", "error", "bound", "status"])
         for r in rows:
-            v = r.get("value")
             writer.writerow(
                 [
-                    r["id"],
-                    ";".join(f"{k}={v2}" for k, v2 in r["inputs"].items()),
-                    "" if v is None else repr(v.real),
-                    "" if v is None else repr(v.imag),
-                    "" if r.get("error") is None else repr(r["error"]),
-                    "" if r.get("bound") is None else repr(r["bound"]),
-                    r["status"],
+                    r.id,
+                    ";".join(f"{k}={v}" for k, v in r.inputs.items()),
+                    "" if r.value is None else repr(r.value.real),
+                    "" if r.value is None else repr(r.value.imag),
+                    "" if r.error is None else repr(r.error),
+                    "" if r.bound is None else repr(r.bound),
+                    r.status,
                 ]
             )
     else:
         for r in rows:
-            v = r.get("value")
-            val = format_complex(v) if v is not None else "-"
-            err = "-" if r.get("error") is None else f"{r['error']:.3e}"
-            detail = f"  {r['detail']}" if r.get("detail") else ""
-            out.write(f"{r['id']:<24} {r['status']:<6} value={val} err={err}{detail}\n")
+            val = "-" if r.value is None else format_complex(r.value)
+            err = "-" if r.error is None else f"{r.error:.3e}"
+            detail = f"  {r.detail}" if r.detail else ""
+            out.write(f"{r.id:<24} {r.status:<6} value={val} err={err}{detail}\n")
         for note in notes:
             out.write(f"# {note}\n")
 
@@ -195,14 +193,15 @@ def cmd_eval(args, config: RunConfig) -> int:
             "z": format_complex(z),
         }
     inputs.update({f"plan_{k}": v for k, v in plan.items()})
-    row = {
-        "id": f"eval-{kind}",
-        "inputs": inputs,
-        "value": cv.value,
-        "error": cv.error,
-        "bound": plan.get("tail_bound"),
-        "status": "ok",
-    }
+    row = VerifyRow(
+        id=f"eval-{kind}",
+        inputs=inputs,
+        value=cv.value,
+        error=cv.error,
+        bound=plan.get("tail_bound"),
+        residual=None,
+        status="ok",
+    )
     _emit("eval", config, [row])
     return 0
 
@@ -213,21 +212,8 @@ def cmd_eval(args, config: RunConfig) -> int:
 
 def cmd_verify(args, config: RunConfig) -> int:
     report = run_suite(args.suite, config)
-    rows = []
-    for r in report.rows:
-        rows.append(
-            {
-                "id": r.id,
-                "inputs": r.inputs,
-                "value": r.value,
-                "error": r.error,
-                "bound": r.bound,
-                "status": r.status,
-                "detail": r.detail,
-            }
-        )
     summary = f"{report.suite}: {report.passed}/{len(report.rows)} checks passed (seed {report.seed})"
-    _emit(f"verify {args.suite}", config, rows, notes=report.notes + (summary,))
+    _emit(f"verify {args.suite}", config, list(report.rows), notes=report.notes + (summary,))
     return 0 if report.ok else 1
 
 
@@ -254,9 +240,20 @@ def cmd_table(args, config: RunConfig) -> int:
     if not heights:
         raise WeierError("--Y must list at least one height")
     heights.sort()
-    rows = []
-    any_error = False
-    idx = 0
+    rows: list[VerifyRow] = []
+
+    def error_row(inputs: dict, exc: Exception) -> VerifyRow:
+        return VerifyRow(
+            id=f"row-{len(rows):03d}",
+            inputs=inputs,
+            value=None,
+            error=None,
+            bound=None,
+            residual=None,
+            status="error",
+            detail=str(exc),
+        )
+
     for lineno, raw in enumerate(raw_lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -264,57 +261,32 @@ def cmd_table(args, config: RunConfig) -> int:
         try:
             form = _parse_grid_line(line, lineno)
         except (WeierError, ValueError) as exc:
-            any_error = True
-            rows.append(
-                {
-                    "id": f"row-{idx:03d}",
-                    "inputs": {"line": line},
-                    "value": None,
-                    "error": None,
-                    "bound": None,
-                    "status": "error",
-                    "detail": str(exc),
-                }
-            )
-            idx += 1
+            rows.append(error_row({"line": line}, exc))
             continue
         for y in heights:
             try:
                 rep = cusp_report(form, y, config.tolerance, slack=config.slack)
             except WeierError as exc:
-                any_error = True
-                rows.append(
-                    {
-                        "id": f"row-{idx:03d}",
-                        "inputs": {"form": form.describe(), "Y": y},
-                        "value": None,
-                        "error": None,
-                        "bound": None,
-                        "status": "error",
-                        "detail": str(exc),
-                    }
-                )
-                idx += 1
+                rows.append(error_row({"form": form.describe(), "Y": y}, exc))
                 continue
             rows.append(
-                {
-                    "id": f"row-{idx:03d}",
-                    "inputs": {
+                VerifyRow(
+                    id=f"row-{len(rows):03d}",
+                    inputs={
                         "form": rep.label,
                         "Y": y,
                         "closed": format_complex(rep.closed_form),
                         "residual": rep.residual,
                     },
-                    "value": rep.numeric.value,
-                    "error": rep.numeric.error,
-                    "bound": rep.numeric.error + rep.slack,
-                    "status": "pass" if rep.valid else "fail",
-                }
+                    value=rep.numeric.value,
+                    error=rep.numeric.error,
+                    bound=rep.numeric.error + rep.slack,
+                    residual=rep.residual,
+                    status="pass" if rep.valid else "fail",
+                )
             )
-            idx += 1
     _emit("table", config, rows)
-    failed = any(r["status"] != "pass" for r in rows)
-    return 1 if (any_error or failed) else 0
+    return 0 if all(r.passed for r in rows) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .arith import CertifiedValue
+from .arith import TWO_PI, CertifiedValue
 from .errors import DomainError, PoleError, PrecisionError
 from .lattice import Lattice, TauLattice, reduce_tau_matrix
 from .shells import SHELL_CAP, TruncationPlan, plan_truncation, shell_sum
@@ -241,38 +241,53 @@ def wzeta(tau, z: complex, tol: float = DEFAULT_TOL, *, route: str = "auto", she
 
 @lru_cache(maxsize=256)
 def _eta12_cached(t: complex, tol: float, route: str, shell_cap: int) -> tuple[CertifiedValue, CertifiedValue]:
-    if route == "shell":
-        # literal differences of shell evaluations; base points straddle the
-        # period so both endpoints stay inside the summation margin
-        lat = Lattice(t, 1.0)
-
-        def wz(z: complex) -> CertifiedValue:
-            return wzeta_lattice(lat, z, 0.25 * tol, route="shell", shell_cap=shell_cap)
-
-        eta1 = checked_difference(wz, t, 0.25 - 0.5 * t, 0.375 - 0.5 * t, tol, "eta1")
-        eta2 = checked_difference(wz, 1.0, 0.13j - 0.5, -0.07 + 0.09j - 0.5, tol, "eta2")
-        return eta1, eta2
-    # series route: quasi-periods of the reduced ratio, transported back along
-    # the unimodular basis change (quasi-periods are additive in the period)
+    # quasi-periods of the reduced ratio, transported back along the
+    # unimodular basis change (quasi-periods are additive in the period)
     a, b, c, d = reduce_tau_matrix(t)
     j1 = c * t + d
     tau_r = (a * t + b) / j1
     coeff = max(abs(a) + abs(b), abs(c) + abs(d), 1)
-    eta1_r, eta2_r = eta_pair_strip(tau_r, _bucket_tol(0.5 * tol * abs(j1) / coeff))
+    tol_r = 0.5 * tol * abs(j1) / coeff
+    if route == "shell":
+        eta1_r, eta2_r = _eta_pair_shell(tau_r, tol_r, shell_cap)
+    else:
+        eta1_r, eta2_r = eta_pair_strip(tau_r, _bucket_tol(tol_r))
     eta1 = (eta1_r * d - eta2_r * b).scaled(1.0 / j1)
     eta2 = (eta1_r * (-c) + eta2_r * a).scaled(1.0 / j1)
     return eta1, eta2
+
+
+def _eta_pair_shell(tau_r: complex, tol: float, shell_cap: int) -> tuple[CertifiedValue, CertifiedValue]:
+    """Quasi-periods of a reduced ratio from shell sums, each within tol.
+
+    eta2 is a literal difference of shell wzeta values; its base points near
+    -1/2 and +1/2 lie inside the summation margin of every reduced basis.
+    eta1 follows from Legendre's relation eta1 = tau*eta2 - 2 pi i.
+    """
+    lat = Lattice(tau_r, 1.0)
+    tol2 = 0.5 * tol / abs(tau_r)
+
+    def wz(z: complex) -> CertifiedValue:
+        return wzeta_lattice(lat, z, 0.25 * tol2, route="shell", shell_cap=shell_cap)
+
+    eta2 = checked_difference(wz, 1.0, 0.13j - 0.5, -0.07 + 0.09j - 0.5, tol2, "eta2")
+    prod = eta2.value * tau_r
+    eta1 = prod - complex(0.0, TWO_PI)
+    # rounding (_EPS = 2u): the product sqrt(5) u |prod|, fl(2 pi) 2 pi u,
+    # the subtraction u |eta1|
+    rounding = _EPS * (2.0 * abs(prod) + abs(eta1) + 4.0)
+    return CertifiedValue(eta1, abs(tau_r) * eta2.error + rounding), eta2
 
 
 def eta12(tau, tol: float = DEFAULT_TOL, *, route: str = "auto", shell_cap: int = SHELL_CAP) -> tuple[CertifiedValue, CertifiedValue]:
     """Quasi-periods (eta1, eta2) of tau*Z + Z.
 
     eta1 = wzeta(tau, z + tau) - wzeta(tau, z) and eta2 the same with z + 1;
-    both are computed as such differences and checked to be independent of
-    the base point to within 4 tol.  ``route="shell"`` takes eta1 between
-    base points near -tau/2 and +tau/2; from Im tau of about 1.85 one of them
-    lies beyond the summation margin (the shortest period), and it raises
-    PrecisionError.
+    tau is first reduced to the fundamental domain and the quasi-periods of
+    the reduced ratio are transported back.  ``route="series"`` computes both
+    as such differences of row-sum values, checked to be independent of the
+    base point to within 4 tol; ``route="shell"`` does so for eta2 with shell
+    sums and takes eta1 from Legendre's relation eta1 = tau*eta2 - 2 pi i.
     """
     _check_args(tol, route)
     t = _as_tau(tau)

@@ -217,6 +217,27 @@ def _require_noninteger(p: RationalPair, what: str) -> None:
         raise DomainError(f"{what} label {p} is integral; the torsion point is a pole")
 
 
+def _check_h(r: int, p: RationalPair) -> None:
+    """Label constraints of h[r](s, t): r a nonzero integer, neither p nor r*p integral."""
+    if not isinstance(r, int) or isinstance(r, bool) or r == 0:
+        raise DomainError(f"r must be a nonzero integer, got {r!r}")
+    _require_noninteger(p, "weight-1")
+    if p.scaled(r).is_integral():
+        raise DomainError(f"label {p} scaled by {r} is integral; choose another r")
+
+
+def _check_hU(labels: tuple[RationalPair, ...]) -> None:
+    """Label constraints of hU: nonempty, exact sum (0, 0), no integral label."""
+    if not labels:
+        raise DomainError("label list must be nonempty")
+    total_s = sum((u.s for u in labels), Fraction(0))
+    total_t = sum((u.t for u in labels), Fraction(0))
+    if total_s != 0 or total_t != 0:
+        raise DomainError(f"labels must sum to (0,0) exactly, got ({total_s},{total_t})")
+    for u in labels:
+        _require_noninteger(u, "weight-1")
+
+
 def eval_f(p: RationalPair, tau: complex, tol: float = DEFAULT_TOL, **opts) -> CertifiedValue:
     """Weight-2 family member: wp(tau, s*tau + t).
 
@@ -244,27 +265,15 @@ def eval_h(r: int, p: RationalPair, tau: complex, tol: float = DEFAULT_TOL, **op
     Both parts are evaluated at tolerance tol/(|r|+1) so the certified error
     of the difference stays below tol despite the cancellation.
     """
-    if not isinstance(r, int) or isinstance(r, bool) or r == 0:
-        raise DomainError(f"r must be a nonzero integer, got {r!r}")
-    _require_noninteger(p, "weight-1")
-    rp = p.scaled(r)
-    if rp.is_integral():
-        raise DomainError(f"label {p} scaled by {r} is integral; choose another r")
+    _check_h(r, p)
     part = tol / (abs(r) + 1)
-    return eval_g(p, tau, part, **opts) * r - eval_g(rp, tau, part, **opts)
+    return eval_g(p, tau, part, **opts) * r - eval_g(p.scaled(r), tau, part, **opts)
 
 
 def eval_hU(labels: Sequence[RationalPair], tau: complex, tol: float = DEFAULT_TOL, **opts) -> CertifiedValue:
     """Sum of g over a tuple of labels whose exact sum is (0, 0)."""
     labels = tuple(labels)
-    if not labels:
-        raise DomainError("label list must be nonempty")
-    total_s = sum((u.s for u in labels), Fraction(0))
-    total_t = sum((u.t for u in labels), Fraction(0))
-    if total_s != 0 or total_t != 0:
-        raise DomainError(f"labels must sum to (0,0) exactly, got ({total_s},{total_t})")
-    for u in labels:
-        _require_noninteger(u, "weight-1")
+    _check_hU(labels)
     part = tol / len(labels)
     acc = CertifiedValue.exact(0.0)
     for u in labels:
@@ -312,23 +321,14 @@ class FormSpec:
     @classmethod
     def h_form(cls, r: int, s, t) -> "FormSpec":
         p = RationalPair.of(s, t)
-        _require_noninteger(p, "weight-1")
-        if not isinstance(r, int) or r == 0:
-            raise DomainError("r must be a nonzero integer")
-        if p.scaled(r).is_integral():
-            raise DomainError(f"(r s, r t) must not be integral for r={r}, label {p}")
+        _check_h(r, p)
         # the combination is invariant under label shifts, so canonicalize
         return cls("h", p=p.canonical(), r=r)
 
     @classmethod
     def hU_form(cls, labels: Sequence[RationalPair]) -> "FormSpec":
         labels = tuple(labels)
-        total_s = sum((u.s for u in labels), Fraction(0))
-        total_t = sum((u.t for u in labels), Fraction(0))
-        if total_s != 0 or total_t != 0:
-            raise DomainError("labels must sum to (0,0) exactly")
-        for u in labels:
-            _require_noninteger(u, "weight-1")
+        _check_hU(labels)
         return cls("hU", labels=labels)
 
     @property

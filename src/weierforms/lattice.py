@@ -114,9 +114,12 @@ class Lattice:
     def lagrange_reduced(self) -> "Lattice":
         """Unimodular basis change to a Lagrange-reduced basis of the same lattice.
 
-        Afterwards |omega1| >= |omega2| and |Re(omega1/omega2)| <= 1/2, so the
-        period ratio lies in (a slightly fattened copy of) the standard
-        fundamental domain.
+        As a set the pair is Lagrange-reduced: the shorter generator is a
+        shortest nonzero vector of the lattice, and
+        |Re(omega1*conj(omega2))| <= min(|omega1|, |omega2|)**2 / 2 (up to the
+        rounding of the steps w1 - mu*w2).  The constructor's orientation swap
+        decides the order, so omega1 may be the shorter generator: tau = 0.2i
+        gives (0.2i, 1).
         """
         w1, w2 = self.omega1, self.omega2
         # Gauss reduction on the pair, shortest vector second

@@ -13,6 +13,11 @@ Suite names are part of the CLI contract:
   zeta2         recovery of zeta_R(2) from the s != 0 cusp limit
   eies-bound    truncated double sums stay below the closed row bound
   identities    zeta-series identity and the Bernoulli bridge
+
+The five agreement suites (lemma-fsta through theorem-hU) compare two
+certified values per row: a row passes when the residual |shown - other| is
+within the summed certificates plus the suite's slack (1e-9 for the
+covariance lemmas, 0 otherwise).
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from fractions import Fraction
 from .arith import CertifiedValue, bernoulli, zeta_even, zeta_even_coefficient, zeta_r_enclosure
 from .config import RunConfig
 from .cusp import (
+    CuspValueReport,
     cusp_report,
     cusp_value_f_series,
     cusp_value_h,
@@ -115,36 +121,39 @@ def _random_label(rng: random.Random) -> RationalPair:
 
 
 # ---------------------------------------------------------------------------
-# covariance suites
+# agreement suites
+
+
+def _agreement(
+    id: str, inputs: dict, shown: CertifiedValue, other: CertifiedValue, slack: float = 0.0
+) -> VerifyRow:
+    """Row stating that two certified values agree: the residual |shown - other|
+    is within the summed certificates plus ``slack``."""
+    error = shown.error + other.error
+    bound = error + slack
+    residual = abs(shown.value - other.value)
+    return VerifyRow(
+        id=id,
+        inputs=inputs,
+        value=shown.value,
+        error=error,
+        bound=bound,
+        residual=residual,
+        status="pass" if residual <= bound else "fail",
+    )
 
 
 def _covariance_suite(name: str, weight: int, config: RunConfig, instances: int = 200) -> SuiteReport:
     rng = random.Random(config.seed)
     tol = min(config.tolerance, 1e-9)
-    slack = 1e-9
     evaluator = eval_f if weight == 2 else eval_g
-
-    cases = []
+    rows = []
     for idx in range(instances):
-        cases.append((idx, _random_label(rng), random_sl2(rng), _random_tau(rng)))
-
-    def check(case):
-        idx, p, mat, tau = case
+        p, mat, tau = _random_label(rng), random_sl2(rng), _random_tau(rng)
         lhs = slash(lambda w, tt: evaluator(p, w, tt), weight, mat, tau, tol)
         rhs = evaluator(pair_act(p, mat), tau, tol)
-        residual = abs(lhs.value - rhs.value)
-        bound = lhs.error + rhs.error + slack
-        return VerifyRow(
-            id=f"{name}-{idx:03d}",
-            inputs={"p": str(p), "A": str(mat), "tau": _fmt_c(tau)},
-            value=lhs.value,
-            error=lhs.error + rhs.error,
-            bound=bound,
-            residual=residual,
-            status="pass" if residual <= bound else "fail",
-        )
-
-    rows = [check(case) for case in cases]
+        inputs = {"p": str(p), "A": str(mat), "tau": _fmt_c(tau)}
+        rows.append(_agreement(f"{name}-{idx:03d}", inputs, lhs, rhs, slack=1e-9))
     return SuiteReport(name, config.seed, tuple(rows))
 
 
@@ -166,43 +175,32 @@ def suite_defect_gstt(config: RunConfig) -> SuiteReport:
         RationalPair.of(0, Fraction(1, 3)),
         RationalPair.of(Fraction(1, 2), Fraction(1, 2)),
     ]
-    cases = []
+    rows = []
     for idx in range(50):
         p = labels[idx % len(labels)]
-        mat = random_in_group(rng, lambda m, _p=p: gamma_st_contains(_p, m))
-        cases.append((idx, p, mat, _random_tau(rng)))
-
-    def check(case):
-        idx, p, mat, tau = case
+        mat = random_in_group(rng, lambda m: gamma_st_contains(p, m))
+        tau = _random_tau(rng)
         u, v = defect_coefficients(p, mat)
         if u.denominator != 1 or v.denominator != 1:
-            return VerifyRow(
-                id=f"defect-{idx:03d}",
-                inputs={"p": str(p), "A": str(mat)},
-                value=None,
-                error=None,
-                bound=None,
-                residual=None,
-                status="fail",
-                detail="stabilizer element produced non-integer defect coefficients",
+            rows.append(
+                VerifyRow(
+                    id=f"defect-{idx:03d}",
+                    inputs={"p": str(p), "A": str(mat)},
+                    value=None,
+                    error=None,
+                    bound=None,
+                    residual=None,
+                    status="fail",
+                    detail="stabilizer element produced non-integer defect coefficients",
+                )
             )
+            continue
         lhs = slash(lambda w, tt: eval_g(p, w, tt), 1, mat, tau, tol)
         base = eval_g(p, tau, tol)
         eta1, eta2 = eta12(tau, tol)
         predicted = base + eta1 * int(u) + eta2 * int(v)
-        residual = abs(lhs.value - predicted.value)
-        bound = lhs.error + predicted.error
-        return VerifyRow(
-            id=f"defect-{idx:03d}",
-            inputs={"p": str(p), "A": str(mat), "tau": _fmt_c(tau), "u": int(u), "v": int(v)},
-            value=lhs.value,
-            error=bound,
-            bound=bound,
-            residual=residual,
-            status="pass" if residual <= bound else "fail",
-        )
-
-    rows = [check(case) for case in cases]
+        inputs = {"p": str(p), "A": str(mat), "tau": _fmt_c(tau), "u": int(u), "v": int(v)}
+        rows.append(_agreement(f"defect-{idx:03d}", inputs, lhs, predicted))
     return SuiteReport("defect-gstt", config.seed, tuple(rows))
 
 
@@ -215,34 +213,15 @@ def suite_theorem_hrst(config: RunConfig) -> SuiteReport:
         (3, RationalPair.of(Fraction(1, 2), 0)),
     ]
     taus = [_random_tau(rng) for _ in range(10)]
-    cases = []
-    idx = 0
+    rows = []
     for r, p in pairs:
-        mats = [
-            random_in_group(rng, lambda m, _p=p: gamma_st_contains(_p, m)) for _ in range(20)
-        ]
-        for mat in mats:
+        for _ in range(20):
+            mat = random_in_group(rng, lambda m: gamma_st_contains(p, m))
             for tau in taus:
-                cases.append((idx, r, p, mat, tau))
-                idx += 1
-
-    def check(case):
-        idx, r, p, mat, tau = case
-        lhs = slash(lambda w, tt: eval_h(r, p, w, tt), 1, mat, tau, tol)
-        rhs = eval_h(r, p, tau, tol)
-        residual = abs(lhs.value - rhs.value)
-        bound = lhs.error + rhs.error
-        return VerifyRow(
-            id=f"hrst-{idx:04d}",
-            inputs={"r": r, "p": str(p), "A": str(mat), "tau": _fmt_c(tau)},
-            value=rhs.value,
-            error=bound,
-            bound=bound,
-            residual=residual,
-            status="pass" if residual <= bound else "fail",
-        )
-
-    rows = [check(case) for case in cases]
+                lhs = slash(lambda w, tt: eval_h(r, p, w, tt), 1, mat, tau, tol)
+                rhs = eval_h(r, p, tau, tol)
+                inputs = {"r": r, "p": str(p), "A": str(mat), "tau": _fmt_c(tau)}
+                rows.append(_agreement(f"hrst-{len(rows):04d}", inputs, rhs, lhs))
     return SuiteReport("theorem-hrst", config.seed, tuple(rows))
 
 
@@ -260,35 +239,32 @@ def suite_theorem_hU(config: RunConfig) -> SuiteReport:
     mats = [
         random_in_group(rng, lambda m: principal_congruence_contains(3, m)) for _ in range(20)
     ]
-    cases = []
-    idx = 0
+    labels = ",".join(str(u) for u in _HU_LABELS)
+    rows = []
     for mat in mats:
         for tau in taus:
-            cases.append((idx, mat, tau))
-            idx += 1
-
-    def check(case):
-        idx, mat, tau = case
-        lhs = slash(lambda w, tt: eval_hU(_HU_LABELS, w, tt), 1, mat, tau, tol)
-        rhs = eval_hU(_HU_LABELS, tau, tol)
-        residual = abs(lhs.value - rhs.value)
-        bound = lhs.error + rhs.error
-        return VerifyRow(
-            id=f"hU-{idx:04d}",
-            inputs={"U": ",".join(str(u) for u in _HU_LABELS), "A": str(mat), "tau": _fmt_c(tau)},
-            value=rhs.value,
-            error=bound,
-            bound=bound,
-            residual=residual,
-            status="pass" if residual <= bound else "fail",
-        )
-
-    rows = [check(case) for case in cases]
+            lhs = slash(lambda w, tt: eval_hU(_HU_LABELS, w, tt), 1, mat, tau, tol)
+            rhs = eval_hU(_HU_LABELS, tau, tol)
+            inputs = {"U": labels, "A": str(mat), "tau": _fmt_c(tau)}
+            rows.append(_agreement(f"hU-{len(rows):04d}", inputs, rhs, lhs))
     return SuiteReport("theorem-hU", config.seed, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
 # cusp suites
+
+
+def _cusp_row(id: str, rep: CuspValueReport, passed: bool) -> VerifyRow:
+    """Row comparing a numeric value at the cusp height with its closed value."""
+    return VerifyRow(
+        id=id,
+        inputs={"form": rep.label, "Y": rep.Y, "closed": _fmt_c(rep.closed_form)},
+        value=rep.numeric.value,
+        error=rep.numeric.error,
+        bound=1e-6,
+        residual=rep.residual,
+        status="pass" if passed else "fail",
+    )
 
 
 _CUSP_F_GRID = (
@@ -304,19 +280,8 @@ _CUSP_F_GRID = (
 def suite_cusp_f(config: RunConfig) -> SuiteReport:
     rows = []
     for i, (s, t) in enumerate(_CUSP_F_GRID):
-        form = FormSpec.wp_form(s, t)
-        rep = cusp_report(form, 20.0, min(config.tolerance, 1e-8), slack=1e-6)
-        rows.append(
-            VerifyRow(
-                id=f"cusp-f-{i}",
-                inputs={"form": rep.label, "Y": rep.Y, "closed": _fmt_c(rep.closed_form)},
-                value=rep.numeric.value,
-                error=rep.numeric.error,
-                bound=1e-6,
-                residual=rep.residual,
-                status="pass" if rep.residual < 1e-6 and rep.valid else "fail",
-            )
-        )
+        rep = cusp_report(FormSpec.wp_form(s, t), 20.0, min(config.tolerance, 1e-8), slack=1e-6)
+        rows.append(_cusp_row(f"cusp-f-{i}", rep, rep.residual < 1e-6 and rep.valid))
     return SuiteReport("cusp-f", config.seed, tuple(rows))
 
 
@@ -356,19 +321,8 @@ def suite_cusp_h(config: RunConfig) -> SuiteReport:
 
     # closed values across a few s = 0 labels
     for i, (r, t) in enumerate(((3, Fraction(1, 5)), (-1, Fraction(1, 4)), (2, Fraction(2, 7)))):
-        form = FormSpec.h_form(r, 0, t)
-        rep = cusp_report(form, 20.0, tol, slack=1e-6)
-        rows.append(
-            VerifyRow(
-                id=f"cusp-h-{i}",
-                inputs={"form": rep.label, "Y": rep.Y, "closed": _fmt_c(rep.closed_form)},
-                value=rep.numeric.value,
-                error=rep.numeric.error,
-                bound=1e-6,
-                residual=rep.residual,
-                status="pass" if rep.residual < 1e-6 else "fail",
-            )
-        )
+        rep = cusp_report(FormSpec.h_form(r, 0, t), 20.0, tol, slack=1e-6)
+        rows.append(_cusp_row(f"cusp-h-{i}", rep, rep.residual < 1e-6))
 
     # boundedness along the imaginary axis, at the infinite cusp and at the
     # cusps reached by transporting with coset representatives

@@ -265,6 +265,10 @@ class TestFormSpec:
             FormSpec.h_form(3, 0, Fraction(1, 3))  # r*t integral
         with pytest.raises(DomainError):
             FormSpec.hU_form([pair(0, Fraction(1, 3))])
+        with pytest.raises(DomainError):
+            FormSpec.h_form(True, 0, "1/3")  # a bool is not an integer multiplier
+        with pytest.raises(DomainError):
+            FormSpec.hU_form([])
 
     def test_group_membership(self):
         form = FormSpec.hU_form(

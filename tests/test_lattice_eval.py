@@ -268,12 +268,31 @@ class TestEta:
         assert abs(eta2.value - math.pi) <= eta2.error + 1e-6
         assert abs(eta1.value + 1j * math.pi) <= eta1.error + 1e-6
 
-    @pytest.mark.parametrize("tau", [1j, 0.3 + 1.2j])
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 1.2j, 2j, 5j, 0.3 + 0.2j])
     def test_shell_route_eta_matches_series(self, tau):
         shell = eta12(tau, 1e-4, route="shell")
         series = eta12(tau, 1e-4, route="series")
         for a, b in zip(shell, series):
             assert abs(a.value - b.value) <= a.error + b.error
+
+
+class TestLagrangeReduction:
+    @pytest.mark.parametrize("tau", [0.2j, 0.4 + 0.001j, 3 + 0.7j, -0.45 + 0.05j])
+    def test_reduced_as_a_set(self, tau):
+        lat = Lattice(tau, 1.0)
+        red = lat.lagrange_reduced()
+        assert red.covolume == pytest.approx(lat.covolume, rel=1e-12)
+        w1, w2 = red.omega1, red.omega2
+        shorter = min(abs(w1), abs(w2))
+        # brute force over small coefficients of the original basis (tau, 1)
+        shortest = min(
+            abs(c * tau + d)
+            for c in range(-30, 31)
+            for d in range(-30, 31)
+            if (c, d) != (0, 0)
+        )
+        assert shorter == pytest.approx(shortest, rel=1e-12)
+        assert abs((w1 * w2.conjugate()).real) <= 0.5 * shorter**2 * (1 + 1e-12)
 
 
 class TestPlans:
