@@ -15,6 +15,22 @@ with r = |z/w| < 1 their even/odd power series give
 
 (S(1/2) = 44/9 resp. 4/3; on real tails r is tiny and S is near 3 resp. 1).
 
+Kernel.  Beyond the first shell (max(|c|, |d|) >= 2, where |w| >= 2|z|) the
+half pairs are summed in numpy blocks in the forms
+
+  wp:    3 z^2 (w^2 - z^2/3) / ((z^2 - w^2)^2 w^2)
+  wzeta: z^3 / ((z^2 - w^2) w^2)
+
+whose denominators cannot cancel there (|z^2 - w^2| >= 3|w|^2/4).  The
+constant factor 3z^2 resp. z^3 multiplies the fsum of the row partials once,
+which leaves 8 resp. 6 array passes per point.  The at most four first-shell
+points of the half box, where z may sit next to w, are summed in the factored
+form above.  The rounding bound is derived next to the kernel: 39u resp. 27u
+per bulk point and 40u resp. 24u per first-shell point, plus the rounding of w
+and of the sums.  The bulk's Sum |g| is bounded a priori, not measured: the
+shell max(|c|, |d|) = n has 4n half-box points, all with |w| >= n delta, so
+Sum_bulk |g| <= S(1/2) |z|^p 4 (zeta(3) - 1) / delta^4.
+
 Tail.  h1 = covolume/|omega2| and h2 = covolume/|omega1| are the distances of
 omega1 from the line R*omega2 and of omega2 from R*omega1, so |w| >= |c| h1
 and |w| >= |d| h2.  A point outside the box has |d| > d_max or |c| > c_max,
@@ -177,78 +193,110 @@ def plan_truncation(
 
 
 # ---------------------------------------------------------------------------
-# Summation kernel.  Each half-box point contributes the half pair
+# Summation kernel.  Each half-box point contributes the half pair g; the sum
+# is doubled exactly.
+#
+# Bulk, max(|c|, |d|) >= 2.  There |w| >= 2 delta >= 2|z|, so with zz = z^2 and
+# s = w^2, |zz| <= |s|/4 and |zz - s| >= 3|s|/4: the forms
+#   wzeta: g = z^3 / ((zz - s) s)
+#   wp:    g = 3zz (s - zz/3) / ((zz - s)^2 s)
+# do not cancel.  The constant factor (z^3 resp. 3zz) stays outside the sum and
+# multiplies the math.fsum of the row partials once.  Passes per block:
+#   w = d*omega2 + c*omega1, s = w*w, q = zz - s, then
+#   wzeta: q *= s, q = 1/q                                      (6 with the row sum)
+#   wp:    q *= q, q *= s, s -= zz/3, s /= q                    (8 with the row sum)
+# First shell of the half box, (1,0), (-1,1), (0,1), (1,1): z may sit next to
+# w and zz - s cancels.  ``_first_shell`` sums these <= 4 points with the
+# factored form
 #   wp:    g = z^2 (3w^2 - z^2) / (((z-w)(z+w))^2 w^2)
 #   wzeta: g = z^3 / ((z-w)(z+w) w^2)
-# (one complex division, no cancellation), the sum is doubled exactly.
+# and the bulk skips them: row 0 starts at c = 2, and the (up to) three entries
+# c = -1, 0, 1 of row 1 are zeroed before the row sum.
 #
 # Rounding, u = 2^-53.  Per operation (normwise, relative): complex + and -,
-# and a real times a complex: u; complex *: 2*sqrt(2) u (Higham, Lemma 3.5,
+# and a real times or by a complex: u; complex *: 2*sqrt(2) u (Higham, Lemma 3.5,
 # with or without FMA); complex / (Smith's algorithm, as in numpy and
-# CPython): 5*sqrt(2) u.  First order, relative errors add along a product:
-#   wp:    w^2: 2.83;  3w^2 - z^2: 2 * (3.83 u over 3|w|^2 + |z|^2 <= 2|3w^2 - z^2|,
-#          as |z| <= |w| on the lattice) + 1 = 8.66;  num = z^2 (3w^2 - z^2): 14.32;
-#          (z-w)(z+w): 4.83;  squared: 12.49;  den: 18.15;  g: 39.54 -> 40 u
-#   wzeta: z^3: 5.66;  den = (z-w)(z+w) w^2: 10.49;  g: 23.22 -> 24 u
+# CPython): 5*sqrt(2) u.  np.reciprocal of a complex array is Smith's algorithm
+# with numerator 1 (numpy's umath loop: r = b/a, d = a + b*r, 1/d and -r/d for
+# |b| <= |a|, mirrored otherwise), fewer roundings, within the same bound.
+# First order, relative errors add along a product.
+#   Bulk (|zz| <= |s|/4, so |zz| + |s| <= 5|q|/3):
+#     s: 2.83;  zz: 2.83;  q = zz - s: 2.83 * 5/3 + 1 = 5.72
+#     wzeta: q s: 11.38;  1/(q s): 18.45;  z^3 = zz*z: 5.66;  times the sum: 2.83
+#            -> 26.94 -> 27 u
+#     wp:    zz/3: 3.83;  t = s - zz/3 (|t| >= 11|s|/12): 2.83 * 12/11 + 3.83/11
+#            + 1 = 4.44;  q^2: 14.27;  q^2 s: 19.93;  t / (q^2 s): 31.44;
+#            3zz: 3.83;  times the sum: 2.83 -> 38.10 -> 39 u
+#   First shell (|z| <= delta <= |w|):
+#     wp:    w^2: 2.83;  3w^2 - z^2: 2 * (3.83 u over 3|w|^2 + |z|^2 <= 2|3w^2 - z^2|)
+#            + 1 = 8.66;  num = z^2 (3w^2 - z^2): 14.32;  (z-w)(z+w): 4.83;
+#            squared: 12.49;  den: 18.15;  g: 39.54 -> 40 u
+#     wzeta: z^3: 5.66;  den = (z-w)(z+w) w^2: 10.49;  g: 23.22 -> 24 u
 # w = c*omega1 + d*omega2 is itself rounded: each component is two products
 # and a sum, so |dw| <= 2u (|c| |omega1| + |d| |omega2|) <= 2u M |w| with
 # M = |omega1|/h1 + |omega2|/h2 (|c| <= |w|/h1, |d| <= |w|/h2).  That moves g
 # by |dw| |g'|, |g'/g| <= 5/|w| + 2/|w-z| + 2/|w+z| (wp) resp.
-# 2/|w| + 1/|w-z| + 1/|w+z| (wzeta).  Beyond the first shell |w| >= 2 delta
-# >= 2|z|, so |w -+ z| >= |w|/2 and the shift costs at most 26 M u (wp)
-# resp. 12 M u (wzeta).  In the first shell, where z may sit near w, the
-# points omega1 and omega2 are formed exactly (products by 0 and 1, sums with
-# 0) and omega2 -+ omega1 with one rounding, |dw| <= u |w|; those two get
-# their own term, twice the derivative bound at the point, valid while
-# |dw| <= |w -+ z|/16 (otherwise the bound is infinite).  Each row is summed
-# by numpy in some order, at most (len - 1) u Sum|g| for any order, and the
-# row partials by math.fsum, correctly rounded: u Sum|g|.  Sum|g| is
-# accumulated as Sum(|Re g| + |Im g|).  The factor 1.01 covers the
-# second-order terms and the rounding of that accumulation (relative < 1e-8).
+# 2/|w| + 1/|w-z| + 1/|w+z| (wzeta).  In the bulk |w -+ z| >= |w|/2, so the
+# shift costs at most 26 M u (wp) resp. 12 M u (wzeta).  In the first shell
+# the points omega1 and omega2 are exact and omega2 -+ omega1 are formed with
+# one rounding, |dw| <= u |w|; those two get their own term, twice the
+# derivative bound at the point, valid while |dw| <= |w -+ z|/16 (otherwise
+# the bound is infinite).
+# Sum|g| is bounded a priori in the bulk: |g| <= S(1/2) |z|^p / |w|^4, and the
+# shell max(|c|, |d|) = n has 4n points in the half box, all with |w| >= n delta,
+# so Sum_bulk |g| <= S(1/2) |z|^p * 4 (zeta(3) - 1) / delta^4.  The first shell
+# counts its computed |g|.  Each row is summed by numpy in some order, at most
+# (len - 1) u Sum|g| for any order (normwise, by the triangle inequality), the
+# row partials by math.fsum, correctly rounded: u Sum|g|, and the bulk and the
+# first-shell values by a last math.fsum: u Sum|g|.  The factor 1.01 covers the
+# second-order terms and the slack of the margin check.
 
-_ARITH_U = {"wp": 40.0, "wzeta": 24.0}
+_BULK_U = {"wp": 39.0, "wzeta": 27.0}
+_FIRST_U = {"wp": 40.0, "wzeta": 24.0}
 _SHIFT_U = {"wp": 26.0, "wzeta": 12.0}
+_ZETA3 = 1.2020569031595942
 
 
-def _half_pairs(w, z: complex, zpow: complex, wp_kind: bool, q, t):
-    """Half pair summands g at the points ``w``, computed in place.
+def _bulk_abs_bound(lat: Lattice, z_abs: float, kind: str) -> float:
+    """A priori bound on Sum |g| over the half-box points with max(|c|, |d|) >= 2."""
+    delta = lat.geometry.delta
+    return _pair_coeff(kind, 0.25) * z_abs ** _KINDS[kind] * 4.0 * (_ZETA3 - 1.0) / delta**4
 
-    ``zpow`` is z^2 (wp) or z^3 (wzeta); ``q`` and ``t`` are scratch arrays
-    of the shape of ``w``.  Returns the array holding g (``w`` or ``q``).
+
+def _first_shell(lat: Lattice, z: complex, c_max: int, d_max: int, kind: str):
+    """Half pairs at the first-shell points of the half box, and their rounding bound.
+
+    Returns (values, bound): the bound covers the arithmetic of each value, its
+    share of the last fsum and, for omega2 -+ omega1, the rounding of w.
     """
-    np.subtract(z, w, out=q)
-    q *= np.add(z, w, out=t)
-    w *= w
-    if wp_kind:
-        q *= q
-        q *= w
-        w *= 3.0
-        w -= zpow
-        w *= zpow
-        w /= q
-        return w
-    q *= w
-    return np.divide(zpow, q, out=q)
-
-
-def _first_shell_rounding(w1, w2, z, zpow, c_max, d_max, wp_kind) -> float:
-    """Bound on the shift of the half pairs at omega2 -+ omega1 by the rounding of w."""
-    if c_max < 1 or d_max < 1:
-        return 0.0
-    w = np.array([w2 - w1, w2 + w1])
-    g = np.abs(_half_pairs(w.copy(), z, zpow, wp_kind, np.empty(2, complex), np.empty(2, complex)))
-    extra = 0.0
-    for wk, gk in zip(w, g):
-        dw = 0.5 * _EPS * (1.0 + _EPS) * abs(wk)
-        near_m, near_p, wa = abs(wk - z), abs(wk + z), abs(wk)
+    w1, w2 = lat.omega1, lat.omega2
+    # (point, formed with one rounding)
+    points = [(w1, False)] if c_max else []
+    if d_max:
+        points.append((w2, False))
+        if c_max:
+            points += [(w2 - w1, True), (w2 + w1, True)]
+    wp_kind = kind == "wp"
+    zpow = z * z if wp_kind else z * z * z
+    values = []
+    bound = 0.0
+    for w, rounded in points:
+        q = (z - w) * (z + w)
+        s = w * w
+        g = zpow * (3.0 * s - zpow) / (q * q * s) if wp_kind else zpow / (q * s)
+        values.append(g)
+        bound += 1.01 * 0.5 * _EPS * (_FIRST_U[kind] + 1.0) * abs(g)
+        if not rounded:
+            continue
+        dw = 0.5 * _EPS * (1.0 + _EPS) * abs(w)
+        near_m, near_p, wa = abs(w - z), abs(w + z), abs(w)
         if dw > min(near_m, near_p, wa) / 16.0:
-            return math.inf
-        if wp_kind:
-            log_deriv = 5.0 / wa + 2.0 / near_m + 2.0 / near_p
+            bound = math.inf
+        elif wp_kind:
+            bound += 2.0 * abs(g) * dw * (5.0 / wa + 2.0 / near_m + 2.0 / near_p)
         else:
-            log_deriv = 2.0 / wa + 1.0 / near_m + 1.0 / near_p
-        extra += 2.0 * gk * dw * log_deriv
-    return extra
+            bound += 2.0 * abs(g) * dw * (2.0 / wa + 1.0 / near_m + 1.0 / near_p)
+    return values, bound
 
 
 def shell_sum(
@@ -267,44 +315,56 @@ def shell_sum(
         raise DomainError("box half-widths must be nonnegative")
     if c_max == 0 and d_max == 0:
         return 0.0 + 0.0j, 0.0
-    zz = complex(z)
-    _check_margin(lat, abs(zz))
+    z = complex(z)
+    _check_margin(lat, abs(z))
     wp_kind = kind == "wp"
     w1, w2 = complex(lat.omega1), complex(lat.omega2)
-    zpow = zz * zz if wp_kind else zz * zz * zz
+    zz = z * z
+    zz3 = zz / 3.0
 
     cw1 = np.arange(-c_max, c_max + 1) * w1
     step = max(1, _BLOCK_POINTS // cw1.size)
-    # scratch for the points and two temporaries, reused by every block
-    bufs = np.empty((3, min(step, max(d_max, 1)), cw1.size), complex)
+    # scratch for the points and one temporary, reused by every block
+    bufs = np.empty((2, min(step, max(d_max, 1)), cw1.size), complex)
     re_parts: list[float] = []
     im_parts: list[float] = []
-    absacc = 0.0
 
-    def add(w, q, t):
-        nonlocal absacc
-        g = _half_pairs(w, zz, zpow, wp_kind, q, t)
+    def add(w, q, first_row=False):
+        w *= w
+        np.subtract(zz, w, out=q)
+        if wp_kind:
+            q *= q
+            q *= w
+            w -= zz3
+            g = np.divide(w, q, out=w)
+        else:
+            q *= w
+            g = np.reciprocal(q, out=q)
+        if first_row:
+            g[0, max(c_max - 1, 0) : c_max + 2] = 0.0
         rows = g.sum(axis=-1)
         re_parts.extend(np.atleast_1d(rows.real).tolist())
         im_parts.extend(np.atleast_1d(rows.imag).tolist())
-        flat = g.view(np.float64)
-        np.abs(flat, out=flat)
-        absacc += float(flat.sum())
 
-    if c_max:
-        row0 = bufs[:, 0, :c_max]
-        row0[0] = cw1[c_max + 1 :]
+    if c_max > 1:
+        row0 = bufs[:, 0, : c_max - 1]
+        row0[0] = cw1[c_max + 2 :]
         add(*row0)
     for d0 in range(1, d_max + 1, step):
         dw2 = np.arange(d0, min(d0 + step, d_max + 1)) * w2
         block = bufs[:, : dw2.size]
         np.add(dw2[:, None], cw1, out=block[0])
-        add(*block)
-    total = 2.0 * complex(math.fsum(re_parts), math.fsum(im_parts))
+        add(*block, first_row=d0 == 1)
+    factor = 3.0 * zz if wp_kind else zz * z
+    bulk = factor * complex(math.fsum(re_parts), math.fsum(im_parts))
+    first, first_bound = _first_shell(lat, z, c_max, d_max, kind)
+    total = 2.0 * complex(
+        math.fsum([bulk.real] + [v.real for v in first]),
+        math.fsum([bulk.imag] + [v.imag for v in first]),
+    )
 
     g = lat.geometry
     spread = abs(w1) / g.h1 + abs(w2) / g.h2
-    per_term = _ARITH_U[kind] + _SHIFT_U[kind] * spread + cw1.size
-    rounding = 1.01 * _EPS * per_term * absacc
-    rounding += 2.0 * _first_shell_rounding(w1, w2, zz, zpow, c_max, d_max, wp_kind)
-    return total, rounding
+    per_term = _BULK_U[kind] + _SHIFT_U[kind] * spread + cw1.size + 1.0
+    rounding = 1.01 * _EPS * per_term * _bulk_abs_bound(lat, abs(z), kind)
+    return total, rounding + 2.0 * first_bound

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from weierforms import Lattice, wp, wp_lattice, wzeta, wzeta_lattice
+from weierforms import Lattice, PrecisionError, wp, wp_lattice, wzeta, wzeta_lattice
 
 from oracles import mp_wp, mp_wzeta
 
@@ -67,6 +67,35 @@ class TestShellCertificates:
         cv = wzeta_lattice(Lattice(tau, 1.0), z, 1e-5, route="shell")
         truth = mp_wzeta(tau, z)
         assert abs(cv.value - truth) <= cv.error
+
+
+class TestNearFirstShell:
+    """Forced shell route next to a first-shell point w with |w| = delta.
+
+    There z^2 - w^2 cancels, so the first shell must be summed in the form
+    (z - w)(z + w); the bulk form there gives certificates that exclude the
+    truth on this grid.
+    """
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-5])
+    @pytest.mark.parametrize("tau", [1j, 2j])
+    def test_certificates_contain_oracle(self, tau, eps):
+        lat = Lattice(tau, 1.0)
+        delta = lat.lagrange_reduced().geometry.delta
+        shell = [c * tau + d for c in (-1, 0, 1) for d in (-1, 0, 1) if c or d]
+        nearest = [w for w in shell if abs(abs(w) - delta) <= 1e-12 * delta]
+        assert len(nearest) == (4 if tau == 1j else 2)
+        for w in nearest:
+            z = w * (1.0 - eps) + 0.3j * eps * w
+            for fn, oracle in ((wp_lattice, mp_wp), (wzeta_lattice, mp_wzeta)):
+                truth = oracle(tau, z, rows=12, dps=30)
+                try:
+                    cv = fn(lat, z, 1e-4, route="shell")
+                except PrecisionError:
+                    # the rounding of a summand of size ~1/eps^2 may exceed tol
+                    assert eps < 1e-3, (tau, z, fn.__name__)
+                    continue
+                assert abs(cv.value - truth) <= cv.error, (tau, z, fn.__name__)
 
 
 class TestRandomizedCertificates:

@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +24,7 @@ from weierforms import (
     wzeta_lattice,
 )
 from weierforms.lattice import reduce_tau_matrix
+from weierforms.shells import _bulk_abs_bound
 
 from oracles import GOLDEN, GOLDEN_BAND, brute_wp, brute_wzeta
 
@@ -357,6 +359,29 @@ class TestKernelParity:
                 total, rounding = shell_sum(Lattice(w1, w2), z, (c_max, d_max), kind)
                 assert abs(total - ref) <= 1e-13 * abs(ref)
                 assert 0.0 < rounding < 1e-12
+
+    @pytest.mark.parametrize("re_tau", [0.0, 0.5])
+    @pytest.mark.parametrize("im_tau", [0.87, 2.0, 20.0, 50.0])
+    def test_a_priori_abs_bound_dominates_bulk(self, im_tau, re_tau):
+        # Sum |g| over the half-box points with max(|c|, |d|) >= 2, which the
+        # kernel's rounding bound takes from _bulk_abs_bound instead of measuring
+        lat = Lattice(complex(re_tau, im_tau), 1.0).lagrange_reduced()
+        delta = lat.geometry.delta
+        for rho in (0.2, 1.0):
+            for kind in ("wp", "wzeta"):
+                plan = plan_truncation(lat, rho * delta, 1e-3, kind=kind)
+                c = np.arange(-plan.c_max, plan.c_max + 1)
+                d = np.arange(plan.d_max + 1)[:, None]
+                bulk = ((d > 0) | (c > 0)) & (np.maximum(abs(c), d) >= 2)
+                w = (c * lat.omega1 + d * lat.omega2)[bulk]
+                for theta in (0.3, 1.9, 3.0):
+                    z = rho * delta * cmath.exp(1j * theta)
+                    q = (z - w) * (z + w)
+                    if kind == "wp":
+                        g = z * z * (3.0 * w * w - z * z) / (q * q * w * w)
+                    else:
+                        g = z**3 / (q * w * w)
+                    assert np.abs(g).sum() <= _bulk_abs_bound(lat, abs(z), kind), (rho, kind, theta)
 
 
 class TestErrors:
