@@ -1,9 +1,9 @@
 """Lattices in the complex plane: bases, reduction, point reduction, geometry.
 
 A lattice is stored as an ordered generator pair (omega1, omega2) with
-Im(omega1/omega2) > 0.  Basis changes used here (Lagrange reduction,
-upper-half-plane reduction of the period ratio) are unimodular, so they
-never change the underlying point set.
+Im(omega1/omega2) > 0.  ``reduce_lattice`` reduces a lattice and a point once,
+in exact integer arithmetic, and rounds each output once; its basis change is
+unimodular, so it never changes the underlying point set.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ from functools import cached_property
 
 from .errors import DomainError
 
-__all__ = ["Lattice", "TauLattice", "LatticeGeometry", "reduce_tau_matrix"]
-
-_EPS = math.ulp(1.0)
+__all__ = ["Lattice", "TauLattice", "LatticeGeometry", "Reduction", "reduce_lattice", "reduce_tau_matrix"]
 
 
 def _imag_product(a: complex, b: complex) -> float:
@@ -97,43 +95,6 @@ class Lattice:
             covolume=d,
         )
 
-    def reduce_point(self, z: complex) -> tuple[complex, int, int]:
-        """Split z = z0 + m*omega1 + n*omega2 with basis coefficients of z0 in [-1/2, 1/2].
-
-        Returns (z0, m, n).
-        """
-        z = complex(z)
-        d = self.covolume
-        alpha = _imag_product(z, self.omega2) / d
-        beta = -_imag_product(z, self.omega1) / d
-        m = round(alpha)
-        n = round(beta)
-        z0 = z - m * self.omega1 - n * self.omega2
-        return z0, m, n
-
-    def lagrange_reduced(self) -> "Lattice":
-        """Unimodular basis change to a Lagrange-reduced basis of the same lattice.
-
-        As a set the pair is Lagrange-reduced: the shorter generator is a
-        shortest nonzero vector of the lattice, and
-        |Re(omega1*conj(omega2))| <= min(|omega1|, |omega2|)**2 / 2 (up to the
-        rounding of the steps w1 - mu*w2).  The constructor's orientation swap
-        decides the order, so omega1 may be the shorter generator: tau = 0.2i
-        gives (0.2i, 1).
-        """
-        w1, w2 = self.omega1, self.omega2
-        # Gauss reduction on the pair, shortest vector second
-        for _ in range(4096):
-            if abs(w1) < abs(w2):
-                w1, w2 = w2, w1
-            mu = round((w1.real * w2.real + w1.imag * w2.imag) / abs(w2) ** 2)
-            if mu == 0:
-                break
-            w1 = w1 - mu * w2
-        if abs(w1) < abs(w2):
-            w1, w2 = w2, w1
-        return Lattice(w1, w2)
-
 
 @dataclass(frozen=True)
 class TauLattice:
@@ -178,3 +139,69 @@ def reduce_tau_matrix(tau: complex) -> tuple[int, int, int, int]:
     else:
         raise DomainError("tau reduction did not converge")
     return a, b, c, d
+
+
+@dataclass(frozen=True)
+class Reduction:
+    """A lattice and a point after one unimodular reduction, computed exactly.
+
+    ``matrix`` (a, b, c, d) is ``reduce_tau_matrix(omega1/omega2)``.  The
+    reduced basis is ``basis`` = (A, J) = (a*omega1 + b*omega2, c*omega1 +
+    d*omega2) with ratio ``tau`` = A/J in the fundamental domain, so (A, J) is
+    Lagrange-reduced: J is a shortest nonzero vector and
+    |Re(A*conj(J))| <= |J|**2 / 2.  ``jj`` is J, so the lattice is
+    jj * (tau*Z + Z).  The point splits as z = point + m*A + n*J with the basis
+    coefficients of ``point`` in [-1/2, 1/2], and ``z0`` = point/J is its image
+    on tau*Z + Z.  Every float field is its exact value rounded once.
+    """
+
+    matrix: tuple[int, int, int, int]
+    tau: complex
+    jj: complex
+    basis: Lattice
+    point: complex
+    z0: complex
+    m: int
+    n: int
+
+
+def _nearest(num: int, den: int) -> int:
+    """num/den rounded to the nearest integer, ties to even, for den > 0."""
+    q, r = divmod(2 * num + den, 2 * den)
+    return q - 1 if r == 0 and q % 2 else q
+
+
+def reduce_lattice(lat: Lattice, z: complex = 0j) -> Reduction:
+    """The exact reduction of ``lat`` and the point z (see :class:`Reduction`).
+
+    omega1, omega2 and z are written as Gaussian integers over a common power
+    of two, the matrix is applied in integers, and each output component is
+    one correctly rounded int / int.
+    """
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise DomainError(f"z must be finite, got {z!r}")
+    matrix = a, b, c, d = reduce_tau_matrix(lat.tau)
+    ratios = [x.as_integer_ratio() for w in (lat.omega1, lat.omega2, z) for x in (w.real, w.imag)]
+    den = max(q for _, q in ratios)
+    w1r, w1i, w2r, w2i, zr, zi = (p * (den // q) for p, q in ratios)
+    ar, ai = a * w1r + b * w2r, a * w1i + b * w2i
+    jr, ji = c * w1r + d * w2r, c * w1i + d * w2i
+    norm = jr * jr + ji * ji
+    # Im(A conj J) > 0 in units of den**2: the coefficients of z in (A, J)
+    # are Im(z conj J) / det and Im(A conj z) / det
+    det = ai * jr - ar * ji
+    m = _nearest(zi * jr - zr * ji, det)
+    n = _nearest(ai * zr - ar * zi, det)
+    pr, pi = zr - m * ar - n * jr, zi - m * ai - n * ji
+    jj = complex(jr / den, ji / den)
+    return Reduction(
+        matrix=matrix,
+        tau=complex((ar * jr + ai * ji) / norm, det / norm),
+        jj=jj,
+        basis=Lattice(complex(ar / den, ai / den), jj),
+        point=complex(pr / den, pi / den),
+        z0=complex((pr * jr + pi * ji) / norm, (pi * jr - pr * ji) / norm),
+        m=m,
+        n=n,
+    )

@@ -1,7 +1,8 @@
 """Box lattice summation with a provable truncation tail bound.
 
 The direct sums run over the box |c| <= c_max, |d| <= d_max of a generator
-basis (the Lagrange-reduced one on the shell route), w = c*omega1 + d*omega2.
+basis (on the shell route the reduced basis of ``lattice.reduce_lattice``,
+whose ratio lies in the fundamental domain), w = c*omega1 + d*omega2.
 The box is symmetric under w -> -w, so it is summed as half a box (rows
 d >= 1 with every c, and the row d = 0 with c >= 1) of paired summands
 

@@ -42,12 +42,13 @@ def brute_wp(w1: complex, w2: complex, z: complex, radius: int = 700, chunk: int
     return 1.0 / z**2 + total
 
 
-def mp_wp(tau, z, rows: int = 60, dps: int = 40):
+def mp_wp(tau, z, rows: int = 60, dps: int = 40, period=1):
     """40-digit evaluation of wp on tau*Z + Z via the row-summed series.
 
     Precision oracle only: the series shape itself is validated against the
     block sums above (different algebra, binary64).  Reduces tau/z first with
     exact integer bookkeeping so any input in the upper half plane works.
+    With ``period`` the lattice is period*(tau*Z + Z) (see :func:`mp_lattice`).
     """
     import mpmath as mp
 
@@ -55,6 +56,7 @@ def mp_wp(tau, z, rows: int = 60, dps: int = 40):
         tau = mp.mpc(tau)
         z = mp.mpc(z)
         tau_r, j1 = _mp_reduce_tau(tau, mp)
+        j1 *= mp.mpc(period)
         z = z / j1
         m = int(mp.nint(mp.im(z) / mp.im(tau_r)))
         z = z - m * tau_r
@@ -71,7 +73,7 @@ def mp_wp(tau, z, rows: int = 60, dps: int = 40):
         return complex(pi**2 * acc / j1**2)
 
 
-def mp_wzeta(tau, z, rows: int = 60, dps: int = 40):
+def mp_wzeta(tau, z, rows: int = 60, dps: int = 40, period=1):
     """40-digit wzeta companion of :func:`mp_wp` (same caveats)."""
     import mpmath as mp
 
@@ -79,6 +81,7 @@ def mp_wzeta(tau, z, rows: int = 60, dps: int = 40):
         tau = mp.mpc(tau)
         z = mp.mpc(z)
         tau_r, j1 = _mp_reduce_tau(tau, mp)
+        j1 *= mp.mpc(period)
         zz = z / j1
         m = int(mp.nint(mp.im(zz) / mp.im(tau_r)))
         z0 = zz - m * tau_r
@@ -102,6 +105,18 @@ def mp_wzeta(tau, z, rows: int = 60, dps: int = 40):
             eta2 = zeta_strip(p2 + 1) - zeta_strip(p2)
             base = base + m * eta1 + n * eta2
         return complex(base / j1)
+
+
+def mp_lattice(oracle, omega1, omega2, z, rows: int = 60, dps: int = 40):
+    """``oracle`` (mp_wp or mp_wzeta) on omega1*Z + omega2*Z, by homogeneity.
+
+    The ratio omega1/omega2 and z/omega2 are formed in dps digits, so the
+    only binary64 rounding is that of the returned value.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        return oracle(mp.mpc(omega1) / mp.mpc(omega2), z, rows, dps, period=omega2)
 
 
 def _mp_reduce_tau(tau, mp):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from weierforms import (
     wzeta,
     wzeta_lattice,
 )
-from weierforms.lattice import reduce_tau_matrix
+from weierforms.lattice import reduce_lattice, reduce_tau_matrix
 from weierforms.shells import _bulk_abs_bound
 
 from oracles import GOLDEN, GOLDEN_BAND, brute_wp, brute_wzeta
@@ -282,7 +283,7 @@ class TestLagrangeReduction:
     @pytest.mark.parametrize("tau", [0.2j, 0.4 + 0.001j, 3 + 0.7j, -0.45 + 0.05j])
     def test_reduced_as_a_set(self, tau):
         lat = Lattice(tau, 1.0)
-        red = lat.lagrange_reduced()
+        red = reduce_lattice(lat).basis
         assert red.covolume == pytest.approx(lat.covolume, rel=1e-12)
         w1, w2 = red.omega1, red.omega2
         shorter = min(abs(w1), abs(w2))
@@ -365,7 +366,7 @@ class TestKernelParity:
     def test_a_priori_abs_bound_dominates_bulk(self, im_tau, re_tau):
         # Sum |g| over the half-box points with max(|c|, |d|) >= 2, which the
         # kernel's rounding bound takes from _bulk_abs_bound instead of measuring
-        lat = Lattice(complex(re_tau, im_tau), 1.0).lagrange_reduced()
+        lat = reduce_lattice(Lattice(complex(re_tau, im_tau), 1.0)).basis
         delta = lat.geometry.delta
         for rho in (0.2, 1.0):
             for kind in ("wp", "wzeta"):
@@ -424,7 +425,85 @@ class TestErrors:
             TauLattice(1.0 - 1j)
 
 
+def _fraction_reduction(lat: Lattice, z: complex):
+    """reduce_lattice's outputs from Fraction arithmetic, each rounded once at the end."""
+    a, b, c, d = reduce_tau_matrix(lat.tau)
+    w1r, w1i, w2r, w2i, zr, zi = map(
+        Fraction, (lat.omega1.real, lat.omega1.imag, lat.omega2.real, lat.omega2.imag, z.real, z.imag)
+    )
+    ar, ai = a * w1r + b * w2r, a * w1i + b * w2i
+    jr, ji = c * w1r + d * w2r, c * w1i + d * w2i
+    norm = jr * jr + ji * ji
+    det = ai * jr - ar * ji
+    m, n = round((zi * jr - zr * ji) / det), round((ai * zr - ar * zi) / det)
+    pr, pi = zr - m * ar - n * jr, zi - m * ai - n * ji
+
+    def fl(re, im):
+        return complex(float(re), float(im))
+
+    return {
+        "matrix": (a, b, c, d),
+        "tau": fl((ar * jr + ai * ji) / norm, det / norm),
+        "jj": fl(jr, ji),
+        "A": fl(ar, ai),
+        "point": fl(pr, pi),
+        "z0": fl((pr * jr + pi * ji) / norm, (pi * jr - pr * ji) / norm),
+        "m": m,
+        "n": n,
+    }
+
+
+def _random_unimodular(rng: random.Random) -> tuple[int, int, int, int]:
+    """A word in T, T^-1 and S with entries at most 6."""
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(rng.randint(0, 8)):
+        p, q, r, s = rng.choice(((1, 1, 0, 1), (1, -1, 0, 1), (0, -1, 1, 0)))
+        step = (a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
+        if max(map(abs, step)) > 6:
+            break
+        a, b, c, d = step
+    return a, b, c, d
+
+
 class TestReduction:
+    def test_exact_reduction_matches_fractions(self):
+        # Im tau down to 1e-4; half the bases are tau*Z + Z itself, half that
+        # lattice rotated, scaled and given in a random unimodular basis
+        rng = random.Random(20261018)
+        for k in range(300):
+            tau = complex(rng.uniform(-1.5, 1.5), 10.0 ** rng.uniform(-4.0, 0.5))
+            if k % 2:
+                w2 = cmath.rect(2.0 ** rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0 * math.pi))
+                p, q, r, s = _random_unimodular(rng)
+                lat = Lattice(p * tau * w2 + q * w2, r * tau * w2 + s * w2)
+            else:
+                w2 = 1.0
+                lat = Lattice(tau, 1.0)
+            z = (rng.uniform(-1.5, 1.5) * tau + rng.uniform(-1.5, 1.5)) * w2
+            red = reduce_lattice(lat, z)
+            ref = _fraction_reduction(lat, z)
+            got = {
+                "matrix": red.matrix,
+                "tau": red.tau,
+                "jj": red.jj,
+                "A": red.basis.omega1,
+                "point": red.point,
+                "z0": red.z0,
+                "m": red.m,
+                "n": red.n,
+            }
+            assert got == ref, (lat, z)
+            assert red.basis.omega2 == red.jj
+            assert abs(red.tau.real) <= 0.5 + 1e-9 and abs(red.tau) >= 1.0 - 1e-9
+
+    def test_reduction_ties_round_to_even(self):
+        red = reduce_lattice(Lattice(1j, 1.0), 0.5 + 1.5j)
+        assert (red.m, red.n, red.point) == (2, 0, 0.5 - 0.5j)
+
+    def test_reduction_rejects_non_finite_point(self):
+        with pytest.raises(DomainError):
+            reduce_lattice(Lattice(1j, 1.0), complex(math.nan, 0.0))
+
     @pytest.mark.parametrize(
         "tau",
         [0.49 + 0.001j, -3.7 + 0.02j, 0.333 + 5e-4j, 10.2 + 0.3j],
