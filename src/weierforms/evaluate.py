@@ -23,13 +23,12 @@ certificates (exercised heavily by the test-suite).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .arith import TWO_PI, CertifiedValue
 from .errors import DomainError, PoleError, PrecisionError
 from .lattice import Lattice, Reduction, TauLattice, reduce_lattice
 from .shells import SHELL_CAP, TruncationPlan, plan_truncation, shell_sum
-from .trig import checked_difference, eta_pair_strip, wp_strip, wzeta_strip
+from .trig import eta2_strip, wp_strip, wzeta_strip
 
 __all__ = [
     "DEFAULT_TOL",
@@ -89,10 +88,6 @@ def _reduce(lat: Lattice, z: complex) -> Reduction:
     return red
 
 
-def _bucket_tol(tol: float) -> float:
-    return 10.0 ** math.floor(math.log10(max(tol, 1e-14)))
-
-
 # ---------------------------------------------------------------------------
 # shell route
 
@@ -131,33 +126,43 @@ def _shell(basis: Lattice, z: complex, tol: float, kind: str, shell_cap: int) ->
     return cv
 
 
-def _eta_pair_shell(tau_r: complex, tol: float, shell_cap: int) -> tuple[CertifiedValue, CertifiedValue]:
-    """Quasi-periods of a reduced ratio from shell sums, each within tol.
+def checked_difference(wz, base: complex, base_b: complex, tol: float) -> CertifiedValue:
+    """eta2 = wz(base + 1) - wz(base) of a certified wzeta.
 
-    eta2 is a literal difference of shell wzeta values; its base points near
-    -1/2 and +1/2 lie inside the summation margin of every reduced basis.
-    eta1 follows from Legendre's relation eta1 = tau*eta2 - 2 pi i.
+    The same difference at ``base_b`` must agree to within 4 tol plus both
+    certificates; otherwise PrecisionError.
     """
-    lat = Lattice(tau_r, 1.0)
+    eta = wz(base + 1.0) - wz(base)
+    eta_b = wz(base_b + 1.0) - wz(base_b)
+    if abs(eta.value - eta_b.value) > 4.0 * tol + eta.error + eta_b.error:
+        raise PrecisionError("eta2 depends on the base point beyond tolerance")
+    return eta
+
+
+def _eta_pair(tau_r: complex, tol: float, route: str, shell_cap: int) -> tuple[CertifiedValue, CertifiedValue]:
+    """Quasi-periods of tau_r*Z + Z for a reduced ratio, each within tol.
+
+    eta2 is the closed row series of :func:`eta2_strip`, or on the shell route
+    a literal difference of shell wzeta values, whose base points near -1/2
+    and +1/2 lie inside the summation margin of every reduced basis.  eta1
+    follows from Legendre's relation eta1 = tau*eta2 - 2 pi i.
+    """
     tol2 = 0.5 * tol / abs(tau_r)
+    if route == "shell":
+        lat = Lattice(tau_r, 1.0)
 
-    def wz(z: complex) -> CertifiedValue:
-        return _shell(lat, z, 0.25 * tol2, "wzeta", shell_cap)
+        def wz(z: complex) -> CertifiedValue:
+            return _shell(lat, z, 0.25 * tol2, "wzeta", shell_cap)
 
-    eta2 = checked_difference(wz, 1.0, 0.13j - 0.5, -0.07 + 0.09j - 0.5, tol2, "eta2")
+        eta2 = checked_difference(wz, 0.13j - 0.5, -0.07 + 0.09j - 0.5, tol2)
+    else:
+        eta2 = eta2_strip(tau_r, tol2)
     prod = eta2.value * tau_r
     eta1 = prod - complex(0.0, TWO_PI)
     # rounding (_EPS = 2u): the product sqrt(5) u |prod|, fl(2 pi) 2 pi u,
     # the subtraction u |eta1|
     rounding = _EPS * (2.0 * abs(prod) + abs(eta1) + 4.0)
     return CertifiedValue(eta1, abs(tau_r) * eta2.error + rounding), eta2
-
-
-def _eta_pair(tau_r: complex, tol: float, route: str, shell_cap: int) -> tuple[CertifiedValue, CertifiedValue]:
-    """Quasi-periods of tau_r*Z + Z for a reduced ratio, each within tol."""
-    if route == "shell":
-        return _eta_pair_shell(tau_r, tol, shell_cap)
-    return eta_pair_strip(tau_r, _bucket_tol(tol))
 
 
 # ---------------------------------------------------------------------------
@@ -232,42 +237,37 @@ def wzeta(tau, z: complex, tol: float = DEFAULT_TOL, *, route: str = "auto", she
     defect m*eta1 + n*eta2.
     """
     _check_args(tol, route)
-    t = _as_tau(tau)
-    z = complex(z)
-    red = _reduce(Lattice(t, 1.0), z)
-    if round(z.imag / t.imag) or round((z.real * t.imag - z.imag * t.real) / t.imag):
-        # outside the period cell of (tau, 1) the base value is allowed
-        # half the budget, which must meet the floor too
-        _check_args(0.5 * tol, route)
+    return _wzeta(tau, z, tol, route=route, shell_cap=shell_cap)
+
+
+def _wzeta(tau, z: complex, tol: float, *, route: str = "auto", shell_cap: int = SHELL_CAP) -> CertifiedValue:
+    """wzeta at a share of a tolerance that the caller checked with ``_check_args``.
+
+    The share may lie below TOL_FLOOR; where rounding then exceeds it, the
+    certificate is honestly larger than the share.
+    """
+    red = _reduce(Lattice(_as_tau(tau), 1.0), complex(z))
     return _evaluate(red, tol, route, "wzeta", shell_cap)
 
 
-@lru_cache(maxsize=256)
-def _eta12_cached(t: complex, tol: float, route: str, shell_cap: int) -> tuple[CertifiedValue, CertifiedValue]:
-    # quasi-periods of the reduced ratio, transported back along the
-    # unimodular basis change (quasi-periods are additive in the period)
-    red = reduce_lattice(Lattice(t, 1.0))
+def eta12(tau, tol: float = DEFAULT_TOL, *, route: str = "auto", shell_cap: int = SHELL_CAP) -> tuple[CertifiedValue, CertifiedValue]:
+    """Quasi-periods (eta1, eta2) of tau*Z + Z.
+
+    eta1 = wzeta(tau, z + tau) - wzeta(tau, z) and eta2 the same with z + 1.
+    tau is first reduced to the fundamental domain; eta2 of the reduced ratio
+    comes from its closed row series (``route="series"``) or from a literal
+    difference of shell wzeta values (``route="shell"``), eta1 from Legendre's
+    relation eta1 = tau*eta2 - 2 pi i, and both are transported back along
+    the unimodular basis change (quasi-periods are additive in the period).
+    """
+    _check_args(tol, route)
+    red = reduce_lattice(Lattice(_as_tau(tau), 1.0))
     a, b, c, d = red.matrix
     coeff = max(abs(a) + abs(b), abs(c) + abs(d), 1)
     eta1_r, eta2_r = _eta_pair(red.tau, 0.5 * tol * abs(red.jj) / coeff, route, shell_cap)
     eta1 = (eta1_r * d - eta2_r * b).scaled(1.0 / red.jj)
     eta2 = (eta1_r * (-c) + eta2_r * a).scaled(1.0 / red.jj)
     return eta1, eta2
-
-
-def eta12(tau, tol: float = DEFAULT_TOL, *, route: str = "auto", shell_cap: int = SHELL_CAP) -> tuple[CertifiedValue, CertifiedValue]:
-    """Quasi-periods (eta1, eta2) of tau*Z + Z.
-
-    eta1 = wzeta(tau, z + tau) - wzeta(tau, z) and eta2 the same with z + 1;
-    tau is first reduced to the fundamental domain and the quasi-periods of
-    the reduced ratio are transported back.  ``route="series"`` computes both
-    as such differences of row-sum values, checked to be independent of the
-    base point to within 4 tol; ``route="shell"`` does so for eta2 with shell
-    sums and takes eta1 from Legendre's relation eta1 = tau*eta2 - 2 pi i.
-    """
-    _check_args(tol, route)
-    t = _as_tau(tau)
-    return _eta12_cached(t, float(tol), "shell" if route == "shell" else "series", shell_cap)
 
 
 def describe_route(lat, z: complex, tol: float = DEFAULT_TOL, *, route: str = "auto", kind: str = "wp", shell_cap: int = SHELL_CAP) -> dict:

@@ -16,7 +16,7 @@ from typing import Callable, Literal, Sequence
 
 from .arith import CertifiedValue, as_rational
 from .errors import DomainError
-from .evaluate import DEFAULT_TOL, eta12, wp, wzeta
+from .evaluate import DEFAULT_TOL, _check_args, _wzeta, eta12, wp, wzeta
 
 __all__ = [
     "RationalPair",
@@ -90,6 +90,14 @@ class RationalPair:
         return f"({self.s},{self.t})"
 
 
+def _dyadic(tau: complex) -> tuple[int, int, int]:
+    """(x, y, q) with tau = (x + i*y)/q exactly and q a power of two."""
+    tau = complex(tau)
+    (xn, xq), (yn, yq) = tau.real.as_integer_ratio(), tau.imag.as_integer_ratio()
+    q = max(xq, yq)
+    return xn * (q // xq), yn * (q // yq), q
+
+
 @dataclass(frozen=True)
 class ModularMatrix:
     """Integer matrix (a, b; c, d) with determinant 1."""
@@ -120,11 +128,17 @@ class ModularMatrix:
         return ModularMatrix(self.d, -self.b, -self.c, self.a)
 
     def mobius(self, tau: complex) -> complex:
-        return (self.a * tau + self.b) / (self.c * tau + self.d)
+        """(a*tau + b)/(c*tau + d), computed exactly and rounded once per component."""
+        x, y, q = _dyadic(tau)
+        nr, ni = self.a * x + self.b * q, self.a * y
+        dr, di = self.c * x + self.d * q, self.c * y
+        norm = dr * dr + di * di
+        return complex((nr * dr + ni * di) / norm, (ni * dr - nr * di) / norm)
 
     def cocycle(self, tau: complex) -> complex:
-        """The automorphy factor c*tau + d."""
-        return self.c * tau + self.d
+        """The automorphy factor c*tau + d, computed exactly and rounded once per component."""
+        x, y, q = _dyadic(tau)
+        return complex((self.c * x + self.d * q) / q, self.c * y / q)
 
     def max_entry(self) -> int:
         return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
@@ -259,6 +273,11 @@ def eval_g(p: RationalPair, tau: complex, tol: float = DEFAULT_TOL, **opts) -> C
     return wzeta(tau, p.point(complex(tau)), tol, **opts)
 
 
+def _g_part(p: RationalPair, tau: complex, part: float, **opts) -> CertifiedValue:
+    """g_(s,t) at a share of a tol checked against the floor, which the share may undercut."""
+    return _wzeta(tau, p.point(complex(tau)), part, **opts)
+
+
 def eval_h(r: int, p: RationalPair, tau: complex, tol: float = DEFAULT_TOL, **opts) -> CertifiedValue:
     """Modular weight-1 combination r*g_(s,t) - g_(rs,rt).
 
@@ -266,18 +285,20 @@ def eval_h(r: int, p: RationalPair, tau: complex, tol: float = DEFAULT_TOL, **op
     of the difference stays below tol despite the cancellation.
     """
     _check_h(r, p)
+    _check_args(tol, opts.get("route", "auto"))
     part = tol / (abs(r) + 1)
-    return eval_g(p, tau, part, **opts) * r - eval_g(p.scaled(r), tau, part, **opts)
+    return _g_part(p, tau, part, **opts) * r - _g_part(p.scaled(r), tau, part, **opts)
 
 
 def eval_hU(labels: Sequence[RationalPair], tau: complex, tol: float = DEFAULT_TOL, **opts) -> CertifiedValue:
     """Sum of g over a tuple of labels whose exact sum is (0, 0)."""
     labels = tuple(labels)
     _check_hU(labels)
+    _check_args(tol, opts.get("route", "auto"))
     part = tol / len(labels)
     acc = CertifiedValue.exact(0.0)
     for u in labels:
-        acc = acc + eval_g(u, tau, part, **opts)
+        acc = acc + _g_part(u, tau, part, **opts)
     return acc
 
 

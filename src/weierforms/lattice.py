@@ -9,12 +9,16 @@ unimodular, so it never changes the underlying point set.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainError
 
 __all__ = ["Lattice", "TauLattice", "LatticeGeometry", "Reduction", "reduce_lattice", "reduce_tau_matrix"]
+
+
+_NORMAL_MIN = sys.float_info.min
 
 
 def _imag_product(a: complex, b: complex) -> float:
@@ -194,14 +198,23 @@ def reduce_lattice(lat: Lattice, z: complex = 0j) -> Reduction:
     m = _nearest(zi * jr - zr * ji, det)
     n = _nearest(ai * zr - ar * zi, det)
     pr, pi = zr - m * ar - n * jr, zi - m * ai - n * ji
-    jj = complex(jr / den, ji / den)
-    return Reduction(
-        matrix=matrix,
-        tau=complex((ar * jr + ai * ji) / norm, det / norm),
-        jj=jj,
-        basis=Lattice(complex(ar / den, ai / den), jj),
-        point=complex(pr / den, pi / den),
-        z0=complex((pr * jr + pi * ji) / norm, (pi * jr - pr * ji) / norm),
-        m=m,
-        n=n,
-    )
+    try:
+        jj = complex(jr / den, ji / den)
+        red = Reduction(
+            matrix=matrix,
+            tau=complex((ar * jr + ai * ji) / norm, det / norm),
+            jj=jj,
+            basis=Lattice(complex(ar / den, ai / den), jj),
+            point=complex(pr / den, pi / den),
+            z0=complex((pr * jr + pi * ji) / norm, (pi * jr - pr * ji) / norm),
+            m=m,
+            n=n,
+        )
+        in_range = norm / (den * den) >= _NORMAL_MIN
+    except OverflowError:
+        in_range = False
+    # |J|**2 must be a normal float: the geometry divides by it and the
+    # evaluators scale by J**-2
+    if not in_range:
+        raise DomainError(f"lattice ({lat.omega1!r}, {lat.omega2!r}) leaves the float range once reduced")
+    return red

@@ -18,19 +18,24 @@ so row c decays like exp(-2 pi (c Im tau - |Im z|)) and the tail beyond C
 rows is bounded by an explicit geometric series.  Callers must supply
 Im tau >= TAU_IM_MIN and |Im z| <= Im(tau)/2 (both guaranteed after
 reduction), which keeps every row factor below exp(-pi Im tau).
+
+cot is 1-periodic, so the quasi-period eta2 = wzeta(tau, z + 1) - wzeta(tau, z)
+is the z-coefficient of the wzeta rows (DLMF 23.8):
+
+  eta2(tau) = pi^2 [ 1/3 + 2 sum_{c>=1} 1/sin^2(pi c tau) ] = (pi^2/3) E2(tau)
+
+with the same geometric tail; eta1 follows from Legendre's relation.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
-from typing import Callable
 
 from .arith import CertifiedValue
 from .errors import DomainError, PrecisionError
 
-__all__ = ["wp_strip", "wzeta_strip", "checked_difference", "eta_pair_strip", "TAU_IM_MIN"]
+__all__ = ["wp_strip", "wzeta_strip", "eta2_strip", "TAU_IM_MIN"]
 
 _EPS = math.ulp(1.0)
 _PI = math.pi
@@ -96,6 +101,12 @@ def _wzeta_tail(im_tau: float, y: float, abs_z: float, rows: int) -> float:
     return (cot_part + sin_part) * q_inv
 
 
+def _eta2_tail(im_tau: float, rows: int) -> float:
+    # 2 pi^2 sum_{c>rows} 4 q^c / (1-q)^2 with q = e(-Im tau)
+    rho, q_inv, _, _, zero = _geom_factors(im_tau, 0.0, rows)
+    return 8.0 * _PI2 * zero * q_inv / (1.0 - rho) ** 2
+
+
 def _rows_needed(tail_fn, target: float) -> int:
     for rows in range(_MAX_ROWS + 1):
         if tail_fn(rows) <= target:
@@ -141,41 +152,14 @@ def wzeta_strip(tau: complex, z: complex, tol: float) -> CertifiedValue:
     return CertifiedValue(acc, err)
 
 
-def checked_difference(
-    wz: Callable[[complex], CertifiedValue],
-    period: complex,
-    base: complex,
-    base_b: complex,
-    tol: float,
-    name: str,
-) -> CertifiedValue:
-    """The quasi-period wz(base + period) - wz(base) of a certified wzeta.
-
-    The same difference at ``base_b`` must agree to within 4 tol plus both
-    certificates; otherwise PrecisionError names the quasi-period.
-    """
-    eta = wz(base + period) - wz(base)
-    eta_b = wz(base_b + period) - wz(base_b)
-    if abs(eta.value - eta_b.value) > 4.0 * tol + eta.error + eta_b.error:
-        raise PrecisionError(f"{name} depends on the base point beyond tolerance")
-    return eta
-
-
-@lru_cache(maxsize=512)
-def eta_pair_strip(tau: complex, tol: float) -> tuple[CertifiedValue, CertifiedValue]:
-    """Quasi-periods (eta1, eta2) of tau*Z + Z for a reduced tau.
-
-    Both are differences of wzeta values whose endpoints straddle the strip:
-    eta1 uses base points with Im = -Im(tau)/2 so that z and z + tau stay
-    admissible; eta2 uses interior base points and z + 1.  A second base
-    point certifies independence of the choice to within 4 tol.
-    """
-    if tau.imag < TAU_IM_MIN:
-        raise DomainError(f"eta pair needs Im tau >= {TAU_IM_MIN}, got {tau.imag}")
-
-    def wz(z: complex) -> CertifiedValue:
-        return wzeta_strip(tau, z, 0.25 * tol)
-
-    eta1 = checked_difference(wz, tau, 0.25 - 0.5 * tau, 0.375 - 0.5 * tau, tol, "eta1")
-    eta2 = checked_difference(wz, 1.0, 0.21 + 0.13j, 0.37 - 0.09j, tol, "eta2")
-    return eta1, eta2
+def eta2_strip(tau: complex, tol: float) -> CertifiedValue:
+    """The quasi-period eta2 of tau*Z + Z for a reduced tau (module docstring)."""
+    im_tau, _ = _check_strip(tau, 0j)
+    rows = _rows_needed(lambda c: _eta2_tail(im_tau, c), 0.5 * tol)
+    acc = absacc = 1.0 / 3.0
+    for c in range(1, rows + 1):
+        t = 2.0 * _inv_sin2_pi(c * tau)
+        acc += t
+        absacc += abs(t)
+    err = _eta2_tail(im_tau, rows) + _ROUND_FACTOR * _EPS * _PI2 * absacc
+    return CertifiedValue(_PI2 * acc, err)

@@ -90,7 +90,7 @@ def mp_wzeta(tau, z, rows: int = 60, dps: int = 40, period=1):
 
         def zeta_strip(w):
             pi = mp.pi
-            acc = pi * mp.cot(pi * w) + pi**2 / 3 * w
+            acc = pi * _mp_cot(pi * w, mp) + pi**2 / 3 * w
             for c in range(1, rows + 1):
                 acc += pi * (
                     _mp_cot(pi * (w - c * tau_r), mp) + _mp_cot(pi * (w + c * tau_r), mp)
@@ -119,6 +119,23 @@ def mp_lattice(oracle, omega1, omega2, z, rows: int = 60, dps: int = 40):
         return oracle(mp.mpc(omega1) / mp.mpc(omega2), z, rows, dps, period=omega2)
 
 
+def mp_eta12(tau, rows: int = 60, dps: int = 40, z=0.125 + 0.0625j):
+    """(eta1, eta2) of tau*Z + Z as differences of :func:`mp_wzeta` values.
+
+    z + tau and z + 1 are formed in dps digits, so the only binary64
+    rounding is that of the three wzeta values and of the two differences.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        w = mp.mpc(z)
+        base = mp_wzeta(tau, w, rows, dps)
+        return (
+            mp_wzeta(tau, w + mp.mpc(tau), rows, dps) - base,
+            mp_wzeta(tau, w + 1, rows, dps) - base,
+        )
+
+
 def _mp_reduce_tau(tau, mp):
     a, b, c, d = 1, 0, 0, 1
     t = tau
@@ -145,7 +162,9 @@ def _mp_inv_sin2(w, mp):
 
 def _mp_cot(w, mp):
     if abs(mp.im(w)) < 1:
-        return mp.cot(w)
+        # not mp.cot: in mpmath 1.3.0 it is off by up to 5e-10 within about
+        # 10**-dps of its zeros w = pi/2 + k pi, where half-period points land
+        return mp.cos(w) / mp.sin(w)
     if mp.im(w) > 0:
         u = mp.exp(2j * w)
         return -1j * (1 + u) / (1 - u)

@@ -10,13 +10,26 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from weierforms import Lattice, PrecisionError, wp, wp_lattice, wzeta, wzeta_lattice
+from weierforms import (
+    DomainError,
+    Lattice,
+    PrecisionError,
+    RationalPair,
+    eta12,
+    eval_h,
+    eval_hU,
+    wp,
+    wp_lattice,
+    wzeta,
+    wzeta_lattice,
+)
 from weierforms.lattice import reduce_lattice
 
-from oracles import mp_lattice, mp_wp, mp_wzeta
+from oracles import mp_eta12, mp_lattice, mp_wp, mp_wzeta
 
 POINTS = [
     (1j, 0.5),
@@ -147,7 +160,7 @@ class TestShellSoundnessGrid:
 
 
 class TestSmallImTauGrid:
-    """All four evaluators at tol 1e-8 with Im tau in [1e-3, 1e-2], against the oracle.
+    """The four evaluators and eta12 at tol 1e-8 with Im tau in [1e-3, 1e-2], against the oracle.
 
     There the reduction matrices have entries in the hundreds, so the ratio,
     the scale and the point must come from one exact reduction: rounding
@@ -172,7 +185,11 @@ class TestSmallImTauGrid:
             a, b, c, d = rng.choice(((1, 0, 0, 1), (0, -1, 1, 0), (2, 1, 1, 1), (1, -3, 1, -2)))
             lat = Lattice(a * tau * w2 + b * w2, c * tau * w2 + d * w2)
             zl = (coord() * tau + coord()) * w2
+            eta1, eta2 = eta12(tau, 1e-8)
+            truth1, truth2 = mp_eta12(tau, rows=8, dps=30)
             checks = {
+                "eta1": (eta1, truth1),
+                "eta2": (eta2, truth2),
                 "wp": (wp(tau, z, 1e-8), mp_wp(tau, z, rows=8, dps=30)),
                 "wzeta": (wzeta(tau, z, 1e-8), mp_wzeta(tau, z, rows=8, dps=30)),
                 "wp_lattice": (
@@ -186,3 +203,53 @@ class TestSmallImTauGrid:
             }
             for name, (cv, truth) in checks.items():
                 assert abs(cv.value - truth) <= cv.error, (name, tau, z, lat, zl)
+
+
+class TestEtaCertificates:
+    """eta12 against differences of mp_wzeta values.
+
+    At tol 1e-8 the tail of the closed eta2 series dominates these
+    certificates, and near Re tau = 0 its rows all have one sign, so the
+    geometric tail bound is nearly tight (the error is 0.996 of the
+    certificate at tau = i).  At the floor 1e-12 the rounding term dominates.
+    """
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    @pytest.mark.parametrize("tau", [1j, 2j, 5j, 20j, 0.3 + 1.2j, -0.45 + 0.05j])
+    def test_eta12_contains_oracle(self, tau, tol):
+        for cv, truth in zip(eta12(tau, tol), mp_eta12(tau, rows=12, dps=30)):
+            assert abs(cv.value - truth) <= cv.error, (tau, tol, cv, truth)
+
+
+class TestToleranceFloor:
+    """TOL_FLOOR bounds the requested tol, not the shares handed to the parts."""
+
+    @pytest.mark.parametrize("tol", [1.9e-10, 1.5e-12])
+    def test_far_point(self, tol):
+        # z = point - 12 A - 15 J: the base value gets tol/2, the quasi-periods tol/108
+        tau, z = 1.6 + 0.021j, -2.44 + 1.05j
+        cv = wzeta(tau, z, tol, route="series")
+        assert abs(cv.value - mp_wzeta(tau, z, rows=12, dps=30)) <= cv.error
+
+    def test_eval_h_parts_below_floor(self):
+        tau = 0.3 + 1.2j
+        p = RationalPair.of(0, Fraction(1, 3))
+        cv = eval_h(2, p, tau, 1e-12)
+        g, g2 = (mp_wzeta(tau, q.point(tau), rows=12, dps=30) for q in (p, p.scaled(2)))
+        assert abs(cv.value - (2 * g - g2)) <= cv.error
+
+    def test_eval_hU_parts_below_floor(self):
+        # the first two points lie outside the reduced period cell
+        tau = -0.45 + 0.05j
+        labels = [
+            RationalPair.of(Fraction(4, 3), Fraction(-5, 4)),
+            RationalPair.of(Fraction(-1, 3), Fraction(7, 4)),
+            RationalPair.of(-1, Fraction(-1, 2)),
+        ]
+        cv = eval_hU(labels, tau, 1e-12)
+        truth = sum(mp_wzeta(tau, u.point(tau), rows=12, dps=30) for u in labels)
+        assert abs(cv.value - truth) <= cv.error
+
+    def test_requested_tol_below_floor(self):
+        with pytest.raises(DomainError, match="tolerance must be >= 1e-12"):
+            wzeta(1.6 + 0.021j, -2.44 + 1.05j, 5e-13)

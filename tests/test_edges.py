@@ -12,11 +12,14 @@ from weierforms import (
     Lattice,
     PrecisionError,
     describe_route,
+    eta12,
     lattice_row_sum_truncated,
     random_in_group,
     shell_sum,
     slash,
+    wp,
     wp_lattice,
+    wzeta,
     wzeta_lattice,
 )
 from weierforms.config import RunConfig
@@ -95,6 +98,17 @@ class TestDispatchEdges:
         info = describe_route(Lattice(1j, 1.0), 0.5, 1e-10, route="series", kind="wp")
         assert info["route"] == "series"
         assert info["reduced_tau_im"] >= math.sqrt(3.0) / 2.0 - 1e-9
+
+
+class TestTinyLattices:
+    # |J|**2 of the reduced basis underflows, or the reduced ratio overflows
+    @pytest.mark.parametrize(
+        "fn,args",
+        [(wp, (1e-300j, 0.1)), (wzeta, (1e-170j, 0.1)), (wp, (5e-324j, 0.1)), (eta12, (1e-300j,))],
+    )
+    def test_out_of_float_range(self, fn, args):
+        with pytest.raises(DomainError, match="leaves the float range once reduced"):
+            fn(*args)
 
 
 class TestStripPreconditions:

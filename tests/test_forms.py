@@ -79,6 +79,19 @@ class TestMatrices:
         with pytest.raises(DomainError):
             ModularMatrix(1.0, 0, 0, 1)  # type: ignore[arg-type]
 
+    def test_mobius_and_cocycle_rounded_once(self):
+        # here the binary64 quotient (a*tau + b)/(c*tau + d) is off by 3e-14
+        # relative in Im, which a slash of a weight-1 form at Im ~ 1e-3 amplifies
+        mat = ModularMatrix(-5, 8, -12, 19)
+        tau = complex(-1.3835473107561502, 2.0098222569430817)
+        x, y = Fraction(tau.real), Fraction(tau.imag)
+        nr, ni, dr, di = mat.a * x + mat.b, mat.a * y, mat.c * x + mat.d, mat.c * y
+        norm = dr * dr + di * di
+        image = complex(float((nr * dr + ni * di) / norm), float((ni * dr - nr * di) / norm))
+        assert mat.mobius(tau) == image
+        assert mat.cocycle(tau) == complex(float(dr), float(di))
+        assert abs(((mat.a * tau + mat.b) / (mat.c * tau + mat.d)).imag / image.imag - 1.0) > 1e-14
+
 
 class TestGroups:
     def test_gamma_st_examples(self):
