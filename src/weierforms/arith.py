@@ -122,9 +122,9 @@ class CertifiedValue:
         a = abs(self.value)
         return max(0.0, a - self.error), a + self.error
 
-    def agrees_with(self, other: "CertifiedValue", slack: float = 0.0) -> bool:
+    def agrees_with(self, other: "CertifiedValue") -> bool:
         """True when the two certified discs can contain a common value."""
-        return abs(self.value - other.value) <= self.error + other.error + slack
+        return abs(self.value - other.value) <= self.error + other.error
 
 
 # ---------------------------------------------------------------------------

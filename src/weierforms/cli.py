@@ -155,12 +155,11 @@ def _form_from_args(args) -> tuple[str, FormSpec | None]:
 
 def cmd_eval(args, config: RunConfig) -> int:
     kind, form = _form_from_args(args)
-    opts = {"route": config.route, "shell_cap": config.shell_cap}
     if form is not None:
         if args.tau is None:
             raise WeierError(f"eval {kind} requires --tau")
         tau = parse_complex(args.tau)
-        cv = form.evaluate(tau, config.tolerance, **opts)
+        cv = form.evaluate(tau, config.tolerance, route=config.route)
         z_point = form.p.point(tau) if form.p is not None else None
         lat = Lattice(tau, 1.0)
         plan = describe_route(
@@ -169,7 +168,6 @@ def cmd_eval(args, config: RunConfig) -> int:
             config.tolerance,
             route=config.route,
             kind="wp" if kind == "f" else "wzeta",
-            shell_cap=config.shell_cap,
         )
         inputs = {"form": form.describe(), "tau": format_complex(tau)}
     else:
@@ -183,10 +181,8 @@ def cmd_eval(args, config: RunConfig) -> int:
         else:
             raise WeierError(f"eval {kind} requires --tau or both --omega1/--omega2")
         fn = wp_lattice if kind == "wp" else wzeta_lattice
-        cv = fn(lat, z, config.tolerance, route=config.route, shell_cap=config.shell_cap)
-        plan = describe_route(
-            lat, z, config.tolerance, route=config.route, kind=kind, shell_cap=config.shell_cap
-        )
+        cv = fn(lat, z, config.tolerance, route=config.route)
+        plan = describe_route(lat, z, config.tolerance, route=config.route, kind=kind)
         inputs = {
             "omega1": format_complex(lat.omega1),
             "omega2": format_complex(lat.omega2),
@@ -236,7 +232,10 @@ def cmd_table(args, config: RunConfig) -> int:
             raw_lines = fh.readlines()
     except OSError as exc:
         raise WeierError(f"cannot read grid file {args.grid}: {exc}") from exc
-    heights = [float(y) for y in args.Y.split(",") if y.strip()]
+    try:
+        heights = [float(y) for y in args.Y.split(",") if y.strip()]
+    except ValueError:
+        raise WeierError(f"--Y expects comma-separated numbers, got {args.Y!r}") from None
     if not heights:
         raise WeierError("--Y must list at least one height")
     heights.sort()
@@ -265,7 +264,7 @@ def cmd_table(args, config: RunConfig) -> int:
             continue
         for y in heights:
             try:
-                rep = cusp_report(form, y, config.tolerance, slack=config.slack)
+                rep = cusp_report(form, y, config.tolerance)
             except WeierError as exc:
                 rows.append(error_row({"form": form.describe(), "Y": y}, exc))
                 continue
@@ -280,7 +279,7 @@ def cmd_table(args, config: RunConfig) -> int:
                     },
                     value=rep.numeric.value,
                     error=rep.numeric.error,
-                    bound=rep.numeric.error + rep.slack,
+                    bound=rep.bound,
                     residual=rep.residual,
                     status="pass" if rep.valid else "fail",
                 )
@@ -299,8 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="seed for the property harness")
     common.add_argument("--format", choices=("json", "csv", "text"), default=None, dest="output_format")
     common.add_argument("--route", choices=("auto", "shell", "series"), default=None)
-    common.add_argument("--shell-cap", type=int, default=None, dest="shell_cap")
-    common.add_argument("--slack", type=float, default=None, help="cusp-limit slack for tables")
     common.add_argument("--config", default=None, help="key=value config file")
 
     parser = argparse.ArgumentParser(
@@ -342,8 +339,6 @@ def main(argv: list[str] | None = None) -> int:
             "seed": args.seed,
             "output_format": args.output_format,
             "route": args.route,
-            "shell_cap": args.shell_cap,
-            "slack": args.slack,
         }
         config = load_config(args.config, overrides)
         return args.handler(args, config)

@@ -11,7 +11,6 @@ from dataclasses import dataclass, fields, replace
 
 from .errors import DomainError
 from .evaluate import _ROUTES, TOL_FLOOR
-from .shells import SHELL_CAP
 
 __all__ = ["RunConfig", "load_config"]
 
@@ -21,17 +20,13 @@ _FORMATS = ("json", "csv", "text")
 @dataclass(frozen=True)
 class RunConfig:
     tolerance: float = 1e-8
-    shell_cap: int = SHELL_CAP
     output_format: str = "text"
     seed: int = 0
     route: str = "auto"
-    slack: float = 1e-6
 
     def __post_init__(self):
         if not self.tolerance >= TOL_FLOOR:
             raise DomainError(f"tolerance must be >= {TOL_FLOOR}, got {self.tolerance}")
-        if self.shell_cap < 1:
-            raise DomainError("shell cap must be positive")
         if self.output_format not in _FORMATS:
             raise DomainError(f"output format must be one of {_FORMATS}")
         if self.route not in _ROUTES:
@@ -43,11 +38,9 @@ class RunConfig:
 
 _FIELD_PARSERS = {
     "tolerance": float,
-    "shell_cap": int,
     "output_format": str,
     "seed": int,
     "route": str,
-    "slack": float,
 }
 
 

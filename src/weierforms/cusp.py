@@ -18,7 +18,8 @@ import numpy as np
 from .arith import CertifiedValue, as_rational, e_of, zeta_even, zeta_r_enclosure
 from .errors import DomainError
 from .evaluate import DEFAULT_TOL
-from .forms import FormSpec, RationalPair, eval_f
+from .forms import FormSpec, RationalPair
+from .trig import _wp_tail, _wzeta_tail
 
 __all__ = [
     "cusp_value_f",
@@ -35,7 +36,28 @@ __all__ = [
 ]
 
 _EPS = math.ulp(1.0)
+_U = 0.5 * _EPS
 _PI = math.pi
+
+
+def _closed_f(p: RationalPair) -> CertifiedValue:
+    """The i*infinity limit of the weight-2 member, with a bound on its rounding."""
+    if p.is_integral():
+        raise DomainError(f"label {p} is integral")
+    # real operations, u = 2^-53; -(pi^2)/3: fl(pi) 2u once squared, the
+    # square u, /3 u
+    third = -(_PI**2) / 3.0
+    if p.s.denominator != 1:
+        return CertifiedValue(complex(third), 1.01 * 4.0 * _U * abs(third))
+    two_cos = 2.0 * math.cos(2.0 * _PI * float(p.t % 1))
+    num, den = two_cos + 10.0, two_cos - 2.0
+    value = third * num / den
+    # the argument 2 pi x carries 3u (x, fl(pi), the product), <= 6 pi u absolute,
+    # and cos one ulp (<= 2u): |d two_cos| <= 2 (2 + 6 pi) u < 42u.  num and den
+    # round once each, the product and the quotient once each.
+    e_cos = 42.0 * _U
+    rel = 6.0 * _U + (e_cos + _U * abs(num)) / abs(num) + (e_cos + _U * abs(den)) / abs(den)
+    return CertifiedValue(complex(value), 1.01 * rel * abs(value))
 
 
 def cusp_value_f(p: RationalPair) -> complex:
@@ -44,12 +66,7 @@ def cusp_value_f(p: RationalPair) -> complex:
     s integral: -(pi^2/3) (e(t) + 10 + e(-t)) / (e(t) - 2 + e(-t));
     s non-integral: -(pi^2/3).
     """
-    if p.is_integral():
-        raise DomainError(f"label {p} is integral")
-    if p.s.denominator == 1:
-        two_cos = 2.0 * math.cos(2.0 * _PI * float(p.t % 1))
-        return complex(-(_PI**2) / 3.0 * (two_cos + 10.0) / (two_cos - 2.0))
-    return complex(-(_PI**2) / 3.0)
+    return _closed_f(p).value
 
 
 def cusp_value_f_series(t, terms: int = 80) -> CertifiedValue:
@@ -80,11 +97,8 @@ def cusp_value_f_series(t, terms: int = 80) -> CertifiedValue:
     return CertifiedValue(complex(acc), err)
 
 
-def cusp_value_h(r: int, t) -> complex:
-    """Limit of the weight-1 combination at i*infinity for s = 0 labels:
-
-        2 pi i ( (r-1)/2 + r/(e(t)-1) - 1/(e(rt)-1) ).
-    """
+def _closed_h(r: int, t) -> CertifiedValue:
+    """The i*infinity limit of h for an s = 0 label, with a bound on its rounding."""
     if not isinstance(r, int) or isinstance(r, bool) or r == 0:
         raise DomainError(f"r must be a nonzero integer, got {r!r}")
     t = as_rational(t)
@@ -93,24 +107,82 @@ def cusp_value_h(r: int, t) -> complex:
     rt = r * t
     if rt.denominator == 1:
         raise DomainError(f"r*t = {rt} is integral: e(rt) = 1 is a pole of the formula")
-    et = e_of(t)
-    ert = e_of(rt)
-    val = 2j * _PI * ((r - 1) / 2.0 + r / (et - 1.0) - 1.0 / (ert - 1.0))
-    return val
+    a = e_of(t) - 1.0
+    b = e_of(rt) - 1.0
+    ra, rb = r / a, 1.0 / b
+    val = 2j * _PI * ((r - 1) / 2.0 + ra - rb)
+    # u = 2^-53.  e_of(x): the argument 2 pi x carries 3u, <= 6 pi u absolute,
+    # and cos and sin one ulp each: < 22u absolute; e - 1 adds u |e - 1|.  The
+    # divisions (Smith's algorithm): 5 sqrt(2) u < 7.1u.  (r-1)/2 is exact; the
+    # sum and the difference round on at most |r-1|/2 + |ra| + |rb| each.  The
+    # product by (0, 2 fl(pi)) rounds each component once; with fl(pi), 4u.
+    e_a = 22.0 * _U + _U * abs(a)
+    e_b = 22.0 * _U + _U * abs(b)
+    err_sum = (
+        abs(ra) * (e_a / abs(a) + 7.1 * _U)
+        + abs(rb) * (e_b / abs(b) + 7.1 * _U)
+        + 2.0 * _U * (abs(r - 1) / 2.0 + abs(ra) + abs(rb))
+    )
+    return CertifiedValue(val, 1.01 * (2.0 * _PI * err_sum + 4.0 * _U * abs(val)))
 
 
-def cusp_value(form: FormSpec) -> complex:
-    """Closed-form i*infinity value for the supported form kinds."""
+def cusp_value_h(r: int, t) -> complex:
+    """Limit of the weight-1 combination at i*infinity for s = 0 labels:
+
+        2 pi i ( (r-1)/2 + r/(e(t)-1) - 1/(e(rt)-1) ).
+    """
+    return _closed_h(r, t).value
+
+
+def _closed(form: FormSpec) -> CertifiedValue:
     if form.kind == "wp":
-        return cusp_value_f(form.p)
+        return _closed_f(form.p)
     if form.kind == "h":
         if form.p.s != 0:
             raise DomainError(
                 "closed cusp value implemented for s = 0 labels only; "
                 "transport other cusps with the slash action"
             )
-        return cusp_value_h(form.r, form.p.t)
+        return _closed_h(form.r, form.p.t)
     raise DomainError(f"no closed cusp value for kind {form.kind!r}")
+
+
+def cusp_value(form: FormSpec) -> complex:
+    """Closed-form i*infinity value for the supported form kinds."""
+    return _closed(form).value
+
+
+def _gap(form: FormSpec, Y: float) -> float:
+    """Bound on |form(iY) - closed value| for a form that has a closed value.
+
+    Row 0 of the row series of :mod:`weierforms.trig` is the limit, so the
+    gap is at most the tail of the rows c >= 1, with |Im z| = |s'| Y for
+    s' = s - round(s) (wp(z) = wp(z - round(s) tau)).  For f with s' != 0
+    row 0 also keeps pi^2/sin^2(pi z'), at most 4 pi^2 q/(1-q)^2 with
+    q = e^(-2 pi |s'| Y).  For h = r g_(0,t) - g_(0,rt) the limit is
+    r (row 0 at t) - (row 0 at rt); ``_wzeta_tail`` bounds the rest of each.
+    """
+    # rounding, u = 2^-53: an exp argument x <= 3 pi Y is within 5u x, so exp
+    # is within (2 + 5x) u, where x <= 745 unless the output is 0 (outputs
+    # below the normal range are off by < 1e-300 absolute); a factor
+    # 1 - e^(-x) then loses (6 + 2/x) u, and the tails have such factors for
+    # x = 2 pi Y and x >= pi Y (three in all) and, for s' != 0, the square of
+    # one for x = 2 pi |s'| Y.  With the ~20 other operations the total stays
+    # below (64 + 16 pi min(Y, 80) + 2/Y + 1/(|s'| Y)) u, a first-order count
+    # that holds while it stays below 1/100.
+    y = abs(float(form.p.s - round(form.p.s))) * Y if form.kind == "wp" else 0.0
+    spread = 64.0 + 16.0 * _PI * min(Y, 80.0) + 2.0 / Y + (1.0 / y if y else 0.0)
+    if _U * spread > 0.01:
+        raise DomainError(f"Y = {Y!r} is too close to the real axis for a finite-height bound")
+    if form.kind == "wp":
+        gap = _wp_tail(Y, y, 0)
+        if y:
+            q = math.exp(-2.0 * _PI * y)
+            gap += 4.0 * _PI**2 * q / (1.0 - q) ** 2
+    else:
+        t, rt = float(abs(form.p.t)), float(abs(form.r * form.p.t))
+        gap = abs(form.r) * _wzeta_tail(Y, 0.0, t, 0) + _wzeta_tail(Y, 0.0, rt, 0)
+    return gap * (1.0 + 1.01 * _U * spread)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +236,54 @@ def lattice_row_sum_truncated(k: int, tau: complex, shells: int = 500) -> float:
 
 
 # ---------------------------------------------------------------------------
+# cusp-value reports (for the table command and the verification suites)
+
+
+@dataclass(frozen=True)
+class CuspValueReport:
+    """The value at tau = iY against the closed cusp value.
+
+    ``closed_error`` bounds the rounding of ``closed_form`` and ``gap`` the
+    finite-height gap |form(iY) - limit|, so the residual is within ``bound``.
+    """
+
+    label: str
+    closed_form: complex
+    closed_error: float
+    numeric: CertifiedValue
+    Y: float
+    residual: float
+    gap: float
+
+    @property
+    def bound(self) -> float:
+        return self.numeric.error + self.closed_error + self.gap
+
+    @property
+    def valid(self) -> bool:
+        return self.residual <= self.bound
+
+
+def cusp_report(form: FormSpec, Y: float, tol: float = DEFAULT_TOL) -> CuspValueReport:
+    """Compare the numeric value at tau = iY against the closed cusp value."""
+    Y = float(Y)
+    if not (Y > 0.0 and math.isfinite(Y)):
+        raise DomainError(f"Y must be positive and finite, got {Y!r}")
+    closed = _closed(form)
+    gap = _gap(form, Y)
+    numeric = form.evaluate(complex(0.0, Y), tol)
+    return CuspValueReport(
+        label=form.describe(),
+        closed_form=closed.value,
+        closed_error=closed.error,
+        numeric=numeric,
+        Y=Y,
+        residual=abs(closed.value - numeric.value),
+        gap=gap,
+    )
+
+
+# ---------------------------------------------------------------------------
 # recovery of zeta_R(2) from the s != 0 cusp limit
 
 
@@ -172,9 +292,14 @@ class ZetaRecoveryRow:
     Y: float
     value: complex
     error: float
+    bound: float
     limit_residual: float
     implied_zeta2: float
     zeta2_residual: float
+
+    @property
+    def passed(self) -> bool:
+        return self.limit_residual <= self.bound
 
 
 @dataclass(frozen=True)
@@ -182,7 +307,11 @@ class ZetaRecoveryReport:
     rows: tuple[ZetaRecoveryRow, ...]
     target_limit: float
     zeta2: float
-    passed: bool
+    tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        return all(row.passed for row in self.rows) and self.rows[-1].zeta2_residual <= self.tolerance
 
 
 def verify_zeta2_recovery(
@@ -194,71 +323,28 @@ def verify_zeta2_recovery(
     """Evaluate the s != 0 member up the imaginary axis; its limit -pi^2/3
     forces the value of zeta_R(2) = pi^2/6, recovered here as -limit/2.
 
-    Passes when the largest height gives the implied zeta within
-    ``tolerance`` and the limit residual does not grow with Y (a small noise
-    allowance covers the rounding floor once the series has converged).
+    Passes when every height is within its certificate plus the finite-height
+    gap of the limit (see :func:`cusp_report`), and the largest height gives
+    the implied zeta within ``tolerance``.
     """
     p = label if label is not None else RationalPair.of(Fraction(1, 2), 0)
     if p.s.denominator == 1:
         raise DomainError("recovery needs a label with non-integral s")
-    target = -(_PI**2) / 3.0
+    form = FormSpec.wp_form(p.s, p.t)
     z2 = _PI**2 / 6.0
     rows = []
     for y in heights:
-        cv = eval_f(p, complex(0.0, y), tol)
-        implied = -cv.value.real / 2.0
+        rep = cusp_report(form, y, tol)
+        implied = -rep.numeric.value.real / 2.0
         rows.append(
             ZetaRecoveryRow(
-                Y=float(y),
-                value=cv.value,
-                error=cv.error,
-                limit_residual=abs(cv.value - target),
+                Y=rep.Y,
+                value=rep.numeric.value,
+                error=rep.numeric.error,
+                bound=rep.bound,
+                limit_residual=rep.residual,
                 implied_zeta2=implied,
                 zeta2_residual=abs(implied - z2),
             )
         )
-    noise = 64.0 * _EPS * abs(target)
-    monotone = all(
-        rows[i + 1].limit_residual <= rows[i].limit_residual + noise
-        for i in range(len(rows) - 1)
-    )
-    passed = monotone and rows[-1].zeta2_residual < tolerance
-    return ZetaRecoveryReport(tuple(rows), target, z2, passed)
-
-
-# ---------------------------------------------------------------------------
-# cusp-value reports (for the table command and the verification suites)
-
-
-@dataclass(frozen=True)
-class CuspValueReport:
-    label: str
-    closed_form: complex
-    numeric: CertifiedValue
-    Y: float
-    residual: float
-    slack: float
-
-    @property
-    def valid(self) -> bool:
-        return self.residual <= self.numeric.error + self.slack
-
-
-def cusp_report(form: FormSpec, Y: float, tol: float = DEFAULT_TOL, slack: float = 1e-6) -> CuspValueReport:
-    """Compare the numeric value at tau = iY against the closed cusp value.
-
-    ``slack`` covers the finite-height gap to the limit; at Y = 20 the gap is
-    far below 1e-6 for every supported label.
-    """
-    if not Y > 0:
-        raise DomainError("Y must be positive")
-    closed = cusp_value(form)
-    numeric = form.evaluate(complex(0.0, float(Y)), tol)
-    return CuspValueReport(
-        label=form.describe(),
-        closed_form=closed,
-        numeric=numeric,
-        Y=float(Y),
-        residual=abs(closed - numeric.value),
-        slack=slack,
-    )
+    return ZetaRecoveryReport(tuple(rows), cusp_value(form).real, z2, tolerance)

@@ -9,11 +9,10 @@ that one result.  Two routes then compute the value:
   :mod:`weierforms.trig`;
 * ``shell`` - direct summation over a box of the reduced basis under a
   :class:`TruncationPlan` (the ground-truth route; cost grows like tol**-1
-  in points).  ``_plan_shell`` refuses the box when |z| exceeds the margin
-  of the reduced basis, the tolerance is out of reach within ``shell_cap``,
-  or the box has more than ``FORCED_SHELL_POINTS`` points, and the route
-  then raises :class:`PrecisionError`, as it does when the summed
-  certificate exceeds ``tol``.
+  in points).  The route raises :class:`PrecisionError` when |z| exceeds
+  the margin of the reduced basis, when :func:`plan_truncation` refuses the
+  box (the tolerance out of reach within ``SHELL_CAP``, or more than
+  ``POINT_BUDGET`` points), or when the summed certificate exceeds ``tol``.
 
 Both routes return a :class:`CertifiedValue` whose error field is a
 rigorous absolute bound, and they agree within the sum of their
@@ -27,7 +26,7 @@ import math
 from .arith import TWO_PI, CertifiedValue
 from .errors import DomainError, PoleError, PrecisionError
 from .lattice import Lattice, Reduction, TauLattice, reduce_lattice
-from .shells import SHELL_CAP, TruncationPlan, plan_truncation, shell_sum
+from .shells import TruncationPlan, plan_truncation, shell_sum
 from .trig import eta2_strip, wp_strip, wzeta_strip
 
 __all__ = [
@@ -44,8 +43,6 @@ __all__ = [
 DEFAULT_TOL = 1e-8
 TOL_FLOOR = 1e-12
 POLE_RTOL = 1e-8
-
-FORCED_SHELL_POINTS = 800_000_000
 
 _EPS = math.ulp(1.0)
 _ROUTES = ("auto", "shell", "series")
@@ -108,19 +105,16 @@ def shell_value(
     return CertifiedValue(value, err)
 
 
-def _plan_shell(basis: Lattice, z: complex, tol: float, kind: str, shell_cap: int) -> TruncationPlan:
+def _plan_shell(basis: Lattice, z: complex, tol: float, kind: str) -> TruncationPlan:
     """The admitted shell plan, or PrecisionError with the reason for refusing it."""
     try:
-        plan = plan_truncation(basis, abs(z), 0.5 * tol, kind=kind, shell_cap=shell_cap)
+        return plan_truncation(basis, abs(z), 0.5 * tol, kind=kind)
     except DomainError:
         raise PrecisionError("shell route infeasible: |z| exceeds the margin of the reduced basis") from None
-    if plan.point_count > FORCED_SHELL_POINTS:
-        raise PrecisionError(f"shell route needs {plan.point_count:,} points, over the budget {FORCED_SHELL_POINTS:,}")
-    return plan
 
 
-def _shell(basis: Lattice, z: complex, tol: float, kind: str, shell_cap: int) -> CertifiedValue:
-    cv = shell_value(basis, z, _plan_shell(basis, z, tol, kind, shell_cap), kind)
+def _shell(basis: Lattice, z: complex, tol: float, kind: str) -> CertifiedValue:
+    cv = shell_value(basis, z, _plan_shell(basis, z, tol, kind), kind)
     if cv.error > tol:
         raise PrecisionError("shell certificate exceeds the requested tolerance")
     return cv
@@ -139,7 +133,7 @@ def checked_difference(wz, base: complex, base_b: complex, tol: float) -> Certif
     return eta
 
 
-def _eta_pair(tau_r: complex, tol: float, route: str, shell_cap: int) -> tuple[CertifiedValue, CertifiedValue]:
+def _eta_pair(tau_r: complex, tol: float, route: str) -> tuple[CertifiedValue, CertifiedValue]:
     """Quasi-periods of tau_r*Z + Z for a reduced ratio, each within tol.
 
     eta2 is the closed row series of :func:`eta2_strip`, or on the shell route
@@ -152,7 +146,7 @@ def _eta_pair(tau_r: complex, tol: float, route: str, shell_cap: int) -> tuple[C
         lat = Lattice(tau_r, 1.0)
 
         def wz(z: complex) -> CertifiedValue:
-            return _shell(lat, z, 0.25 * tol2, "wzeta", shell_cap)
+            return _shell(lat, z, 0.25 * tol2, "wzeta")
 
         eta2 = checked_difference(wz, 0.13j - 0.5, -0.07 + 0.09j - 0.5, tol2)
     else:
@@ -169,7 +163,7 @@ def _eta_pair(tau_r: complex, tol: float, route: str, shell_cap: int) -> tuple[C
 # dispatch
 
 
-def _evaluate(red: Reduction, tol: float, route: str, kind: str, shell_cap: int) -> CertifiedValue:
+def _evaluate(red: Reduction, tol: float, route: str, kind: str) -> CertifiedValue:
     """The value at z = point + m*A + n*J.
 
     That is the value at the reduced point, plus m*eta(A) + n*eta(J) for wzeta,
@@ -178,48 +172,44 @@ def _evaluate(red: Reduction, tol: float, route: str, kind: str, shell_cap: int)
     shift = abs(red.m) + abs(red.n) if kind == "wzeta" else 0
     base_tol = 0.5 * tol if shift else tol
     if route == "shell":
-        cv = _shell(red.basis, red.point, base_tol, kind, shell_cap)
+        cv = _shell(red.basis, red.point, base_tol, kind)
     elif kind == "wp":
         cv = wp_strip(red.tau, red.z0, tol * abs(red.jj) ** 2).scaled(red.jj**-2)
     else:
         cv = wzeta_strip(red.tau, red.z0, base_tol * abs(red.jj)).scaled(1.0 / red.jj)
     if not shift:
         return cv
-    eta1, eta2 = _eta_pair(red.tau, 0.25 * tol * abs(red.jj) / shift, route, shell_cap)
+    eta1, eta2 = _eta_pair(red.tau, 0.25 * tol * abs(red.jj) / shift, route)
     return cv + (eta1 * red.m + eta2 * red.n).scaled(1.0 / red.jj)
 
 
-def _dispatch(lat, z, tol, route, kind, shell_cap) -> CertifiedValue:
+def _dispatch(lat, z, tol, route, kind) -> CertifiedValue:
     _check_args(tol, route)
     lat = _as_lattice(lat)
     z = complex(z)
     red = _reduce(lat, z)
     if route == "shell":
         # the ground truth sums at z itself, using no (quasi-)periodicity
-        return _shell(red.basis, z, tol, kind, shell_cap)
-    return _evaluate(red, tol, route, kind, shell_cap)
+        return _shell(red.basis, z, tol, kind)
+    return _evaluate(red, tol, route, kind)
 
 
-def wp_lattice(
-    lat, z: complex, tol: float = DEFAULT_TOL, *, route: str = "auto", shell_cap: int = SHELL_CAP
-) -> CertifiedValue:
+def wp_lattice(lat, z: complex, tol: float = DEFAULT_TOL, *, route: str = "auto") -> CertifiedValue:
     """wp(lattice, z) with certified absolute error <= tol.
 
     By the row-sum series on the reduced ratio; ``route="shell"`` sums over a
     box of the reduced basis (a unimodular relabeling of the same lattice
     points) at z itself.
     """
-    return _dispatch(lat, z, tol, route, "wp", shell_cap)
+    return _dispatch(lat, z, tol, route, "wp")
 
 
-def wzeta_lattice(
-    lat, z: complex, tol: float = DEFAULT_TOL, *, route: str = "auto", shell_cap: int = SHELL_CAP
-) -> CertifiedValue:
+def wzeta_lattice(lat, z: complex, tol: float = DEFAULT_TOL, *, route: str = "auto") -> CertifiedValue:
     """wzeta(lattice, z) with certified absolute error <= tol."""
-    return _dispatch(lat, z, tol, route, "wzeta", shell_cap)
+    return _dispatch(lat, z, tol, route, "wzeta")
 
 
-def wp(tau, z: complex, tol: float = DEFAULT_TOL, *, route: str = "auto", shell_cap: int = SHELL_CAP) -> CertifiedValue:
+def wp(tau, z: complex, tol: float = DEFAULT_TOL, *, route: str = "auto") -> CertifiedValue:
     """wp(tau, z) on the lattice tau*Z + Z.
 
     z is first reduced by the period lattice (an exact symmetry of wp), so
@@ -227,30 +217,30 @@ def wp(tau, z: complex, tol: float = DEFAULT_TOL, *, route: str = "auto", shell_
     """
     _check_args(tol, route)
     red = _reduce(Lattice(_as_tau(tau), 1.0), complex(z))
-    return _evaluate(red, tol, route, "wp", shell_cap)
+    return _evaluate(red, tol, route, "wp")
 
 
-def wzeta(tau, z: complex, tol: float = DEFAULT_TOL, *, route: str = "auto", shell_cap: int = SHELL_CAP) -> CertifiedValue:
+def wzeta(tau, z: complex, tol: float = DEFAULT_TOL, *, route: str = "auto") -> CertifiedValue:
     """wzeta(tau, z) on the lattice tau*Z + Z.
 
     Evaluates at the lattice-reduced point and restores the quasi-periodic
     defect m*eta1 + n*eta2.
     """
     _check_args(tol, route)
-    return _wzeta(tau, z, tol, route=route, shell_cap=shell_cap)
+    return _wzeta(tau, z, tol, route=route)
 
 
-def _wzeta(tau, z: complex, tol: float, *, route: str = "auto", shell_cap: int = SHELL_CAP) -> CertifiedValue:
+def _wzeta(tau, z: complex, tol: float, *, route: str = "auto") -> CertifiedValue:
     """wzeta at a share of a tolerance that the caller checked with ``_check_args``.
 
     The share may lie below TOL_FLOOR; where rounding then exceeds it, the
     certificate is honestly larger than the share.
     """
     red = _reduce(Lattice(_as_tau(tau), 1.0), complex(z))
-    return _evaluate(red, tol, route, "wzeta", shell_cap)
+    return _evaluate(red, tol, route, "wzeta")
 
 
-def eta12(tau, tol: float = DEFAULT_TOL, *, route: str = "auto", shell_cap: int = SHELL_CAP) -> tuple[CertifiedValue, CertifiedValue]:
+def eta12(tau, tol: float = DEFAULT_TOL, *, route: str = "auto") -> tuple[CertifiedValue, CertifiedValue]:
     """Quasi-periods (eta1, eta2) of tau*Z + Z.
 
     eta1 = wzeta(tau, z + tau) - wzeta(tau, z) and eta2 the same with z + 1.
@@ -264,19 +254,19 @@ def eta12(tau, tol: float = DEFAULT_TOL, *, route: str = "auto", shell_cap: int 
     red = reduce_lattice(Lattice(_as_tau(tau), 1.0))
     a, b, c, d = red.matrix
     coeff = max(abs(a) + abs(b), abs(c) + abs(d), 1)
-    eta1_r, eta2_r = _eta_pair(red.tau, 0.5 * tol * abs(red.jj) / coeff, route, shell_cap)
+    eta1_r, eta2_r = _eta_pair(red.tau, 0.5 * tol * abs(red.jj) / coeff, route)
     eta1 = (eta1_r * d - eta2_r * b).scaled(1.0 / red.jj)
     eta2 = (eta1_r * (-c) + eta2_r * a).scaled(1.0 / red.jj)
     return eta1, eta2
 
 
-def describe_route(lat, z: complex, tol: float = DEFAULT_TOL, *, route: str = "auto", kind: str = "wp", shell_cap: int = SHELL_CAP) -> dict:
+def describe_route(lat, z: complex, tol: float = DEFAULT_TOL, *, route: str = "auto", kind: str = "wp") -> dict:
     """Report, without summing, the route a lattice-function request runs on and its plan."""
     _check_args(tol, route)
     red = reduce_lattice(_as_lattice(lat))
     if route == "shell":
         try:
-            plan = _plan_shell(red.basis, complex(z), tol, kind, shell_cap)
+            plan = _plan_shell(red.basis, complex(z), tol, kind)
         except PrecisionError:
             return {"route": "shell", "feasible": False}
         return {

@@ -65,11 +65,15 @@ import numpy as np
 from .errors import DomainError, PrecisionError
 from .lattice import Lattice
 
-__all__ = ["TruncationPlan", "plan_truncation", "shell_sum", "SHELL_CAP"]
+__all__ = ["TruncationPlan", "plan_truncation", "shell_sum", "SHELL_CAP", "POINT_BUDGET"]
 
 _EPS = math.ulp(1.0)
 
+# the largest half-width max(c_max, d_max) of an admitted box: it bounds the
+# kernel's lists, which hold one fsum partial per row
 SHELL_CAP = 10**6
+# the most points an admitted box may have
+POINT_BUDGET = 800_000_000
 
 # summand kind -> p, the power of |z| in the pair majorant
 _KINDS = {"wp": 2, "wzeta": 3}
@@ -146,14 +150,14 @@ def plan_truncation(
     tol: float = 1e-8,
     *,
     kind: str = "wp",
-    shell_cap: int = SHELL_CAP,
 ) -> TruncationPlan:
     """Box of the aspect rule whose proven tail bound is <= tol.
 
     Requires z_bound <= delta, so that |z/w| <= 1/2 holds beyond the first
     shell; the box always contains the first shell and is large enough that
-    |z/w| <= 1/2 on every point outside it.  ``shell_cap`` caps
-    max(c_max, d_max).
+    |z/w| <= 1/2 on every point outside it.  Raises PrecisionError when the
+    box would need max(c_max, d_max) > SHELL_CAP or more than POINT_BUDGET
+    points.
     """
     if kind not in _KINDS:
         raise DomainError(f"unknown summand kind {kind!r}")
@@ -168,8 +172,8 @@ def plan_truncation(
     aspect = math.sqrt(a_cols / a_rows)
     d_min = max(1, math.ceil(2.0 * z_bound / g.h2) - 1)
     c_min = max(1, math.ceil(2.0 * z_bound / g.h1) - 1)
-    unreachable = f"tolerance {tol:.3g} unreachable within the shell cap {shell_cap}"
-    if max(c_min, d_min) > shell_cap or _tail_bound(lat, kind, z_bound, shell_cap, shell_cap) > tol:
+    unreachable = f"tolerance {tol:.3g} unreachable within the shell cap {SHELL_CAP}"
+    if max(c_min, d_min) > SHELL_CAP or _tail_bound(lat, kind, z_bound, SHELL_CAP, SHELL_CAP) > tol:
         raise PrecisionError(unreachable)
     d = d_min
     amp = _pair_coeff(kind, 0.0) * z_bound ** _KINDS[kind]
@@ -185,12 +189,16 @@ def plan_truncation(
         d = max(d, math.floor(x - 0.5))
     while True:
         c = max(c_min, math.ceil(aspect * d))
-        if max(c, d) > shell_cap:
+        if max(c, d) > SHELL_CAP:
             raise PrecisionError(unreachable)
         tail = _tail_bound(lat, kind, z_bound, c, d)
         if tail <= tol:
-            return TruncationPlan(c, d, tail, g.delta, kind, z_bound)
+            break
         d += 1
+    plan = TruncationPlan(c, d, tail, g.delta, kind, z_bound)
+    if plan.point_count > POINT_BUDGET:
+        raise PrecisionError(f"shell route needs {plan.point_count:,} points, over the budget {POINT_BUDGET:,}")
+    return plan
 
 
 # ---------------------------------------------------------------------------

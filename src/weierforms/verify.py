@@ -33,7 +33,6 @@ from .cusp import (
     CuspValueReport,
     cusp_report,
     cusp_value_f_series,
-    cusp_value_h,
     lattice_row_sum_truncated,
     lemma_eies_bound,
     verify_zeta2_recovery,
@@ -62,6 +61,7 @@ from .forms import (
 __all__ = ["VerifyRow", "SuiteReport", "SUITES", "run_suite"]
 
 _SQRT3_PI = math.sqrt(3.0) * math.pi
+_EPS = math.ulp(1.0)
 
 
 @dataclass(frozen=True)
@@ -252,18 +252,23 @@ def suite_theorem_hU(config: RunConfig) -> SuiteReport:
 
 # ---------------------------------------------------------------------------
 # cusp suites
+#
+# A closed cusp value agrees with the value at iY within the numeric
+# certificate, the rounding of the closed value and the finite-height gap
+# (``CuspValueReport.bound``).
 
 
-def _cusp_row(id: str, rep: CuspValueReport, passed: bool) -> VerifyRow:
+def _cusp_row(id: str, rep: CuspValueReport, detail: str = "") -> VerifyRow:
     """Row comparing a numeric value at the cusp height with its closed value."""
     return VerifyRow(
         id=id,
         inputs={"form": rep.label, "Y": rep.Y, "closed": _fmt_c(rep.closed_form)},
         value=rep.numeric.value,
         error=rep.numeric.error,
-        bound=1e-6,
+        bound=rep.bound,
         residual=rep.residual,
-        status="pass" if passed else "fail",
+        status="pass" if rep.valid else "fail",
+        detail=detail,
     )
 
 
@@ -278,10 +283,11 @@ _CUSP_F_GRID = (
 
 
 def suite_cusp_f(config: RunConfig) -> SuiteReport:
-    rows = []
-    for i, (s, t) in enumerate(_CUSP_F_GRID):
-        rep = cusp_report(FormSpec.wp_form(s, t), 20.0, min(config.tolerance, 1e-8), slack=1e-6)
-        rows.append(_cusp_row(f"cusp-f-{i}", rep, rep.residual < 1e-6 and rep.valid))
+    tol = min(config.tolerance, 1e-8)
+    rows = [
+        _cusp_row(f"cusp-f-{i}", cusp_report(FormSpec.wp_form(s, t), 20.0, tol))
+        for i, (s, t) in enumerate(_CUSP_F_GRID)
+    ]
     return SuiteReport("cusp-f", config.seed, tuple(rows))
 
 
@@ -292,53 +298,37 @@ def suite_cusp_h(config: RunConfig) -> SuiteReport:
 
     # phase resolution: the closed form gives sqrt(3) pi; the alternative
     # candidate -sqrt(3) pi i has the same modulus but is pure imaginary
-    form = FormSpec.h_form(2, 0, Fraction(1, 3))
-    numeric = form.evaluate(20.0j, tol)
-    closed = cusp_value_h(2, Fraction(1, 3))
-    cand_real = complex(_SQRT3_PI)
-    cand_imag = complex(0.0, -_SQRT3_PI)
-    d_real = abs(numeric.value - cand_real)
-    d_imag = abs(numeric.value - cand_imag)
+    rep = cusp_report(FormSpec.h_form(2, 0, Fraction(1, 3)), 20.0, tol)
+    numeric = rep.numeric
+    d_real = abs(numeric.value - complex(_SQRT3_PI))
+    d_imag = abs(numeric.value - complex(0.0, -_SQRT3_PI))
     supported = "sqrt(3)*pi" if d_real < d_imag else "-sqrt(3)*pi*i"
     notes.append(
         f"lattice-sum evaluation supports {supported} for the h[r=2](0,1/3) cusp value; "
         f"|numeric - sqrt3*pi| = {d_real:.3e}, |numeric + sqrt3*pi*i| = {d_imag:.3e}"
     )
-    rows.append(
-        VerifyRow(
-            id="cusp-h-phase",
-            inputs={"form": form.describe(), "Y": 20.0, "closed": _fmt_c(closed)},
-            value=numeric.value,
-            error=numeric.error,
-            bound=1e-6,
-            residual=abs(numeric.value - closed),
-            status="pass" if abs(numeric.value - closed) < 1e-6 and supported == "sqrt(3)*pi" else "fail",
-            detail=f"oracle-supported phase: {supported}",
-        )
-    )
-
-    rows.append(_modulus_row(numeric))
+    rows.append(_cusp_row("cusp-h-phase", rep, f"oracle-supported phase: {supported}"))
+    rows.append(_modulus_row(rep))
 
     # closed values across a few s = 0 labels
     for i, (r, t) in enumerate(((3, Fraction(1, 5)), (-1, Fraction(1, 4)), (2, Fraction(2, 7)))):
-        rep = cusp_report(FormSpec.h_form(r, 0, t), 20.0, tol, slack=1e-6)
-        rows.append(_cusp_row(f"cusp-h-{i}", rep, rep.residual < 1e-6))
+        rows.append(_cusp_row(f"cusp-h-{i}", cusp_report(FormSpec.h_form(r, 0, t), 20.0, tol)))
 
     # boundedness along the imaginary axis, at the infinite cusp and at the
     # cusps reached by transporting with coset representatives
     reps = (IDENTITY, S_MATRIX, S_MATRIX @ T_MATRIX, S_MATRIX @ T_MATRIX @ T_MATRIX)
     for j, (r, s, t) in enumerate(((2, 0, Fraction(1, 3)), (3, Fraction(1, 2), 0), (3, 0, Fraction(1, 5)))):
         p = RationalPair.of(s, t)
-        for k, rep in enumerate(reps):
+        for k, mat in enumerate(reps):
             values = [
-                abs(slash(lambda w, tt: eval_h(r, p, w, tt), 1, rep, complex(0.0, y), tol).value)
+                abs(slash(lambda w, tt: eval_h(r, p, w, tt), 1, mat, complex(0.0, y), tol).value)
                 for y in (5.0, 8.0, 12.5, 20.0, 31.0, 50.0)
             ]
             peak = max(values)
             rows.append(
                 VerifyRow(
                     id=f"cusp-h-bounded-{j}-{k}",
-                    inputs={"r": r, "p": str(p), "rep": str(rep), "Y": "5..50"},
+                    inputs={"r": r, "p": str(p), "rep": str(mat), "Y": "5..50"},
                     value=complex(peak),
                     error=None,
                     bound=50.0,
@@ -350,34 +340,52 @@ def suite_cusp_h(config: RunConfig) -> SuiteReport:
     return SuiteReport("cusp-h", config.seed, tuple(rows), tuple(notes))
 
 
-def _modulus_row(numeric: CertifiedValue) -> VerifyRow:
-    resid = abs(abs(numeric.value) - _SQRT3_PI)
+def _modulus_row(rep: CuspValueReport) -> VerifyRow:
+    """| |h(iY)| - sqrt(3) pi | <= |h(iY) - sqrt(3) pi|, so the phase row's
+    certificate and gap carry over.  Rounding, u = 2^-53: abs() one ulp of
+    |value| (<= 2u), the constant fl(sqrt 3) fl(pi) 3u of it, the subtraction
+    u of the residual; taken as 2u |value| + 4u sqrt(3) pi."""
+    value = rep.numeric.value
+    resid = abs(abs(value) - _SQRT3_PI)
+    bound = rep.numeric.error + rep.gap + _EPS * (abs(value) + 2.0 * _SQRT3_PI)
     return VerifyRow(
         id="cusp-h-modulus",
         inputs={"target": "sqrt(3)*pi"},
-        value=numeric.value,
-        error=numeric.error,
-        bound=1e-6,
+        value=value,
+        error=rep.numeric.error,
+        bound=bound,
         residual=resid,
-        status="pass" if resid < 1e-6 else "fail",
+        status="pass" if resid <= bound else "fail",
     )
 
 
 def suite_zeta2(config: RunConfig) -> SuiteReport:
     report = verify_zeta2_recovery(tolerance=1e-8, tol=min(config.tolerance, 1e-8))
-    rows = []
-    for row in report.rows:
-        rows.append(
-            VerifyRow(
-                id=f"zeta2-Y{int(row.Y)}",
-                inputs={"Y": row.Y, "implied_zeta2": row.implied_zeta2},
-                value=row.value,
-                error=row.error,
-                bound=1e-8,
-                residual=row.zeta2_residual,
-                status="pass" if report.passed else "fail",
-            )
+    rows = [
+        VerifyRow(
+            id=f"zeta2-Y{int(row.Y)}",
+            inputs={"Y": row.Y, "implied_zeta2": row.implied_zeta2},
+            value=row.value,
+            error=row.error,
+            bound=row.bound,
+            residual=row.limit_residual,
+            status="pass" if row.passed else "fail",
         )
+        for row in report.rows
+    ]
+    last = report.rows[-1]
+    rows.append(
+        VerifyRow(
+            id="zeta2-implied",
+            inputs={"Y": last.Y, "implied_zeta2": last.implied_zeta2},
+            value=complex(last.implied_zeta2),
+            error=0.5 * last.error,
+            bound=report.tolerance,
+            residual=last.zeta2_residual,
+            status="pass" if last.zeta2_residual <= report.tolerance else "fail",
+            detail="implied zeta_R(2) at the largest height against its tolerance",
+        )
+    )
     return SuiteReport("zeta2", config.seed, tuple(rows))
 
 

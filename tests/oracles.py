@@ -50,6 +50,11 @@ def mp_wp(tau, z, rows: int = 60, dps: int = 40, period=1):
     exact integer bookkeeping so any input in the upper half plane works.
     With ``period`` the lattice is period*(tau*Z + Z) (see :func:`mp_lattice`).
     """
+    return complex(mp_wp_mpc(tau, z, rows, dps, period))
+
+
+def mp_wp_mpc(tau, z, rows: int = 60, dps: int = 40, period=1):
+    """:func:`mp_wp` as an mpmath number of dps digits, not rounded to binary64."""
     import mpmath as mp
 
     with mp.workdps(dps):
@@ -70,11 +75,16 @@ def mp_wp(tau, z, rows: int = 60, dps: int = 40, period=1):
                 + _mp_inv_sin2(pi * (z + c * tau_r), mp)
                 - 2 * _mp_inv_sin2(pi * (c * tau_r), mp)
             )
-        return complex(pi**2 * acc / j1**2)
+        return pi**2 * acc / j1**2
 
 
 def mp_wzeta(tau, z, rows: int = 60, dps: int = 40, period=1):
     """40-digit wzeta companion of :func:`mp_wp` (same caveats)."""
+    return complex(mp_wzeta_mpc(tau, z, rows, dps, period))
+
+
+def mp_wzeta_mpc(tau, z, rows: int = 60, dps: int = 40, period=1):
+    """:func:`mp_wzeta` as an mpmath number of dps digits, not rounded to binary64."""
     import mpmath as mp
 
     with mp.workdps(dps):
@@ -104,7 +114,7 @@ def mp_wzeta(tau, z, rows: int = 60, dps: int = 40, period=1):
             p2 = mp.mpf("0.21") + mp.mpf("0.13") * mp.mpc(0, 1)
             eta2 = zeta_strip(p2 + 1) - zeta_strip(p2)
             base = base + m * eta1 + n * eta2
-        return complex(base / j1)
+        return base / j1
 
 
 def mp_lattice(oracle, omega1, omega2, z, rows: int = 60, dps: int = 40):

@@ -209,6 +209,32 @@ class TestTableCommand:
         code, out = run_cli(capsys, "table", "--grid", "/nonexistent/grid", "--format", "json")
         assert code == 2
 
+    def test_bad_height_list(self, tmp_path, capsys):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("f 0 1/2\n")
+        code, out = run_cli(capsys, "table", "--grid", str(grid), "--Y", "5,x", "--format", "json")
+        assert code == 2
+        assert "--Y" in json.loads(out)["error"]["message"]
+
+    def test_infinite_height_rejected(self, tmp_path, capsys):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("f 0 1/2\n")
+        code, out = run_cli(capsys, "table", "--grid", str(grid), "--Y", "inf", "--format", "json")
+        assert code == 1
+        (row,) = json.loads(out)["rows"]
+        assert row["status"] == "error"
+
+    def test_finite_height_gap_rows(self, tmp_path, capsys):
+        # f(1/3,1/3) at Y = 5 is 1.1e-3 from its limit: within the derived gap
+        grid = tmp_path / "grid.txt"
+        grid.write_text("f 0 1/2\nf 1/2 0\nf 1/3 1/3\nh 0 1/3 2\n")
+        code, out = run_cli(capsys, "table", "--grid", str(grid), "--Y", "5,10,20", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 12 and all(r["status"] == "pass" for r in rows)
+        assert rows[6]["inputs"]["residual"] > 1e-3
+        assert all(r["bound"] < 1e-12 for r in rows if r["inputs"]["Y"] == 20.0)
+
 
 class TestConfigPrecedence:
     def test_env_only(self, capsys, monkeypatch):
@@ -241,3 +267,15 @@ class TestConfigPrecedence:
         cfg.write_text("frobnicate = 1\n")
         code, out = run_cli(capsys, "verify", "eies-bound", "--config", str(cfg), "--format", "json")
         assert code == 2
+
+    @pytest.mark.parametrize("line", ["shell_cap = 100", "slack = 1e-6"])
+    def test_retired_config_keys(self, capsys, tmp_path, line):
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text(line + "\n")
+        code, out = run_cli(capsys, "verify", "eies-bound", "--config", str(cfg), "--format", "json")
+        assert code == 2
+        assert "unknown config key" in json.loads(out)["error"]["message"]
+
+    def test_config_block(self, capsys):
+        code, out = run_cli(capsys, "verify", "eies-bound", "--format", "json")
+        assert sorted(json.loads(out)["config"]) == ["output_format", "route", "seed", "tolerance"]

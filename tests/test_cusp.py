@@ -20,6 +20,8 @@ from weierforms import (
     verify_zeta2_recovery,
 )
 
+from oracles import mp_wp_mpc, mp_wzeta_mpc
+
 PI = math.pi
 ZETA3 = 1.2020569031595943  # classical constant, for the closed-bound spot check
 
@@ -170,9 +172,71 @@ class TestReports:
         assert rep.residual < 1e-6
         assert abs(rep.closed_form - 2 * PI**2 / 3) < 1e-12
 
+    def test_report_bound_sums_its_parts(self):
+        rep = cusp_report(FormSpec.h_form(3, 0, Fraction(1, 5)), 20.0, 1e-8)
+        assert rep.bound == rep.numeric.error + rep.closed_error + rep.gap
+        assert rep.valid and rep.bound < 1e-12
+
+    @pytest.mark.parametrize("Y", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_bad_height_rejected(self, Y):
+        with pytest.raises(DomainError):
+            cusp_report(FormSpec.wp_form(0, Fraction(1, 2)), Y)
+
     def test_cusp_value_dispatch(self):
         assert abs(cusp_value(FormSpec.wp_form(0, Fraction(1, 3))) - PI**2) < 1e-12
         with pytest.raises(DomainError):
             cusp_value(FormSpec.zeta_form(0, Fraction(1, 3)))
         with pytest.raises(DomainError):
             cusp_value(FormSpec.h_form(2, Fraction(1, 2), Fraction(1, 3)))
+
+
+def _mpq(mp, x):
+    x = Fraction(x)
+    return mp.mpf(x.numerator) / x.denominator
+
+
+class TestFiniteHeightGap:
+    """The reported gap bounds |form(iY) - limit| and the closed value's error
+    bounds its rounding, both measured against the mpmath oracles.  The gap
+    is below 1e-50 at Y = 20 for s = 0 labels, hence the working precision."""
+
+    DPS = 90
+    HEIGHTS = [1.0, 2.0, 5.0, 10.0, 20.0]
+
+    def _check(self, form, value, limit, Y):
+        import mpmath as mp
+
+        rep = cusp_report(form, Y, 1e-8)
+        with mp.workdps(self.DPS):
+            assert rep.gap >= abs(value - limit)
+            assert rep.closed_error >= abs(mp.mpc(rep.closed_form) - limit)
+        assert rep.valid
+
+    @pytest.mark.parametrize("Y", HEIGHTS)
+    @pytest.mark.parametrize(
+        "s,t",
+        [(0, Fraction(1, 2)), (Fraction(1, 2), 0), (Fraction(1, 3), Fraction(1, 3)), (Fraction(1, 4), Fraction(1, 3))],
+    )
+    def test_f(self, s, t, Y):
+        import mpmath as mp
+
+        with mp.workdps(self.DPS):
+            tau = mp.mpc(0, Y)
+            value = mp_wp_mpc(tau, _mpq(mp, s) * tau + _mpq(mp, t), dps=self.DPS)
+            if Fraction(s).denominator == 1:
+                limit = mp.pi**2 * (1 / mp.sin(mp.pi * _mpq(mp, t)) ** 2 - mp.mpf(1) / 3)
+            else:
+                limit = -(mp.pi**2) / 3
+        self._check(FormSpec.wp_form(s, t), value, limit, Y)
+
+    @pytest.mark.parametrize("Y", HEIGHTS)
+    @pytest.mark.parametrize("r,t", [(3, Fraction(1, 5)), (-1, Fraction(1, 4)), (2, Fraction(2, 7))])
+    def test_h(self, r, t, Y):
+        import mpmath as mp
+
+        with mp.workdps(self.DPS):
+            tau = mp.mpc(0, Y)
+            t_mp, rt_mp = _mpq(mp, t), _mpq(mp, r * t)
+            value = r * mp_wzeta_mpc(tau, t_mp, dps=self.DPS) - mp_wzeta_mpc(tau, rt_mp, dps=self.DPS)
+            limit = mp.pi * (r * mp.cot(mp.pi * t_mp) - mp.cot(mp.pi * rt_mp))
+        self._check(FormSpec.h_form(r, 0, t), value, limit, Y)

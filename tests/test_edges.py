@@ -23,20 +23,21 @@ from weierforms import (
     wzeta_lattice,
 )
 from weierforms.config import RunConfig
-from weierforms.shells import SHELL_CAP
+from weierforms.shells import POINT_BUDGET, SHELL_CAP
 from weierforms.trig import wp_strip, wzeta_strip
 
 
-# (kind, basis, z, tol, shell_cap, summed, forced-shell refusal): ``summed`` is
-# "shell" where the forced shell route sums its box, "series" where the
-# planner refuses it or the box is too large to sum here
+# (kind, basis, z, tol, cap, summed, forced-shell refusal): an admitted box
+# keeps max(c_max, d_max) <= cap; ``summed`` is "shell" where the forced shell
+# route sums its box, "series" where the planner refuses it or the box is too
+# large to sum here
 ROUTE_CASES = [
     # |z| beyond the margin of the reduced basis
     ("wp", (1j, 1.0), 1.2, 1e-8, SHELL_CAP, "series", "margin"),
     ("wzeta", (1j, 1.0), 1.2, 1e-8, SHELL_CAP, "series", "margin"),
     # tolerance out of reach within the shell cap
-    ("wp", (1j, 1.0), 0.3, 1e-8, 100, "series", "shell cap 100"),
-    ("wzeta", (1j, 1.0), 0.3, 1e-8, 100, "series", "shell cap 100"),
+    ("wp", (1j, 1.0), 0.4, 1e-12, SHELL_CAP, "series", "unreachable within the shell cap 1000000"),
+    ("wzeta", (1j, 1.0), 0.9, 1e-12, SHELL_CAP, "series", "unreachable within the shell cap 1000000"),
     # admitted, with 6.8 million (wp) and 0.68 million (wzeta) points
     ("wp", (1j, 1.0), 0.3, 1e-6, SHELL_CAP, "series", None),
     ("wzeta", (1j, 1.0), 0.3, 1e-6, SHELL_CAP, "series", None),
@@ -57,17 +58,20 @@ class TestDispatchEdges:
         # "auto" is the series route, whatever the forced shell route does
         fn = wp_lattice if kind == "wp" else wzeta_lattice
         lat = Lattice(*basis)
-        info = describe_route(lat, z, tol, route="auto", kind=kind, shell_cap=cap)
-        assert info == describe_route(lat, z, tol, route="series", kind=kind, shell_cap=cap)
+        info = describe_route(lat, z, tol, route="auto", kind=kind)
+        assert info == describe_route(lat, z, tol, route="series", kind=kind)
         assert info["route"] == "series"
-        series = fn(lat, z, tol, route="series", shell_cap=cap)
-        auto = fn(lat, z, tol, route="auto", shell_cap=cap)
+        series = fn(lat, z, tol, route="series")
+        auto = fn(lat, z, tol, route="auto")
         assert (auto.value, auto.error) == (series.value, series.error)
         if refusal:
             with pytest.raises(PrecisionError, match=refusal):
-                fn(lat, z, tol, route="shell", shell_cap=cap)
-        elif summed == "shell":
-            shell = fn(lat, z, tol, route="shell", shell_cap=cap)
+                fn(lat, z, tol, route="shell")
+            return
+        plan = describe_route(lat, z, tol, route="shell", kind=kind)
+        assert max(plan["c_max"], plan["d_max"]) <= cap and plan["points"] <= POINT_BUDGET
+        if summed == "shell":
+            shell = fn(lat, z, tol, route="shell")
             assert abs(shell.value - series.value) <= shell.error + series.error
 
     def test_tuple_accepted_as_lattice(self):

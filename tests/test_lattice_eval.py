@@ -316,8 +316,18 @@ class TestPlans:
             plan_truncation(Lattice(1j, 1.0), 1.5, 1e-6)
 
     def test_cap_exhaustion(self):
+        with pytest.raises(PrecisionError, match="shell cap"):
+            plan_truncation(Lattice(1j, 1.0), 0.4, 1e-13)
+
+    @pytest.mark.parametrize("tol", [1e-300, 5e-324])
+    def test_tiny_tol_refused(self, tol):
+        # refused as out of reach, not by an overflow in the box estimate
         with pytest.raises(PrecisionError):
-            plan_truncation(Lattice(1j, 1.0), 0.4, 1e-9, shell_cap=100)
+            plan_truncation(Lattice(1j, 1.0), 0.4, tol)
+
+    def test_point_budget(self):
+        with pytest.raises(PrecisionError, match="over the budget"):
+            plan_truncation(Lattice(1j, 1.0), 0.4, 0.5e-8)
 
     def test_reference_plan_reaches_1e8(self):
         plan = plan_truncation(Lattice(1j, 1.0), 0.4, 1e-8)
