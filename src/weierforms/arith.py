@@ -61,7 +61,7 @@ def as_rational(x) -> Fraction:
     raise DomainError(f"cannot interpret {type(x).__name__} as an exact rational")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertifiedValue:
     """A complex value together with a rigorous absolute-error bound.
 
@@ -73,11 +73,14 @@ class CertifiedValue:
     error: float
 
     def __post_init__(self):
-        object.__setattr__(self, "value", complex(self.value))
-        err = float(self.error)
-        if not (err >= 0.0) or math.isinf(err) or math.isnan(err):
-            raise DomainError(f"error bound must be finite and nonnegative, got {self.error!r}")
-        object.__setattr__(self, "error", err)
+        # most values arrive as complex and float already; coerce the rest
+        value, err = self.value, self.error
+        if type(value) is not complex:
+            object.__setattr__(self, "value", complex(value))
+        if type(err) is not float:
+            object.__setattr__(self, "error", float(err))
+        if not 0.0 <= self.error < math.inf:
+            raise DomainError(f"error bound must be finite and nonnegative, got {err!r}")
 
     @classmethod
     def exact(cls, value: complex) -> "CertifiedValue":

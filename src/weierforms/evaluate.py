@@ -1,8 +1,12 @@
 """Certified evaluators for the Weierstrass lattice functions.
 
-Every call first reduces the lattice and the point once, exactly
-(:func:`weierforms.lattice.reduce_lattice`), and guards against poles on
-that one result.  Two routes then compute the value:
+Every evaluation first reduces the lattice once, and each of its points in
+the reduced basis, exactly (:func:`weierforms.lattice.reduce_points`); the
+parts of ``eval_h`` and ``eval_hU`` share that one reduction.  Each point is
+guarded against poles on its own result: the shell constant delta of the
+reduced basis (A, J) is at most |J|, so the guard reads the basis geometry
+only for points within 2 * POLE_RTOL * |J| of a lattice point.  Two routes
+then compute the value:
 
 * ``series`` (also spelled ``auto``) - homogeneity scaling onto the reduced
   ratio and the exponentially convergent row-sum series of
@@ -11,8 +15,9 @@ that one result.  Two routes then compute the value:
   :class:`TruncationPlan` (the ground-truth route; cost grows like tol**-1
   in points).  The route raises :class:`PrecisionError` when |z| exceeds
   the margin of the reduced basis, when :func:`plan_truncation` refuses the
-  box (the tolerance out of reach within ``SHELL_CAP``, or more than
-  ``POINT_BUDGET`` points), or when the summed certificate exceeds ``tol``.
+  box (the tolerance out of reach within ``SHELL_CAP``, more than
+  ``POINT_BUDGET`` points, or a basis outside the planner's float range),
+  or when the summed certificate exceeds ``tol``.
 
 Both routes return a :class:`CertifiedValue` whose error field is a
 rigorous absolute bound, and they agree within the sum of their
@@ -25,7 +30,7 @@ import math
 
 from .arith import TWO_PI, CertifiedValue
 from .errors import DomainError, PoleError, PrecisionError
-from .lattice import Lattice, Reduction, TauLattice, reduce_lattice
+from .lattice import Lattice, Reduction, TauLattice, reduce_lattice, reduce_points
 from .shells import TruncationPlan, plan_truncation, shell_sum
 from .trig import eta2_strip, wp_strip, wzeta_strip
 
@@ -74,15 +79,22 @@ def _check_args(tol: float, route: str) -> None:
         raise DomainError(f"tolerance must be >= {TOL_FLOOR}, got {tol!r}")
 
 
-def _reduce(lat: Lattice, z: complex) -> Reduction:
-    """The one reduction of a request, guarded against poles."""
-    red = reduce_lattice(lat, z)
-    if abs(red.point) < POLE_RTOL * red.basis.geometry.delta:
-        raise PoleError(
-            f"z = {z!r} lies on the lattice (within {POLE_RTOL:g} * shell constant)",
-            nearest=z - red.point,
-        )
-    return red
+def _reduce(lat: Lattice, zs):
+    """The one reduction of a request, each point guarded against poles as it is taken.
+
+    Guarding lazily keeps the order of errors of one evaluation per point: a
+    pole at a later point does not preempt an error of an earlier one.
+    delta <= e2 = min over x in [-1, 1] of |J + x*A| <= |J|, so a point with
+    |point| >= 2 * POLE_RTOL * |J| passes without building the geometry.
+    """
+    for z, red in zip(zs, reduce_points(lat, zs)):
+        pt = abs(red.point)
+        if pt < 2.0 * POLE_RTOL * abs(red.jj) and pt < POLE_RTOL * red.basis.geometry.delta:
+            raise PoleError(
+                f"z = {z!r} lies on the lattice (within {POLE_RTOL:g} * shell constant)",
+                nearest=z - red.point,
+            )
+        yield red
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +199,7 @@ def _dispatch(lat, z, tol, route, kind) -> CertifiedValue:
     _check_args(tol, route)
     lat = _as_lattice(lat)
     z = complex(z)
-    red = _reduce(lat, z)
+    (red,) = _reduce(lat, (z,))
     if route == "shell":
         # the ground truth sums at z itself, using no (quasi-)periodicity
         return _shell(red.basis, z, tol, kind)
@@ -216,7 +228,7 @@ def wp(tau, z: complex, tol: float = DEFAULT_TOL, *, route: str = "auto") -> Cer
     only the reduced representative is ever summed.
     """
     _check_args(tol, route)
-    red = _reduce(Lattice(_as_tau(tau), 1.0), complex(z))
+    (red,) = _reduce(Lattice(_as_tau(tau), 1.0), (complex(z),))
     return _evaluate(red, tol, route, "wp")
 
 
@@ -227,17 +239,18 @@ def wzeta(tau, z: complex, tol: float = DEFAULT_TOL, *, route: str = "auto") -> 
     defect m*eta1 + n*eta2.
     """
     _check_args(tol, route)
-    return _wzeta(tau, z, tol, route=route)
+    return _wzeta_parts(tau, (z,), tol, route=route)[0]
 
 
-def _wzeta(tau, z: complex, tol: float, *, route: str = "auto") -> CertifiedValue:
-    """wzeta at a share of a tolerance that the caller checked with ``_check_args``.
+def _wzeta_parts(tau, zs, part: float, *, route: str = "auto") -> list[CertifiedValue]:
+    """wzeta at each point of zs, one reduction for all, at a share of a
+    tolerance that the caller checked with ``_check_args``.
 
     The share may lie below TOL_FLOOR; where rounding then exceeds it, the
     certificate is honestly larger than the share.
     """
-    red = _reduce(Lattice(_as_tau(tau), 1.0), complex(z))
-    return _evaluate(red, tol, route, "wzeta")
+    lat = Lattice(_as_tau(tau), 1.0)
+    return [_evaluate(red, part, route, "wzeta") for red in _reduce(lat, [complex(z) for z in zs])]
 
 
 def eta12(tau, tol: float = DEFAULT_TOL, *, route: str = "auto") -> tuple[CertifiedValue, CertifiedValue]:

@@ -16,7 +16,7 @@ from typing import Callable, Literal, Sequence
 
 from .arith import CertifiedValue, as_rational
 from .errors import DomainError
-from .evaluate import DEFAULT_TOL, _check_args, _wzeta, eta12, wp, wzeta
+from .evaluate import DEFAULT_TOL, _check_args, _wzeta_parts, eta12, wp, wzeta
 
 __all__ = [
     "RationalPair",
@@ -273,32 +273,32 @@ def eval_g(p: RationalPair, tau: complex, tol: float = DEFAULT_TOL, **opts) -> C
     return wzeta(tau, p.point(complex(tau)), tol, **opts)
 
 
-def _g_part(p: RationalPair, tau: complex, part: float, **opts) -> CertifiedValue:
-    """g_(s,t) at a share of a tol checked against the floor, which the share may undercut."""
-    return _wzeta(tau, p.point(complex(tau)), part, **opts)
-
-
 def eval_h(r: int, p: RationalPair, tau: complex, tol: float = DEFAULT_TOL, **opts) -> CertifiedValue:
     """Modular weight-1 combination r*g_(s,t) - g_(rs,rt).
 
     Both parts are evaluated at tolerance tol/(|r|+1) so the certified error
-    of the difference stays below tol despite the cancellation.
+    of the difference stays below tol despite the cancellation; they share
+    one reduction of the lattice.  The share may undercut the tolerance floor.
     """
     _check_h(r, p)
     _check_args(tol, opts.get("route", "auto"))
-    part = tol / (abs(r) + 1)
-    return _g_part(p, tau, part, **opts) * r - _g_part(p.scaled(r), tau, part, **opts)
+    t = complex(tau)
+    gp, grp = _wzeta_parts(tau, (p.point(t), p.scaled(r).point(t)), tol / (abs(r) + 1), **opts)
+    return gp * r - grp
 
 
 def eval_hU(labels: Sequence[RationalPair], tau: complex, tol: float = DEFAULT_TOL, **opts) -> CertifiedValue:
-    """Sum of g over a tuple of labels whose exact sum is (0, 0)."""
+    """Sum of g over a tuple of labels whose exact sum is (0, 0).
+
+    Each g is evaluated at tol/len(labels), all on one reduction of the lattice.
+    """
     labels = tuple(labels)
     _check_hU(labels)
     _check_args(tol, opts.get("route", "auto"))
-    part = tol / len(labels)
+    t = complex(tau)
     acc = CertifiedValue.exact(0.0)
-    for u in labels:
-        acc = acc + _g_part(u, tau, part, **opts)
+    for cv in _wzeta_parts(tau, [u.point(t) for u in labels], tol / len(labels), **opts):
+        acc = acc + cv
     return acc
 
 

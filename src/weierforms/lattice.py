@@ -1,9 +1,10 @@
 """Lattices in the complex plane: bases, reduction, point reduction, geometry.
 
 A lattice is stored as an ordered generator pair (omega1, omega2) with
-Im(omega1/omega2) > 0.  ``reduce_lattice`` reduces a lattice and a point once,
-in exact integer arithmetic, and rounds each output once; its basis change is
-unimodular, so it never changes the underlying point set.
+Im(omega1/omega2) > 0.  ``reduce_points`` reduces a lattice once and each of
+a list of points in its reduced basis, in exact integer arithmetic, and
+rounds each output once (``reduce_lattice`` is its one-point case); the basis
+change is unimodular, so it never changes the underlying point set.
 """
 
 from __future__ import annotations
@@ -15,7 +16,15 @@ from functools import cached_property
 
 from .errors import DomainError
 
-__all__ = ["Lattice", "TauLattice", "LatticeGeometry", "Reduction", "reduce_lattice", "reduce_tau_matrix"]
+__all__ = [
+    "Lattice",
+    "TauLattice",
+    "LatticeGeometry",
+    "Reduction",
+    "reduce_lattice",
+    "reduce_points",
+    "reduce_tau_matrix",
+]
 
 
 _NORMAL_MIN = sys.float_info.min
@@ -46,9 +55,13 @@ class LatticeGeometry:
 
 
 def _edge_min(wa: complex, wb: complex) -> float:
-    # min over t in [-1, 1] of |wa + t*wb|; quadratic in t
-    denom = abs(wb) ** 2
-    t = -(wa.real * wb.real + wa.imag * wb.imag) / denom
+    # min over t in [-1, 1] of |wa + t*wb|, at t = -Re(wa conj wb) / |wb|^2
+    try:
+        t = -(wa.real * wb.real + wa.imag * wb.imag) / abs(wb) ** 2
+    except (OverflowError, ZeroDivisionError):
+        # |wb|^2 outside the float range (|wb| above ~1e154 or below ~1e-162):
+        # the same t as the real part of a quotient, which does not square |wb|
+        t = -(wa / wb).real
     t = max(-1.0, min(1.0, t))
     return abs(wa + t * wb)
 
@@ -175,41 +188,41 @@ def _nearest(num: int, den: int) -> int:
     return q - 1 if r == 0 and q % 2 else q
 
 
-def reduce_lattice(lat: Lattice, z: complex = 0j) -> Reduction:
-    """The exact reduction of ``lat`` and the point z (see :class:`Reduction`).
+def reduce_points(lat: Lattice, zs) -> list[Reduction]:
+    """The exact reductions of ``lat`` and each point of zs (see :class:`Reduction`).
 
-    omega1, omega2 and z are written as Gaussian integers over a common power
-    of two, the matrix is applied in integers, and each output component is
-    one correctly rounded int / int.
+    The lattice is reduced once: omega1, omega2 and the points are written as
+    Gaussian integers over one common power of two, the matrix is applied in
+    integers, and each output component is one correctly rounded int / int.
+    Every output is an exact rational rounded once, so each Reduction equals
+    the one-point reduction of its point; the Reductions share one ``basis``.
     """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"z must be finite, got {z!r}")
+    zs = [complex(z) for z in zs]
+    for z in zs:
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise DomainError(f"z must be finite, got {z!r}")
     matrix = a, b, c, d = reduce_tau_matrix(lat.tau)
-    ratios = [x.as_integer_ratio() for w in (lat.omega1, lat.omega2, z) for x in (w.real, w.imag)]
+    ratios = [x.as_integer_ratio() for w in (lat.omega1, lat.omega2, *zs) for x in (w.real, w.imag)]
     den = max(q for _, q in ratios)
-    w1r, w1i, w2r, w2i, zr, zi = (p * (den // q) for p, q in ratios)
+    w1r, w1i, w2r, w2i, *zints = (p * (den // q) for p, q in ratios)
     ar, ai = a * w1r + b * w2r, a * w1i + b * w2i
     jr, ji = c * w1r + d * w2r, c * w1i + d * w2i
     norm = jr * jr + ji * ji
     # Im(A conj J) > 0 in units of den**2: the coefficients of z in (A, J)
     # are Im(z conj J) / det and Im(A conj z) / det
     det = ai * jr - ar * ji
-    m = _nearest(zi * jr - zr * ji, det)
-    n = _nearest(ai * zr - ar * zi, det)
-    pr, pi = zr - m * ar - n * jr, zi - m * ai - n * ji
+    reds = []
     try:
+        tau = complex((ar * jr + ai * ji) / norm, det / norm)
         jj = complex(jr / den, ji / den)
-        red = Reduction(
-            matrix=matrix,
-            tau=complex((ar * jr + ai * ji) / norm, det / norm),
-            jj=jj,
-            basis=Lattice(complex(ar / den, ai / den), jj),
-            point=complex(pr / den, pi / den),
-            z0=complex((pr * jr + pi * ji) / norm, (pi * jr - pr * ji) / norm),
-            m=m,
-            n=n,
-        )
+        basis = Lattice(complex(ar / den, ai / den), jj)
+        for zr, zi in zip(zints[::2], zints[1::2]):
+            m = _nearest(zi * jr - zr * ji, det)
+            n = _nearest(ai * zr - ar * zi, det)
+            pr, pi = zr - m * ar - n * jr, zi - m * ai - n * ji
+            point = complex(pr / den, pi / den)
+            z0 = complex((pr * jr + pi * ji) / norm, (pi * jr - pr * ji) / norm)
+            reds.append(Reduction(matrix, tau, jj, basis, point, z0, m, n))
         in_range = norm / (den * den) >= _NORMAL_MIN
     except OverflowError:
         in_range = False
@@ -217,4 +230,9 @@ def reduce_lattice(lat: Lattice, z: complex = 0j) -> Reduction:
     # evaluators scale by J**-2
     if not in_range:
         raise DomainError(f"lattice ({lat.omega1!r}, {lat.omega2!r}) leaves the float range once reduced")
-    return red
+    return reds
+
+
+def reduce_lattice(lat: Lattice, z: complex = 0j) -> Reduction:
+    """The exact reduction of ``lat`` and the point z: the one-point :func:`reduce_points`."""
+    return reduce_points(lat, (z,))[0]

@@ -117,14 +117,24 @@ def _check_margin(lat: Lattice, z_bound: float) -> None:
 
 
 def _outside_coeffs(lat: Lattice) -> tuple[float, float, float, float]:
-    """(a_rows, b_rows, a_cols, b_cols) of the bound on Sum_out |w|^-4."""
+    """(a_rows, b_rows, a_cols, b_cols) of the bound on Sum_out |w|^-4.
+
+    Raises PrecisionError when one of them leaves the positive float range
+    (a basis far longer or shorter than 1e77), where no plan is derived.
+    """
     g = lat.geometry
-    return (
-        math.pi / (2.0 * abs(lat.omega1) * g.h2**3),
-        2.0 / (3.0 * g.h2**4),
-        math.pi / (2.0 * abs(lat.omega2) * g.h1**3),
-        2.0 / (3.0 * g.h1**4),
-    )
+    try:
+        coeffs = (
+            math.pi / (2.0 * abs(lat.omega1) * g.h2**3),
+            2.0 / (3.0 * g.h2**4),
+            math.pi / (2.0 * abs(lat.omega2) * g.h1**3),
+            2.0 / (3.0 * g.h1**4),
+        )
+    except (OverflowError, ZeroDivisionError):
+        coeffs = (math.inf,)
+    if not all(0.0 < c < math.inf for c in coeffs):
+        raise PrecisionError("shell route infeasible: the basis lies outside the planner's float range")
+    return coeffs
 
 
 def _pair_coeff(kind: str, r2: float) -> float:
@@ -157,7 +167,8 @@ def plan_truncation(
     shell; the box always contains the first shell and is large enough that
     |z/w| <= 1/2 on every point outside it.  Raises PrecisionError when the
     box would need max(c_max, d_max) > SHELL_CAP or more than POINT_BUDGET
-    points.
+    points, or when the basis lies outside the float range of the bound's
+    coefficients.
     """
     if kind not in _KINDS:
         raise DomainError(f"unknown summand kind {kind!r}")

@@ -215,11 +215,12 @@ def suite_theorem_hrst(config: RunConfig) -> SuiteReport:
     taus = [_random_tau(rng) for _ in range(10)]
     rows = []
     for r, p in pairs:
+        # the unslashed side depends on tau only
+        rhs_at = [eval_h(r, p, tau, tol) for tau in taus]
         for _ in range(20):
             mat = random_in_group(rng, lambda m: gamma_st_contains(p, m))
-            for tau in taus:
+            for tau, rhs in zip(taus, rhs_at):
                 lhs = slash(lambda w, tt: eval_h(r, p, w, tt), 1, mat, tau, tol)
-                rhs = eval_h(r, p, tau, tol)
                 inputs = {"r": r, "p": str(p), "A": str(mat), "tau": _fmt_c(tau)}
                 rows.append(_agreement(f"hrst-{len(rows):04d}", inputs, rhs, lhs))
     return SuiteReport("theorem-hrst", config.seed, tuple(rows))
@@ -240,11 +241,11 @@ def suite_theorem_hU(config: RunConfig) -> SuiteReport:
         random_in_group(rng, lambda m: principal_congruence_contains(3, m)) for _ in range(20)
     ]
     labels = ",".join(str(u) for u in _HU_LABELS)
+    rhs_at = [eval_hU(_HU_LABELS, tau, tol) for tau in taus]
     rows = []
     for mat in mats:
-        for tau in taus:
+        for tau, rhs in zip(taus, rhs_at):
             lhs = slash(lambda w, tt: eval_hU(_HU_LABELS, w, tt), 1, mat, tau, tol)
-            rhs = eval_hU(_HU_LABELS, tau, tol)
             inputs = {"U": labels, "A": str(mat), "tau": _fmt_c(tau)}
             rows.append(_agreement(f"hU-{len(rows):04d}", inputs, rhs, lhs))
     return SuiteReport("theorem-hU", config.seed, tuple(rows))

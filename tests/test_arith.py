@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 from math import comb
 
@@ -169,6 +172,34 @@ class TestCertifiedValue:
             CertifiedValue(0.0, math.inf)
         with pytest.raises(DomainError):
             CertifiedValue(0.0, math.nan)
+
+    @pytest.mark.parametrize("err", [-1e-300, -math.inf, "nan", "inf"])
+    def test_more_invalid_errors_rejected(self, err):
+        with pytest.raises(DomainError):
+            CertifiedValue(0.0, err)
+
+    def test_immutable(self):
+        a = CertifiedValue(1 + 2j, 0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.value = 0j
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.error = 0.0
+        with pytest.raises((AttributeError, TypeError)):
+            a.extra = 1
+
+    def test_equality_hash_and_repr(self):
+        a = CertifiedValue(1, 0)
+        assert (type(a.value), type(a.error)) == (complex, float)
+        assert a == CertifiedValue(1 + 0j, 0.0) == CertifiedValue(1, -0.0)
+        assert a != CertifiedValue(1 + 0j, 1e-300)
+        assert hash(a) == hash((1 + 0j, 0.0))
+        assert repr(a) == "CertifiedValue(value=(1+0j), error=0.0)"
+        assert repr(CertifiedValue(-0.5j, 2.5e-9)) == "CertifiedValue(value=(-0-0.5j), error=2.5e-09)"
+
+    def test_copy_and_pickle_round_trip(self):
+        a = CertifiedValue(3.25 - 1e-300j, 1.5e-12)
+        for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert b == a and hash(b) == hash(a) and repr(b) == repr(a)
 
     def test_abs_bounds_and_agreement(self):
         a = CertifiedValue(3 + 4j, 0.5)

@@ -216,6 +216,15 @@ class TestTableCommand:
         assert code == 2
         assert "--Y" in json.loads(out)["error"]["message"]
 
+    def test_huge_height_rows(self, tmp_path, capsys):
+        # tau = 1e200 i: the reduced basis is far outside the shell planner's
+        # float range, and the series route never builds its geometry
+        grid = tmp_path / "grid.txt"
+        grid.write_text("f 0 1/2\nf 1/3 1/3\nh 0 1/3 2\n")
+        code, out = run_cli(capsys, "table", "--grid", str(grid), "--Y", "1e200", "--format", "json")
+        assert code == 0
+        assert [row["status"] for row in json.loads(out)["rows"]] == ["pass"] * 3
+
     def test_infinite_height_rejected(self, tmp_path, capsys):
         grid = tmp_path / "grid.txt"
         grid.write_text("f 0 1/2\n")

@@ -10,6 +10,7 @@ import pytest
 from weierforms import (
     DomainError,
     Lattice,
+    PoleError,
     PrecisionError,
     describe_route,
     eta12,
@@ -113,6 +114,36 @@ class TestTinyLattices:
     def test_out_of_float_range(self, fn, args):
         with pytest.raises(DomainError, match="leaves the float range once reduced"):
             fn(*args)
+
+
+class TestHugeLattices:
+    # generators beyond ~1e154 (|w|**2 overflows) or the planner's powers
+    # h**3, h**4 of the line distances beyond the float range
+    def test_geometry_of_a_long_basis(self):
+        g = Lattice(1e155j, 1.0).geometry
+        assert (g.e1, g.e2, g.h1, g.h2, g.delta) == (1e155, 1.0, 1e155, 1.0, 1.0)
+        # |omega1|^2 underflows to 0
+        g = Lattice(1e-170j, 1.0).geometry
+        assert (g.e1, g.e2, g.h1, g.h2, g.delta) == (1e-170, 1.0, 1e-170, 1.0, 1e-170)
+
+    def test_series_route_values(self):
+        for route in ("auto", "series"):
+            # the limit Im tau -> oo: pi^2 / sin^2(pi z) - pi^2 / 3
+            cv = wp(1e155j, 0.1, 1e-8, route=route)
+            limit = (math.pi / math.sin(0.1 * math.pi)) ** 2 - math.pi**2 / 3.0
+            assert abs(cv.value - limit) <= cv.error + 1e-12
+
+    @pytest.mark.parametrize("tau", [1e155j, 1e80j, 1e200j])
+    def test_shell_route_refused(self, tau):
+        with pytest.raises(PrecisionError, match="float range"):
+            wp(tau, 0.1, 1e-8, route="shell")
+        with pytest.raises(PrecisionError, match="float range"):
+            wzeta_lattice(Lattice(tau, 1.0), 0.1, 1e-8, route="shell")
+        assert describe_route(Lattice(tau, 1.0), 0.1, route="shell") == {"route": "shell", "feasible": False}
+
+    def test_pole_guard_on_a_long_basis(self):
+        with pytest.raises(PoleError):
+            wp(1e155j, 1e-12, 1e-8)
 
 
 class TestStripPreconditions:

@@ -11,8 +11,10 @@ from weierforms import (
     IDENTITY,
     S_MATRIX,
     T_MATRIX,
+    CertifiedValue,
     DomainError,
     FormSpec,
+    PrecisionError,
     ModularMatrix,
     RationalPair,
     defect_coefficients,
@@ -29,6 +31,7 @@ from weierforms import (
     random_in_group,
     random_sl2,
     slash,
+    wzeta,
 )
 
 from oracles import GOLDEN, GOLDEN_BAND
@@ -250,6 +253,44 @@ class TestEvaluators:
         hu = eval_hU(labels, tau, 1e-10)
         h2 = eval_h(2, pair(0, Fraction(1, 3)), tau, 1e-10)
         assert abs(hu.value - h2.value) <= hu.error + h2.error + 1e-12
+
+    # (route, tol, cases): the shell route at a coarse tol (each call sums
+    # several boxes), the series route down to the smallest tol whose parts
+    # still meet the public floor
+    @pytest.mark.parametrize(
+        "route,tol,cases", [("shell", 1e-4, 2), ("series", 1e-8, 12), ("series", 5e-12, 12)]
+    )
+    def test_shared_reduction_is_bit_identical(self, route, tol, cases):
+        # eval_h and eval_hU reduce the lattice once for all their parts; the
+        # result equals the same combination of one-point wzeta calls exactly
+        def outcome(fn):
+            try:
+                cv = fn()
+            except PrecisionError as exc:  # the shell route refuses a wide point
+                return str(exc)
+            return repr(cv.value), repr(cv.error)
+
+        def g(u, part):
+            return wzeta(tau, u.point(tau), part, route=route)
+
+        def g_sum(labels, part):
+            acc = CertifiedValue.exact(0.0)
+            for u in labels:
+                acc = acc + g(u, part)
+            return acc
+
+        rng = random.Random(9)
+        for _ in range(cases):
+            tau = complex(rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-1.5, 0.5))
+            p = pair(Fraction(rng.randrange(-5, 6), 6), Fraction(rng.randrange(1, 5), 5))
+            r = rng.choice((-2, 2, 3))
+            part = tol / (abs(r) + 1)
+            got = outcome(lambda: eval_h(r, p, tau, tol, route=route))
+            assert got == outcome(lambda: g(p, part) * r - g(p.scaled(r), part)), (tau, p, r)
+            q = pair(Fraction(rng.randrange(-3, 4), 4), Fraction(rng.randrange(1, 3), 3))
+            labels = (p, q, pair(-p.s - q.s, -p.t - q.t))
+            got = outcome(lambda: eval_hU(labels, tau, tol, route=route))
+            assert got == outcome(lambda: g_sum(labels, tol / 3)), (tau, labels)
 
     def test_defect_coefficients_integrality(self):
         p = pair(0, Fraction(1, 2))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -24,7 +25,8 @@ from weierforms import (
     wzeta,
     wzeta_lattice,
 )
-from weierforms.lattice import reduce_lattice, reduce_tau_matrix
+from weierforms.evaluate import POLE_RTOL
+from weierforms.lattice import reduce_lattice, reduce_points, reduce_tau_matrix
 from weierforms.shells import _bulk_abs_bound
 
 from oracles import GOLDEN, GOLDEN_BAND, brute_wp, brute_wzeta
@@ -413,6 +415,28 @@ class TestErrors:
         else:
             pytest.fail("expected PoleError")
 
+    @pytest.mark.parametrize("corner", [0j, 2.0 * (0.5 + 0.87j) + 1.0, -(0.5 + 0.87j)])
+    def test_pole_guard_on_sheared_basis(self, corner):
+        # tau near the corner of the fundamental domain: delta (min over the
+        # basis edges) is well below |J| = 1, so the guard's |J| prefilter must
+        # not decide on its own
+        tau = 0.5 + 0.87j
+        delta = reduce_lattice(Lattice(tau, 1.0)).basis.geometry.delta
+        assert delta < 0.9
+        direction = cmath.exp(0.3j)
+        near = corner + 0.99 * POLE_RTOL * delta * direction
+        for call in (
+            lambda z: wp(tau, z, 1e-8),
+            lambda z: wzeta(tau, z, 1e-8),
+            lambda z: wp_lattice(Lattice(tau, 1.0), z, 1e-8),
+        ):
+            with pytest.raises(PoleError) as info:
+                call(near)
+            assert info.value.nearest == near - reduce_lattice(Lattice(tau, 1.0), near).point
+            assert abs(info.value.nearest - corner) < 1e-15
+            cv = call(corner + 1.01 * POLE_RTOL * delta * direction)
+            assert cmath.isfinite(cv.value)
+
     def test_tolerance_floor(self):
         with pytest.raises(DomainError):
             wp(1j, 0.5, 1e-13)
@@ -475,20 +499,23 @@ def _random_unimodular(rng: random.Random) -> tuple[int, int, int, int]:
     return a, b, c, d
 
 
+def _random_bases(seed: int, count: int = 300):
+    """(lat, tau, w2): Im tau down to 1e-4; half the bases are tau*Z + Z itself,
+    half that lattice rotated, scaled by w2 and given in a random unimodular basis."""
+    rng = random.Random(seed)
+    for k in range(count):
+        tau = complex(rng.uniform(-1.5, 1.5), 10.0 ** rng.uniform(-4.0, 0.5))
+        if k % 2:
+            w2 = cmath.rect(2.0 ** rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0 * math.pi))
+            p, q, r, s = _random_unimodular(rng)
+            yield rng, Lattice(p * tau * w2 + q * w2, r * tau * w2 + s * w2), tau, w2
+        else:
+            yield rng, Lattice(tau, 1.0), tau, 1.0
+
+
 class TestReduction:
     def test_exact_reduction_matches_fractions(self):
-        # Im tau down to 1e-4; half the bases are tau*Z + Z itself, half that
-        # lattice rotated, scaled and given in a random unimodular basis
-        rng = random.Random(20261018)
-        for k in range(300):
-            tau = complex(rng.uniform(-1.5, 1.5), 10.0 ** rng.uniform(-4.0, 0.5))
-            if k % 2:
-                w2 = cmath.rect(2.0 ** rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0 * math.pi))
-                p, q, r, s = _random_unimodular(rng)
-                lat = Lattice(p * tau * w2 + q * w2, r * tau * w2 + s * w2)
-            else:
-                w2 = 1.0
-                lat = Lattice(tau, 1.0)
+        for rng, lat, tau, w2 in _random_bases(20261018):
             z = (rng.uniform(-1.5, 1.5) * tau + rng.uniform(-1.5, 1.5)) * w2
             red = reduce_lattice(lat, z)
             ref = _fraction_reduction(lat, z)
@@ -505,6 +532,22 @@ class TestReduction:
             assert got == ref, (lat, z)
             assert red.basis.omega2 == red.jj
             assert abs(red.tau.real) <= 0.5 + 1e-9 and abs(red.tau) >= 1.0 - 1e-9
+
+    def test_shared_reduction_matches_one_point_calls(self):
+        # the points of one call share the lattice reduction and a common
+        # denominator; each Reduction is still the one-point result, bit for bit
+        for rng, lat, tau, w2 in _random_bases(20261019):
+            zs = [
+                (rng.uniform(-2.5, 2.5) * tau + rng.uniform(-2.5, 2.5)) * w2
+                for _ in range(rng.randint(1, 4))
+            ]
+            reds = reduce_points(lat, zs)
+            assert len(reds) == len(zs)
+            for z, red in zip(zs, reds):
+                one = reduce_lattice(lat, z)
+                for field in dataclasses.fields(one):
+                    got, want = getattr(red, field.name), getattr(one, field.name)
+                    assert repr(got) == repr(want), (lat, z, field.name)
 
     def test_reduction_ties_round_to_even(self):
         red = reduce_lattice(Lattice(1j, 1.0), 0.5 + 1.5j)
