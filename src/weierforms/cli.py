@@ -1,8 +1,9 @@
 """Command-line front end: evaluation, verification suites, cusp tables.
 
-Output is deterministic for a fixed (argv, config, seed): rows keep their
-generation order, floats are printed with round-trip precision, and no
-timestamps or environment state enter the reports.
+Output is deterministic for a fixed argv: rows keep their generation order,
+floats are printed with round-trip precision, and no timestamps or
+environment state enter the reports.  The parsed flags are a run's only
+settings.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ import re
 import sys
 
 from .arith import as_rational
-from .config import RunConfig, load_config
 from .cusp import cusp_report
 from .errors import WeierError
-from .evaluate import describe_route, wp_lattice, wzeta_lattice
+from .evaluate import _ROUTES, DEFAULT_TOL, _check_args, describe_route, wp_lattice, wzeta_lattice
 from .forms import FormSpec, RationalPair
 from .lattice import Lattice
 from .verify import SUITES, VerifyRow, run_suite
@@ -75,13 +75,18 @@ def _row_payload(row: VerifyRow) -> dict:
     }
 
 
-def _emit(command: str, config: RunConfig, rows: list[VerifyRow], notes: tuple[str, ...] = (), stream=None) -> None:
+def _emit(command: str, args, rows: list[VerifyRow], notes: tuple[str, ...] = (), stream=None) -> None:
     out = stream or sys.stdout
-    fmt = config.output_format
+    fmt = args.output_format
     if fmt == "json":
         doc = {
             "command": command,
-            "config": config.as_dict(),
+            "config": {
+                "tolerance": args.tol,
+                "output_format": fmt,
+                "seed": args.seed,
+                "route": args.route,
+            },
             "rows": [_row_payload(r) for r in rows],
         }
         if notes:
@@ -113,13 +118,13 @@ def _emit(command: str, config: RunConfig, rows: list[VerifyRow], notes: tuple[s
             out.write(f"# {note}\n")
 
 
-def _error_record(command: str, config: RunConfig | None, exc: Exception, stream=None) -> None:
+def _error_record(command: str, text: bool, exc: Exception, stream=None) -> None:
     out = stream or sys.stdout
     record = {
         "command": command,
         "error": {"type": type(exc).__name__, "message": str(exc)},
     }
-    if config is not None and config.output_format == "text":
+    if text:
         print(f"error: {record['error']['type']}: {record['error']['message']}", file=sys.stderr)
     else:
         json.dump(record, out)
@@ -153,20 +158,20 @@ def _form_from_args(args) -> tuple[str, FormSpec | None]:
     return kind, None
 
 
-def cmd_eval(args, config: RunConfig) -> int:
+def cmd_eval(args) -> int:
     kind, form = _form_from_args(args)
     if form is not None:
         if args.tau is None:
             raise WeierError(f"eval {kind} requires --tau")
         tau = parse_complex(args.tau)
-        cv = form.evaluate(tau, config.tolerance, route=config.route)
+        cv = form.evaluate(tau, args.tol, route=args.route)
         z_point = form.p.point(tau) if form.p is not None else None
         lat = Lattice(tau, 1.0)
         plan = describe_route(
             lat,
             z_point if z_point is not None else 0.25,
-            config.tolerance,
-            route=config.route,
+            args.tol,
+            route=args.route,
             kind="wp" if kind == "f" else "wzeta",
         )
         inputs = {"form": form.describe(), "tau": format_complex(tau)}
@@ -181,8 +186,8 @@ def cmd_eval(args, config: RunConfig) -> int:
         else:
             raise WeierError(f"eval {kind} requires --tau or both --omega1/--omega2")
         fn = wp_lattice if kind == "wp" else wzeta_lattice
-        cv = fn(lat, z, config.tolerance, route=config.route)
-        plan = describe_route(lat, z, config.tolerance, route=config.route, kind=kind)
+        cv = fn(lat, z, args.tol, route=args.route)
+        plan = describe_route(lat, z, args.tol, route=args.route, kind=kind)
         inputs = {
             "omega1": format_complex(lat.omega1),
             "omega2": format_complex(lat.omega2),
@@ -198,7 +203,7 @@ def cmd_eval(args, config: RunConfig) -> int:
         residual=None,
         status="ok",
     )
-    _emit("eval", config, [row])
+    _emit("eval", args, [row])
     return 0
 
 
@@ -206,10 +211,10 @@ def cmd_eval(args, config: RunConfig) -> int:
 # verify command
 
 
-def cmd_verify(args, config: RunConfig) -> int:
-    report = run_suite(args.suite, config)
+def cmd_verify(args) -> int:
+    report = run_suite(args.suite, args.seed, args.tol)
     summary = f"{report.suite}: {report.passed}/{len(report.rows)} checks passed (seed {report.seed})"
-    _emit(f"verify {args.suite}", config, list(report.rows), notes=report.notes + (summary,))
+    _emit(f"verify {args.suite}", args, list(report.rows), notes=report.notes + (summary,))
     return 0 if report.ok else 1
 
 
@@ -226,7 +231,7 @@ def _parse_grid_line(line: str, lineno: int) -> FormSpec:
     raise WeierError(f"grid line {lineno}: expected 'f s t' or 'h s t r', got {line!r}")
 
 
-def cmd_table(args, config: RunConfig) -> int:
+def cmd_table(args) -> int:
     try:
         with open(args.grid, "r", encoding="utf-8") as fh:
             raw_lines = fh.readlines()
@@ -264,7 +269,7 @@ def cmd_table(args, config: RunConfig) -> int:
             continue
         for y in heights:
             try:
-                rep = cusp_report(form, y, config.tolerance)
+                rep = cusp_report(form, y, args.tol)
             except WeierError as exc:
                 rows.append(error_row({"form": form.describe(), "Y": y}, exc))
                 continue
@@ -284,7 +289,7 @@ def cmd_table(args, config: RunConfig) -> int:
                     status="pass" if rep.valid else "fail",
                 )
             )
-    _emit("table", config, rows)
+    _emit("table", args, rows)
     return 0 if all(r.passed for r in rows) else 1
 
 
@@ -293,12 +298,12 @@ def cmd_table(args, config: RunConfig) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # every command takes --tol and --format; eval alone --route, verify alone
+    # --seed.  The JSON config block reports "auto" and 0 for the ones a
+    # command does not take: the values it runs with.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None, help="absolute tolerance (default 1e-8)")
-    common.add_argument("--seed", type=int, default=None, help="seed for the property harness")
-    common.add_argument("--format", choices=("json", "csv", "text"), default=None, dest="output_format")
-    common.add_argument("--route", choices=("auto", "shell", "series"), default=None)
-    common.add_argument("--config", default=None, help="key=value config file")
+    common.add_argument("--tol", type=float, default=DEFAULT_TOL, help="absolute tolerance (default %(default)s)")
+    common.add_argument("--format", choices=("json", "csv", "text"), default="text", dest="output_format")
 
     parser = argparse.ArgumentParser(
         prog="weierforms",
@@ -316,34 +321,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--omega1", default=None)
     p_eval.add_argument("--omega2", default=None)
     p_eval.add_argument("--z", default=None, help="evaluation point for wp/wzeta")
-    p_eval.set_defaults(handler=cmd_eval)
+    p_eval.add_argument("--route", choices=_ROUTES, default="auto")
+    p_eval.set_defaults(handler=cmd_eval, seed=0)
 
     p_verify = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p_verify.add_argument("suite", choices=sorted(SUITES))
-    p_verify.set_defaults(handler=cmd_verify)
+    p_verify.add_argument("--seed", type=int, default=0, help="seed for the property harness")
+    p_verify.set_defaults(handler=cmd_verify, route="auto")
 
     p_table = sub.add_parser("table", parents=[common], help="cusp-value table for a label grid")
     p_table.add_argument("--grid", required=True, help="file with lines 'f s t' or 'h s t r'")
     p_table.add_argument("--Y", default="20", help="comma-separated heights, e.g. 5,10,20")
-    p_table.set_defaults(handler=cmd_table)
+    p_table.set_defaults(handler=cmd_table, seed=0, route="auto")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    config = None
+    args = _build_parser().parse_args(argv)
+    # a tolerance below the floor is reported as JSON on stdout in every format
+    text = False
     try:
-        overrides = {
-            "tolerance": args.tol,
-            "seed": args.seed,
-            "output_format": args.output_format,
-            "route": args.route,
-        }
-        config = load_config(args.config, overrides)
-        return args.handler(args, config)
+        _check_args(args.tol, args.route)
+        text = args.output_format == "text"
+        return args.handler(args)
     except WeierError as exc:
-        _error_record(args.command, config, exc)
+        _error_record(args.command, text, exc)
         return 2
 
 

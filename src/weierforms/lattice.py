@@ -81,7 +81,11 @@ class Lattice:
         w1 = complex(self.omega1)
         w2 = complex(self.omega2)
         d = _imag_product(w1, w2)
-        scale = abs(w1) * abs(w2)
+        try:
+            scale = abs(w1) * abs(w2)
+        except OverflowError:
+            # abs() of a finite generator whose modulus exceeds the float range
+            raise DomainError(f"generator modulus outside the float range: ({w1!r}, {w2!r})") from None
         if scale == 0.0 or abs(d) <= 1e-15 * scale:
             raise DomainError("generators must be R-linearly independent and nonzero")
         if d < 0.0:

@@ -58,6 +58,7 @@ terms in closed form and steps d_max up until the bound holds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,12 @@ POINT_BUDGET = 800_000_000
 
 # summand kind -> p, the power of |z| in the pair majorant
 _KINDS = {"wp": 2, "wzeta": 3}
+# summand kind -> the largest |w| on which the kernel's denominator,
+# (z^2 - w^2)^2 w^2 (wp) resp. (z^2 - w^2) w^2 (wzeta), stays in the float
+# range: |z| <= |w| gives |z^2 - w^2| <= 2|w|^2, so it and its partial products
+# are at most 4 |w|^6 resp. 2 |w|^4; a factor 2 covers the margin slack and rounding
+_W_RANGE = {"wp": (sys.float_info.max / 8.0) ** (1.0 / 6.0), "wzeta": (sys.float_info.max / 8.0) ** 0.25}
+_OUT_OF_RANGE = "shell route infeasible: the basis lies outside the planner's float range"
 _MARGIN_SLACK = 1.0 + 1e-12
 # half-box points per numpy block
 _BLOCK_POINTS = 1 << 15
@@ -133,8 +140,18 @@ def _outside_coeffs(lat: Lattice) -> tuple[float, float, float, float]:
     except (OverflowError, ZeroDivisionError):
         coeffs = (math.inf,)
     if not all(0.0 < c < math.inf for c in coeffs):
-        raise PrecisionError("shell route infeasible: the basis lies outside the planner's float range")
+        raise PrecisionError(_OUT_OF_RANGE)
     return coeffs
+
+
+def _check_kernel_range(lat: Lattice, kind: str, c_max: int, d_max: int) -> None:
+    """Raise PrecisionError when the kernel would leave the float range on the box.
+
+    |w| is convex in (c, d), so its largest value on the box is at a corner.
+    """
+    cw1, dw2 = c_max * lat.omega1, d_max * lat.omega2
+    if max(abs(cw1 + dw2), abs(cw1 - dw2)) > _W_RANGE[kind]:
+        raise PrecisionError(_OUT_OF_RANGE)
 
 
 def _pair_coeff(kind: str, r2: float) -> float:
@@ -168,7 +185,7 @@ def plan_truncation(
     |z/w| <= 1/2 on every point outside it.  Raises PrecisionError when the
     box would need max(c_max, d_max) > SHELL_CAP or more than POINT_BUDGET
     points, or when the basis lies outside the float range of the bound's
-    coefficients.
+    coefficients or the box outside that of the kernel.
     """
     if kind not in _KINDS:
         raise DomainError(f"unknown summand kind {kind!r}")
@@ -206,6 +223,7 @@ def plan_truncation(
         if tail <= tol:
             break
         d += 1
+    _check_kernel_range(lat, kind, c, d)
     plan = TruncationPlan(c, d, tail, g.delta, kind, z_bound)
     if plan.point_count > POINT_BUDGET:
         raise PrecisionError(f"shell route needs {plan.point_count:,} points, over the budget {POINT_BUDGET:,}")

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import CertifiedValue, bernoulli, zeta_even, zeta_even_coefficient, zeta_r_enclosure
-from .config import RunConfig
 from .cusp import (
     CuspValueReport,
     cusp_report,
@@ -38,7 +37,7 @@ from .cusp import (
     verify_zeta2_recovery,
 )
 from .errors import DomainError
-from .evaluate import eta12
+from .evaluate import DEFAULT_TOL, _check_args, eta12
 from .forms import (
     IDENTITY,
     S_MATRIX,
@@ -143,9 +142,9 @@ def _agreement(
     )
 
 
-def _covariance_suite(name: str, weight: int, config: RunConfig, instances: int = 200) -> SuiteReport:
-    rng = random.Random(config.seed)
-    tol = min(config.tolerance, 1e-9)
+def _covariance_suite(name: str, weight: int, seed: int, tol: float, instances: int = 200) -> SuiteReport:
+    rng = random.Random(seed)
+    tol = min(tol, 1e-9)
     evaluator = eval_f if weight == 2 else eval_g
     rows = []
     for idx in range(instances):
@@ -154,22 +153,22 @@ def _covariance_suite(name: str, weight: int, config: RunConfig, instances: int 
         rhs = evaluator(pair_act(p, mat), tau, tol)
         inputs = {"p": str(p), "A": str(mat), "tau": _fmt_c(tau)}
         rows.append(_agreement(f"{name}-{idx:03d}", inputs, lhs, rhs, slack=1e-9))
-    return SuiteReport(name, config.seed, tuple(rows))
+    return SuiteReport(name, seed, tuple(rows))
 
 
-def suite_lemma_fsta(config: RunConfig) -> SuiteReport:
-    return _covariance_suite("lemma-fsta", 2, config)
+def suite_lemma_fsta(seed: int, tol: float) -> SuiteReport:
+    return _covariance_suite("lemma-fsta", 2, seed, tol)
 
 
-def suite_lemma_gsta(config: RunConfig) -> SuiteReport:
-    return _covariance_suite("lemma-gsta", 1, config)
+def suite_lemma_gsta(seed: int, tol: float) -> SuiteReport:
+    return _covariance_suite("lemma-gsta", 1, seed, tol)
 
 
-def suite_defect_gstt(config: RunConfig) -> SuiteReport:
+def suite_defect_gstt(seed: int, tol: float) -> SuiteReport:
     """g is not invariant under its stabilizer: the defect is u*eta1 + v*eta2
     with exact integers u, v read off the matrix."""
-    rng = random.Random(config.seed)
-    tol = min(config.tolerance, 1e-9)
+    rng = random.Random(seed)
+    tol = min(tol, 1e-9)
     labels = [
         RationalPair.of(0, Fraction(1, 2)),
         RationalPair.of(0, Fraction(1, 3)),
@@ -201,12 +200,12 @@ def suite_defect_gstt(config: RunConfig) -> SuiteReport:
         predicted = base + eta1 * int(u) + eta2 * int(v)
         inputs = {"p": str(p), "A": str(mat), "tau": _fmt_c(tau), "u": int(u), "v": int(v)}
         rows.append(_agreement(f"defect-{idx:03d}", inputs, lhs, predicted))
-    return SuiteReport("defect-gstt", config.seed, tuple(rows))
+    return SuiteReport("defect-gstt", seed, tuple(rows))
 
 
-def suite_theorem_hrst(config: RunConfig) -> SuiteReport:
-    rng = random.Random(config.seed)
-    tol = min(config.tolerance, 1e-9)
+def suite_theorem_hrst(seed: int, tol: float) -> SuiteReport:
+    rng = random.Random(seed)
+    tol = min(tol, 1e-9)
     pairs = [
         (2, RationalPair.of(0, Fraction(1, 3))),
         (3, RationalPair.of(0, Fraction(1, 5))),
@@ -223,7 +222,7 @@ def suite_theorem_hrst(config: RunConfig) -> SuiteReport:
                 lhs = slash(lambda w, tt: eval_h(r, p, w, tt), 1, mat, tau, tol)
                 inputs = {"r": r, "p": str(p), "A": str(mat), "tau": _fmt_c(tau)}
                 rows.append(_agreement(f"hrst-{len(rows):04d}", inputs, rhs, lhs))
-    return SuiteReport("theorem-hrst", config.seed, tuple(rows))
+    return SuiteReport("theorem-hrst", seed, tuple(rows))
 
 
 _HU_LABELS = (
@@ -233,9 +232,9 @@ _HU_LABELS = (
 )
 
 
-def suite_theorem_hU(config: RunConfig) -> SuiteReport:
-    rng = random.Random(config.seed)
-    tol = min(config.tolerance, 1e-9)
+def suite_theorem_hU(seed: int, tol: float) -> SuiteReport:
+    rng = random.Random(seed)
+    tol = min(tol, 1e-9)
     taus = [_random_tau(rng) for _ in range(10)]
     mats = [
         random_in_group(rng, lambda m: principal_congruence_contains(3, m)) for _ in range(20)
@@ -248,7 +247,7 @@ def suite_theorem_hU(config: RunConfig) -> SuiteReport:
             lhs = slash(lambda w, tt: eval_hU(_HU_LABELS, w, tt), 1, mat, tau, tol)
             inputs = {"U": labels, "A": str(mat), "tau": _fmt_c(tau)}
             rows.append(_agreement(f"hU-{len(rows):04d}", inputs, rhs, lhs))
-    return SuiteReport("theorem-hU", config.seed, tuple(rows))
+    return SuiteReport("theorem-hU", seed, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +282,17 @@ _CUSP_F_GRID = (
 )
 
 
-def suite_cusp_f(config: RunConfig) -> SuiteReport:
-    tol = min(config.tolerance, 1e-8)
+def suite_cusp_f(seed: int, tol: float) -> SuiteReport:
+    tol = min(tol, 1e-8)
     rows = [
         _cusp_row(f"cusp-f-{i}", cusp_report(FormSpec.wp_form(s, t), 20.0, tol))
         for i, (s, t) in enumerate(_CUSP_F_GRID)
     ]
-    return SuiteReport("cusp-f", config.seed, tuple(rows))
+    return SuiteReport("cusp-f", seed, tuple(rows))
 
 
-def suite_cusp_h(config: RunConfig) -> SuiteReport:
-    tol = min(config.tolerance, 1e-8)
+def suite_cusp_h(seed: int, tol: float) -> SuiteReport:
+    tol = min(tol, 1e-8)
     rows = []
     notes = []
 
@@ -338,7 +337,7 @@ def suite_cusp_h(config: RunConfig) -> SuiteReport:
                     detail="max |(h|rep)(iY)| over the sampled heights",
                 )
             )
-    return SuiteReport("cusp-h", config.seed, tuple(rows), tuple(notes))
+    return SuiteReport("cusp-h", seed, tuple(rows), tuple(notes))
 
 
 def _modulus_row(rep: CuspValueReport) -> VerifyRow:
@@ -360,8 +359,8 @@ def _modulus_row(rep: CuspValueReport) -> VerifyRow:
     )
 
 
-def suite_zeta2(config: RunConfig) -> SuiteReport:
-    report = verify_zeta2_recovery(tolerance=1e-8, tol=min(config.tolerance, 1e-8))
+def suite_zeta2(seed: int, tol: float) -> SuiteReport:
+    report = verify_zeta2_recovery(tolerance=1e-8, tol=min(tol, 1e-8))
     rows = [
         VerifyRow(
             id=f"zeta2-Y{int(row.Y)}",
@@ -387,10 +386,10 @@ def suite_zeta2(config: RunConfig) -> SuiteReport:
             detail="implied zeta_R(2) at the largest height against its tolerance",
         )
     )
-    return SuiteReport("zeta2", config.seed, tuple(rows))
+    return SuiteReport("zeta2", seed, tuple(rows))
 
 
-def suite_eies_bound(config: RunConfig) -> SuiteReport:
+def suite_eies_bound(seed: int, tol: float) -> SuiteReport:
     rows = []
     for k in (3, 4, 5):
         for y in (1.0, 2.0, 5.0, 10.0):
@@ -407,7 +406,7 @@ def suite_eies_bound(config: RunConfig) -> SuiteReport:
                     status="pass" if truncated < bound else "fail",
                 )
             )
-    return SuiteReport("eies-bound", config.seed, tuple(rows))
+    return SuiteReport("eies-bound", seed, tuple(rows))
 
 
 _IDENTITY_TS = (
@@ -420,7 +419,7 @@ _IDENTITY_TS = (
 )
 
 
-def suite_identities(config: RunConfig) -> SuiteReport:
+def suite_identities(seed: int, tol: float) -> SuiteReport:
     rows = []
     for t in _IDENTITY_TS:
         series = cusp_value_f_series(t, 80)
@@ -468,7 +467,7 @@ def suite_identities(config: RunConfig) -> SuiteReport:
                 status="pass" if agree and exact_ok else "fail",
             )
         )
-    return SuiteReport("identities", config.seed, tuple(rows))
+    return SuiteReport("identities", seed, tuple(rows))
 
 
 SUITES = {
@@ -485,9 +484,12 @@ SUITES = {
 }
 
 
-def run_suite(name: str, config: RunConfig) -> SuiteReport:
+def run_suite(name: str, seed: int = 0, tol: float = DEFAULT_TOL) -> SuiteReport:
+    """Run the named suite; ``seed`` drives its random instances and ``tol``
+    (at least TOL_FLOOR) caps the tolerance of every evaluation."""
+    _check_args(tol, "auto")
     try:
         fn = SUITES[name]
     except KeyError:
         raise DomainError(f"unknown suite {name!r}; choose from {sorted(SUITES)}") from None
-    return fn(config)
+    return fn(seed, tol)

@@ -19,7 +19,6 @@ from weierforms import (
     shell_sum,
     shell_value,
 )
-from weierforms.config import RunConfig
 
 PI = math.pi
 
@@ -73,9 +72,8 @@ def test_criterion_3_nonintegral_s_branch_and_zeta2():
 
 def test_criterion_4_covariance_suites():
     t0 = time.perf_counter()
-    cfg = RunConfig(seed=0)
-    rep_f = run_suite("lemma-fsta", cfg)
-    rep_g = run_suite("lemma-gsta", cfg)
+    rep_f = run_suite("lemma-fsta", seed=0)
+    rep_g = run_suite("lemma-gsta", seed=0)
     elapsed = time.perf_counter() - t0
     assert len(rep_f.rows) == 200 and rep_f.failed == 0
     assert len(rep_g.rows) == 200 and rep_g.failed == 0
@@ -88,14 +86,14 @@ def test_criterion_4_covariance_suites():
 
 
 def test_criterion_5_defect_suite():
-    rep = run_suite("defect-gstt", RunConfig(seed=0))
+    rep = run_suite("defect-gstt", seed=0)
     assert len(rep.rows) == 50 and rep.failed == 0
     _report(5, "quasi-period defect u*eta1 + v*eta2: 50/50 stabilizer elements")
 
 
 def test_criterion_6_invariance_suites():
-    rep_h = run_suite("theorem-hrst", RunConfig(seed=0))
-    rep_u = run_suite("theorem-hU", RunConfig(seed=0))
+    rep_h = run_suite("theorem-hrst", seed=0)
+    rep_u = run_suite("theorem-hU", seed=0)
     assert rep_h.failed == 0 and len(rep_h.rows) == 600
     assert rep_u.failed == 0 and len(rep_u.rows) == 200
     _report(
@@ -105,7 +103,7 @@ def test_criterion_6_invariance_suites():
 
 
 def test_criterion_7_series_identity():
-    rep = run_suite("identities", RunConfig(seed=0))
+    rep = run_suite("identities", seed=0)
     series_rows = [r for r in rep.rows if r.id.startswith("series-")]
     assert len(series_rows) == 6
     assert all(r.passed for r in series_rows)
@@ -115,7 +113,7 @@ def test_criterion_7_series_identity():
 
 
 def test_criterion_8_row_bound():
-    rep = run_suite("eies-bound", RunConfig(seed=0))
+    rep = run_suite("eies-bound", seed=0)
     assert len(rep.rows) == 12 and rep.failed == 0
     _report(8, "truncated double sums below the closed bound for k in {3,4,5}, Y in {1,2,5,10}")
 
@@ -128,7 +126,7 @@ def test_criterion_9_h_cusp_modulus_and_phase():
     d_imag = abs(cv.value - complex(0.0, -math.sqrt(3.0) * PI))
     supported = "sqrt(3)*pi" if d_real < d_imag else "-sqrt(3)*pi*i"
     assert supported == "sqrt(3)*pi"
-    rep = run_suite("cusp-h", RunConfig(seed=0))
+    rep = run_suite("cusp-h", seed=0)
     assert rep.failed == 0
     _report(
         9,

@@ -246,45 +246,66 @@ class TestTableCommand:
 
 
 class TestConfigPrecedence:
-    def test_env_only(self, capsys, monkeypatch):
-        monkeypatch.setenv("WEIER_TOL", "1e-6")
-        code, out = run_cli(capsys, "verify", "eies-bound", "--format", "json")
-        assert json.loads(out)["config"]["tolerance"] == 1e-6
-
-    def test_file_beats_env(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("WEIER_TOL", "1e-6")
-        cfg = tmp_path / "w.cfg"
-        cfg.write_text("tolerance = 1e-9\n# comment\nseed = 3\n")
-        code, out = run_cli(
-            capsys, "verify", "eies-bound", "--config", str(cfg), "--format", "json"
-        )
-        doc = json.loads(out)
-        assert doc["config"]["tolerance"] == 1e-9
-        assert doc["config"]["seed"] == 3
-
-    def test_flag_beats_file(self, capsys, tmp_path):
-        cfg = tmp_path / "w.cfg"
-        cfg.write_text("tolerance = 1e-9\n")
-        code, out = run_cli(
-            capsys,
-            "verify", "eies-bound", "--config", str(cfg), "--tol", "1e-7", "--format", "json",
-        )
-        assert json.loads(out)["config"]["tolerance"] == 1e-7
-
-    def test_bad_config_key(self, capsys, tmp_path):
-        cfg = tmp_path / "w.cfg"
-        cfg.write_text("frobnicate = 1\n")
-        code, out = run_cli(capsys, "verify", "eies-bound", "--config", str(cfg), "--format", "json")
-        assert code == 2
-
-    @pytest.mark.parametrize("line", ["shell_cap = 100", "slack = 1e-6"])
-    def test_retired_config_keys(self, capsys, tmp_path, line):
-        cfg = tmp_path / "w.cfg"
-        cfg.write_text(line + "\n")
-        code, out = run_cli(capsys, "verify", "eies-bound", "--config", str(cfg), "--format", "json")
-        assert code == 2
-        assert "unknown config key" in json.loads(out)["error"]["message"]
-
     def test_config_block(self, capsys):
         code, out = run_cli(capsys, "verify", "eies-bound", "--format", "json")
         assert sorted(json.loads(out)["config"]) == ["output_format", "route", "seed", "tolerance"]
+
+
+class TestFlags:
+    """The parsed flags are a run's only settings; each command takes only
+    the flags it reads."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "eies-bound", "--route", "shell"),
+            ("eval", "wp", "--tau", "1i", "--z", "0.3", "--seed", "3"),
+            ("table", "--grid", "g", "--seed", "3"),
+            ("verify", "eies-bound", "--config", "x"),
+            ("verify", "eies-bound", "--format", "yaml"),
+        ],
+    )
+    def test_unread_flags_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage: weierforms" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "wp", "--tau", "1i", "--z", "0.3"),
+            ("verify", "eies-bound"),
+            ("table", "--grid", "/nonexistent/grid"),
+        ],
+    )
+    def test_tolerance_floor_record(self, capsys, argv):
+        # reported as JSON on stdout whatever the format, before the command runs
+        code, out = run_cli(capsys, *argv, "--tol", "1e-15", "--format", "text")
+        assert code == 2
+        assert json.loads(out) == {
+            "command": argv[0],
+            "error": {"type": "DomainError", "message": "tolerance must be >= 1e-12, got 1e-15"},
+        }
+
+    def test_environment_does_not_leak(self, capsys, monkeypatch):
+        monkeypatch.delenv("WEIER_TOL", raising=False)
+        _, plain = run_cli(capsys, "verify", "cusp-f", "--format", "json")
+        monkeypatch.setenv("WEIER_TOL", "1e-6")
+        _, with_env = run_cli(capsys, "verify", "cusp-f", "--format", "json")
+        assert with_env == plain
+        assert json.loads(plain)["config"]["tolerance"] == 1e-8
+
+    def test_config_block_reports_the_run_values(self, capsys, tmp_path):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("f 0 1/2\n")
+        blocks = [
+            json.loads(run_cli(capsys, *argv, "--format", "json")[1])["config"]
+            for argv in (
+                ("eval", "wp", "--tau", "1i", "--z", "0.3", "--route", "series"),
+                ("verify", "eies-bound", "--seed", "3"),
+                ("table", "--grid", str(grid)),
+            )
+        ]
+        assert [(b["seed"], b["route"]) for b in blocks] == [(0, "series"), (3, "auto"), (0, "auto")]

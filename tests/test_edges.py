@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,6 @@ from weierforms import (
     wzeta,
     wzeta_lattice,
 )
-from weierforms.config import RunConfig
 from weierforms.shells import POINT_BUDGET, SHELL_CAP
 from weierforms.trig import wp_strip, wzeta_strip
 
@@ -145,6 +145,46 @@ class TestHugeLattices:
         with pytest.raises(PoleError):
             wp(1e155j, 1e-12, 1e-8)
 
+    # a square basis of scale 1e60: the planner's coefficients are in range,
+    # but the wp kernel's denominator (z^2 - w^2)^2 w^2 ~ |w|^6 is not
+    def test_shell_kernel_out_of_float_range(self):
+        lat = Lattice(1e60j, 1e60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PrecisionError, match="float range"):
+                wp_lattice(lat, 3e59, 1e-4, route="shell")
+        assert describe_route(lat, 3e59, 1e-4, route="shell") == {"route": "shell", "feasible": False}
+        series = wp_lattice(lat, 3e59, 1e-4, route="series")
+        # wp(lambda L, lambda z) = lambda^-2 wp(L, z)
+        unit = wp_lattice(Lattice(1j, 1.0), 0.3, 1e-12, route="series")
+        assert abs(series.value * 1e120 - unit.value) <= series.error * 1e120 + unit.error + 1e-12
+
+    @pytest.mark.parametrize(
+        "fn,route,value_hex,error_hex",
+        [
+            (wp_lattice, "shell", "0x1.4e5e14ba81baep-329", "0x1.c2158865c6d7ep-334"),
+            (wp_lattice, "series", "0x1.4a11d5281e9abp-329", "0x1.09ae650d7e14ap-334"),
+            (wzeta_lattice, "shell", "0x1.854705d1025bbp-165", "0x1.7b21d61d6c732p-171"),
+            (wzeta_lattice, "series", "0x1.8770b0ff90c51p-165", "0x1.04ab4d985b2ecp-170"),
+        ],
+    )
+    def test_scale_1e50_unchanged(self, fn, route, value_hex, error_hex):
+        # within the kernel's range both routes return the values they
+        # returned before its range check, bit for bit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cv = fn(Lattice(1e50j, 1e50), 3e49, 1e-4, route=route)
+        assert cv.value == complex(float.fromhex(value_hex), 0.0)
+        assert cv.error == float.fromhex(error_hex)
+
+    def test_generator_modulus_beyond_float_range(self):
+        # finite components, |w| above the largest float: abs() overflows
+        w = complex(1.5e308, 1.5e308)
+        for make in (lambda: Lattice(w, 1.0), lambda: Lattice(1.0, w), lambda: wp_lattice((w, 1.0), 0.1)):
+            with pytest.raises(DomainError, match="modulus outside the float range"):
+                make()
+        assert Lattice(complex(1.2e308, 1.2e308), 1.0).omega1 == complex(1.2e308, 1.2e308)
+
 
 class TestStripPreconditions:
     def test_flat_ratio_rejected(self):
@@ -194,14 +234,11 @@ class TestMiscValidation:
         with pytest.raises(DomainError):
             slash(lambda w, t: None, 2, IDENTITY, 1.0 - 2j)
 
-    def test_runconfig_invariants(self):
-        with pytest.raises(DomainError):
-            RunConfig(tolerance=1e-15)
-        with pytest.raises(DomainError):
-            RunConfig(output_format="yaml")
-        cfg = RunConfig(seed=5)
-        d = cfg.as_dict()
-        assert d["seed"] == 5 and d["tolerance"] == 1e-8
+    def test_run_suite_tolerance_floor(self):
+        from weierforms import run_suite
+
+        with pytest.raises(DomainError, match="tolerance must be >= 1e-12"):
+            run_suite("eies-bound", tol=1e-15)
 
     def test_fraction_label_level(self):
         from weierforms import RationalPair
