@@ -338,11 +338,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    # a tolerance below the floor is reported as JSON on stdout in every format
-    text = False
+    text = args.output_format == "text"
     try:
         _check_args(args.tol, args.route)
-        text = args.output_format == "text"
         return args.handler(args)
     except WeierError as exc:
         _error_record(args.command, text, exc)

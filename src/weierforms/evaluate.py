@@ -2,7 +2,9 @@
 
 Every evaluation first reduces the lattice once, and each of its points in
 the reduced basis, exactly (:func:`weierforms.lattice.reduce_points`); the
-parts of ``eval_h`` and ``eval_hU`` share that one reduction.  Each point is
+forms of :mod:`weierforms.forms` pass their exact labels (s, t) rather than
+float points, and the parts of ``eval_h`` and ``eval_hU`` share that one
+reduction.  Each point is
 guarded against poles on its own result: the shell constant delta of the
 reduced basis (A, J) is at most |J|, so the guard reads the basis geometry
 only for points within 2 * POLE_RTOL * |J| of a lattice point.  Two routes
@@ -32,7 +34,7 @@ from .arith import TWO_PI, CertifiedValue
 from .errors import DomainError, PoleError, PrecisionError
 from .lattice import Lattice, Reduction, TauLattice, reduce_lattice, reduce_points
 from .shells import TruncationPlan, plan_truncation, shell_sum
-from .trig import eta2_strip, wp_strip, wzeta_strip
+from .trig import eta2_strip, wp_strip, wzeta_strip, z_strip
 
 __all__ = [
     "DEFAULT_TOL",
@@ -85,15 +87,19 @@ def _reduce(lat: Lattice, zs):
     Guarding lazily keeps the order of errors of one evaluation per point: a
     pole at a later point does not preempt an error of an earlier one.
     delta <= e2 = min over x in [-1, 1] of |J + x*A| <= |J|, so a point with
-    |point| >= 2 * POLE_RTOL * |J| passes without building the geometry.
+    |point| >= 2 * POLE_RTOL * |J| passes without building the geometry.  A
+    label (s, t) is guarded alike: its reduced point is exactly nonzero, but
+    at a level beyond about 1/POLE_RTOL it is too close to the lattice for
+    binary64, and the strips overflow on it.
     """
     for z, red in zip(zs, reduce_points(lat, zs)):
         pt = abs(red.point)
         if pt < 2.0 * POLE_RTOL * abs(red.jj) and pt < POLE_RTOL * red.basis.geometry.delta:
-            raise PoleError(
-                f"z = {z!r} lies on the lattice (within {POLE_RTOL:g} * shell constant)",
-                nearest=z - red.point,
-            )
+            if type(z) is tuple:
+                what, nearest = f"label ({z[0]}, {z[1]})", red.m * red.aa + red.n * red.jj
+            else:
+                what, nearest = f"z = {z!r}", z - red.point
+            raise PoleError(f"{what} lies on the lattice (within {POLE_RTOL:g} * shell constant)", nearest=nearest)
         yield red
 
 
@@ -195,6 +201,31 @@ def _evaluate(red: Reduction, tol: float, route: str, kind: str) -> CertifiedVal
     return cv + (eta1 * red.m + eta2 * red.n).scaled(1.0 / red.jj)
 
 
+def _klein(red: Reduction, tol: float, route: str) -> CertifiedValue:
+    """Z = wzeta(z) - s*eta1 - t*eta2 at the point z = s*tau + t of a label (s, t).
+
+    Z is the logarithmic derivative of the Klein form: it depends on the label
+    mod Z^2 only, so it is taken at the reduced point u*A + v*J, where it is
+    (wzeta(z0) - u*eta1 - v*eta2) / J on tau*Z + Z.  By Legendre's relation
+    that is (C(z0) + 2 pi i u) / J with C the cot rows of :func:`z_strip`.
+    The shell route sums wzeta at the reduced point and subtracts
+    u*eta1 + v*eta2 = eta2*z0 - 2 pi i u with eta2 from :func:`_eta_pair`.
+    """
+    scale = 1.0 / red.jj
+    if route != "shell":
+        return z_strip(red.tau, red.z0, red.u, tol * abs(red.jj)).scaled(scale)
+    cv = _shell(red.basis, red.point, 0.5 * tol, "wzeta")
+    # eta2 within tol |J| / (4 |tau|) and |z0| <= |tau| (|u|, |v| <= 1/2 <= |tau|/2)
+    _, eta2 = _eta_pair(red.tau, tol * abs(red.jj), route)
+    prod = eta2.value * red.z0
+    shift = 2j * math.pi * red.u
+    value = prod - shift
+    # rounding (_EPS = 2u): z0 and the product 3 u |prod|, u and 2 pi u times
+    # 2 pi |u|, the subtraction u |value|
+    rounding = _EPS * (2.0 * abs(prod) + abs(value) + 2.0 * abs(shift))
+    return cv - CertifiedValue(value, abs(red.z0) * eta2.error + rounding).scaled(scale)
+
+
 def _dispatch(lat, z, tol, route, kind) -> CertifiedValue:
     _check_args(tol, route)
     lat = _as_lattice(lat)
@@ -239,18 +270,23 @@ def wzeta(tau, z: complex, tol: float = DEFAULT_TOL, *, route: str = "auto") -> 
     defect m*eta1 + n*eta2.
     """
     _check_args(tol, route)
-    return _wzeta_parts(tau, (z,), tol, route=route)[0]
+    (red,) = _reduce(Lattice(_as_tau(tau), 1.0), (complex(z),))
+    return _evaluate(red, tol, route, "wzeta")
 
 
-def _wzeta_parts(tau, zs, part: float, *, route: str = "auto") -> list[CertifiedValue]:
-    """wzeta at each point of zs, one reduction for all, at a share of a
+def _label_values(tau, labels, part: float, route: str, kind: str) -> list[CertifiedValue]:
+    """``kind`` on tau*Z + Z at each exact label, a tuple (s, t) of rationals
+    standing for the point s*tau + t, one reduction for all, at a share of a
     tolerance that the caller checked with ``_check_args``.
 
-    The share may lie below TOL_FLOOR; where rounding then exceeds it, the
-    certificate is honestly larger than the share.
+    ``kind`` is "wp", "wzeta" or "klein" (:func:`_klein`).  The share may lie
+    below TOL_FLOOR; where rounding then exceeds it, the certificate is
+    honestly larger than the share.
     """
-    lat = Lattice(_as_tau(tau), 1.0)
-    return [_evaluate(red, part, route, "wzeta") for red in _reduce(lat, [complex(z) for z in zs])]
+    reds = _reduce(Lattice(_as_tau(tau), 1.0), labels)
+    if kind == "klein":
+        return [_klein(red, part, route) for red in reds]
+    return [_evaluate(red, part, route, kind) for red in reds]
 
 
 def eta12(tau, tol: float = DEFAULT_TOL, *, route: str = "auto") -> tuple[CertifiedValue, CertifiedValue]:

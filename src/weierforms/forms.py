@@ -16,7 +16,7 @@ from typing import Callable, Literal, Sequence
 
 from .arith import CertifiedValue, as_rational
 from .errors import DomainError
-from .evaluate import DEFAULT_TOL, _check_args, _wzeta_parts, eta12, wp, wzeta
+from .evaluate import DEFAULT_TOL, _check_args, _label_values
 
 __all__ = [
     "RationalPair",
@@ -236,7 +236,7 @@ def _check_h(r: int, p: RationalPair) -> None:
     if not isinstance(r, int) or isinstance(r, bool) or r == 0:
         raise DomainError(f"r must be a nonzero integer, got {r!r}")
     _require_noninteger(p, "weight-1")
-    if p.scaled(r).is_integral():
+    if (r * p.s.numerator) % p.s.denominator == 0 and (r * p.t.numerator) % p.t.denominator == 0:
         raise DomainError(f"label {p} scaled by {r} is integral; choose another r")
 
 
@@ -244,60 +244,67 @@ def _check_hU(labels: tuple[RationalPair, ...]) -> None:
     """Label constraints of hU: nonempty, exact sum (0, 0), no integral label."""
     if not labels:
         raise DomainError("label list must be nonempty")
-    total_s = sum((u.s for u in labels), Fraction(0))
-    total_t = sum((u.t for u in labels), Fraction(0))
-    if total_s != 0 or total_t != 0:
+    # the exact sums, as integers over a common denominator
+    parts = [x for u in labels for x in (u.s, u.t)]
+    level = lcm(*(x.denominator for x in parts))
+    if any(sum(x.numerator * (level // x.denominator) for x in parts[k::2]) for k in (0, 1)):
+        total_s = sum((u.s for u in labels), Fraction(0))
+        total_t = sum((u.t for u in labels), Fraction(0))
         raise DomainError(f"labels must sum to (0,0) exactly, got ({total_s},{total_t})")
     for u in labels:
         _require_noninteger(u, "weight-1")
 
 
-def eval_f(p: RationalPair, tau: complex, tol: float = DEFAULT_TOL, **opts) -> CertifiedValue:
+def eval_f(p: RationalPair, tau: complex, tol: float = DEFAULT_TOL, *, route: str = "auto") -> CertifiedValue:
     """Weight-2 family member: wp(tau, s*tau + t).
 
-    The label is reduced mod Z^2 before the point is formed; the value only
-    depends on the class of (s, t), so this is exact label periodicity.
+    The exact label goes through the lattice reduction, which reduces it mod
+    Z^2 (the value only depends on the class of (s, t)) and rounds the
+    reduced point once.
     """
     _require_noninteger(p, "weight-2")
-    q = p.canonical()
-    return wp(tau, q.point(complex(tau)), tol, **opts)
+    _check_args(tol, route)
+    return _label_values(tau, ((p.s, p.t),), tol, route, "wp")[0]
 
 
-def eval_g(p: RationalPair, tau: complex, tol: float = DEFAULT_TOL, **opts) -> CertifiedValue:
-    """Weight-1 building block: wzeta(tau, s*tau + t).
+def eval_g(p: RationalPair, tau: complex, tol: float = DEFAULT_TOL, *, route: str = "auto") -> CertifiedValue:
+    """Weight-1 building block: wzeta(tau, s*tau + t) at the exact label.
 
-    No label reduction: shifting the label by (m, n) changes the value by
-    m*eta1 + n*eta2, which the covariance law depends on.
+    Shifting the label by (m, n) changes the value by m*eta1 + n*eta2, which
+    the covariance law depends on; the reduction restores that shift.
     """
     _require_noninteger(p, "weight-1")
-    return wzeta(tau, p.point(complex(tau)), tol, **opts)
+    _check_args(tol, route)
+    return _label_values(tau, ((p.s, p.t),), tol, route, "wzeta")[0]
 
 
-def eval_h(r: int, p: RationalPair, tau: complex, tol: float = DEFAULT_TOL, **opts) -> CertifiedValue:
+def eval_h(r: int, p: RationalPair, tau: complex, tol: float = DEFAULT_TOL, *, route: str = "auto") -> CertifiedValue:
     """Modular weight-1 combination r*g_(s,t) - g_(rs,rt).
 
-    Both parts are evaluated at tolerance tol/(|r|+1) so the certified error
-    of the difference stays below tol despite the cancellation; they share
-    one reduction of the lattice.  The share may undercut the tolerance floor.
+    The quasi-periods cancel: it equals r*Z_(s,t) - Z_(rs,rt) with Z the
+    Klein-form logarithmic derivative (``evaluate._klein``).  Both parts are
+    evaluated at tolerance tol/(|r|+1) so the certified error of the
+    difference stays below tol despite the cancellation; they share one
+    reduction of the lattice.  The share may undercut the tolerance floor.
     """
     _check_h(r, p)
-    _check_args(tol, opts.get("route", "auto"))
-    t = complex(tau)
-    gp, grp = _wzeta_parts(tau, (p.point(t), p.scaled(r).point(t)), tol / (abs(r) + 1), **opts)
-    return gp * r - grp
+    _check_args(tol, route)
+    zp, zrp = _label_values(tau, ((p.s, p.t), (r * p.s, r * p.t)), tol / (abs(r) + 1), route, "klein")
+    return zp * r - zrp
 
 
-def eval_hU(labels: Sequence[RationalPair], tau: complex, tol: float = DEFAULT_TOL, **opts) -> CertifiedValue:
+def eval_hU(labels: Sequence[RationalPair], tau: complex, tol: float = DEFAULT_TOL, *, route: str = "auto") -> CertifiedValue:
     """Sum of g over a tuple of labels whose exact sum is (0, 0).
 
-    Each g is evaluated at tol/len(labels), all on one reduction of the lattice.
+    The quasi-periods cancel, so it is the sum of Z over the labels
+    (``evaluate._klein``), each at tol/len(labels), all on one reduction of
+    the lattice.
     """
     labels = tuple(labels)
     _check_hU(labels)
-    _check_args(tol, opts.get("route", "auto"))
-    t = complex(tau)
+    _check_args(tol, route)
     acc = CertifiedValue.exact(0.0)
-    for cv in _wzeta_parts(tau, [u.point(t) for u in labels], tol / len(labels), **opts):
+    for cv in _label_values(tau, [(u.s, u.t) for u in labels], tol / len(labels), route, "klein"):
         acc = acc + cv
     return acc
 

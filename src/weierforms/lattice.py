@@ -3,8 +3,10 @@
 A lattice is stored as an ordered generator pair (omega1, omega2) with
 Im(omega1/omega2) > 0.  ``reduce_points`` reduces a lattice once and each of
 a list of points in its reduced basis, in exact integer arithmetic, and
-rounds each output once (``reduce_lattice`` is its one-point case); the basis
-change is unimodular, so it never changes the underlying point set.
+rounds each output once (``reduce_lattice`` is its one-point case); a point is
+a complex number or an exact label (s, t), the point s*omega1 + t*omega2 in
+basis coordinates.  The basis change is unimodular, so it never changes the
+underlying point set.
 """
 
 from __future__ import annotations
@@ -162,28 +164,38 @@ def reduce_tau_matrix(tau: complex) -> tuple[int, int, int, int]:
     return a, b, c, d
 
 
-@dataclass(frozen=True)
+# not frozen: a frozen dataclass's __init__ costs about four times as much,
+# and every evaluation builds one Reduction per point
+@dataclass
 class Reduction:
     """A lattice and a point after one unimodular reduction, computed exactly.
 
     ``matrix`` (a, b, c, d) is ``reduce_tau_matrix(omega1/omega2)``.  The
-    reduced basis is ``basis`` = (A, J) = (a*omega1 + b*omega2, c*omega1 +
-    d*omega2) with ratio ``tau`` = A/J in the fundamental domain, so (A, J) is
+    reduced basis is (A, J) = (a*omega1 + b*omega2, c*omega1 + d*omega2), with
+    ratio ``tau`` = A/J in the fundamental domain, so (A, J) is
     Lagrange-reduced: J is a shortest nonzero vector and
-    |Re(A*conj(J))| <= |J|**2 / 2.  ``jj`` is J, so the lattice is
-    jj * (tau*Z + Z).  The point splits as z = point + m*A + n*J with the basis
-    coefficients of ``point`` in [-1/2, 1/2], and ``z0`` = point/J is its image
-    on tau*Z + Z.  Every float field is its exact value rounded once.
+    |Re(A*conj(J))| <= |J|**2 / 2.  ``aa`` is A and ``jj`` is J, so the
+    lattice is jj * (tau*Z + Z); ``basis`` is the Lattice (A, J).  The point
+    splits as z = point + m*A + n*J with point = u*A + v*J, u and v in
+    [-1/2, 1/2]; ``u`` is that A-coordinate, and ``z0`` = point/J = u*tau + v
+    is the image of the point on tau*Z + Z.  Every float field is its exact
+    value rounded once.
     """
 
     matrix: tuple[int, int, int, int]
     tau: complex
+    aa: complex
     jj: complex
-    basis: Lattice
     point: complex
     z0: complex
+    u: float
     m: int
     n: int
+
+    @cached_property
+    def basis(self) -> Lattice:
+        # built on first use: the series route never reads it
+        return Lattice(self.aa, self.jj)
 
 
 def _nearest(num: int, den: int) -> int:
@@ -195,18 +207,25 @@ def _nearest(num: int, den: int) -> int:
 def reduce_points(lat: Lattice, zs) -> list[Reduction]:
     """The exact reductions of ``lat`` and each point of zs (see :class:`Reduction`).
 
-    The lattice is reduced once: omega1, omega2 and the points are written as
-    Gaussian integers over one common power of two, the matrix is applied in
-    integers, and each output component is one correctly rounded int / int.
-    Every output is an exact rational rounded once, so each Reduction equals
-    the one-point reduction of its point; the Reductions share one ``basis``.
+    A point is a complex number, or a label: a tuple (s, t) of rationals
+    (``Fraction`` or int) standing for the point s*omega1 + t*omega2, exactly.
+    The lattice is reduced once: omega1, omega2 and the complex points are
+    written as Gaussian integers over one common power of two, the matrix is
+    applied in integers, and each output component is one correctly rounded
+    int / int.  A label's coordinates in (A, J) are (s*d - t*c, t*a - s*b),
+    over the label's level.  Every output is an exact rational rounded once,
+    so each Reduction equals the one-point reduction of its point.
     """
-    zs = [complex(z) for z in zs]
+    zs = [z if type(z) is tuple else complex(z) for z in zs]
     for z in zs:
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        if type(z) is complex and not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise DomainError(f"z must be finite, got {z!r}")
     matrix = a, b, c, d = reduce_tau_matrix(lat.tau)
-    ratios = [x.as_integer_ratio() for w in (lat.omega1, lat.omega2, *zs) for x in (w.real, w.imag)]
+    ratios = [
+        x.as_integer_ratio()
+        for w in (lat.omega1, lat.omega2, *(z for z in zs if type(z) is complex))
+        for x in (w.real, w.imag)
+    ]
     den = max(q for _, q in ratios)
     w1r, w1i, w2r, w2i, *zints = (p * (den // q) for p, q in ratios)
     ar, ai = a * w1r + b * w2r, a * w1i + b * w2i
@@ -215,18 +234,38 @@ def reduce_points(lat: Lattice, zs) -> list[Reduction]:
     # Im(A conj J) > 0 in units of den**2: the coefficients of z in (A, J)
     # are Im(z conj J) / det and Im(A conj z) / det
     det = ai * jr - ar * ji
+    zints = iter(zints)
     reds = []
     try:
-        tau = complex((ar * jr + ai * ji) / norm, det / norm)
+        tr = ar * jr + ai * ji
+        tau = complex(tr / norm, det / norm)
+        aa = complex(ar / den, ai / den)
         jj = complex(jr / den, ji / den)
-        basis = Lattice(complex(ar / den, ai / den), jj)
-        for zr, zi in zip(zints[::2], zints[1::2]):
-            m = _nearest(zi * jr - zr * ji, det)
-            n = _nearest(ai * zr - ar * zi, det)
-            pr, pi = zr - m * ar - n * jr, zi - m * ai - n * ji
-            point = complex(pr / den, pi / den)
-            z0 = complex((pr * jr + pi * ji) / norm, (pi * jr - pr * ji) / norm)
-            reds.append(Reduction(matrix, tau, jj, basis, point, z0, m, n))
+        for z in zs:
+            if type(z) is tuple:
+                # the label over its level L: (s, t) = (S, T) / L, and its
+                # coordinates in (A, J) are (S*d - T*c, T*a - S*b) / L
+                s, t = z
+                level = math.lcm(s.denominator, t.denominator)
+                sn, tn = s.numerator * (level // s.denominator), t.numerator * (level // t.denominator)
+                un, vn = sn * d - tn * c, tn * a - sn * b
+                m, n = _nearest(un, level), _nearest(vn, level)
+                un -= m * level
+                vn -= n * level
+                scale, zscale = level * den, level * norm
+                point = complex((un * ar + vn * jr) / scale, (un * ai + vn * ji) / scale)
+                # z0 = (un*tau + vn) / L with tau = (tr + i*det) / norm
+                z0 = complex((un * tr + vn * norm) / zscale, un * det / zscale)
+                u = un / level
+            else:
+                zr, zi = next(zints), next(zints)
+                m = _nearest(zi * jr - zr * ji, det)
+                n = _nearest(ai * zr - ar * zi, det)
+                pr, pi = zr - m * ar - n * jr, zi - m * ai - n * ji
+                point = complex(pr / den, pi / den)
+                z0 = complex((pr * jr + pi * ji) / norm, (pi * jr - pr * ji) / norm)
+                u = (pi * jr - pr * ji) / det
+            reds.append(Reduction(matrix, tau, aa, jj, point, z0, u, m, n))
         in_range = norm / (den * den) >= _NORMAL_MIN
     except OverflowError:
         in_range = False

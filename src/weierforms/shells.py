@@ -344,7 +344,9 @@ def shell_sum(
 
     Returns (sum, rounding_bound).  The principal part (1/z^2 or 1/z) is not
     included.  Requires |z| <= delta (the planner's precondition), which the
-    rounding bound relies on.  Deterministic: fixed blocks and summation order.
+    rounding bound relies on, and raises PrecisionError on a box outside the
+    kernel's float range, as the planner does.  Deterministic: fixed blocks
+    and summation order.
     """
     if kind not in _KINDS:
         raise DomainError(f"unknown summand kind {kind!r}")
@@ -355,6 +357,7 @@ def shell_sum(
         return 0.0 + 0.0j, 0.0
     z = complex(z)
     _check_margin(lat, abs(z))
+    _check_kernel_range(lat, kind, c_max, d_max)
     wp_kind = kind == "wp"
     w1, w2 = complex(lat.omega1), complex(lat.omega2)
     zz = z * z

@@ -25,6 +25,24 @@ is the z-coefficient of the wzeta rows (DLMF 23.8):
   eta2(tau) = pi^2 [ 1/3 + 2 sum_{c>=1} 1/sin^2(pi c tau) ] = (pi^2/3) E2(tau)
 
 with the same geometric tail; eta1 follows from Legendre's relation.
+
+Removing that z-coefficient leaves the cot rows.  At z0 = u tau + v they give
+the logarithmic derivative of the Klein form, Z = wzeta(z0) - u eta1 - v eta2
+(Kubert-Lang, Modular Units, 1981), which by Legendre's relation
+eta1 = tau eta2 - 2 pi i is
+
+  Z(tau, z0) = pi cot(pi z0) + sum_{c>=1} pi [cot(pi(z0-c tau)) + cot(pi(z0+c tau))]
+               + 2 pi i u
+
+with the cot part of the wzeta tail.  Z vanishes at the half periods, which
+are zeros of cot, where the argument's rounding is absolute rather than
+relative: each cot term's rounding budget carries pi |pi w| |1 + cot^2(pi w)|,
+the change of pi cot(pi w) under a relative change of pi w, besides
+|pi cot(pi w)|.
+
+Every tail is its value at 0 rows times exp(-2 pi Im tau rows), so the row
+count is found from that closed form and then confirmed against the tail
+itself: it is the first row count whose tail meets the target.
 """
 
 from __future__ import annotations
@@ -35,13 +53,16 @@ import math
 from .arith import CertifiedValue
 from .errors import DomainError, PrecisionError
 
-__all__ = ["wp_strip", "wzeta_strip", "eta2_strip", "TAU_IM_MIN"]
+__all__ = ["wp_strip", "wzeta_strip", "eta2_strip", "z_strip", "TAU_IM_MIN"]
 
 _EPS = math.ulp(1.0)
 _PI = math.pi
 _PI2 = math.pi * math.pi
 _MAX_ROWS = 1024
 _ROUND_FACTOR = 64.0
+# the smallest positive float: a target that underflowed to 0 is met only
+# where the tail underflows as well
+_TINY = math.ulp(0.0)
 
 
 def _inv_sin2_pi(w: complex) -> complex:
@@ -107,17 +128,47 @@ def _eta2_tail(im_tau: float, rows: int) -> float:
     return 8.0 * _PI2 * zero * q_inv / (1.0 - rho) ** 2
 
 
-def _rows_needed(tail_fn, target: float) -> int:
-    for rows in range(_MAX_ROWS + 1):
-        if tail_fn(rows) <= target:
-            return rows
-    raise PrecisionError("row-sum tail does not reach the requested tolerance")
+def _z_tail(im_tau: float, y: float, rows: int) -> float:
+    # the cot part of _wzeta_tail
+    rho, q_inv, plus, minus, _ = _geom_factors(im_tau, y, rows)
+    return 2.0 * _PI * (plus + minus) / (1.0 - rho) * q_inv
+
+
+def _rows_needed(tail_fn, target: float, im_tau: float) -> tuple[int, float]:
+    """(rows, tail_fn(rows)) for the fewest rows, at most _MAX_ROWS, whose
+    tail_fn(rows) <= target.
+
+    tail_fn is nonincreasing in rows and proportional to
+    exp(-2 pi Im tau rows): the closed-form count is within a row or two of
+    the answer, and stepping from it with direct evaluations gives the first
+    hit of a scan from 0 exactly.
+    """
+    rows = 0
+    tail = tail_fn(0)
+    if not tail <= target:
+        try:
+            guess = (math.log(tail) - math.log(max(target, _TINY))) / (2.0 * _PI * im_tau)
+            rows = min(max(math.ceil(guess), 0), _MAX_ROWS)
+        except (ValueError, OverflowError):
+            rows = _MAX_ROWS
+        tail = tail_fn(rows)
+    while rows > 0:
+        below = tail_fn(rows - 1)
+        if not below <= target:
+            break
+        rows, tail = rows - 1, below
+    while not tail <= target:
+        if rows >= _MAX_ROWS:
+            raise PrecisionError("row-sum tail does not reach the requested tolerance")
+        rows += 1
+        tail = tail_fn(rows)
+    return rows, tail
 
 
 def wp_strip(tau: complex, z: complex, tol: float) -> CertifiedValue:
     """wp on tau*Z + Z for z already reduced into the horizontal strip."""
     im_tau, y = _check_strip(tau, z)
-    rows = _rows_needed(lambda c: _wp_tail(im_tau, y, c), 0.5 * tol)
+    rows, tail = _rows_needed(lambda c: _wp_tail(im_tau, y, c), 0.5 * tol, im_tau)
     s_main = _inv_sin2_pi(z)
     acc = s_main - 1.0 / 3.0
     absacc = abs(s_main) + 1.0 / 3.0
@@ -130,7 +181,7 @@ def wp_strip(tau: complex, z: complex, tol: float) -> CertifiedValue:
         acc += row
         absacc += abs(t1) + abs(t2) + 2.0 * abs(t3)
     value = _PI2 * acc
-    err = _wp_tail(im_tau, y, rows) + _ROUND_FACTOR * _EPS * _PI2 * absacc
+    err = tail + _ROUND_FACTOR * _EPS * _PI2 * absacc
     return CertifiedValue(value, err)
 
 
@@ -138,7 +189,7 @@ def wzeta_strip(tau: complex, z: complex, tol: float) -> CertifiedValue:
     """wzeta on tau*Z + Z for z already reduced into the horizontal strip."""
     im_tau, y = _check_strip(tau, z)
     abs_z = abs(z)
-    rows = _rows_needed(lambda c: _wzeta_tail(im_tau, y, abs_z, c), 0.5 * tol)
+    rows, tail = _rows_needed(lambda c: _wzeta_tail(im_tau, y, abs_z, c), 0.5 * tol, im_tau)
     main = _PI * _cot_pi(z) + (_PI2 / 3.0) * z
     acc = main
     absacc = abs(main)
@@ -148,18 +199,41 @@ def wzeta_strip(tau: complex, z: complex, tol: float) -> CertifiedValue:
         t2 = 2.0 * _PI2 * z * _inv_sin2_pi(ct)
         acc += t1 + t2
         absacc += abs(t1) + abs(t2)
-    err = _wzeta_tail(im_tau, y, abs_z, rows) + _ROUND_FACTOR * _EPS * absacc
+    err = tail + _ROUND_FACTOR * _EPS * absacc
     return CertifiedValue(acc, err)
 
 
 def eta2_strip(tau: complex, tol: float) -> CertifiedValue:
     """The quasi-period eta2 of tau*Z + Z for a reduced tau (module docstring)."""
     im_tau, _ = _check_strip(tau, 0j)
-    rows = _rows_needed(lambda c: _eta2_tail(im_tau, c), 0.5 * tol)
+    rows, tail = _rows_needed(lambda c: _eta2_tail(im_tau, c), 0.5 * tol, im_tau)
     acc = absacc = 1.0 / 3.0
     for c in range(1, rows + 1):
         t = 2.0 * _inv_sin2_pi(c * tau)
         acc += t
         absacc += abs(t)
-    err = _eta2_tail(im_tau, rows) + _ROUND_FACTOR * _EPS * _PI2 * absacc
+    err = tail + _ROUND_FACTOR * _EPS * _PI2 * absacc
     return CertifiedValue(_PI2 * acc, err)
+
+
+def z_strip(tau: complex, z0: complex, u: float, tol: float) -> CertifiedValue:
+    """The Klein-form row series Z at z0 = u*tau + v, already reduced into the strip
+    (module docstring)."""
+    im_tau, y = _check_strip(tau, z0)
+    rows, tail = _rows_needed(lambda c: _z_tail(im_tau, y, c), 0.5 * tol, im_tau)
+
+    def term(w: complex) -> tuple[complex, float]:
+        # cot(pi w) and its rounding budget over pi: |cot| + |pi w| |1 + cot^2|
+        k = _cot_pi(w)
+        return k, abs(k) + _PI * abs(w) * abs(1.0 + k * k)
+
+    acc, absacc = term(z0)
+    for c in range(1, rows + 1):
+        ct = c * tau
+        k1, a1 = term(z0 - ct)
+        k2, a2 = term(z0 + ct)
+        acc += k1 + k2
+        absacc += a1 + a2
+    shift = complex(0.0, 2.0 * _PI * u)
+    err = tail + _ROUND_FACTOR * _EPS * (_PI * absacc + abs(shift))
+    return CertifiedValue(_PI * acc + shift, err)

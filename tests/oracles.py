@@ -117,6 +117,14 @@ def mp_wzeta_mpc(tau, z, rows: int = 60, dps: int = 40, period=1):
         return base / j1
 
 
+def mp_torsion_point(s, t, tau, dps: int = 40):
+    """The torsion point s*tau + t of exact rationals s, t, formed in dps digits."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        return mp.mpf(s.numerator) / s.denominator * mp.mpc(tau) + mp.mpf(t.numerator) / t.denominator
+
+
 def mp_lattice(oracle, omega1, omega2, z, rows: int = 60, dps: int = 40):
     """``oracle`` (mp_wp or mp_wzeta) on omega1*Z + omega2*Z, by homogeneity.
 

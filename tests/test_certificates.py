@@ -20,6 +20,8 @@ from weierforms import (
     PrecisionError,
     RationalPair,
     eta12,
+    eval_f,
+    eval_g,
     eval_h,
     eval_hU,
     wp,
@@ -27,9 +29,10 @@ from weierforms import (
     wzeta,
     wzeta_lattice,
 )
+from weierforms import trig
 from weierforms.lattice import reduce_lattice
 
-from oracles import mp_eta12, mp_lattice, mp_wp, mp_wzeta
+from oracles import mp_eta12, mp_lattice, mp_torsion_point, mp_wp, mp_wp_mpc, mp_wzeta, mp_wzeta_mpc
 
 POINTS = [
     (1j, 0.5),
@@ -203,6 +206,120 @@ class TestSmallImTauGrid:
             }
             for name, (cv, truth) in checks.items():
                 assert abs(cv.value - truth) <= cv.error, (name, tau, z, lat, zl)
+
+
+def _torsion_g(p, tau):
+    """g_p(tau) = wzeta(tau, s*tau + t) at the exact torsion point, 30 digits."""
+    return mp_wzeta_mpc(tau, mp_torsion_point(p.s, p.t, tau, 30), rows=8, dps=30)
+
+
+def _assert_contains(cv, truth, *context):
+    """cv's certified disc contains the 30-digit mpmath value truth."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        err = abs(mp.mpc(cv.value) - truth)
+    assert err <= cv.error, (context, float(err), cv.error)
+
+
+# every half-period label and some shifted ones
+HALF_PERIODS = [
+    RationalPair.of(Fraction(s, 2), Fraction(t, 2)) for s, t in ((1, 0), (0, 1), (1, 1), (-1, 3))
+]
+
+
+def _label(rng: random.Random, level: int, span: int = 2) -> RationalPair:
+    """A nonintegral label of level dividing ``level`` with s, t in [-span, span)."""
+    while True:
+        p = RationalPair.of(
+            Fraction(rng.randrange(-span * level, span * level), level),
+            Fraction(rng.randrange(-span * level, span * level), level),
+        )
+        if not p.is_integral():
+            return p
+
+
+def _im_taus(rng: random.Random, lo: float, hi: float, count: int):
+    """count log-stratified values of Im tau in [lo, hi]."""
+    return [lo * (hi / lo) ** ((k + rng.random()) / count) for k in range(count)]
+
+
+class TestExactTorsionPoint:
+    """The forms against mpmath at the exact torsion point s*tau + t.
+
+    The labels enter the reduction exactly, so the certificates hold against
+    the exact point, where the float point s*tau + t would be off by up to
+    about |c| ulps after the reduction at small Im tau.
+    """
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    def test_f_and_g_small_im_tau(self, tol):
+        rng = random.Random(int(-math.log10(tol)))
+        for im in _im_taus(rng, 1e-3, 1e-2, 16):
+            tau = complex(rng.uniform(-1.5, 1.5), im)
+            p = _label(rng, rng.randint(2, 12))
+            truth_f = mp_wp_mpc(tau, mp_torsion_point(p.s, p.t, tau, 30), rows=8, dps=30)
+            _assert_contains(eval_f(p, tau, tol), truth_f, "f", tau, p)
+            _assert_contains(eval_g(p, tau, tol), _torsion_g(p, tau), "g", tau, p)
+
+    @pytest.mark.parametrize("lo,hi", [(1e-3, 1e-2), (1.0, 20.0)])
+    def test_h_and_hU(self, lo, hi):
+        import mpmath as mp
+
+        rng = random.Random(int(hi))
+        for k, im in enumerate(_im_taus(rng, lo, hi, 16)):
+            tau = complex(rng.uniform(-1.5, 1.5), im)
+            tol = (1e-8, 1e-10, 1e-12)[k % 3]
+            half = HALF_PERIODS[k % 4]
+            # r*p a half period, p a half period, and a generic label
+            r, p = [(2, _label(rng, 4, 1)), (3, half), (rng.choice((-2, 3, 4)), _label(rng, 5))][k % 3]
+            if p.scaled(r).is_integral():
+                p = RationalPair.of(Fraction(1, 4), Fraction(1, 4))
+            with mp.workdps(30):
+                truth = r * _torsion_g(p, tau) - _torsion_g(p.scaled(r), tau)
+            _assert_contains(eval_h(r, p, tau, tol), truth, "h", tau, r, p)
+            a = half if k % 2 else _label(rng, 6)
+            b = HALF_PERIODS[(k + 1) % 4]
+            labels = (a, b, RationalPair(-a.s - b.s, -a.t - b.t))
+            if labels[2].is_integral():
+                labels = (a, RationalPair(-a.s, -a.t))
+            with mp.workdps(30):
+                truth = sum(_torsion_g(u, tau) for u in labels)
+            _assert_contains(eval_hU(labels, tau, tol), truth, "hU", tau, labels)
+
+
+class TestRowCount:
+    """The closed-form row count equals the first hit of a scan from 0 rows."""
+
+    @staticmethod
+    def _scan(tail_fn, target):
+        for rows in range(trig._MAX_ROWS + 1):
+            if tail_fn(rows) <= target:
+                return rows
+        return None
+
+    @pytest.mark.parametrize("im_tau", [0.87, 1.0, 1.7, 3.3, 7.9, 16.0, 40.0])
+    def test_rows_match_the_scan(self, im_tau):
+        for frac in (-0.5, -0.31, 0.0, 0.12, 0.5):
+            y = frac * im_tau
+            abs_z = math.hypot(0.37, y)
+            tails = {
+                "wp": lambda c: trig._wp_tail(im_tau, y, c),
+                "wzeta": lambda c: trig._wzeta_tail(im_tau, y, abs_z, c),
+                "eta2": lambda c: trig._eta2_tail(im_tau, c),
+                "z": lambda c: trig._z_tail(im_tau, y, c),
+            }
+            for exp in range(3, 15):
+                for mant in (1.0, 2.5, 7.3):
+                    target = 0.5 * mant * 10.0**-exp
+                    for kind, tail_fn in tails.items():
+                        rows = self._scan(tail_fn, target)
+                        got = trig._rows_needed(tail_fn, target, im_tau)
+                        assert got == (rows, tail_fn(rows)), (kind, im_tau, y, target)
+
+    def test_row_cap(self):
+        with pytest.raises(PrecisionError, match="does not reach"):
+            trig._rows_needed(lambda c: 1.0, 0.5, 1.0)
 
 
 class TestEtaCertificates:

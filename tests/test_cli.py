@@ -281,13 +281,16 @@ class TestFlags:
         ],
     )
     def test_tolerance_floor_record(self, capsys, argv):
-        # reported as JSON on stdout whatever the format, before the command runs
-        code, out = run_cli(capsys, *argv, "--tol", "1e-15", "--format", "text")
+        # reported before the command runs, like every other error: one line
+        # on stderr in text format, a JSON record on stdout in json format
+        message = "tolerance must be >= 1e-12, got 1e-15"
+        assert main([*argv, "--tol", "1e-15", "--format", "text"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: DomainError: {message}\n"
+        code, out = run_cli(capsys, *argv, "--tol", "1e-15", "--format", "json")
         assert code == 2
-        assert json.loads(out) == {
-            "command": argv[0],
-            "error": {"type": "DomainError", "message": "tolerance must be >= 1e-12, got 1e-15"},
-        }
+        assert json.loads(out) == {"command": argv[0], "error": {"type": "DomainError", "message": message}}
 
     def test_environment_does_not_leak(self, capsys, monkeypatch):
         monkeypatch.delenv("WEIER_TOL", raising=False)

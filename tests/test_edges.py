@@ -214,6 +214,14 @@ class TestShellSumEdges:
         with pytest.raises(DomainError):
             shell_sum(Lattice(1j, 1.0), 1.2, (5, 5))
 
+    def test_box_outside_kernel_range(self):
+        # the planner refuses this box; a direct call refuses it the same way,
+        # before numpy overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PrecisionError, match="float range"):
+                shell_sum(Lattice(1e60j, 1e60), 3e59, (1, 1), "wp")
+
 
 class TestMiscValidation:
     def test_row_sum_domain(self):

@@ -459,12 +459,18 @@ class TestErrors:
             TauLattice(1.0 - 1j)
 
 
-def _fraction_reduction(lat: Lattice, z: complex):
-    """reduce_lattice's outputs from Fraction arithmetic, each rounded once at the end."""
+def _fraction_reduction(lat: Lattice, z):
+    """reduce_lattice's outputs from Fraction arithmetic, each rounded once at the end.
+
+    z is a complex point or a label (s, t), the point s*omega1 + t*omega2.
+    """
     a, b, c, d = reduce_tau_matrix(lat.tau)
-    w1r, w1i, w2r, w2i, zr, zi = map(
-        Fraction, (lat.omega1.real, lat.omega1.imag, lat.omega2.real, lat.omega2.imag, z.real, z.imag)
-    )
+    w1r, w1i, w2r, w2i = map(Fraction, (lat.omega1.real, lat.omega1.imag, lat.omega2.real, lat.omega2.imag))
+    if isinstance(z, tuple):
+        s, t = z
+        zr, zi = s * w1r + t * w2r, s * w1i + t * w2i
+    else:
+        zr, zi = Fraction(z.real), Fraction(z.imag)
     ar, ai = a * w1r + b * w2r, a * w1i + b * w2i
     jr, ji = c * w1r + d * w2r, c * w1i + d * w2i
     norm = jr * jr + ji * ji
@@ -482,8 +488,24 @@ def _fraction_reduction(lat: Lattice, z: complex):
         "A": fl(ar, ai),
         "point": fl(pr, pi),
         "z0": fl((pr * jr + pi * ji) / norm, (pi * jr - pr * ji) / norm),
+        "u": float((pi * jr - pr * ji) / det),
         "m": m,
         "n": n,
+    }
+
+
+def _reduction_fields(red) -> dict:
+    """The fields of a Reduction that _fraction_reduction computes."""
+    return {
+        "matrix": red.matrix,
+        "tau": red.tau,
+        "jj": red.jj,
+        "A": red.basis.omega1,
+        "point": red.point,
+        "z0": red.z0,
+        "u": red.u,
+        "m": red.m,
+        "n": red.n,
     }
 
 
@@ -518,18 +540,7 @@ class TestReduction:
         for rng, lat, tau, w2 in _random_bases(20261018):
             z = (rng.uniform(-1.5, 1.5) * tau + rng.uniform(-1.5, 1.5)) * w2
             red = reduce_lattice(lat, z)
-            ref = _fraction_reduction(lat, z)
-            got = {
-                "matrix": red.matrix,
-                "tau": red.tau,
-                "jj": red.jj,
-                "A": red.basis.omega1,
-                "point": red.point,
-                "z0": red.z0,
-                "m": red.m,
-                "n": red.n,
-            }
-            assert got == ref, (lat, z)
+            assert _reduction_fields(red) == _fraction_reduction(lat, z), (lat, z)
             assert red.basis.omega2 == red.jj
             assert abs(red.tau.real) <= 0.5 + 1e-9 and abs(red.tau) >= 1.0 - 1e-9
 
@@ -548,6 +559,21 @@ class TestReduction:
                 for field in dataclasses.fields(one):
                     got, want = getattr(red, field.name), getattr(one, field.name)
                     assert repr(got) == repr(want), (lat, z, field.name)
+
+    def test_label_reduction_matches_fractions(self):
+        # a label (s, t) is the point s*omega1 + t*omega2 taken exactly: every
+        # output is its exact rational rounded once, in a call that mixes
+        # labels and complex points as in one alone
+        for rng, lat, tau, w2 in _random_bases(20261020):
+            labels = [
+                (Fraction(rng.randrange(-30, 30), q), Fraction(rng.randrange(-30, 30), rng.choice((1, 2, q))))
+                for q in (rng.randint(1, 12), 2, rng.randint(1, 12))
+            ]
+            z = (rng.uniform(-1.5, 1.5) * tau + rng.uniform(-1.5, 1.5)) * w2
+            points = [labels[0], z, labels[1], labels[2]]
+            for p, red in zip(points, reduce_points(lat, points)):
+                assert _reduction_fields(red) == _fraction_reduction(lat, p), (lat, p)
+                assert _reduction_fields(reduce_lattice(lat, p)) == _fraction_reduction(lat, p)
 
     def test_reduction_ties_round_to_even(self):
         red = reduce_lattice(Lattice(1j, 1.0), 0.5 + 1.5j)
