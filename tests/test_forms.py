@@ -11,9 +11,11 @@ from weierforms import (
     IDENTITY,
     S_MATRIX,
     T_MATRIX,
+    CertifiedValue,
     DomainError,
     FormSpec,
     ModularMatrix,
+    PrecisionError,
     RationalPair,
     defect_coefficients,
     eta12,
@@ -30,6 +32,7 @@ from weierforms import (
     random_sl2,
     slash,
 )
+from weierforms.evaluate import _label_values
 
 from oracles import GOLDEN, GOLDEN_BAND
 
@@ -265,6 +268,45 @@ class TestEvaluators:
                 shell, series = fn("shell"), fn("series")
                 assert shell.error <= 1e-4
                 assert abs(shell.value - series.value) <= shell.error + series.error, (tau, p, r, labels)
+
+    # (route, tol, cases): the shell route at a coarse tol (each call sums
+    # several boxes), the series route down to the smallest tol whose parts
+    # still meet the public floor
+    @pytest.mark.parametrize(
+        "route,tol,cases", [("shell", 1e-4, 2), ("series", 1e-8, 12), ("series", 5e-12, 12)]
+    )
+    def test_shared_reduction_is_bit_identical(self, route, tol, cases):
+        # eval_h and eval_hU reduce the lattice once for all their labels; the
+        # result equals the same combination of one-label Klein-form values
+        def outcome(fn):
+            try:
+                cv = fn()
+            except PrecisionError as exc:  # the shell route refuses a wide point
+                return str(exc)
+            return repr(cv.value), repr(cv.error)
+
+        def z(u, part):
+            (cv,) = _label_values(tau, [(u.s, u.t)], part, route, "klein")
+            return cv
+
+        def z_sum(labels, part):
+            acc = CertifiedValue.exact(0.0)
+            for u in labels:
+                acc = acc + z(u, part)
+            return acc
+
+        rng = random.Random(9)
+        for _ in range(cases):
+            tau = complex(rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-1.5, 0.5))
+            p = pair(Fraction(rng.randrange(-5, 6), 6), Fraction(rng.randrange(1, 5), 5))
+            r = rng.choice((-2, 2, 3))
+            part = tol / (abs(r) + 1)
+            got = outcome(lambda: eval_h(r, p, tau, tol, route=route))
+            assert got == outcome(lambda: z(p, part) * r - z(p.scaled(r), part)), (tau, p, r)
+            q = pair(Fraction(rng.randrange(-3, 4), 4), Fraction(rng.randrange(1, 3), 3))
+            labels = (p, q, pair(-p.s - q.s, -p.t - q.t))
+            got = outcome(lambda: eval_hU(labels, tau, tol, route=route))
+            assert got == outcome(lambda: z_sum(labels, tol / 3)), (tau, labels)
 
     def test_defect_coefficients_integrality(self):
         p = pair(0, Fraction(1, 2))
