@@ -19,7 +19,7 @@ from .arith import CertifiedValue, as_rational, e_of, zeta_even, zeta_r_enclosur
 from .errors import DomainError
 from .evaluate import DEFAULT_TOL
 from .forms import FormSpec, RationalPair
-from .trig import _wp_tail, _wzeta_tail
+from .trig import _wp_tail, _z_tail
 
 __all__ = [
     "cusp_value_f",
@@ -159,8 +159,10 @@ def _gap(form: FormSpec, Y: float) -> float:
     gap is at most the tail of the rows c >= 1, with |Im z| = |s'| Y for
     s' = s - round(s) (wp(z) = wp(z - round(s) tau)).  For f with s' != 0
     row 0 also keeps pi^2/sin^2(pi z'), at most 4 pi^2 q/(1-q)^2 with
-    q = e^(-2 pi |s'| Y).  For h = r g_(0,t) - g_(0,rt) the limit is
-    r (row 0 at t) - (row 0 at rt); ``_wzeta_tail`` bounds the rest of each.
+    q = e^(-2 pi |s'| Y).  For h = r g_(0,t) - g_(0,rt) the eta2 parts
+    r t eta2 - rt eta2 of wzeta = C + z eta2 cancel exactly, so h is
+    r C(t) - C(rt) over the cot rows C; the limit is its row 0, and
+    ``_z_tail`` bounds the rows c >= 1 of each part alike.
     """
     # rounding, u = 2^-53: an exp argument x <= 3 pi Y is within 5u x, so exp
     # is within (2 + 5x) u, where x <= 745 unless the output is 0 (outputs
@@ -180,8 +182,7 @@ def _gap(form: FormSpec, Y: float) -> float:
             q = math.exp(-2.0 * _PI * y)
             gap += 4.0 * _PI**2 * q / (1.0 - q) ** 2
     else:
-        t, rt = float(abs(form.p.t)), float(abs(form.r * form.p.t))
-        gap = abs(form.r) * _wzeta_tail(Y, 0.0, t, 0) + _wzeta_tail(Y, 0.0, rt, 0)
+        gap = (abs(form.r) + 1) * _z_tail(Y, 0.0, 0)
     return gap * (1.0 + 1.01 * _U * spread)
 
 

@@ -21,6 +21,13 @@ then compute the value:
   ``POINT_BUDGET`` points, or a basis outside the planner's float range),
   or when the summed certificate exceeds ``tol``.
 
+Every wzeta-type value - ``wzeta``, the series route of ``wzeta_lattice``,
+``eval_g``, and the Klein-form parts of ``eval_h`` and ``eval_hU`` - is one
+linear form over two sums of the reduced lattice tau*Z + Z, the cot rows C and
+the quasi-period eta2 (:func:`_zeta`); the route decides only how those two
+are summed, and eta2 is summed at most once per evaluation.  eta1 enters
+through Legendre's relation, and only ``eta12`` forms it.
+
 Both routes return a :class:`CertifiedValue` whose error field is a
 rigorous absolute bound, and they agree within the sum of their
 certificates (exercised heavily by the test-suite).
@@ -32,9 +39,9 @@ import math
 
 from .arith import TWO_PI, CertifiedValue
 from .errors import DomainError, PoleError, PrecisionError
-from .lattice import Lattice, Reduction, TauLattice, reduce_lattice, reduce_points
+from .lattice import Lattice, TauLattice, reduce_lattice, reduce_points
 from .shells import TruncationPlan, plan_truncation, shell_sum
-from .trig import eta2_strip, wp_strip, wzeta_strip, z_strip
+from .trig import eta2_strip, wp_strip, z_strip
 
 __all__ = [
     "DEFAULT_TOL",
@@ -138,92 +145,103 @@ def _shell(basis: Lattice, z: complex, tol: float, kind: str) -> CertifiedValue:
     return cv
 
 
-def checked_difference(wz, base: complex, base_b: complex, tol: float) -> CertifiedValue:
-    """eta2 = wz(base + 1) - wz(base) of a certified wzeta.
+def _eta2(tau_r: complex, tol: float, route: str) -> CertifiedValue:
+    """The quasi-period eta2 of tau_r*Z + Z for a reduced ratio, within tol.
 
-    The same difference at ``base_b`` must agree to within 4 tol plus both
-    certificates; otherwise PrecisionError.
+    The closed row series of :func:`eta2_strip`, or on the shell route a
+    literal difference wzeta(z + 1) - wzeta(z) of shell values at base points
+    near -1/2 and +1/2, which lie inside the summation margin of every reduced
+    basis.
+    There the same difference at a second base point must agree to within
+    4 tol plus both certificates; otherwise PrecisionError.
     """
-    eta = wz(base + 1.0) - wz(base)
-    eta_b = wz(base_b + 1.0) - wz(base_b)
-    if abs(eta.value - eta_b.value) > 4.0 * tol + eta.error + eta_b.error:
+    if route != "shell":
+        return eta2_strip(tau_r, tol)
+    lat = Lattice(tau_r, 1.0)
+
+    def difference(base: complex) -> CertifiedValue:
+        return _shell(lat, base + 1.0, 0.25 * tol, "wzeta") - _shell(lat, base, 0.25 * tol, "wzeta")
+
+    eta2, eta2_b = difference(0.13j - 0.5), difference(-0.07 + 0.09j - 0.5)
+    if abs(eta2.value - eta2_b.value) > 4.0 * tol + eta2.error + eta2_b.error:
         raise PrecisionError("eta2 depends on the base point beyond tolerance")
-    return eta
-
-
-def _eta_pair(tau_r: complex, tol: float, route: str) -> tuple[CertifiedValue, CertifiedValue]:
-    """Quasi-periods of tau_r*Z + Z for a reduced ratio, each within tol.
-
-    eta2 is the closed row series of :func:`eta2_strip`, or on the shell route
-    a literal difference of shell wzeta values, whose base points near -1/2
-    and +1/2 lie inside the summation margin of every reduced basis.  eta1
-    follows from Legendre's relation eta1 = tau*eta2 - 2 pi i.
-    """
-    tol2 = 0.5 * tol / abs(tau_r)
-    if route == "shell":
-        lat = Lattice(tau_r, 1.0)
-
-        def wz(z: complex) -> CertifiedValue:
-            return _shell(lat, z, 0.25 * tol2, "wzeta")
-
-        eta2 = checked_difference(wz, 0.13j - 0.5, -0.07 + 0.09j - 0.5, tol2)
-    else:
-        eta2 = eta2_strip(tau_r, tol2)
-    prod = eta2.value * tau_r
-    eta1 = prod - complex(0.0, TWO_PI)
-    # rounding (_EPS = 2u): the product sqrt(5) u |prod|, fl(2 pi) 2 pi u,
-    # the subtraction u |eta1|
-    rounding = _EPS * (2.0 * abs(prod) + abs(eta1) + 4.0)
-    return CertifiedValue(eta1, abs(tau_r) * eta2.error + rounding), eta2
+    return eta2
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
 
-def _evaluate(red: Reduction, tol: float, route: str, kind: str) -> CertifiedValue:
-    """The value at z = point + m*A + n*J.
+def _zeta(reds, tol: float, route: str, klein: bool) -> list[CertifiedValue]:
+    """wzeta at z = point + m*A + n*J, or with ``klein`` the Klein-form Z of a
+    label, at each reduced point of one reduction, within tol.
 
-    That is the value at the reduced point, plus m*eta(A) + n*eta(J) for wzeta,
-    with eta(A), eta(J) the quasi-periods of tau*Z + Z scaled by 1/J.
+    On tau*Z + Z (the lattice over J) both are one linear form in two sums:
+    eta2 and C = J*wzeta(point) - eta2*z0.  With W = z/J = z0 + m*tau + n,
+    quasi-periodicity and Legendre's relation eta1 = tau*eta2 - 2 pi i give
+
+        wzeta(z) = (C + W*eta2 - 2 pi i m) / J,    Z = (C + 2 pi i u) / J,
+
+    since Z depends on the label mod Z^2 only and is
+    (wzeta(tau, z0) - u*eta1 - v*eta2) / J at the reduced point.  The series
+    route sums C as the cot rows of :func:`z_strip`.  The shell route sums
+    wzeta(tau, z0) = C + eta2*z0 instead, so there the coefficient of eta2 is
+    W - z0 = m*tau + n, or -z0 for Z.  eta2 is summed once for all points, at
+    the smallest share any of them needs, and not at all where every
+    coefficient is 0.
     """
-    shift = abs(red.m) + abs(red.n) if kind == "wzeta" else 0
-    base_tol = 0.5 * tol if shift else tol
+    shell = route == "shell"
+    lat = None
+    parts = []
+    eta_tol = None
+    for red in reds:
+        part = tol * abs(red.jj)
+        if klein:
+            # |z0| <= |tau|: the share of eta2 is the same for every label
+            coeff, k, bound, dw = (-red.z0 if shell else 0j), red.u, abs(red.tau), 0.0
+        else:
+            mt = red.m * red.tau
+            shift = mt + red.n
+            coeff, k = (shift if shell else red.z0 + shift), -red.m
+            # W rounds up to three times, each within u of its result, and
+            # m itself where |m| > 2**53
+            bound, dw = abs(coeff), _EPS * (abs(mt) + abs(shift) + abs(coeff))
+        if coeff:
+            part *= 0.5
+            eta_tol = part / bound if eta_tol is None else min(eta_tol, part / bound)
+        if shell:
+            if lat is None:
+                lat = Lattice(red.tau, 1.0)
+            base = _shell(lat, red.z0, part, "wzeta")
+        else:
+            base = z_strip(red.tau, red.z0, part)
+        parts.append((red, base, coeff, k, dw))
+    eta2 = None if eta_tol is None else _eta2(parts[0][0].tau, eta_tol, route)
+    values = []
+    for red, base, coeff, k, dw in parts:
+        prod = coeff * eta2.value if coeff else 0.0
+        shift = complex(0.0, TWO_PI * k)
+        value = base.value + prod + shift
+        err = base.error
+        if coeff:
+            err += abs(coeff) * eta2.error + dw * (abs(eta2.value) + eta2.error)
+        # rounding (_EPS = 2u): the product sqrt(5) u |prod|, 2 pi k 3u (fl(pi),
+        # the product and k itself), the two additions u |result| each
+        err += _EPS * (abs(base.value) + 2.0 * abs(prod) + 2.0 * abs(shift) + abs(value))
+        values.append(CertifiedValue(value, err).scaled(1.0 / red.jj))
+    return values
+
+
+def _evaluate(reds, tol: float, route: str, kind: str) -> list[CertifiedValue]:
+    """``kind`` ("wp", "wzeta" or "klein") at each reduced point of one
+    reduction, within tol: wp by homogeneity from tau*Z + Z, the others by
+    :func:`_zeta`.
+    """
+    if kind != "wp":
+        return _zeta(reds, tol, route, kind == "klein")
     if route == "shell":
-        cv = _shell(red.basis, red.point, base_tol, kind)
-    elif kind == "wp":
-        cv = wp_strip(red.tau, red.z0, tol * abs(red.jj) ** 2).scaled(red.jj**-2)
-    else:
-        cv = wzeta_strip(red.tau, red.z0, base_tol * abs(red.jj)).scaled(1.0 / red.jj)
-    if not shift:
-        return cv
-    eta1, eta2 = _eta_pair(red.tau, 0.25 * tol * abs(red.jj) / shift, route)
-    return cv + (eta1 * red.m + eta2 * red.n).scaled(1.0 / red.jj)
-
-
-def _klein(red: Reduction, tol: float, route: str) -> CertifiedValue:
-    """Z = wzeta(z) - s*eta1 - t*eta2 at the point z = s*tau + t of a label (s, t).
-
-    Z is the logarithmic derivative of the Klein form: it depends on the label
-    mod Z^2 only, so it is taken at the reduced point u*A + v*J, where it is
-    (wzeta(z0) - u*eta1 - v*eta2) / J on tau*Z + Z.  By Legendre's relation
-    that is (C(z0) + 2 pi i u) / J with C the cot rows of :func:`z_strip`.
-    The shell route sums wzeta at the reduced point and subtracts
-    u*eta1 + v*eta2 = eta2*z0 - 2 pi i u with eta2 from :func:`_eta_pair`.
-    """
-    scale = 1.0 / red.jj
-    if route != "shell":
-        return z_strip(red.tau, red.z0, red.u, tol * abs(red.jj)).scaled(scale)
-    cv = _shell(red.basis, red.point, 0.5 * tol, "wzeta")
-    # eta2 within tol |J| / (4 |tau|) and |z0| <= |tau| (|u|, |v| <= 1/2 <= |tau|/2)
-    _, eta2 = _eta_pair(red.tau, tol * abs(red.jj), route)
-    prod = eta2.value * red.z0
-    shift = 2j * math.pi * red.u
-    value = prod - shift
-    # rounding (_EPS = 2u): z0 and the product 3 u |prod|, u and 2 pi u times
-    # 2 pi |u|, the subtraction u |value|
-    rounding = _EPS * (2.0 * abs(prod) + abs(value) + 2.0 * abs(shift))
-    return cv - CertifiedValue(value, abs(red.z0) * eta2.error + rounding).scaled(scale)
+        return [_shell(red.basis, red.point, tol, kind) for red in reds]
+    return [wp_strip(red.tau, red.z0, tol * abs(red.jj) ** 2).scaled(red.jj**-2) for red in reds]
 
 
 def _dispatch(lat, z, tol, route, kind) -> CertifiedValue:
@@ -234,7 +252,7 @@ def _dispatch(lat, z, tol, route, kind) -> CertifiedValue:
     if route == "shell":
         # the ground truth sums at z itself, using no (quasi-)periodicity
         return _shell(red.basis, z, tol, kind)
-    return _evaluate(red, tol, route, kind)
+    return _evaluate((red,), tol, route, kind)[0]
 
 
 def wp_lattice(lat, z: complex, tol: float = DEFAULT_TOL, *, route: str = "auto") -> CertifiedValue:
@@ -259,8 +277,7 @@ def wp(tau, z: complex, tol: float = DEFAULT_TOL, *, route: str = "auto") -> Cer
     only the reduced representative is ever summed.
     """
     _check_args(tol, route)
-    (red,) = _reduce(Lattice(_as_tau(tau), 1.0), (complex(z),))
-    return _evaluate(red, tol, route, "wp")
+    return _evaluate(_reduce(Lattice(_as_tau(tau), 1.0), (complex(z),)), tol, route, "wp")[0]
 
 
 def wzeta(tau, z: complex, tol: float = DEFAULT_TOL, *, route: str = "auto") -> CertifiedValue:
@@ -270,8 +287,7 @@ def wzeta(tau, z: complex, tol: float = DEFAULT_TOL, *, route: str = "auto") -> 
     defect m*eta1 + n*eta2.
     """
     _check_args(tol, route)
-    (red,) = _reduce(Lattice(_as_tau(tau), 1.0), (complex(z),))
-    return _evaluate(red, tol, route, "wzeta")
+    return _evaluate(_reduce(Lattice(_as_tau(tau), 1.0), (complex(z),)), tol, route, "wzeta")[0]
 
 
 def _label_values(tau, labels, part: float, route: str, kind: str) -> list[CertifiedValue]:
@@ -279,14 +295,11 @@ def _label_values(tau, labels, part: float, route: str, kind: str) -> list[Certi
     standing for the point s*tau + t, one reduction for all, at a share of a
     tolerance that the caller checked with ``_check_args``.
 
-    ``kind`` is "wp", "wzeta" or "klein" (:func:`_klein`).  The share may lie
+    ``kind`` is "wp", "wzeta" or "klein" (:func:`_zeta`).  The share may lie
     below TOL_FLOOR; where rounding then exceeds it, the certificate is
     honestly larger than the share.
     """
-    reds = _reduce(Lattice(_as_tau(tau), 1.0), labels)
-    if kind == "klein":
-        return [_klein(red, part, route) for red in reds]
-    return [_evaluate(red, part, route, kind) for red in reds]
+    return _evaluate(_reduce(Lattice(_as_tau(tau), 1.0), labels), part, route, kind)
 
 
 def eta12(tau, tol: float = DEFAULT_TOL, *, route: str = "auto") -> tuple[CertifiedValue, CertifiedValue]:
@@ -303,7 +316,14 @@ def eta12(tau, tol: float = DEFAULT_TOL, *, route: str = "auto") -> tuple[Certif
     red = reduce_lattice(Lattice(_as_tau(tau), 1.0))
     a, b, c, d = red.matrix
     coeff = max(abs(a) + abs(b), abs(c) + abs(d), 1)
-    eta1_r, eta2_r = _eta_pair(red.tau, 0.5 * tol * abs(red.jj) / coeff, route)
+    # eta2_r within tol |J| / (4 coeff |tau_r|), so that eta1_r is within tol |J| / (4 coeff)
+    eta2_r = _eta2(red.tau, 0.25 * tol * abs(red.jj) / coeff / abs(red.tau), route)
+    prod = eta2_r.value * red.tau
+    eta1 = prod - complex(0.0, TWO_PI)
+    # rounding (_EPS = 2u): the product sqrt(5) u |prod|, fl(2 pi) 2 pi u,
+    # the subtraction u |eta1|
+    rounding = _EPS * (2.0 * abs(prod) + abs(eta1) + 4.0)
+    eta1_r = CertifiedValue(eta1, abs(red.tau) * eta2_r.error + rounding)
     eta1 = (eta1_r * d - eta2_r * b).scaled(1.0 / red.jj)
     eta2 = (eta1_r * (-c) + eta2_r * a).scaled(1.0 / red.jj)
     return eta1, eta2

@@ -282,7 +282,7 @@ def eval_h(r: int, p: RationalPair, tau: complex, tol: float = DEFAULT_TOL, *, r
     """Modular weight-1 combination r*g_(s,t) - g_(rs,rt).
 
     The quasi-periods cancel: it equals r*Z_(s,t) - Z_(rs,rt) with Z the
-    Klein-form logarithmic derivative (``evaluate._klein``).  Both parts are
+    Klein-form logarithmic derivative (``evaluate._zeta``).  Both parts are
     evaluated at tolerance tol/(|r|+1) so the certified error of the
     difference stays below tol despite the cancellation; they share one
     reduction of the lattice.  The share may undercut the tolerance floor.
@@ -297,7 +297,7 @@ def eval_hU(labels: Sequence[RationalPair], tau: complex, tol: float = DEFAULT_T
     """Sum of g over a tuple of labels whose exact sum is (0, 0).
 
     The quasi-periods cancel, so it is the sum of Z over the labels
-    (``evaluate._klein``), each at tol/len(labels), all on one reduction of
+    (``evaluate._zeta``), each at tol/len(labels), all on one reduction of
     the lattice.
     """
     labels = tuple(labels)

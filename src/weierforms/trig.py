@@ -6,9 +6,18 @@ absolute convergence) collapses every row to a closed trigonometric form:
   wp(tau, z)    = pi^2 [ 1/sin^2(pi z) - 1/3
                          + sum_{c>=1} ( 1/sin^2(pi(z-c tau)) + 1/sin^2(pi(z+c tau))
                                         - 2/sin^2(pi c tau) ) ]
-  wzeta(tau, z) = pi cot(pi z) + (pi^2/3) z
-                  + sum_{c>=1} ( pi [cot(pi(z-c tau)) + cot(pi(z+c tau))]
-                                 + 2 pi^2 z / sin^2(pi c tau) )
+  wzeta(tau, z) = C(tau, z) + z eta2(tau), with the cot rows
+
+  C(tau, z)     = pi cot(pi z) + sum_{c>=1} pi [cot(pi(z-c tau)) + cot(pi(z+c tau))]
+
+and the quasi-period eta2 = wzeta(tau, z + 1) - wzeta(tau, z), which is the
+z-coefficient of the rows because cot is 1-periodic (DLMF 23.8):
+
+  eta2(tau)     = pi^2 [ 1/3 + 2 sum_{c>=1} 1/sin^2(pi c tau) ] = (pi^2/3) E2(tau)
+
+So wzeta has no series of its own: :func:`z_strip` sums C and
+:func:`eta2_strip` sums eta2, and :mod:`weierforms.evaluate` combines them
+(eta1 follows from Legendre's relation there).
 
 With u = e(w) (whichever of e(w), e(-w) has modulus < 1):
 
@@ -19,26 +28,13 @@ rows is bounded by an explicit geometric series.  Callers must supply
 Im tau >= TAU_IM_MIN and |Im z| <= Im(tau)/2 (both guaranteed after
 reduction), which keeps every row factor below exp(-pi Im tau).
 
-cot is 1-periodic, so the quasi-period eta2 = wzeta(tau, z + 1) - wzeta(tau, z)
-is the z-coefficient of the wzeta rows (DLMF 23.8):
-
-  eta2(tau) = pi^2 [ 1/3 + 2 sum_{c>=1} 1/sin^2(pi c tau) ] = (pi^2/3) E2(tau)
-
-with the same geometric tail; eta1 follows from Legendre's relation.
-
-Removing that z-coefficient leaves the cot rows.  At z0 = u tau + v they give
-the logarithmic derivative of the Klein form, Z = wzeta(z0) - u eta1 - v eta2
-(Kubert-Lang, Modular Units, 1981), which by Legendre's relation
-eta1 = tau eta2 - 2 pi i is
-
-  Z(tau, z0) = pi cot(pi z0) + sum_{c>=1} pi [cot(pi(z0-c tau)) + cot(pi(z0+c tau))]
-               + 2 pi i u
-
-with the cot part of the wzeta tail.  Z vanishes at the half periods, which
-are zeros of cot, where the argument's rounding is absolute rather than
-relative: each cot term's rounding budget carries pi |pi w| |1 + cot^2(pi w)|,
-the change of pi cot(pi w) under a relative change of pi w, besides
-|pi cot(pi w)|.
+At z0 = u tau + v the cot rows give the logarithmic derivative of the Klein
+form, Z = wzeta(z0) - u eta1 - v eta2 = C(tau, z0) + 2 pi i u (Kubert-Lang,
+Modular Units, 1981).  Z vanishes at the half periods, which are zeros of
+cot, where the argument's rounding is absolute rather than relative: each cot
+term's rounding budget carries pi |pi w| |1 + cot^2(pi w)|, the change of
+pi cot(pi w) under a relative change of pi w, besides |pi cot(pi w)|.  The
+budget is a sum of per-term moduli, taken before the terms cancel.
 
 Every tail is its value at 0 rows times exp(-2 pi Im tau rows), so the row
 count is found from that closed form and then confirmed against the tail
@@ -53,7 +49,7 @@ import math
 from .arith import CertifiedValue
 from .errors import DomainError, PrecisionError
 
-__all__ = ["wp_strip", "wzeta_strip", "eta2_strip", "z_strip", "TAU_IM_MIN"]
+__all__ = ["wp_strip", "eta2_strip", "z_strip", "TAU_IM_MIN"]
 
 _EPS = math.ulp(1.0)
 _PI = math.pi
@@ -115,13 +111,6 @@ def _wp_tail(im_tau: float, y: float, rows: int) -> float:
     return 4.0 * _PI2 * (plus + minus + 2.0 * zero) * q_inv / (1.0 - rho) ** 2
 
 
-def _wzeta_tail(im_tau: float, y: float, abs_z: float, rows: int) -> float:
-    rho, q_inv, plus, minus, zero = _geom_factors(im_tau, y, rows)
-    cot_part = 2.0 * _PI * (plus + minus) / (1.0 - rho)
-    sin_part = 8.0 * _PI2 * abs_z * zero / (1.0 - rho) ** 2
-    return (cot_part + sin_part) * q_inv
-
-
 def _eta2_tail(im_tau: float, rows: int) -> float:
     # 2 pi^2 sum_{c>rows} 4 q^c / (1-q)^2 with q = e(-Im tau)
     rho, q_inv, _, _, zero = _geom_factors(im_tau, 0.0, rows)
@@ -129,7 +118,7 @@ def _eta2_tail(im_tau: float, rows: int) -> float:
 
 
 def _z_tail(im_tau: float, y: float, rows: int) -> float:
-    # the cot part of _wzeta_tail
+    # sum_{c>rows} pi |cot(pi(z-c tau)) + cot(pi(z+c tau))|, the tail of the cot rows
     rho, q_inv, plus, minus, _ = _geom_factors(im_tau, y, rows)
     return 2.0 * _PI * (plus + minus) / (1.0 - rho) * q_inv
 
@@ -185,24 +174,6 @@ def wp_strip(tau: complex, z: complex, tol: float) -> CertifiedValue:
     return CertifiedValue(value, err)
 
 
-def wzeta_strip(tau: complex, z: complex, tol: float) -> CertifiedValue:
-    """wzeta on tau*Z + Z for z already reduced into the horizontal strip."""
-    im_tau, y = _check_strip(tau, z)
-    abs_z = abs(z)
-    rows, tail = _rows_needed(lambda c: _wzeta_tail(im_tau, y, abs_z, c), 0.5 * tol, im_tau)
-    main = _PI * _cot_pi(z) + (_PI2 / 3.0) * z
-    acc = main
-    absacc = abs(main)
-    for c in range(1, rows + 1):
-        ct = c * tau
-        t1 = _PI * (_cot_pi(z - ct) + _cot_pi(z + ct))
-        t2 = 2.0 * _PI2 * z * _inv_sin2_pi(ct)
-        acc += t1 + t2
-        absacc += abs(t1) + abs(t2)
-    err = tail + _ROUND_FACTOR * _EPS * absacc
-    return CertifiedValue(acc, err)
-
-
 def eta2_strip(tau: complex, tol: float) -> CertifiedValue:
     """The quasi-period eta2 of tau*Z + Z for a reduced tau (module docstring)."""
     im_tau, _ = _check_strip(tau, 0j)
@@ -216,9 +187,8 @@ def eta2_strip(tau: complex, tol: float) -> CertifiedValue:
     return CertifiedValue(_PI2 * acc, err)
 
 
-def z_strip(tau: complex, z0: complex, u: float, tol: float) -> CertifiedValue:
-    """The Klein-form row series Z at z0 = u*tau + v, already reduced into the strip
-    (module docstring)."""
+def z_strip(tau: complex, z0: complex, tol: float) -> CertifiedValue:
+    """The cot rows C(tau, z0) for z0 already reduced into the strip (module docstring)."""
     im_tau, y = _check_strip(tau, z0)
     rows, tail = _rows_needed(lambda c: _z_tail(im_tau, y, c), 0.5 * tol, im_tau)
 
@@ -234,6 +204,4 @@ def z_strip(tau: complex, z0: complex, u: float, tol: float) -> CertifiedValue:
         k2, a2 = term(z0 + ct)
         acc += k1 + k2
         absacc += a1 + a2
-    shift = complex(0.0, 2.0 * _PI * u)
-    err = tail + _ROUND_FACTOR * _EPS * (_PI * absacc + abs(shift))
-    return CertifiedValue(_PI * acc + shift, err)
+    return CertifiedValue(_PI * acc, tail + _ROUND_FACTOR * _EPS * _PI * absacc)

@@ -240,3 +240,14 @@ class TestFiniteHeightGap:
             value = r * mp_wzeta_mpc(tau, t_mp, dps=self.DPS) - mp_wzeta_mpc(tau, rt_mp, dps=self.DPS)
             limit = mp.pi * (r * mp.cot(mp.pi * t_mp) - mp.cot(mp.pi * rt_mp))
         self._check(FormSpec.h_form(r, 0, t), value, limit, Y)
+
+    @pytest.mark.parametrize("Y", [2.0, 5.0])
+    @pytest.mark.parametrize("r,t", [(3, Fraction(1, 5)), (-1, Fraction(1, 4)), (2, Fraction(2, 7))])
+    def test_h_gap_is_the_cot_tail(self, r, t, Y):
+        # the eta2 parts of r g_(0,t) - g_(0,rt) cancel, so the gap is the tail
+        # of the cot rows alone; at Y = 2 the residual is almost all gap, and
+        # the bound stays within 1.3 times it
+        rep = cusp_report(FormSpec.h_form(r, 0, t), Y, 1e-10)
+        assert rep.residual <= rep.bound
+        if Y == 2.0 and r != -1:  # h[-1](0, t) vanishes identically
+            assert rep.bound <= 1.3 * rep.residual

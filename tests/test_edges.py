@@ -25,7 +25,7 @@ from weierforms import (
     wzeta_lattice,
 )
 from weierforms.shells import POINT_BUDGET, SHELL_CAP
-from weierforms.trig import wp_strip, wzeta_strip
+from weierforms.trig import wp_strip, z_strip
 
 
 # (kind, basis, z, tol, cap, summed, forced-shell refusal): an admitted box
@@ -165,12 +165,12 @@ class TestHugeLattices:
             (wp_lattice, "shell", "0x1.4e5e14ba81baep-329", "0x1.c2158865c6d7ep-334"),
             (wp_lattice, "series", "0x1.4a11d5281e9abp-329", "0x1.09ae650d7e14ap-334"),
             (wzeta_lattice, "shell", "0x1.854705d1025bbp-165", "0x1.7b21d61d6c732p-171"),
-            (wzeta_lattice, "series", "0x1.8770b0ff90c51p-165", "0x1.04ab4d985b2ecp-170"),
+            # the error counts the rounding of the cot rows and of W*eta2 apart
+            (wzeta_lattice, "series", "0x1.8770b0ff90c51p-165", "0x1.04ab4d985c459p-170"),
         ],
     )
     def test_scale_1e50_unchanged(self, fn, route, value_hex, error_hex):
-        # within the kernel's range both routes return the values they
-        # returned before its range check, bit for bit
+        # within the kernel's range both routes return these values, bit for bit
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cv = fn(Lattice(1e50j, 1e50), 3e49, 1e-4, route=route)
@@ -193,7 +193,7 @@ class TestStripPreconditions:
 
     def test_wide_point_rejected(self):
         with pytest.raises(DomainError):
-            wzeta_strip(1j, 0.1 + 0.9j, 1e-8)
+            z_strip(1j, 0.1 + 0.9j, 1e-8)
 
 
 class TestShellSumEdges:

@@ -32,6 +32,7 @@ from weierforms import (
     random_sl2,
     slash,
 )
+from weierforms import evaluate
 from weierforms.evaluate import _label_values
 
 from oracles import GOLDEN, GOLDEN_BAND
@@ -268,6 +269,24 @@ class TestEvaluators:
                 shell, series = fn("shell"), fn("series")
                 assert shell.error <= 1e-4
                 assert abs(shell.value - series.value) <= shell.error + series.error, (tau, p, r, labels)
+
+    def test_shell_route_sums_eta2_once(self, monkeypatch):
+        # the three parts share one reduced ratio: one shell sum at each reduced
+        # point and one eta2 difference of four shell sums, not one per part
+        calls = []
+        shell_sum = evaluate.shell_sum
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return shell_sum(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "shell_sum", counted)
+        tau = 0.2 + 1.3j
+        labels = (pair(Fraction(1, 3), Fraction(1, 4)), pair(Fraction(-1, 6), Fraction(1, 2)), pair(Fraction(-1, 6), Fraction(-3, 4)))
+        shell = eval_hU(labels, tau, 1e-4, route="shell")
+        assert len(calls) == 7
+        assert shell.error <= 1e-4
+        assert shell.agrees_with(eval_hU(labels, tau, 1e-10))
 
     # (route, tol, cases): the shell route at a coarse tol (each call sums
     # several boxes), the series route down to the smallest tol whose parts
