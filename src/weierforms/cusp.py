@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -190,7 +189,6 @@ def _gap(form: FormSpec, Y: float) -> float:
 # explicit bound on sum over c != 0 of |c tau + d|^(-k)
 
 
-@lru_cache(maxsize=64)
 def _zeta_r(k: int) -> CertifiedValue:
     if k % 2 == 0:
         return zeta_even(k)
@@ -227,13 +225,16 @@ def lattice_row_sum_truncated(k: int, tau: complex, shells: int = 500) -> float:
     t = complex(tau)
     if not t.imag > 0.0:
         raise DomainError("Im tau must be positive")
-    c = np.arange(1, shells + 1, dtype=np.float64)[:, None]
-    d = np.arange(-shells, shells + 1, dtype=np.float64)[None, :]
-    re = c * t.real + d
+    c = np.arange(1, shells + 1, dtype=np.float64)
+    d = np.arange(-shells, shells + 1, dtype=np.float64)
+    # one buffer, |c tau + d|^2 formed in place: (c Re tau + d)^2 + (c Im tau)^2
+    buf = np.add.outer(c * t.real, d)
+    np.square(buf, out=buf)
     im = c * t.imag
-    mod2 = re * re + im * im
+    buf += (im * im)[:, None]
+    np.power(buf, -k / 2.0, out=buf)
     # +-c pair off by d -> -d symmetry
-    return float(2.0 * np.sum(mod2 ** (-k / 2.0)))
+    return float(2.0 * np.sum(buf))
 
 
 # ---------------------------------------------------------------------------

@@ -394,21 +394,27 @@ class FormSpec:
 # random sampling of group elements (coverage, not uniformity)
 
 
+# S, T and T^-1 as (a, b, c, d)
+_STEPS = ((0, -1, 1, 0), (1, 1, 0, 1), (1, -1, 0, 1))
+
+
 def random_sl2(rng: random.Random, max_entry: int = 20, max_len: int = 24) -> ModularMatrix:
-    """Random word in the standard generators with all entries <= max_entry."""
+    """Random word in the standard generators with all entries <= max_entry.
+
+    A word whose running product leaves the entry box is dropped and a new
+    one drawn.  The product is walked on plain int tuples; only the accepted
+    word becomes a ``ModularMatrix``.
+    """
     while True:
         length = rng.randint(0, max_len)
-        mat = IDENTITY
-        ok = True
+        a, b, c, d = 1, 0, 0, 1
         for _ in range(length):
-            step = rng.choice((S_MATRIX, T_MATRIX, T_MATRIX.inverse()))
-            nxt = mat @ step
-            if nxt.max_entry() > max_entry:
-                ok = False
+            sa, sb, sc, sd = rng.choice(_STEPS)
+            a, b, c, d = a * sa + b * sc, a * sb + b * sd, c * sa + d * sc, c * sb + d * sd
+            if max(abs(a), abs(b), abs(c), abs(d)) > max_entry:
                 break
-            mat = nxt
-        if ok:
-            return mat
+        else:
+            return ModularMatrix(a, b, c, d)
 
 
 def random_in_group(

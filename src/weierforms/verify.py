@@ -442,13 +442,14 @@ def suite_identities(seed: int, tol: float) -> SuiteReport:
                 detail="tail bound honored" if honored else "residual exceeds certificate",
             )
         )
-    # Bernoulli bridge: the closed even-zeta values agree with direct sums,
-    # and their exact rational pi-power coefficients match the Bernoulli form
+    # Bernoulli bridge: the closed even-zeta values agree with Euler-Maclaurin
+    # enclosures, and their exact rational pi-power coefficients match the
+    # Bernoulli form
     for n in range(0, 11):
         m = 2 * n + 2
         closed = zeta_even(m)
-        direct = zeta_r_enclosure(float(m), terms=200_000 if m == 2 else 20_000)
-        agree = closed.agrees_with(direct)
+        summed = zeta_r_enclosure(float(m))
+        agree = closed.agrees_with(summed)
         coeff = zeta_even_coefficient(m)
         expected = (
             Fraction((-1) ** n)
@@ -462,8 +463,8 @@ def suite_identities(seed: int, tol: float) -> SuiteReport:
                 inputs={"n": m, "coefficient": str(coeff)},
                 value=closed.value,
                 error=closed.error,
-                bound=direct.error,
-                residual=abs(closed.value - direct.value),
+                bound=summed.error,
+                residual=abs(closed.value - summed.value),
                 status="pass" if agree and exact_ok else "fail",
             )
         )

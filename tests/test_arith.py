@@ -123,6 +123,28 @@ class TestZetaEven:
         assert abs(z2.value - math.pi**2 / 6.0) <= z2.error
 
 
+class TestZetaEnclosure:
+    """Euler-Maclaurin enclosure of zeta_R(s) against 40-digit mpmath."""
+
+    @pytest.mark.parametrize(
+        "s", [1.0001, 1.01, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 7.3, 22.0, 50.0, 1100.0, 1e6, 1e300, math.inf]
+    )
+    def test_contains_and_tight(self, s):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            truth = mpmath.mpf(1) if math.isinf(s) else mpmath.zeta(mpmath.mpf(s))
+            cv = zeta_r_enclosure(s)
+            assert cv.value.imag == 0.0
+            assert abs(mpmath.mpf(cv.value.real) - truth) <= cv.error
+            if s >= 1.5:
+                assert cv.error <= 1e-14 * truth
+
+    @pytest.mark.parametrize("s", [1.0, 0.5, -3.0, -math.inf, math.nan])
+    def test_domain(self, s):
+        with pytest.raises(DomainError):
+            zeta_r_enclosure(s)
+
+
 class TestEOf:
     def test_trivial_points(self):
         assert e_of(0) == 1

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from weierforms import (
@@ -144,6 +145,23 @@ class TestRowBound:
     def test_truncated_sum_below_bound(self, k, im_tau):
         truncated = lattice_row_sum_truncated(k, complex(0.0, im_tau), shells=500)
         assert truncated < lemma_eies_bound(k, im_tau)
+
+
+def _row_sum_broadcast(k, tau, shells):
+    """The row sum as separate broadcast temporaries, the reference for the in-place kernel."""
+    c = np.arange(1, shells + 1, dtype=np.float64)[:, None]
+    d = np.arange(-shells, shells + 1, dtype=np.float64)[None, :]
+    re = c * tau.real + d
+    im = c * tau.imag
+    mod2 = re * re + im * im
+    return float(2.0 * np.sum(mod2 ** (-k / 2.0)))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 7])
+@pytest.mark.parametrize("tau", [1j, 2j, 10j, 0.3 + 1.1j, -0.5 + 0.87j])
+@pytest.mark.parametrize("shells", [1, 17, 500])
+def test_row_sum_matches_broadcast_reference(k, tau, shells):
+    assert lattice_row_sum_truncated(k, tau, shells) == _row_sum_broadcast(k, tau, shells)
 
 
 class TestZetaRecovery:

@@ -157,6 +157,57 @@ class TestGroups:
         assert any(m.c != 0 for m in mats)
 
 
+def _random_sl2_words(rng, max_entry=20, max_len=24):
+    """The sampler as a product of ModularMatrix words, the reference for the int-tuple walk."""
+    while True:
+        length = rng.randint(0, max_len)
+        mat = IDENTITY
+        ok = True
+        for _ in range(length):
+            nxt = mat @ rng.choice((S_MATRIX, T_MATRIX, T_MATRIX.inverse()))
+            if nxt.max_entry() > max_entry:
+                ok = False
+                break
+            mat = nxt
+        if ok:
+            return mat
+
+
+def _random_in_group_words(rng, contains, max_entry=20):
+    while True:
+        mat = _random_sl2_words(rng, max_entry=max_entry)
+        if contains(mat):
+            return mat
+
+
+class TestSamplerMatchesWordProducts:
+    @pytest.mark.parametrize("max_entry", [20, 6])
+    def test_random_sl2(self, max_entry):
+        for seed in range(30):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(20):
+                assert random_sl2(rng, max_entry=max_entry) == _random_sl2_words(ref, max_entry=max_entry)
+            assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("max_entry", [20, 6])
+    @pytest.mark.parametrize(
+        "contains",
+        [
+            lambda m: gamma_st_contains(pair(Fraction(1, 3), Fraction(1, 3)), m),
+            lambda m: gamma_st_contains(pair(0, Fraction(1, 2)), m),
+            lambda m: principal_congruence_contains(3, m),
+        ],
+        ids=["gamma_st(1/3,1/3)", "gamma_st(0,1/2)", "Gamma(3)"],
+    )
+    def test_random_in_group(self, max_entry, contains):
+        for seed in range(30):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                got = random_in_group(rng, contains, max_entry=max_entry)
+                assert got == _random_in_group_words(ref, contains, max_entry=max_entry)
+            assert rng.getstate() == ref.getstate()
+
+
 class TestSlash:
     def test_identity_leaves_value(self):
         p = pair(0, Fraction(1, 3))
