@@ -336,8 +336,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# eval's options with a value: labels such as -1/2 and points such as
+# -0.25+0.1i start with "-", which argparse reads as an option
+_EVAL_VALUED = frozenset(("--tol", "--s", "--t", "--r", "--u", "--tau", "--omega1", "--omega2", "--z"))
+
+
+def _join_values(argv: list[str]) -> list[str]:
+    """argv with each value of an eval option that starts with a single '-' joined as --opt=value."""
+    if argv[:1] != ["eval"]:
+        return argv
+    out, k = [], 0
+    while k < len(argv):
+        arg, nxt = argv[k], argv[k + 1] if k + 1 < len(argv) else ""
+        if arg in _EVAL_VALUED and nxt.startswith("-") and not nxt.startswith("--"):
+            out.append(f"{arg}={nxt}")
+            k += 2
+        else:
+            out.append(arg)
+            k += 1
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_join_values(sys.argv[1:] if argv is None else list(argv)))
     text = args.output_format == "text"
     try:
         _check_args(args.tol, args.route)

@@ -15,11 +15,17 @@ then compute the value:
   :mod:`weierforms.trig`;
 * ``shell`` - direct summation over a box of the reduced basis under a
   :class:`TruncationPlan` (the ground-truth route; cost grows like tol**-1
-  in points).  The route raises :class:`PrecisionError` when |z| exceeds
-  the margin of the reduced basis, when :func:`plan_truncation` refuses the
-  box (the tolerance out of reach within ``SHELL_CAP``, more than
-  ``POINT_BUDGET`` points, or a basis outside the planner's float range),
-  or when the summed certificate exceeds ``tol``.
+  in points).  The box is planned at all of ``tol`` that the rounding of
+  the first shell, of the principal part and of the final addition leaves,
+  and the planner counts the a priori rounding of the bulk, so the tail
+  takes nearly the whole tolerance (:func:`_plan_shell`).  The route raises
+  :class:`PrecisionError` when |z| exceeds the margin of the reduced basis,
+  when that rounding alone exceeds ``tol``, when :func:`plan_truncation`
+  refuses the box (the tolerance out of reach within ``SHELL_CAP``, more
+  than ``POINT_BUDGET`` points, or a basis outside the planner's float
+  range), or when the summed certificate exceeds ``tol``.  Every shell
+  evaluation and :func:`describe_route` take the box from
+  :func:`_plan_shell`, so the reported plan is the one summed.
 
 Every wzeta-type value - ``wzeta``, the series route of ``wzeta_lattice``,
 ``eval_g``, and the Klein-form parts of ``eval_h`` and ``eval_hU`` - is one
@@ -40,7 +46,7 @@ import math
 from .arith import TWO_PI, CertifiedValue
 from .errors import DomainError, PoleError, PrecisionError
 from .lattice import Lattice, TauLattice, reduce_lattice, reduce_points
-from .shells import TruncationPlan, plan_truncation, shell_sum
+from .shells import TruncationPlan, first_shell_bound, plan_truncation, shell_sum
 from .trig import eta2_strip, wp_strip, z_strip
 
 __all__ = [
@@ -114,26 +120,49 @@ def _reduce(lat: Lattice, zs):
 # shell route
 
 
+def _principal(z: complex, kind: str) -> complex:
+    return 1.0 / (z * z) if kind == "wp" else 1.0 / z
+
+
+def _addition_bound(principal: complex, total_abs: float) -> float:
+    """Rounding of the principal part and of its addition to a shell sum of modulus total_abs.
+
+    principal: z*z (2.83 u) and Smith's division (7.07 u); the sum: u (|p| + |total|)
+    """
+    return 6.0 * _EPS * abs(principal) + _EPS * total_abs
+
+
 def shell_value(
     lat: Lattice, z: complex, plan: TruncationPlan, kind: str = "wp"
 ) -> CertifiedValue:
     """Principal part plus the planned shell sum, with the plan's certificate."""
     z = complex(z)
     total, rounding = shell_sum(lat, z, plan.box, kind)
-    if kind == "wp":
-        principal = 1.0 / (z * z)
-    else:
-        principal = 1.0 / z
+    principal = _principal(z, kind)
     value = principal + total
-    # principal: z*z (2.83 u) and Smith's division (7.07 u); the sum: u (|p| + |total|)
-    err = plan.tail_bound + rounding + 6.0 * _EPS * abs(principal) + _EPS * abs(total)
+    err = plan.tail_bound + rounding + _addition_bound(principal, abs(total))
     return CertifiedValue(value, err)
 
 
 def _plan_shell(basis: Lattice, z: complex, tol: float, kind: str) -> TruncationPlan:
-    """The admitted shell plan, or PrecisionError with the reason for refusing it."""
+    """The admitted shell plan, or PrecisionError with the reason for refusing it.
+
+    The box takes all of tol that the terms of the certificate which do not
+    depend on it leave: the first shell's rounding and the principal part's
+    rounding and addition (:func:`shell_value`), with an a priori bound on
+    the modulus of the sum.  The planner counts the bulk's a priori rounding,
+    so tail plus rounding stay within tol.
+    """
     try:
-        return plan_truncation(basis, abs(z), 0.5 * tol, kind=kind)
+        first, modulus = first_shell_bound(basis, z, kind)
+        fixed = first + _addition_bound(_principal(z, kind), modulus)
+        if not fixed < tol:
+            raise PrecisionError(
+                f"shell certificate exceeds the requested tolerance: the rounding at z alone is {fixed:.3g}"
+            )
+        # the certificate is a sum of five terms; a share 4 eps smaller
+        # absorbs its rounding and that of the planner's sum
+        return plan_truncation(basis, abs(z), (tol - fixed) * (1.0 - 4.0 * _EPS), kind=kind)
     except DomainError:
         raise PrecisionError("shell route infeasible: |z| exceeds the margin of the reduced basis") from None
 

@@ -158,9 +158,15 @@ def pair_act(p: RationalPair, mat: ModularMatrix) -> RationalPair:
 
 
 def gamma_st_contains(p: RationalPair, mat: ModularMatrix) -> bool:
-    """Exact test of (s,t)*A - (s,t) in Z^2 (the stabilizer of the label mod Z^2)."""
-    moved = pair_act(p, mat)
-    return (moved.s - p.s).denominator == 1 and (moved.t - p.t).denominator == 1
+    """Exact test of (s,t)*A - (s,t) in Z^2 (the stabilizer of the label mod Z^2).
+
+    With (s, t) = (S, T)/L over the level L, the test is two congruences mod L:
+    S(a - 1) + T c = 0 and S b + T(d - 1) = 0.
+    """
+    s, t = p.s, p.t
+    level = lcm(s.denominator, t.denominator)
+    ns, nt = s.numerator * (level // s.denominator), t.numerator * (level // t.denominator)
+    return (ns * (mat.a - 1) + nt * mat.c) % level == 0 and (ns * mat.b + nt * (mat.d - 1)) % level == 0
 
 
 def _check_level(level: int) -> None:

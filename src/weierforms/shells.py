@@ -53,6 +53,15 @@ Aspect.  The two leading N^-2 terms balance, which minimises the point count
 for a given bound, at c_max/d_max = sqrt(|omega1| h2^3 / (|omega2| h1^3))
 (1/20 for the basis (20i, 1)).  ``plan_truncation`` inverts the leading
 terms in closed form and steps d_max up until the bound holds.
+
+Budget.  A plan's box is the first on the aspect rule whose tail bound plus
+the a priori rounding bound of its bulk (``bulk_rounding_bound``, which grows
+with c_max) is <= tol.  The shell route plans at all of its tolerance that
+the terms independent of the box leave: the first shell's rounding and an a
+priori bound on |sum| (``first_shell_bound``), and the principal part.  So
+the tail takes nearly the whole tolerance, and since the point count scales
+like 1/tail, the box has about half the points of one whose tail is held
+within tol/2.
 """
 
 from __future__ import annotations
@@ -66,7 +75,15 @@ import numpy as np
 from .errors import DomainError, PrecisionError
 from .lattice import Lattice
 
-__all__ = ["TruncationPlan", "plan_truncation", "shell_sum", "SHELL_CAP", "POINT_BUDGET"]
+__all__ = [
+    "TruncationPlan",
+    "plan_truncation",
+    "shell_sum",
+    "bulk_rounding_bound",
+    "first_shell_bound",
+    "SHELL_CAP",
+    "POINT_BUDGET",
+]
 
 _EPS = math.ulp(1.0)
 
@@ -178,14 +195,18 @@ def plan_truncation(
     *,
     kind: str = "wp",
 ) -> TruncationPlan:
-    """Box of the aspect rule whose proven tail bound is <= tol.
+    """Box of the aspect rule whose tail bound plus bulk rounding bound is <= tol.
 
+    The smallest such box on the aspect rule: its proven tail bound plus
+    :func:`bulk_rounding_bound`, the a priori rounding of ``shell_sum``'s
+    bulk on it, is <= tol, so ``tail_bound <= tol`` holds as well.
     Requires z_bound <= delta, so that |z/w| <= 1/2 holds beyond the first
     shell; the box always contains the first shell and is large enough that
     |z/w| <= 1/2 on every point outside it.  Raises PrecisionError when the
     box would need max(c_max, d_max) > SHELL_CAP or more than POINT_BUDGET
-    points, or when the basis lies outside the float range of the bound's
-    coefficients or the box outside that of the kernel.
+    points, when the bulk rounding alone exceeds tol, or when the basis lies
+    outside the float range of the bound's coefficients or the box outside
+    that of the kernel.
     """
     if kind not in _KINDS:
         raise DomainError(f"unknown summand kind {kind!r}")
@@ -203,26 +224,39 @@ def plan_truncation(
     unreachable = f"tolerance {tol:.3g} unreachable within the shell cap {SHELL_CAP}"
     if max(c_min, d_min) > SHELL_CAP or _tail_bound(lat, kind, z_bound, SHELL_CAP, SHELL_CAP) > tol:
         raise PrecisionError(unreachable)
-    d = d_min
     amp = _pair_coeff(kind, 0.0) * z_bound ** _KINDS[kind]
-    if math.isfinite(tol) and amp > 0.0:
+
+    def start(share: float) -> int:
         # leading terms with c_max = aspect * d_max, X = d_max + 1/2:
-        # amp * (2 a_rows / X^2 + (b_rows + b_cols / aspect^3) / X^3) = tol,
+        # amp * (2 a_rows / X^2 + (b_rows + b_cols / aspect^3) / X^3) = share,
         # i.e. X^3 - a X - b = 0; Newton from above the root stays above it
-        a = 2.0 * amp * a_rows / tol
-        b = amp * (b_rows + b_cols / aspect**3) / tol
+        if not (math.isfinite(share) and amp > 0.0):
+            return d_min
+        a = 2.0 * amp * a_rows / share
+        b = amp * (b_rows + b_cols / aspect**3) / share
         x = max(math.sqrt(2.0 * a), (2.0 * b) ** (1.0 / 3.0))
         for _ in range(8):
             x -= (x**3 - a * x - b) / (3.0 * x * x - a)
-        d = max(d, math.floor(x - 0.5))
+        return max(d_min, math.floor(x - 0.5))
+
+    def width(d: int) -> int:
+        return max(c_min, math.ceil(aspect * d))
+
+    d = start(tol)
     while True:
-        c = max(c_min, math.ceil(aspect * d))
+        c = width(d)
         if max(c, d) > SHELL_CAP:
             raise PrecisionError(unreachable)
         tail = _tail_bound(lat, kind, z_bound, c, d)
-        if tail <= tol:
+        spent = bulk_rounding_bound(lat, z_bound, kind, c)
+        if tail + spent <= tol:
             break
-        d += 1
+        if spent >= tol:
+            raise PrecisionError(f"tolerance {tol:.3g} below the kernel's rounding bound {spent:.3g}")
+        # the rounding grows with the box, so the tail's share on a larger
+        # box is at most tol - spent: the estimate at that share stays below
+        # the answer
+        d = max(d + 1, start(tol - spent))
     _check_kernel_range(lat, kind, c, d)
     plan = TruncationPlan(c, d, tail, g.delta, kind, z_bound)
     if plan.point_count > POINT_BUDGET:
@@ -299,6 +333,39 @@ def _bulk_abs_bound(lat: Lattice, z_abs: float, kind: str) -> float:
     """A priori bound on Sum |g| over the half-box points with max(|c|, |d|) >= 2."""
     delta = lat.geometry.delta
     return _pair_coeff(kind, 0.25) * z_abs ** _KINDS[kind] * 4.0 * (_ZETA3 - 1.0) / delta**4
+
+
+def bulk_rounding_bound(lat: Lattice, z_abs: float, kind: str, c_max: int) -> float:
+    """A priori bound on the rounding of ``shell_sum``'s bulk on a box of half-width c_max.
+
+    It holds for every |z| <= z_abs <= delta and every d_max: it depends on
+    the box only through the length 2 c_max + 1 of the numpy rows, and grows
+    with c_max.
+    """
+    g = lat.geometry
+    spread = abs(lat.omega1) / g.h1 + abs(lat.omega2) / g.h2
+    per_term = _BULK_U[kind] + _SHIFT_U[kind] * spread + (2 * c_max + 1) + 1.0
+    return 1.01 * _EPS * per_term * _bulk_abs_bound(lat, z_abs, kind)
+
+
+def first_shell_bound(lat: Lattice, z: complex, kind: str) -> tuple[float, float]:
+    """(rounding, modulus) of ``shell_sum`` at z apart from its bulk's rounding.
+
+    For every box that holds the first shell (every planned box): the first
+    shell's share of the rounding bound, and an a priori bound on the modulus
+    of the sum.  Neither depends on the box, so both are known before the box
+    is planned.  Requires |z| <= delta, as ``shell_sum`` does, and raises
+    PrecisionError where the kernel leaves the float range on the first shell.
+    """
+    if kind not in _KINDS:
+        raise DomainError(f"unknown summand kind {kind!r}")
+    z = complex(z)
+    _check_margin(lat, abs(z))
+    _check_kernel_range(lat, kind, 1, 1)
+    values, bound = _first_shell(lat, z, 1, 1, kind)
+    # 1.01 covers the rounding of the computed sum against the exact one
+    modulus = 2.02 * (math.fsum(abs(v) for v in values) + _bulk_abs_bound(lat, abs(z), kind))
+    return 2.0 * bound, modulus
 
 
 def _first_shell(lat: Lattice, z: complex, c_max: int, d_max: int, kind: str):
@@ -404,8 +471,4 @@ def shell_sum(
         math.fsum([bulk.imag] + [v.imag for v in first]),
     )
 
-    g = lat.geometry
-    spread = abs(w1) / g.h1 + abs(w2) / g.h2
-    per_term = _BULK_U[kind] + _SHIFT_U[kind] * spread + cw1.size + 1.0
-    rounding = 1.01 * _EPS * per_term * _bulk_abs_bound(lat, abs(z), kind)
-    return total, rounding + 2.0 * first_bound
+    return total, bulk_rounding_bound(lat, abs(z), kind, c_max) + 2.0 * first_bound

@@ -89,6 +89,34 @@ class TestEvalCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "f", "--s", "-1/2", "--t", "1/3", "--tau", "0.1+1.2i"),
+            ("eval", "g", "--s", "-1/2", "--t", "-1/3", "--tau", "-0.5+2i"),
+            ("eval", "h", "--r", "2", "--s", "-1/3", "--t", "1/5", "--tau", "0.3+1.2i"),
+            ("eval", "hU", "--u", "-1/3,0", "--u", "1/6,1/2", "--u", "1/6,-1/2", "--tau", "-0.2+1.1i"),
+            ("eval", "wp", "--tau", "-0.5+2i", "--z", "-0.25+0.1i"),
+            ("eval", "wzeta", "--omega1", "-1+1.5i", "--omega2", "1", "--z", "-i"),
+            ("eval", "wp", "--tau", "i", "--z", "-0.25-0.1i", "--route", "shell", "--tol", "1e-6"),
+        ],
+    )
+    def test_values_starting_with_minus(self, capsys, argv):
+        # the same output as the --opt=value spelling, for every format
+        joined, k = [], 0
+        while k < len(argv):
+            if argv[k].startswith("--") and k + 1 < len(argv) and argv[k + 1].startswith("-"):
+                joined.append(f"{argv[k]}={argv[k + 1]}")
+                k += 2
+            else:
+                joined.append(argv[k])
+                k += 1
+        assert joined != list(argv)
+        for fmt in ("json", "csv", "text"):
+            code, out = run_cli(capsys, *argv, "--format", fmt)
+            assert code == 0
+            assert run_cli(capsys, *joined, "--format", fmt) == (0, out)
+
     def test_decimal_label_rejected_with_record(self, capsys):
         code, out = run_cli(
             capsys, "eval", "f", "--s", "0.5", "--t", "0", "--tau", "i", "--format", "json"

@@ -24,7 +24,7 @@ from weierforms import (
     wzeta,
     wzeta_lattice,
 )
-from weierforms.shells import POINT_BUDGET, SHELL_CAP
+from weierforms.shells import POINT_BUDGET, SHELL_CAP, bulk_rounding_bound
 from weierforms.trig import wp_strip, z_strip
 
 
@@ -39,15 +39,16 @@ ROUTE_CASES = [
     # tolerance out of reach within the shell cap
     ("wp", (1j, 1.0), 0.4, 1e-12, SHELL_CAP, "series", "unreachable within the shell cap 1000000"),
     ("wzeta", (1j, 1.0), 0.9, 1e-12, SHELL_CAP, "series", "unreachable within the shell cap 1000000"),
-    # admitted, with 6.8 million (wp) and 0.68 million (wzeta) points
+    # admitted, with 3.4 million (wp) and 0.34 million (wzeta) points
     ("wp", (1j, 1.0), 0.3, 1e-6, SHELL_CAP, "series", None),
     ("wzeta", (1j, 1.0), 0.3, 1e-6, SHELL_CAP, "series", None),
-    # over the forced budget
-    ("wp", (1j, 1.0), 0.4, 1e-8, SHELL_CAP, "series", "over the budget 800,000,000"),
+    # over the forced budget (about 1.2e9 points)
+    ("wp", (1j, 1.0), 0.4, 5e-9, SHELL_CAP, "series", "over the budget 800,000,000"),
     # admitted
     ("wp", (0.3 + 1.2j, 1.0), 0.2 - 0.1j, 1e-4, SHELL_CAP, "shell", None),
     ("wzeta", (0.3 + 1.2j, 1.0), 0.2 - 0.1j, 1e-4, SHELL_CAP, "shell", None),
-    # admitted, but the summed certificate (principal part near the pole) exceeds tol
+    # refused before summing: the rounding of the principal part near the pole
+    # alone exceeds tol
     ("wp", (1j, 1.0), 1e-7, 1e-12, SHELL_CAP, "shell", "certificate exceeds"),
     ("wzeta", (1j, 1.0), 1e-7, 1e-12, SHELL_CAP, "shell", "certificate exceeds"),
 ]
@@ -86,13 +87,16 @@ class TestDispatchEdges:
 
     def test_forced_shell_budget_guard(self):
         # feasible under the cap but over the runtime point budget (~1.2e9 points)
-        with pytest.raises(PrecisionError):
-            wp_lattice(Lattice(1j, 1.0), 0.4, 1e-8, route="shell")
+        with pytest.raises(PrecisionError, match="over the budget"):
+            wp_lattice(Lattice(1j, 1.0), 0.4, 5e-9, route="shell")
 
     def test_describe_route_shell(self):
-        info = describe_route(Lattice(20j, 1.0), 0.5, 1e-8, route="shell", kind="wp")
+        lat = Lattice(20j, 1.0)
+        info = describe_route(lat, 0.5, 1e-8, route="shell", kind="wp")
         assert info["route"] == "shell"
-        assert info["tail_bound"] <= 0.5e-8
+        # the tail and the bulk's a priori rounding share the tolerance
+        rounding = bulk_rounding_bound(lat, 0.5, "wp", info["c_max"])
+        assert info["tail_bound"] + rounding <= 1e-8
         assert info["points"] == (2 * info["c_max"] + 1) * (2 * info["d_max"] + 1) - 1
 
     def test_describe_route_infeasible_shell(self):

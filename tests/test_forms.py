@@ -103,6 +103,26 @@ class TestGroups:
         assert not gamma_st_contains(pair(0, Fraction(1, 2)), S_MATRIX)
         assert gamma_st_contains(pair(Fraction(1, 7), Fraction(2, 7)), IDENTITY)
 
+    def test_integer_membership_matches_fraction_definition(self):
+        # (s,t)*A - (s,t) in Z^2, computed in Fractions, against the two
+        # congruences on the numerators over the level
+        rng = random.Random(4)
+        seen = set()
+        for _ in range(600):
+            qs, qt = rng.choice((1, 2, 3, 4, 6, 12)), rng.choice((1, 2, 5, 6, 7))
+            p = pair(Fraction(rng.randrange(-3 * qs, 3 * qs), qs), Fraction(rng.randrange(-3 * qt, 3 * qt), qt))
+            if rng.random() < 0.5:
+                level = p.level()
+                mat = random_in_group(rng, lambda m: principal_congruence_contains(level, m))
+                mat = mat @ (S_MATRIX if rng.random() < 0.3 else IDENTITY)
+            else:
+                mat = random_sl2(rng, max_entry=40)
+            moved = pair_act(p, mat)
+            expected = (moved.s - p.s).denominator == 1 and (moved.t - p.t).denominator == 1
+            assert gamma_st_contains(p, mat) == expected, (p, mat)
+            seen.add(expected)
+        assert seen == {True, False}
+
     def test_principal_examples(self):
         assert principal_congruence_contains(2, ModularMatrix(3, 2, 4, 3))
         assert not principal_congruence_contains(2, T_MATRIX)

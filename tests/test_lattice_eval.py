@@ -16,6 +16,7 @@ from weierforms import (
     PoleError,
     PrecisionError,
     TauLattice,
+    describe_route,
     eta12,
     plan_truncation,
     shell_sum,
@@ -25,6 +26,7 @@ from weierforms import (
     wzeta,
     wzeta_lattice,
 )
+from weierforms import evaluate
 from weierforms.evaluate import POLE_RTOL
 from weierforms.lattice import reduce_lattice, reduce_points, reduce_tau_matrix
 from weierforms.shells import _bulk_abs_bound
@@ -350,6 +352,79 @@ class TestPlans:
             doubled, _ = shell_sum(lat, z, (2 * plan.c_max, 2 * plan.d_max), kind)
             principal = 1.0 / (z * z) if kind == "wp" else 1.0 / z
             assert abs(a.value - (principal + doubled)) < plan.tail_bound
+
+
+# elongated, near-square, tall and skewed bases
+PLAN_BASES = [(20j, 1.0), (0.3 + 1.1j, 1.0), (1.0, 4j), (2.3 + 1.7j, 1.1 - 0.4j)]
+LATTICE_FNS = (("wp", wp_lattice), ("wzeta", wzeta_lattice))
+
+
+class TestFullTolerancePlans:
+    """The shell route's box takes all of tol that the rounding leaves."""
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8])
+    @pytest.mark.parametrize("basis", PLAN_BASES)
+    def test_plans_on_the_grid(self, basis, tol):
+        lat = Lattice(*basis)
+        red = reduce_lattice(lat)
+        z = 0.1 * red.basis.geometry.delta * cmath.exp(0.7j)
+        for kind, fn in LATTICE_FNS:
+            info = describe_route(lat, z, tol, route="shell", kind=kind)
+            shell = fn(lat, z, tol, route="shell")
+            series = fn(lat, z, tol, route="series")
+            assert shell.error <= tol
+            assert abs(shell.value - series.value) <= shell.error + series.error
+            # doubling the box moves the sum by less than its tail bound
+            doubled, _ = shell_sum(red.basis, z, (2 * info["c_max"], 2 * info["d_max"]), kind)
+            principal = 1.0 / (z * z) if kind == "wp" else 1.0 / z
+            assert abs(shell.value - (principal + doubled)) < info["tail_bound"]
+            # no larger in either half-width than the box of a tail within tol/2
+            half = plan_truncation(red.basis, abs(z), 0.5 * tol, kind=kind)
+            assert info["c_max"] <= half.c_max and info["d_max"] <= half.d_max
+
+    def test_benchmark_plans(self):
+        # the tail within tol/2 needed (243, 4855), 4,729,256 points, and
+        # (3036, 3461), 42,043,378 points
+        elongated = describe_route(Lattice(20j, 1.0), 0.5, 1e-8, route="shell", kind="wp")
+        square = describe_route(Lattice(0.3 + 1.1j, 1.0), 0.25 - 0.1j, 1e-8, route="shell", kind="wzeta")
+        assert elongated["c_max"] <= 243 and elongated["d_max"] <= 4855
+        assert elongated["points"] <= 2_500_000
+        assert square["c_max"] <= 3036 and square["d_max"] <= 3461
+        assert square["points"] <= 22_000_000
+
+    @pytest.mark.parametrize(
+        "basis,z,tol",
+        [
+            ((20j, 1.0), 0.5, 1e-8),
+            ((0.3 + 1.1j, 1.0), 0.25 - 0.1j, 1e-6),
+            ((1.0, 4j), -0.3 + 0.2j, 1e-6),
+            ((2.3 + 1.7j, 1.1 - 0.4j), 0.1 + 0.05j, 1e-7),
+        ],
+    )
+    def test_describe_route_reports_the_summed_box(self, basis, z, tol, monkeypatch):
+        boxes = []
+
+        def spy(lat, z, box, kind="wp"):
+            boxes.append(tuple(box))
+            return shell_sum(lat, z, box, kind)
+
+        monkeypatch.setattr(evaluate, "shell_sum", spy)
+        lat = Lattice(*basis)
+        for kind, fn in LATTICE_FNS:
+            boxes.clear()
+            fn(lat, z, tol, route="shell")
+            info = describe_route(lat, z, tol, route="shell", kind=kind)
+            assert boxes == [(info["c_max"], info["d_max"])]
+
+    def test_rounding_alone_over_tol_is_refused_before_summing(self, monkeypatch):
+        # near the pole the principal part's rounding alone exceeds tol
+        def no_sum(*args, **kwargs):
+            raise AssertionError("summed a refused box")
+
+        monkeypatch.setattr(evaluate, "shell_sum", no_sum)
+        with pytest.raises(PrecisionError, match="certificate exceeds"):
+            wp_lattice(Lattice(1j, 1.0), 1e-7, 1e-12, route="shell")
+        assert describe_route(Lattice(1j, 1.0), 1e-7, 1e-12, route="shell") == {"route": "shell", "feasible": False}
 
 
 class TestKernelParity:
