@@ -20,7 +20,7 @@ from .errors import WeierError
 from .evaluate import _ROUTES, DEFAULT_TOL, _check_args, describe_route, wp_lattice, wzeta_lattice
 from .forms import FormSpec, RationalPair
 from .lattice import Lattice
-from .verify import SUITES, VerifyRow, run_suite
+from .verify import SUITES, VerifyRow, format_complex, run_suite
 
 __all__ = ["main"]
 
@@ -50,12 +50,6 @@ def parse_complex(text: str) -> complex:
     if m:
         return complex(float(m.group("re")), _imag_body(m.group("im")))
     raise WeierError(f"cannot parse complex number {text!r}")
-
-
-def format_complex(z: complex) -> str:
-    """Round-trip text form re+imi with shortest repr digits."""
-    sign = "+" if z.imag >= 0 or z.imag != z.imag else "-"
-    return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
 
 def _value_payload(z: complex | None) -> dict | None:
@@ -165,15 +159,15 @@ def cmd_eval(args) -> int:
             raise WeierError(f"eval {kind} requires --tau")
         tau = parse_complex(args.tau)
         cv = form.evaluate(tau, args.tol, route=args.route)
-        z_point = form.p.point(tau) if form.p is not None else None
         lat = Lattice(tau, 1.0)
-        plan = describe_route(
-            lat,
-            z_point if z_point is not None else 0.25,
-            args.tol,
-            route=args.route,
-            kind="wp" if kind == "f" else "wzeta",
-        )
+        if kind == "f":
+            # eval_f sums one box, at the reduced point of the exact label
+            plan = describe_route(lat, (form.p.s, form.p.t), args.tol, route=args.route)
+        elif args.route == "shell":
+            # g, h and hU sum several boxes, each at a share of the tolerance
+            plan = {"route": "shell"}
+        else:
+            plan = describe_route(lat, 0j, args.tol, route=args.route)
         inputs = {"form": form.describe(), "tau": format_complex(tau)}
     else:
         if args.z is None:

@@ -1,5 +1,8 @@
-"""Closed-form cusp values, the s = 0 series identity, and the explicit
-double-sum bound used to control rows of lattice points.
+"""Closed-form cusp values, the s = 0 series identity, the explicit
+double-sum bound used to control rows of lattice points, and
+:func:`cusp_report`, the comparison of a value at tau = iY with its closed
+cusp value that the ``table`` command and the cusp-f, cusp-h and zeta2
+suites read.
 
 The cusp of interest is i*infinity; values at other cusps are obtained by
 transporting with the slash action, so only the limits below are needed in
@@ -10,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -27,9 +29,6 @@ __all__ = [
     "cusp_value",
     "lemma_eies_bound",
     "lattice_row_sum_truncated",
-    "verify_zeta2_recovery",
-    "ZetaRecoveryRow",
-    "ZetaRecoveryReport",
     "CuspValueReport",
     "cusp_report",
 ]
@@ -283,70 +282,3 @@ def cusp_report(form: FormSpec, Y: float, tol: float = DEFAULT_TOL) -> CuspValue
         residual=abs(closed.value - numeric.value),
         gap=gap,
     )
-
-
-# ---------------------------------------------------------------------------
-# recovery of zeta_R(2) from the s != 0 cusp limit
-
-
-@dataclass(frozen=True)
-class ZetaRecoveryRow:
-    Y: float
-    value: complex
-    error: float
-    bound: float
-    limit_residual: float
-    implied_zeta2: float
-    zeta2_residual: float
-
-    @property
-    def passed(self) -> bool:
-        return self.limit_residual <= self.bound
-
-
-@dataclass(frozen=True)
-class ZetaRecoveryReport:
-    rows: tuple[ZetaRecoveryRow, ...]
-    target_limit: float
-    zeta2: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return all(row.passed for row in self.rows) and self.rows[-1].zeta2_residual <= self.tolerance
-
-
-def verify_zeta2_recovery(
-    tolerance: float = 1e-8,
-    label: RationalPair | None = None,
-    heights: tuple[float, ...] = (5.0, 10.0, 20.0),
-    tol: float = DEFAULT_TOL,
-) -> ZetaRecoveryReport:
-    """Evaluate the s != 0 member up the imaginary axis; its limit -pi^2/3
-    forces the value of zeta_R(2) = pi^2/6, recovered here as -limit/2.
-
-    Passes when every height is within its certificate plus the finite-height
-    gap of the limit (see :func:`cusp_report`), and the largest height gives
-    the implied zeta within ``tolerance``.
-    """
-    p = label if label is not None else RationalPair.of(Fraction(1, 2), 0)
-    if p.s.denominator == 1:
-        raise DomainError("recovery needs a label with non-integral s")
-    form = FormSpec.wp_form(p.s, p.t)
-    z2 = _PI**2 / 6.0
-    rows = []
-    for y in heights:
-        rep = cusp_report(form, y, tol)
-        implied = -rep.numeric.value.real / 2.0
-        rows.append(
-            ZetaRecoveryRow(
-                Y=rep.Y,
-                value=rep.numeric.value,
-                error=rep.numeric.error,
-                bound=rep.bound,
-                limit_residual=rep.residual,
-                implied_zeta2=implied,
-                zeta2_residual=abs(implied - z2),
-            )
-        )
-    return ZetaRecoveryReport(tuple(rows), cusp_value(form).real, z2, tolerance)

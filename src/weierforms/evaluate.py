@@ -45,7 +45,7 @@ import math
 
 from .arith import TWO_PI, CertifiedValue
 from .errors import DomainError, PoleError, PrecisionError
-from .lattice import Lattice, TauLattice, reduce_lattice, reduce_points
+from .lattice import Lattice, reduce_lattice, reduce_points
 from .shells import TruncationPlan, first_shell_bound, plan_truncation, shell_sum
 from .trig import eta2_strip, wp_strip, z_strip
 
@@ -71,16 +71,12 @@ _ROUTES = ("auto", "shell", "series")
 def _as_lattice(lat) -> Lattice:
     if isinstance(lat, Lattice):
         return lat
-    if isinstance(lat, TauLattice):
-        return lat.lattice
     if isinstance(lat, (tuple, list)) and len(lat) == 2:
         return Lattice(lat[0], lat[1])
     raise DomainError(f"cannot interpret {lat!r} as a lattice")
 
 
 def _as_tau(tau) -> complex:
-    if isinstance(tau, TauLattice):
-        return tau.tau
     t = complex(tau)
     if not t.imag > 0.0:
         raise DomainError(f"tau must satisfy Im tau > 0, got {tau!r}")
@@ -358,13 +354,22 @@ def eta12(tau, tol: float = DEFAULT_TOL, *, route: str = "auto") -> tuple[Certif
     return eta1, eta2
 
 
-def describe_route(lat, z: complex, tol: float = DEFAULT_TOL, *, route: str = "auto", kind: str = "wp") -> dict:
-    """Report, without summing, the route a lattice-function request runs on and its plan."""
+def describe_route(lat, z, tol: float = DEFAULT_TOL, *, route: str = "auto", kind: str = "wp") -> dict:
+    """Report, without summing, the route a request runs on and its plan.
+
+    z is a complex point, which the shell route of ``wp_lattice`` and
+    ``wzeta_lattice`` sums where it is, or an exact label (s, t), which
+    ``eval_f`` sums at its reduced point; the reported box is the one
+    summed.  ``kind`` is "wp" or "wzeta".
+    """
     _check_args(tol, route)
-    red = reduce_lattice(_as_lattice(lat))
+    if kind not in ("wp", "wzeta"):
+        raise DomainError(f"kind must be 'wp' or 'wzeta', got {kind!r}")
+    label = type(z) is tuple
+    red = reduce_lattice(_as_lattice(lat), z if label else 0j)
     if route == "shell":
         try:
-            plan = _plan_shell(red.basis, complex(z), tol, kind)
+            plan = _plan_shell(red.basis, red.point if label else complex(z), tol, kind)
         except PrecisionError:
             return {"route": "shell", "feasible": False}
         return {

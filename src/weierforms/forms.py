@@ -1,6 +1,10 @@
 """Torsion labels, the SL(2,Z) action, congruence subgroups, slash operator,
 and the certified evaluators of the weight-2 and weight-1 families.
 
+The congruence subgroups read their congruence on the lower-left entry c:
+Gamma0(N) is c == 0 mod N, the reading on which the exact stabilizers of the
+labels (0, 1/2) and (0, 1/3) are Gamma0(2) and Gamma1(3).
+
 Exactness contract: every label, matrix action and group-membership test in
 this module is exact integer/rational arithmetic; tolerances appear only in
 the complex evaluators.
@@ -12,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Literal, Sequence
+from typing import Callable, Sequence
 
 from .arith import CertifiedValue, as_rational
 from .errors import DomainError
@@ -24,7 +28,6 @@ __all__ = [
     "IDENTITY",
     "S_MATRIX",
     "T_MATRIX",
-    "Convention",
     "pair_act",
     "gamma_st_contains",
     "principal_congruence_contains",
@@ -40,10 +43,6 @@ __all__ = [
     "random_sl2",
     "random_in_group",
 ]
-
-Convention = Literal["paper-b", "standard-c"]
-CONVENTIONS = ("paper-b", "standard-c")
-
 
 @dataclass(frozen=True)
 class RationalPair:
@@ -79,12 +78,6 @@ class RationalPair:
 
     def __neg__(self) -> "RationalPair":
         return RationalPair(-self.s, -self.t)
-
-    def acted_by(self, mat: "ModularMatrix") -> "RationalPair":
-        return pair_act(self, mat)
-
-    def point(self, tau: complex) -> complex:
-        return float(self.s) * tau + float(self.t)
 
     def __str__(self):
         return f"({self.s},{self.t})"
@@ -174,11 +167,6 @@ def _check_level(level: int) -> None:
         raise DomainError(f"level must be a positive integer, got {level!r}")
 
 
-def _check_convention(convention: str) -> None:
-    if convention not in CONVENTIONS:
-        raise DomainError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
-
-
 def principal_congruence_contains(level: int, mat: ModularMatrix) -> bool:
     """A == identity mod level."""
     _check_level(level)
@@ -190,26 +178,16 @@ def principal_congruence_contains(level: int, mat: ModularMatrix) -> bool:
     )
 
 
-def hecke_contains(level: int, mat: ModularMatrix, convention: Convention = "paper-b") -> bool:
-    """Hecke congruence subgroup of the given level.
-
-    ``paper-b`` tests b == 0 mod level, ``standard-c`` tests c == 0 mod level
-    (the two sides of a transposition ambiguity; see the README).
-    """
+def hecke_contains(level: int, mat: ModularMatrix) -> bool:
+    """Hecke congruence subgroup Gamma0(level): c == 0 mod level."""
     _check_level(level)
-    _check_convention(convention)
-    entry = mat.b if convention == "paper-b" else mat.c
-    return entry % level == 0
+    return mat.c % level == 0
 
 
-def gamma1_contains(level: int, mat: ModularMatrix, convention: Convention = "paper-b") -> bool:
-    """a == d == 1 mod level together with the Hecke condition of the convention."""
+def gamma1_contains(level: int, mat: ModularMatrix) -> bool:
+    """Gamma1(level): a == d == 1 and c == 0 mod level."""
     _check_level(level)
-    _check_convention(convention)
-    if (mat.a - 1) % level != 0 or (mat.d - 1) % level != 0:
-        return False
-    entry = mat.b if convention == "paper-b" else mat.c
-    return entry % level == 0
+    return (mat.a - 1) % level == 0 and (mat.d - 1) % level == 0 and mat.c % level == 0
 
 
 def slash(

@@ -20,7 +20,6 @@ from .errors import DomainError
 
 __all__ = [
     "Lattice",
-    "TauLattice",
     "LatticeGeometry",
     "Reduction",
     "reduce_lattice",
@@ -117,23 +116,6 @@ class Lattice:
             delta=min(e1, e2),
             covolume=d,
         )
-
-
-@dataclass(frozen=True)
-class TauLattice:
-    """Normalized lattice tau*Z + Z with tau in the upper half plane."""
-
-    tau: complex
-
-    def __post_init__(self):
-        t = complex(self.tau)
-        if not t.imag > 0.0:
-            raise DomainError(f"tau must satisfy Im tau > 0, got {t!r}")
-        object.__setattr__(self, "tau", t)
-
-    @property
-    def lattice(self) -> Lattice:
-        return Lattice(self.tau, 1.0 + 0.0j)
 
 
 def reduce_tau_matrix(tau: complex) -> tuple[int, int, int, int]:

@@ -17,7 +17,10 @@ Suite names are part of the CLI contract:
 The five agreement suites (lemma-fsta through theorem-hU) compare two
 certified values per row: a row passes when the residual |shown - other| is
 within the summed certificates plus the suite's slack (1e-9 for the
-covariance lemmas, 0 otherwise).
+covariance lemmas, 0 otherwise).  The three cusp suites (cusp-f, cusp-h,
+zeta2) read :func:`weierforms.cusp.cusp_report`: a row passes when the value
+at tau = iY is within its certificate, the closed value's rounding and the
+finite-height gap of the closed cusp value.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .cusp import (
     cusp_value_f_series,
     lattice_row_sum_truncated,
     lemma_eies_bound,
-    verify_zeta2_recovery,
 )
 from .errors import DomainError
 from .evaluate import DEFAULT_TOL, _check_args, eta12
@@ -99,8 +101,10 @@ class SuiteReport:
         return self.failed == 0
 
 
-def _fmt_c(z: complex) -> str:
-    return f"{z.real!r}{z.imag:+}i".replace("+-", "-")
+def format_complex(z: complex) -> str:
+    """Round-trip text form re+imi with shortest repr digits."""
+    sign = "+" if z.imag >= 0 or z.imag != z.imag else "-"
+    return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
 
 def _random_tau(rng: random.Random) -> complex:
@@ -151,7 +155,7 @@ def _covariance_suite(name: str, weight: int, seed: int, tol: float, instances: 
         p, mat, tau = _random_label(rng), random_sl2(rng), _random_tau(rng)
         lhs = slash(lambda w, tt: evaluator(p, w, tt), weight, mat, tau, tol)
         rhs = evaluator(pair_act(p, mat), tau, tol)
-        inputs = {"p": str(p), "A": str(mat), "tau": _fmt_c(tau)}
+        inputs = {"p": str(p), "A": str(mat), "tau": format_complex(tau)}
         rows.append(_agreement(f"{name}-{idx:03d}", inputs, lhs, rhs, slack=1e-9))
     return SuiteReport(name, seed, tuple(rows))
 
@@ -198,7 +202,7 @@ def suite_defect_gstt(seed: int, tol: float) -> SuiteReport:
         base = eval_g(p, tau, tol)
         eta1, eta2 = eta12(tau, tol)
         predicted = base + eta1 * int(u) + eta2 * int(v)
-        inputs = {"p": str(p), "A": str(mat), "tau": _fmt_c(tau), "u": int(u), "v": int(v)}
+        inputs = {"p": str(p), "A": str(mat), "tau": format_complex(tau), "u": int(u), "v": int(v)}
         rows.append(_agreement(f"defect-{idx:03d}", inputs, lhs, predicted))
     return SuiteReport("defect-gstt", seed, tuple(rows))
 
@@ -220,7 +224,7 @@ def suite_theorem_hrst(seed: int, tol: float) -> SuiteReport:
             mat = random_in_group(rng, lambda m: gamma_st_contains(p, m))
             for tau, rhs in zip(taus, rhs_at):
                 lhs = slash(lambda w, tt: eval_h(r, p, w, tt), 1, mat, tau, tol)
-                inputs = {"r": r, "p": str(p), "A": str(mat), "tau": _fmt_c(tau)}
+                inputs = {"r": r, "p": str(p), "A": str(mat), "tau": format_complex(tau)}
                 rows.append(_agreement(f"hrst-{len(rows):04d}", inputs, rhs, lhs))
     return SuiteReport("theorem-hrst", seed, tuple(rows))
 
@@ -245,7 +249,7 @@ def suite_theorem_hU(seed: int, tol: float) -> SuiteReport:
     for mat in mats:
         for tau, rhs in zip(taus, rhs_at):
             lhs = slash(lambda w, tt: eval_hU(_HU_LABELS, w, tt), 1, mat, tau, tol)
-            inputs = {"U": labels, "A": str(mat), "tau": _fmt_c(tau)}
+            inputs = {"U": labels, "A": str(mat), "tau": format_complex(tau)}
             rows.append(_agreement(f"hU-{len(rows):04d}", inputs, rhs, lhs))
     return SuiteReport("theorem-hU", seed, tuple(rows))
 
@@ -262,7 +266,7 @@ def _cusp_row(id: str, rep: CuspValueReport, detail: str = "") -> VerifyRow:
     """Row comparing a numeric value at the cusp height with its closed value."""
     return VerifyRow(
         id=id,
-        inputs={"form": rep.label, "Y": rep.Y, "closed": _fmt_c(rep.closed_form)},
+        inputs={"form": rep.label, "Y": rep.Y, "closed": format_complex(rep.closed_form)},
         value=rep.numeric.value,
         error=rep.numeric.error,
         bound=rep.bound,
@@ -360,29 +364,36 @@ def _modulus_row(rep: CuspValueReport) -> VerifyRow:
 
 
 def suite_zeta2(seed: int, tol: float) -> SuiteReport:
-    report = verify_zeta2_recovery(tolerance=1e-8, tol=min(tol, 1e-8))
-    rows = [
-        VerifyRow(
-            id=f"zeta2-Y{int(row.Y)}",
-            inputs={"Y": row.Y, "implied_zeta2": row.implied_zeta2},
-            value=row.value,
-            error=row.error,
-            bound=row.bound,
-            residual=row.limit_residual,
-            status="pass" if row.passed else "fail",
+    """f(1/2, 0) up the imaginary axis: its cusp limit -pi^2/3 forces
+    zeta_R(2) = pi^2/6, recovered as -Re f(iY)/2.  Each height is a cusp row,
+    and the last row holds the value implied at the largest height to 1e-8."""
+    tol = min(tol, 1e-8)
+    form = FormSpec.wp_form(Fraction(1, 2), 0)
+    rows = []
+    for y in (5.0, 10.0, 20.0):
+        rep = cusp_report(form, y, tol)
+        implied = -rep.numeric.value.real / 2.0
+        rows.append(
+            VerifyRow(
+                id=f"zeta2-Y{int(y)}",
+                inputs={"Y": rep.Y, "implied_zeta2": implied},
+                value=rep.numeric.value,
+                error=rep.numeric.error,
+                bound=rep.bound,
+                residual=rep.residual,
+                status="pass" if rep.valid else "fail",
+            )
         )
-        for row in report.rows
-    ]
-    last = report.rows[-1]
+    residual = abs(implied - math.pi**2 / 6.0)
     rows.append(
         VerifyRow(
             id="zeta2-implied",
-            inputs={"Y": last.Y, "implied_zeta2": last.implied_zeta2},
-            value=complex(last.implied_zeta2),
-            error=0.5 * last.error,
-            bound=report.tolerance,
-            residual=last.zeta2_residual,
-            status="pass" if last.zeta2_residual <= report.tolerance else "fail",
+            inputs={"Y": rep.Y, "implied_zeta2": implied},
+            value=complex(implied),
+            error=0.5 * rep.numeric.error,
+            bound=1e-8,
+            residual=residual,
+            status="pass" if residual <= 1e-8 else "fail",
             detail="implied zeta_R(2) at the largest height against its tolerance",
         )
     )

@@ -427,7 +427,7 @@ class TestToleranceFloor:
         tau = 0.3 + 1.2j
         p = RationalPair.of(0, Fraction(1, 3))
         cv = eval_h(2, p, tau, 1e-12)
-        g, g2 = (mp_wzeta(tau, q.point(tau), rows=12, dps=30) for q in (p, p.scaled(2)))
+        g, g2 = (mp_wzeta(tau, float(q.s) * tau + float(q.t), rows=12, dps=30) for q in (p, p.scaled(2)))
         assert abs(cv.value - (2 * g - g2)) <= cv.error
 
     def test_eval_hU_parts_below_floor(self):
@@ -439,7 +439,7 @@ class TestToleranceFloor:
             RationalPair.of(-1, Fraction(-1, 2)),
         ]
         cv = eval_hU(labels, tau, 1e-12)
-        truth = sum(mp_wzeta(tau, u.point(tau), rows=12, dps=30) for u in labels)
+        truth = sum(mp_wzeta(tau, float(u.s) * tau + float(u.t), rows=12, dps=30) for u in labels)
         assert abs(cv.value - truth) <= cv.error
 
     def test_requested_tol_below_floor(self):

@@ -8,6 +8,7 @@ import os
 
 import pytest
 
+from weierforms import evaluate, shell_sum
 from weierforms.cli import format_complex, main, parse_complex
 
 
@@ -152,6 +153,43 @@ class TestEvalCommand:
         assert row["value"]["re"] == cv.value.real
         assert row["value"]["im"] == cv.value.imag
         assert row["error"] == cv.error
+
+
+class TestEvalPlan:
+    @pytest.mark.parametrize(
+        "s,t,tau,tol",
+        [("2/3", "2/3", "1.2i", "1e-6"), ("0", "1/2", "20i", "1e-8")],
+    )
+    def test_f_plan_is_the_summed_box(self, capsys, monkeypatch, s, t, tau, tol):
+        boxes = []
+
+        def spy(lat, z, box, kind="wp"):
+            boxes.append(tuple(box))
+            return shell_sum(lat, z, box, kind)
+
+        monkeypatch.setattr(evaluate, "shell_sum", spy)
+        code, out = run_cli(
+            capsys, "eval", "f", "--s", s, "--t", t, "--tau", tau, "--tol", tol, "--route", "shell", "--format", "json"
+        )
+        assert code == 0
+        inputs = json.loads(out)["rows"][0]["inputs"]
+        assert boxes == [(inputs["plan_c_max"], inputs["plan_d_max"])]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("g", "--s", "1/3", "--t", "1/5"),
+            ("h", "--r", "2", "--s", "0", "--t", "1/3"),
+            ("hU", "--u", "0,1/3", "--u", "0,1/3", "--u", "0,-2/3"),
+        ],
+    )
+    def test_multi_box_rows_report_no_box(self, capsys, argv):
+        # g, h and hU sum several boxes, each at a share of the tolerance
+        code, out = run_cli(capsys, "eval", *argv, "--tau", "1.1i", "--tol", "1e-6", "--route", "shell", "--format", "json")
+        assert code == 0
+        inputs = json.loads(out)["rows"][0]["inputs"]
+        assert inputs["plan_route"] == "shell"
+        assert "plan_points" not in inputs
 
 
 class TestDeterminism:

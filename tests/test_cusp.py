@@ -18,7 +18,7 @@ from weierforms import (
     eval_f,
     lattice_row_sum_truncated,
     lemma_eies_bound,
-    verify_zeta2_recovery,
+    run_suite,
 )
 
 from oracles import mp_wp_mpc, mp_wzeta_mpc
@@ -166,21 +166,14 @@ def test_row_sum_matches_broadcast_reference(k, tau, shells):
 
 class TestZetaRecovery:
     def test_recovery_passes(self):
-        report = verify_zeta2_recovery()
-        assert report.passed
-        assert report.rows[-1].zeta2_residual < 1e-8
+        rows = run_suite("zeta2").rows
+        assert [r.id for r in rows] == ["zeta2-Y5", "zeta2-Y10", "zeta2-Y20", "zeta2-implied"]
+        assert all(r.passed and r.residual <= r.bound for r in rows)
+        assert abs(rows[-1].value.real - PI**2 / 6.0) < 1e-8
 
     def test_residuals_decrease_then_floor(self):
-        report = verify_zeta2_recovery()
-        assert report.rows[0].limit_residual >= report.rows[1].limit_residual - 1e-14
-
-    def test_other_label_same_limit(self):
-        report = verify_zeta2_recovery(label=RationalPair.of(Fraction(1, 3), Fraction(1, 5)))
-        assert report.passed
-
-    def test_integral_s_rejected(self):
-        with pytest.raises(DomainError):
-            verify_zeta2_recovery(label=RationalPair.of(0, Fraction(1, 2)))
+        rows = run_suite("zeta2").rows
+        assert rows[0].residual >= rows[1].residual - 1e-14
 
 
 class TestReports:

@@ -108,6 +108,11 @@ class TestDispatchEdges:
         assert info["route"] == "series"
         assert info["reduced_tau_im"] >= math.sqrt(3.0) / 2.0 - 1e-9
 
+    @pytest.mark.parametrize("route", ["shell", "series"])
+    def test_describe_route_unknown_kind(self, route):
+        with pytest.raises(DomainError, match="kind"):
+            describe_route(Lattice(1j, 1.0), 0.3, 1e-6, route=route, kind="sigma")
+
 
 class TestTinyLattices:
     # |J|**2 of the reduced basis underflows, or the reduced ratio overflows

@@ -145,28 +145,23 @@ class TestGroups:
                 assert gamma_st_contains(rp, mat)
 
     def test_half_label_stabilizer_is_hecke_c(self):
-        # the (0, 1/2) stabilizer works out to the c-convention level-2 group
+        # the (0, 1/2) stabilizer works out to the level-2 Hecke group
         rng = random.Random(7)
         for _ in range(200):
             mat = random_sl2(rng)
-            assert gamma_st_contains(pair(0, Fraction(1, 2)), mat) == hecke_contains(
-                2, mat, "standard-c"
-            )
+            assert gamma_st_contains(pair(0, Fraction(1, 2)), mat) == hecke_contains(2, mat)
 
     def test_third_label_stabilizer_is_gamma1_c(self):
         rng = random.Random(8)
         for _ in range(200):
             mat = random_sl2(rng)
-            assert gamma_st_contains(pair(0, Fraction(1, 3)), mat) == gamma1_contains(
-                3, mat, "standard-c"
-            )
+            assert gamma_st_contains(pair(0, Fraction(1, 3)), mat) == gamma1_contains(3, mat)
 
-    def test_conventions_differ(self):
-        # T has b = 1, c = 0: the two readings disagree on it at level 2
-        assert hecke_contains(2, T_MATRIX, "standard-c")
-        assert not hecke_contains(2, T_MATRIX, "paper-b")
-        assert gamma1_contains(3, ModularMatrix(1, 1, 3, 4), "standard-c")
-        assert not gamma1_contains(3, ModularMatrix(1, 1, 3, 4), "paper-b")
+    def test_groups_read_c(self):
+        # the congruence is on c, the lower-left entry, not on b
+        assert hecke_contains(2, T_MATRIX)
+        assert not hecke_contains(2, ModularMatrix(1, 0, 1, 1))
+        assert gamma1_contains(3, ModularMatrix(1, 1, 3, 4))
 
     def test_sampler_reaches_nontrivial_c(self):
         rng = random.Random(9)

@@ -15,7 +15,6 @@ from weierforms import (
     Lattice,
     PoleError,
     PrecisionError,
-    TauLattice,
     describe_route,
     eta12,
     plan_truncation,
@@ -59,7 +58,6 @@ class TestGoldenValues:
 
     def test_definitional_equality(self):
         assert wp(1j, 0.5, 1e-8).value == wp_lattice(Lattice(1j, 1.0), 0.5, 1e-8).value
-        assert wp(TauLattice(1j), 0.5, 1e-8).value == wp(1j, 0.5, 1e-8).value
 
     def test_square_lattice_closed_form_anchor(self):
         # classical lemniscatic constant: wp(1/2) on Z + iZ equals
@@ -531,7 +529,7 @@ class TestErrors:
         with pytest.raises(DomainError):
             Lattice(1.0, 2.0)
         with pytest.raises(DomainError):
-            TauLattice(1.0 - 1j)
+            wp(1.0 - 1j, 0.5, 1e-8)
 
 
 def _fraction_reduction(lat: Lattice, z):
