@@ -26,12 +26,9 @@ __all__ = [
     "zeta_even_coefficient",
     "zeta_r_enclosure",
     "e_of",
-    "TWO_PI",
 ]
 
 Rational = Fraction
-
-TWO_PI = 2.0 * math.pi
 
 _EPS = math.ulp(1.0)
 _U = 0.5 * _EPS
@@ -62,73 +59,120 @@ def as_rational(x) -> Fraction:
     raise DomainError(f"cannot interpret {type(x).__name__} as an exact rational")
 
 
-@dataclass(frozen=True, slots=True)
-class CertifiedValue:
-    """A complex value together with a rigorous absolute-error bound.
+# A midpoint rounds by u |result| under + and -, sqrt(5) u |result| under complex *
+# (Brent, Percival and Zimmermann 2007), 5 sqrt(2) u |result| under / (Smith's algorithm,
+# as in CPython).  A radius formula rounds at most 13 times (abs twice, being within an
+# ulp): times 1 + 8 eps it is an upper bound, 4 subnormals cover its underflows.
+_MUL_U, _DIV_U = 2.25 * _U, 7.125 * _U
+_UP, _TINY, _INF = 1.0 + 8.0 * _EPS, 4.0 * math.ulp(0.0), math.inf
 
-    Arithmetic combines bounds conservatively: errors add under addition,
-    and |a|eb + |b|ea + ea*eb under multiplication.
+
+def _scalar(x) -> tuple[complex, float]:  # an operand that is not a ball: exact, but an int beyond 2**53
+    s = complex(x)
+    if type(x) is int and -(2**53) <= x <= 2**53 or isinstance(x, (float, complex)):
+        return s, 0.0
+    return s, _U * abs(s)
+
+
+def _ball(value: complex, radius: float) -> "CertifiedValue":  # a result: value is complex already
+    radius = radius * _UP + _TINY
+    if not radius < _INF:  # an overflow, or a nan operand
+        raise DomainError(f"error bound must be finite and nonnegative, got {radius!r}")
+    cv = _new(CertifiedValue)
+    _set_value(cv, value)
+    _set_error(cv, radius)
+    return cv
+
+
+def _quotient(a: complex, ra: float, b: complex, rb: float) -> "CertifiedValue":
+    # |a'/b' - a/b| <= (ra + |a| rb/|b|) / (|b| - rb); x (1 - 2 eps) is below |b|
+    x = abs(b)
+    den = x * (1.0 - 2.0 * _EPS) - rb
+    if not den > 0.0:
+        raise DomainError(f"divisor {b!r} +- {rb!r} may be 0")
+    value = a / b
+    return _ball(value, (ra + abs(a) * rb / x) / den + _DIV_U * abs(value))
+
+
+def _inverse(x: complex, k: int = 1) -> "CertifiedValue":
+    """1/x**k, k = 1 or 2, with the bits of x**-k, for an x rounded once per component."""
+    if k not in (1, 2):
+        raise DomainError(f"weight must be 1 or 2, got {k!r}")
+    r = _U * abs(x)
+    if k == 2:
+        j = _ball(x, r)
+        j = j * j
+        x, r = j.value, j.error
+    return _quotient(1.0, 0.0, x, r)
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class CertifiedValue:
+    """A complex value with a rigorous absolute-error bound: the ball of radius
+    ``error`` about ``value`` (van der Hoeven 2009; Johansson, arXiv:1611.02831).
+
+    ``+ - * /`` propagate the operands' radii, add the midpoint's own rounding
+    and round up; a scalar operand is exact, but an int beyond 2**53.
     """
 
     value: complex
     error: float
 
-    def __post_init__(self):
+    def __init__(self, value: complex, error: float):
         # most values arrive as complex and float already; coerce the rest
-        value, err = self.value, self.error
-        if type(value) is not complex:
-            object.__setattr__(self, "value", complex(value))
-        if type(err) is not float:
-            object.__setattr__(self, "error", float(err))
-        if not 0.0 <= self.error < math.inf:
-            raise DomainError(f"error bound must be finite and nonnegative, got {err!r}")
+        value = value if type(value) is complex else complex(value)
+        err = error if type(error) is float else float(error)
+        if not 0.0 <= err < math.inf:
+            raise DomainError(f"error bound must be finite and nonnegative, got {error!r}")
+        _set_value(self, value)
+        _set_error(self, err)
 
     @classmethod
     def exact(cls, value: complex) -> "CertifiedValue":
         return cls(complex(value), 0.0)
 
     def __add__(self, other):
-        if isinstance(other, CertifiedValue):
-            return CertifiedValue(self.value + other.value, self.error + other.error)
-        return CertifiedValue(self.value + complex(other), self.error)
+        b, rb = (other.value, other.error) if other.__class__ is CertifiedValue else _scalar(other)
+        value = self.value + b
+        return _ball(value, self.error + rb + _U * abs(value))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, CertifiedValue):
-            return CertifiedValue(self.value - other.value, self.error + other.error)
-        return CertifiedValue(self.value - complex(other), self.error)
+        b, rb = (other.value, other.error) if other.__class__ is CertifiedValue else _scalar(other)
+        value = self.value - b
+        return _ball(value, self.error + rb + _U * abs(value))
 
     def __rsub__(self, other):
-        return CertifiedValue(complex(other) - self.value, self.error)
+        return -self + other
 
     def __neg__(self):
         return CertifiedValue(-self.value, self.error)
 
     def __mul__(self, other):
-        if isinstance(other, CertifiedValue):
-            return CertifiedValue(
-                self.value * other.value,
-                abs(self.value) * other.error + abs(other.value) * self.error + self.error * other.error,
-            )
-        c = complex(other)
-        return CertifiedValue(self.value * c, abs(c) * self.error)
+        b, rb = (other.value, other.error) if other.__class__ is CertifiedValue else _scalar(other)
+        value = self.value * b
+        # |a| rb + |b| ra + ra rb
+        radius = abs(self.value) * rb + (abs(b) + rb) * self.error
+        return _ball(value, radius + _MUL_U * abs(value))
 
     __rmul__ = __mul__
 
-    def scaled(self, factor: complex) -> "CertifiedValue":
-        """Multiply by an exact complex scalar."""
-        f = complex(factor)
-        return CertifiedValue(self.value * f, abs(f) * self.error)
+    def __truediv__(self, other):
+        b, rb = (other.value, other.error) if other.__class__ is CertifiedValue else _scalar(other)
+        return _quotient(self.value, self.error, b, rb)
 
-    def abs_bounds(self) -> tuple[float, float]:
-        """Interval [lo, hi] guaranteed to contain |true value|."""
-        a = abs(self.value)
-        return max(0.0, a - self.error), a + self.error
+    def __rtruediv__(self, other):
+        return _quotient(*_scalar(other), self.value, self.error)
 
     def agrees_with(self, other: "CertifiedValue") -> bool:
         """True when the two certified discs can contain a common value."""
         return abs(self.value - other.value) <= self.error + other.error
+
+
+_new, _set_value, _set_error = object.__new__, CertifiedValue.value.__set__, CertifiedValue.error.__set__
+PI = CertifiedValue(math.pi, _U * math.pi)
+TWO_PI_I = CertifiedValue(complex(0.0, 2.0 * math.pi), _EPS * math.pi)  # fl(2 pi) = 2 fl(pi)
 
 
 # ---------------------------------------------------------------------------

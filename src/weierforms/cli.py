@@ -235,8 +235,8 @@ def cmd_table(args) -> int:
         heights = [float(y) for y in args.Y.split(",") if y.strip()]
     except ValueError:
         raise WeierError(f"--Y expects comma-separated numbers, got {args.Y!r}") from None
-    if not heights:
-        raise WeierError("--Y must list at least one height")
+    if not heights or not all(abs(y) < float("inf") for y in heights):
+        raise WeierError(f"--Y must list finite heights, got {args.Y!r}")
     heights.sort()
     rows: list[VerifyRow] = []
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import CertifiedValue, as_rational, e_of, zeta_even, zeta_r_enclosure
+from .arith import PI, TWO_PI_I, CertifiedValue, as_rational, e_of, zeta_even, zeta_r_enclosure
 from .errors import DomainError
 from .evaluate import DEFAULT_TOL
 from .forms import FormSpec, RationalPair
@@ -42,20 +42,13 @@ def _closed_f(p: RationalPair) -> CertifiedValue:
     """The i*infinity limit of the weight-2 member, with a bound on its rounding."""
     if p.is_integral():
         raise DomainError(f"label {p} is integral")
-    # real operations, u = 2^-53; -(pi^2)/3: fl(pi) 2u once squared, the
-    # square u, /3 u
-    third = -(_PI**2) / 3.0
+    third = -(PI * PI) / 3
     if p.s.denominator != 1:
-        return CertifiedValue(complex(third), 1.01 * 4.0 * _U * abs(third))
-    two_cos = 2.0 * math.cos(2.0 * _PI * float(p.t % 1))
-    num, den = two_cos + 10.0, two_cos - 2.0
-    value = third * num / den
+        return third
     # the argument 2 pi x carries 3u (x, fl(pi), the product), <= 6 pi u absolute,
-    # and cos one ulp (<= 2u): |d two_cos| <= 2 (2 + 6 pi) u < 42u.  num and den
-    # round once each, the product and the quotient once each.
-    e_cos = 42.0 * _U
-    rel = 6.0 * _U + (e_cos + _U * abs(num)) / abs(num) + (e_cos + _U * abs(den)) / abs(den)
-    return CertifiedValue(complex(value), 1.01 * rel * abs(value))
+    # and cos one ulp (<= 2u): |d two_cos| <= 2 (2 + 6 pi) u < 42u
+    two_cos = CertifiedValue(2.0 * math.cos(2.0 * _PI * float(p.t % 1)), 42.0 * _U)
+    return third * (two_cos + 10.0) / (two_cos - 2.0)
 
 
 def cusp_value_f(p: RationalPair) -> complex:
@@ -105,23 +98,11 @@ def _closed_h(r: int, t) -> CertifiedValue:
     rt = r * t
     if rt.denominator == 1:
         raise DomainError(f"r*t = {rt} is integral: e(rt) = 1 is a pole of the formula")
-    a = e_of(t) - 1.0
-    b = e_of(rt) - 1.0
-    ra, rb = r / a, 1.0 / b
-    val = 2j * _PI * ((r - 1) / 2.0 + ra - rb)
-    # u = 2^-53.  e_of(x): the argument 2 pi x carries 3u, <= 6 pi u absolute,
-    # and cos and sin one ulp each: < 22u absolute; e - 1 adds u |e - 1|.  The
-    # divisions (Smith's algorithm): 5 sqrt(2) u < 7.1u.  (r-1)/2 is exact; the
-    # sum and the difference round on at most |r-1|/2 + |ra| + |rb| each.  The
-    # product by (0, 2 fl(pi)) rounds each component once; with fl(pi), 4u.
-    e_a = 22.0 * _U + _U * abs(a)
-    e_b = 22.0 * _U + _U * abs(b)
-    err_sum = (
-        abs(ra) * (e_a / abs(a) + 7.1 * _U)
-        + abs(rb) * (e_b / abs(b) + 7.1 * _U)
-        + 2.0 * _U * (abs(r - 1) / 2.0 + abs(ra) + abs(rb))
-    )
-    return CertifiedValue(val, 1.01 * (2.0 * _PI * err_sum + 4.0 * _U * abs(val)))
+    # e_of(x): the argument 2 pi x carries 3u, <= 6 pi u absolute, and cos and
+    # sin one ulp each: < 22u absolute
+    a = CertifiedValue(e_of(t), 22.0 * _U) - 1.0
+    b = CertifiedValue(e_of(rt), 22.0 * _U) - 1.0
+    return TWO_PI_I * ((r - 1) / 2.0 + r / a - 1.0 / b)
 
 
 def cusp_value_h(r: int, t) -> complex:

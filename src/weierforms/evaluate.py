@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 
-from .arith import TWO_PI, CertifiedValue
+from .arith import TWO_PI_I, CertifiedValue, _inverse
 from .errors import DomainError, PoleError, PrecisionError
 from .lattice import Lattice, reduce_lattice, reduce_points
 from .shells import TruncationPlan, first_shell_bound, plan_truncation, shell_sum
@@ -86,8 +86,8 @@ def _as_tau(tau) -> complex:
 def _check_args(tol: float, route: str) -> None:
     if route not in _ROUTES:
         raise DomainError(f"route must be one of {_ROUTES}, got {route!r}")
-    if not tol >= TOL_FLOOR:
-        raise DomainError(f"tolerance must be >= {TOL_FLOOR}, got {tol!r}")
+    if not TOL_FLOOR <= tol < math.inf:
+        raise DomainError(f"tolerance must be >= {TOL_FLOOR} and finite, got {tol!r}")
 
 
 def _reduce(lat: Lattice, zs):
@@ -222,8 +222,8 @@ def _zeta(reds, tol: float, route: str, klein: bool) -> list[CertifiedValue]:
     for red in reds:
         part = tol * abs(red.jj)
         if klein:
-            # |z0| <= |tau|: the share of eta2 is the same for every label
-            coeff, k, bound, dw = (-red.z0 if shell else 0j), red.u, abs(red.tau), 0.0
+            # |z0| <= |tau|: the share of eta2 is the same for every label; u is rounded once
+            coeff, bound, dw, k = (-red.z0 if shell else 0j), abs(red.tau), 0.0, red.u and CertifiedValue(red.u, 0.5 * _EPS * abs(red.u))
         else:
             mt = red.m * red.tau
             shift = mt + red.n
@@ -242,18 +242,15 @@ def _zeta(reds, tol: float, route: str, klein: bool) -> list[CertifiedValue]:
             base = z_strip(red.tau, red.z0, part)
         parts.append((red, base, coeff, k, dw))
     eta2 = None if eta_tol is None else _eta2(parts[0][0].tau, eta_tol, route)
+    inv = _inverse(parts[0][0].jj)
     values = []
     for red, base, coeff, k, dw in parts:
-        prod = coeff * eta2.value if coeff else 0.0
-        shift = complex(0.0, TWO_PI * k)
-        value = base.value + prod + shift
-        err = base.error
         if coeff:
-            err += abs(coeff) * eta2.error + dw * (abs(eta2.value) + eta2.error)
-        # rounding (_EPS = 2u): the product sqrt(5) u |prod|, 2 pi k 3u (fl(pi),
-        # the product and k itself), the two additions u |result| each
-        err += _EPS * (abs(base.value) + 2.0 * abs(prod) + 2.0 * abs(shift) + abs(value))
-        values.append(CertifiedValue(value, err).scaled(1.0 / red.jj))
+            base = base + eta2 * CertifiedValue(coeff, dw)
+        if k:
+            base = base + TWO_PI_I * k
+        # + 0.0, exact, makes a zero component +0.0 whichever terms were absent
+        values.append((base + 0.0 if 0.0 in (base.value.real, base.value.imag) else base) * inv)
     return values
 
 
@@ -266,7 +263,7 @@ def _evaluate(reds, tol: float, route: str, kind: str) -> list[CertifiedValue]:
         return _zeta(reds, tol, route, kind == "klein")
     if route == "shell":
         return [_shell(red.basis, red.point, tol, kind) for red in reds]
-    return [wp_strip(red.tau, red.z0, tol * abs(red.jj) ** 2).scaled(red.jj**-2) for red in reds]
+    return [wp_strip(red.tau, red.z0, tol * abs(red.jj) ** 2) * _inverse(red.jj, 2) for red in reds]
 
 
 def _dispatch(lat, z, tol, route, kind) -> CertifiedValue:
@@ -343,15 +340,9 @@ def eta12(tau, tol: float = DEFAULT_TOL, *, route: str = "auto") -> tuple[Certif
     coeff = max(abs(a) + abs(b), abs(c) + abs(d), 1)
     # eta2_r within tol |J| / (4 coeff |tau_r|), so that eta1_r is within tol |J| / (4 coeff)
     eta2_r = _eta2(red.tau, 0.25 * tol * abs(red.jj) / coeff / abs(red.tau), route)
-    prod = eta2_r.value * red.tau
-    eta1 = prod - complex(0.0, TWO_PI)
-    # rounding (_EPS = 2u): the product sqrt(5) u |prod|, fl(2 pi) 2 pi u,
-    # the subtraction u |eta1|
-    rounding = _EPS * (2.0 * abs(prod) + abs(eta1) + 4.0)
-    eta1_r = CertifiedValue(eta1, abs(red.tau) * eta2_r.error + rounding)
-    eta1 = (eta1_r * d - eta2_r * b).scaled(1.0 / red.jj)
-    eta2 = (eta1_r * (-c) + eta2_r * a).scaled(1.0 / red.jj)
-    return eta1, eta2
+    eta1_r = eta2_r * red.tau - TWO_PI_I
+    inv = _inverse(red.jj)
+    return (eta1_r * d - eta2_r * b) * inv, (eta1_r * (-c) + eta2_r * a) * inv
 
 
 def describe_route(lat, z, tol: float = DEFAULT_TOL, *, route: str = "auto", kind: str = "wp") -> dict:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Sequence
 
-from .arith import CertifiedValue, as_rational
+from .arith import CertifiedValue, _inverse, as_rational
 from .errors import DomainError
 from .evaluate import DEFAULT_TOL, _check_args, _label_values
 
@@ -197,13 +197,12 @@ def slash(
     tau: complex,
     tol: float = DEFAULT_TOL,
 ) -> CertifiedValue:
-    """Weight-k slash action: (c tau + d)^(-k) * value at the Mobius image."""
+    """Weight-k slash action, k = 1 or 2: (c tau + d)^(-k) * value at the Mobius
+    image, with the cocycle c tau + d a ball about its one rounding."""
     tau = complex(tau)
     if not tau.imag > 0.0:
         raise DomainError("slash needs Im tau > 0")
-    j = mat.cocycle(tau)
-    cv = evaluator(mat.mobius(tau), tol)
-    return cv.scaled(j ** (-weight))
+    return _inverse(mat.cocycle(tau), weight) * evaluator(mat.mobius(tau), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +286,8 @@ def eval_hU(labels: Sequence[RationalPair], tau: complex, tol: float = DEFAULT_T
     labels = tuple(labels)
     _check_hU(labels)
     _check_args(tol, route)
-    acc = CertifiedValue.exact(0.0)
-    for cv in _label_values(tau, [(u.s, u.t) for u in labels], tol / len(labels), route, "klein"):
-        acc = acc + cv
-    return acc
+    values = _label_values(tau, [(u.s, u.t) for u in labels], tol / len(labels), route, "klein")
+    return sum(values, CertifiedValue.exact(0.0))
 
 
 def defect_coefficients(p: RationalPair, mat: ModularMatrix) -> tuple[Fraction, Fraction]:

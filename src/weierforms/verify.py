@@ -34,6 +34,7 @@ from .arith import CertifiedValue, bernoulli, zeta_even, zeta_even_coefficient, 
 from .cusp import (
     CuspValueReport,
     cusp_report,
+    cusp_value_f,
     cusp_value_f_series,
     lattice_row_sum_truncated,
     lemma_eies_bound,
@@ -434,11 +435,7 @@ def suite_identities(seed: int, tol: float) -> SuiteReport:
     rows = []
     for t in _IDENTITY_TS:
         series = cusp_value_f_series(t, 80)
-        closed = complex(
-            -(math.pi**2) / 3.0
-            * (2.0 * math.cos(2.0 * math.pi * float(t)) + 10.0)
-            / (2.0 * math.cos(2.0 * math.pi * float(t)) - 2.0)
-        )
+        closed = cusp_value_f(RationalPair.of(0, t))
         residual = abs(series.value - closed)
         honored = residual <= series.error
         rows.append(

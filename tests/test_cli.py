@@ -292,12 +292,12 @@ class TestTableCommand:
         assert [row["status"] for row in json.loads(out)["rows"]] == ["pass"] * 3
 
     def test_infinite_height_rejected(self, tmp_path, capsys):
+        # refused before any row: a row would carry the height, and Infinity is not JSON
         grid = tmp_path / "grid.txt"
         grid.write_text("f 0 1/2\n")
         code, out = run_cli(capsys, "table", "--grid", str(grid), "--Y", "inf", "--format", "json")
-        assert code == 1
-        (row,) = json.loads(out)["rows"]
-        assert row["status"] == "error"
+        assert code == 2
+        assert "--Y" in json.loads(out)["error"]["message"]
 
     def test_finite_height_gap_rows(self, tmp_path, capsys):
         # f(1/3,1/3) at Y = 5 is 1.1e-3 from its limit: within the derived gap
@@ -309,6 +309,54 @@ class TestTableCommand:
         assert len(rows) == 12 and all(r["status"] == "pass" for r in rows)
         assert rows[6]["inputs"]["residual"] > 1e-3
         assert all(r["bound"] < 1e-12 for r in rows if r["inputs"]["Y"] == 20.0)
+
+
+def _strict(text: str):
+    """json.loads that refuses Infinity, -Infinity and NaN, which RFC 8259 does not allow."""
+
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "f", "--s", "1/2", "--t", "0", "--tau", "1i", "--tol", "1e999"),
+            ("eval", "f", "--s", "1/2", "--t", "0", "--tau", "1i", "--tol", "inf"),
+            ("eval", "wp", "--tau", "1i", "--z", "0.3", "--tol", "nan"),
+            ("verify", "eies-bound", "--tol=-inf"),
+            ("table", "--grid", "GRID", "--Y", "inf"),
+            ("table", "--grid", "GRID", "--Y", "5,nan"),
+            ("table", "--grid", "GRID", "--tol", "inf"),
+        ],
+    )
+    def test_non_finite_option_refused(self, capsys, tmp_path, argv):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("f 0 1/2\n")
+        argv = [str(grid) if a == "GRID" else a for a in argv]
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code == 2
+        assert sorted(_strict(out)["error"]) == ["message", "type"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "f", "--s", "1/2", "--t", "0", "--tau", "1i"),
+            ("eval", "hU", "--u", "0,1/3", "--u", "0,1/3", "--u", "0,-2/3", "--tau", "2i"),
+            ("eval", "wp", "--tau", "1i", "--z", "0.3", "--route", "shell", "--tol", "1e-5"),
+            ("verify", "cusp-h"),
+            ("table", "--grid", "GRID", "--Y=-1,5,20"),
+        ],
+    )
+    def test_outputs_parse_strictly(self, capsys, tmp_path, argv):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("f 0 1/2\nh 0 1/3 2\nf 1 0\n")
+        argv = [str(grid) if a == "GRID" else a for a in argv]
+        _, out = run_cli(capsys, *argv, "--format", "json")
+        assert _strict(out)["rows"]
 
 
 class TestConfigPrecedence:
@@ -349,7 +397,7 @@ class TestFlags:
     def test_tolerance_floor_record(self, capsys, argv):
         # reported before the command runs, like every other error: one line
         # on stderr in text format, a JSON record on stdout in json format
-        message = "tolerance must be >= 1e-12, got 1e-15"
+        message = "tolerance must be >= 1e-12 and finite, got 1e-15"
         assert main([*argv, "--tol", "1e-15", "--format", "text"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
