@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 
@@ -39,17 +40,23 @@ def _imag_body(body: str | None) -> float:
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'x+yi' (also bare 'x', 'yi', 'i', '-i'; j accepted for i)."""
+    """Parse 'x+yi' (also bare 'x', 'yi', 'i', '-i'; j accepted for i).
+
+    A component beyond the binary64 range, such as 1e999, is refused rather
+    than read as infinity.
+    """
     s = text.strip()
-    m = _IMAG_ONLY.match(s)
-    if m:
-        return complex(0.0, _imag_body(m.group("body")))
-    if _REAL_ONLY.match(s):
-        return complex(float(s), 0.0)
-    m = _BOTH.match(s)
-    if m:
-        return complex(float(m.group("re")), _imag_body(m.group("im")))
-    raise WeierError(f"cannot parse complex number {text!r}")
+    if m := _IMAG_ONLY.match(s):
+        z = complex(0.0, _imag_body(m.group("body")))
+    elif _REAL_ONLY.match(s):
+        z = complex(float(s), 0.0)
+    elif m := _BOTH.match(s):
+        z = complex(float(m.group("re")), _imag_body(m.group("im")))
+    else:
+        raise WeierError(f"cannot parse complex number {text!r}")
+    if math.isinf(z.real) or math.isinf(z.imag):
+        raise WeierError(f"cannot parse complex number {text!r}: component overflows binary64")
+    return z
 
 
 def _value_payload(z: complex | None) -> dict | None:
@@ -85,8 +92,7 @@ def _emit(command: str, args, rows: list[VerifyRow], notes: tuple[str, ...] = ()
         }
         if notes:
             doc["notes"] = list(notes)
-        json.dump(doc, out, indent=2)
-        out.write("\n")
+        out.write(json.dumps(doc, indent=2) + "\n")
     elif fmt == "csv":
         writer = csv.writer(out)
         writer.writerow(["id", "inputs", "value_re", "value_im", "error", "bound", "status"])
@@ -121,8 +127,7 @@ def _error_record(command: str, text: bool, exc: Exception, stream=None) -> None
     if text:
         print(f"error: {record['error']['type']}: {record['error']['message']}", file=sys.stderr)
     else:
-        json.dump(record, out)
-        out.write("\n")
+        out.write(json.dumps(record) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .arith import PI, TWO_PI_I, CertifiedValue, as_rational, e_of, zeta_even, zeta_r_enclosure
 from .errors import DomainError
 from .evaluate import DEFAULT_TOL
@@ -200,6 +198,8 @@ def lattice_row_sum_truncated(k: int, tau: complex, shells: int = 500) -> float:
     All terms are positive, so any truncation is a strict lower bound for the
     full sum.
     """
+    import numpy as np
+
     if not isinstance(k, int) or isinstance(k, bool) or k < 3:
         raise DomainError(f"k must be an integer >= 3, got {k!r}")
     t = complex(tau)

@@ -30,7 +30,9 @@ form above.  The rounding bound is derived next to the kernel: 39u resp. 27u
 per bulk point and 40u resp. 24u per first-shell point, plus the rounding of w
 and of the sums.  The bulk's Sum |g| is bounded a priori, not measured: the
 shell max(|c|, |d|) = n has 4n half-box points, all with |w| >= n delta, so
-Sum_bulk |g| <= S(1/2) |z|^p 4 (zeta(3) - 1) / delta^4.
+Sum_bulk |g| <= S(1/2) |z|^p 4 (zeta(3) - 1) / delta^4.  numpy is imported on
+the kernel's first call, so the series route, the cusp values and every
+verify suite but eies-bound run without loading it.
 
 Tail.  h1 = covolume/|omega2| and h2 = covolume/|omega1| are the distances of
 omega1 from the line R*omega2 and of omega2 from R*omega1, so |w| >= |c| h1
@@ -69,8 +71,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, PrecisionError
 from .lattice import Lattice
@@ -415,6 +415,8 @@ def shell_sum(
     kernel's float range, as the planner does.  Deterministic: fixed blocks
     and summation order.
     """
+    import numpy as np
+
     if kind not in _KINDS:
         raise DomainError(f"unknown summand kind {kind!r}")
     c_max, d_max = (int(n) for n in box)

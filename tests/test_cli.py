@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -42,6 +44,10 @@ class TestComplexParsing:
             parse_complex("10i+3")
         with pytest.raises(WeierError):
             parse_complex("")
+        # a component beyond the binary64 range is not read as infinity
+        for text in ("1e999", "1e999i", "-1e999i", "1e999+1i", "1-1e999i", "1e999-1e999i"):
+            with pytest.raises(WeierError, match="component overflows binary64"):
+                parse_complex(text)
 
     def test_format_round_trip(self):
         for z in (1.25 - 3.5j, -0.1 + 0.0j, 6.579736267392906 + 0j):
@@ -133,6 +139,25 @@ class TestEvalCommand:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "WeierError"
 
+    @pytest.mark.parametrize(
+        "argv,literal",
+        [
+            (("f", "--s", "1/2", "--t", "0", "--tau", "1e999i"), "1e999i"),
+            (("f", "--s", "1/2", "--t", "0", "--tau", "1e999+1i"), "1e999+1i"),
+            (("wp", "--tau", "1i", "--z", "1e999"), "1e999"),
+            (("wzeta", "--omega1", "1", "--omega2", "1e999i", "--z", "0.1"), "1e999i"),
+        ],
+    )
+    def test_overflowing_literal_record(self, capsys, argv, literal):
+        # named as the literal that overflows, not as a domain error of the
+        # infinity it would have become
+        code, out = run_cli(capsys, "eval", *argv, "--format", "json")
+        assert code == 2
+        assert _strict(out)["error"] == {
+            "type": "WeierError",
+            "message": f"cannot parse complex number {literal!r}: component overflows binary64",
+        }
+
     def test_pole_is_machine_readable(self, capsys):
         code, out = run_cli(
             capsys, "eval", "wp", "--tau", "i", "--z", "0", "--format", "json"
@@ -153,6 +178,49 @@ class TestEvalCommand:
         assert row["value"]["re"] == cv.value.real
         assert row["value"]["im"] == cv.value.imag
         assert row["error"] == cv.error
+
+
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import weierforms, weierforms.cli
+from weierforms.cli import main
+
+loaded = ["numpy" in sys.modules]
+rows = []
+for argv in sys.argv[1:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv.split()) == 0
+    rows.append(json.loads(out.getvalue())["rows"][0])
+    loaded.append("numpy" in sys.modules)
+print(json.dumps({"loaded": loaded, "rows": rows}))
+"""
+
+
+class TestColdStart:
+    def test_numpy_loads_only_for_the_shell_route(self):
+        # a fresh interpreter: this process has imported numpy already
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        argvs = [
+            "eval f --s 1/3 --t 1/5 --tau 0.3+1.2i --format json",
+            "verify cusp-f --format json",
+            "eval f --s 1/3 --t 1/5 --tau 1.2i --route shell --tol 1e-4 --format json",
+        ]
+        proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argvs], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["loaded"] == [False, False, False, True]
+        shell_row = doc["rows"][2]
+        assert shell_row["inputs"]["plan_route"] == "shell"
+        from weierforms import FormSpec
+
+        cv = FormSpec.wp_form("1/3", "1/5").evaluate(1.2j, 1e-4, route="shell")
+        assert (shell_row["value"]["re"], shell_row["value"]["im"], shell_row["error"]) == (
+            cv.value.real,
+            cv.value.imag,
+            cv.error,
+        )
 
 
 class TestEvalPlan:
