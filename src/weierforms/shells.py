@@ -40,21 +40,68 @@ and |w| >= |d| h2.  A point outside the box has |d| > d_max or |c| > c_max,
 hence |w| >= min((d_max+1) h2, (c_max+1) h1) =: R and r <= z_bound / R,
 which the planner keeps <= 1/2.  The omitted part of the sum is half the sum
 of the pairs outside the box, so it is at most S(r) |z|^p Sum_out |w|^-4.
-Row lemma: the points of one row d lie on a line at distance rho = |d| h2
-from R*omega1 with spacing L = |omega1|; |w|^-4 is unimodal along the line,
-so the row sums to at most rho^-4 + (1/L) Int (rho^2 + x^2)^-2 dx
-= rho^-4 + pi / (2 L rho^3).  Summing the rows |d| > d_max (convexity:
-Sum_{d > D} d^-s <= (D + 1/2)^(1-s) / (s-1)), and the same for the full
-columns |c| > c_max with omega2, h1:
+The points outside the box are the rows |d| > d_max (every c) and the
+partial columns |c| > c_max, |d| <= d_max; each is counted once.
 
-  Sum_out |w|^-4 <= pi / (2 |omega1| h2^3 X^2) + 2 / (3 h2^4 X^3)
-                  + pi / (2 |omega2| h1^3 Y^2) + 2 / (3 h1^4 Y^3),
-  X = d_max + 1/2,  Y = c_max + 1/2.
+Segment lemma: a unimodal f sampled with spacing L on a segment [a, b]
+(end points included) sums to at most max f + (1/L) Int_a^b f: every sample
+but the two next to the peak is at most the mean of f over the gap on its
+side toward the peak, and those two are at most max f plus the mean over
+the gap between them.  Along a line at distance rho from 0,
+|w|^-4 = (rho^2 + x^2)^-2 is unimodal with maximum rho^-4.
 
-Aspect.  The two leading N^-2 terms balance, which minimises the point count
-for a given bound, at c_max/d_max = sqrt(|omega1| h2^3 / (|omega2| h1^3))
-(1/20 for the basis (20i, 1)).  ``plan_truncation`` inverts the leading
-terms in closed form and steps d_max up until the bound holds.
+Rows: row d lies on a line at distance rho = |d| h2 from R*omega1 with
+spacing |omega1|; on the whole line the lemma gives rho^-4 +
+pi/(2 |omega1| rho^3).  Summing over |d| > d_max by convexity
+(Sum_{d > D} d^-s <= (D + 1/2)^(1-s) / (s-1)):
+
+  rows <= a_rows / X^2 + b_rows / X^3,   X = d_max + 1/2,
+  a_rows = pi / (2 |omega1| h2^3),  b_rows = 2 / (3 h2^4).
+
+Partial columns: the points c omega1 + t omega2, |t| <= d_max, lie on a line
+at distance rho = |c| h1 from R*omega2 with spacing L = |omega2|, on the
+segment x in [c mu - d_max L, c mu + d_max L], mu = Re(omega1 conj omega2)/L.
+The lemma bounds the column by rho^-4 + G(c), G(c) = Int_{|t| <= d_max}
+|c omega1 + t omega2|^-4 dt.  The rho^-4 terms sum to b_cols / Y^3,
+b_cols = 2 / (3 h1^4), Y = c_max + 1/2.  For fixed t, q(c) = |c omega1 +
+t omega2|^2 is a quadratic with minimum m = t^2 covolume^2 / |omega1|^2 at
+c0 = -t nu / |omega1|^2, nu = Re(omega1 conj omega2), and q^-2 is convex in c
+where (c - c0)^2 >= m / (5 |omega1|^2).  So G is convex on c >= Y when
+
+  Y |omega1|^2 >= d_max (|nu| + covolume/2)      (1/2 > 1/sqrt(5)),
+
+and then Sum_{c > c_max} G(c) <= Int_Y^inf G, the integral of |w|^-4 over
+the half strip {s omega1 + t omega2 : s > Y, |t| <= d_max} divided by the
+covolume; c < -c_max is its mirror image.  In polar coordinates a ray from
+0 enters the half strip through its near edge s = Y and leaves through a
+side t = +-d_max, and a line at distance p contributes (1/2p^2) Int
+cos^2(theta - phi) dtheta = (F(t_b) - F(t_a)) / (4 p^2) over the part of it
+between tangential coordinates p t_a and p t_b, F(t) = atan(t) + t/(1+t^2).
+With k = covolume, D = d_max, l1 = |omega1|, l2 = |omega2|:
+
+  cols <= (l2^2 (F(tn+) - F(tn-)) / Y^2 - l1^2 (pi - F(ts+) - F(ts-)) / D^2)
+          / (2 k^3) + b_cols / Y^3
+       =  (a_cols/Y^2) (F(tn+) - F(tn-)) / pi
+          - (a_rows/D^2) (pi - F(ts+) - F(ts-)) / pi + b_cols / Y^3,
+  tn+- = (Y nu +- D l2^2) / (Y k),   ts+- = (Y l1^2 +- D nu) / (D k),
+
+with a_cols = pi / (2 |omega2| h1^3) = pi l2^2 / (2 k^3), plus an allowance
+for the rounding of the closed form, whose terms cancel.  a_cols / Y^2 is
+the integral over the whole half plane s > Y, so the half strip's never
+exceeds it, and where the convexity condition fails (only on bases far from
+reduced) it bounds the full columns: cols <= a_cols / Y^2 + b_cols / Y^3.
+
+Aspect.  At leading order rows and columns bound the integral of |w|^-4
+outside the parallelogram |s| <= Y, |t| <= X, over the covolume.  Times the
+parallelogram's area, that integral depends on Y l1 / (X l2) only, and
+symmetrically under inverting it (the closed form above, written for the
+four sides), and it is least at 1 (checked on the bases of the tests), so
+the point count for a given bound is least at Y l1 = X l2: c_max/d_max =
+l2/l1 = sqrt(a_cols / a_rows) (1/20 for the basis (20i, 1)), the aspect
+that balanced the full rows and columns as well.
+``plan_truncation`` inverts the leading terms, a_rows + K over X^2 with K the
+columns' integral term on the aspect rule at unit scale, and steps d_max to
+the first box on the rule that meets the tolerance.
 
 Budget.  A plan's box is the first on the aspect rule whose tail bound plus
 the a priori rounding bound of its bulk (``bulk_rounding_bound``, which grows
@@ -178,14 +225,54 @@ def _pair_coeff(kind: str, r2: float) -> float:
     return 1.0 / (1.0 - r2)
 
 
+def _atan_area(t: float) -> float:
+    """F(t) = atan(t) + t/(1+t^2) = 2 Int_0^atan(t) cos^2 (module docstring, Tail)."""
+    return math.atan(t) + t / (1.0 + t * t)
+
+
+def _column_integrals(lat: Lattice, a_rows: float, a_cols: float, y: float, d: float) -> float:
+    """The partial columns' integral terms beyond Y = y, over |t| <= d (module docstring, Tail).
+
+    Homogeneous of degree -2 in (y, d): the half strips' closed form where
+    the columns' integrals are convex in c from y on, else the full
+    columns' a_cols / y^2, which bounds it everywhere.
+    """
+    full = a_cols / (y * y)
+    w1, w2, k = lat.omega1, lat.omega2, lat.covolume
+    l1_sq, l2_sq = abs(w1) ** 2, abs(w2) ** 2
+    nu = w1.real * w2.real + w1.imag * w2.imag
+    if y * l1_sq < d * (abs(nu) + 0.5 * k):
+        return full
+    if d == 0:
+        return 0.0
+    edge = a_rows / (d * d)
+    tn = ((y * nu + d * l2_sq) / (y * k), (y * nu - d * l2_sq) / (y * k))
+    ts = ((y * l1_sq + d * nu) / (d * k), (y * l1_sq - d * nu) / (d * k))
+    near = _atan_area(tn[0]) - _atan_area(tn[1])
+    sides = math.pi - _atan_area(ts[0]) - _atan_area(ts[1])
+    # near and sides cancel, so their rounding is bounded by their moduli:
+    # nu and k are within 3 u l1 l2 of their values (skew = l1 l2 / k >= 1),
+    # so each t is within 14 u skew (1 + T), T = max |t| of its line; with
+    # |F'| <= 2 and |F| < 2.1, 128 u skew (1 + T) covers a line's two F, its
+    # coefficient, the products and the differences
+    skew = math.sqrt(l1_sq * l2_sq) / k
+    rounding = 128.0 * _EPS * skew * (full * (1.0 + max(map(abs, tn))) + edge * (1.0 + max(map(abs, ts))))
+    strip = (full * near - edge * sides) / math.pi + rounding
+    return strip if strip < full else full
+
+
+def _outside_bound(lat: Lattice, c_max: int, d_max: int) -> float:
+    """Bound on Sum |w|^-4 over the lattice points outside the box (module docstring, Tail)."""
+    a_rows, b_rows, a_cols, b_cols = _outside_coeffs(lat)
+    x, y = d_max + 0.5, c_max + 0.5
+    return a_rows / x**2 + b_rows / x**3 + _column_integrals(lat, a_rows, a_cols, y, d_max) + b_cols / y**3
+
+
 def _tail_bound(lat: Lattice, kind: str, z_bound: float, c_max: int, d_max: int) -> float:
     """Bound on |Sum of f(w) over the lattice points outside the box| for |z| <= z_bound."""
     g = lat.geometry
-    a_rows, b_rows, a_cols, b_cols = _outside_coeffs(lat)
-    x, y = d_max + 0.5, c_max + 0.5
-    outside = a_rows / x**2 + b_rows / x**3 + a_cols / y**2 + b_cols / y**3
     r = z_bound / min((d_max + 1) * g.h2, (c_max + 1) * g.h1)
-    return _pair_coeff(kind, r * r) * z_bound ** _KINDS[kind] * outside
+    return _pair_coeff(kind, r * r) * z_bound ** _KINDS[kind] * _outside_bound(lat, c_max, d_max)
 
 
 def plan_truncation(
@@ -225,38 +312,51 @@ def plan_truncation(
     if max(c_min, d_min) > SHELL_CAP or _tail_bound(lat, kind, z_bound, SHELL_CAP, SHELL_CAP) > tol:
         raise PrecisionError(unreachable)
     amp = _pair_coeff(kind, 0.0) * z_bound ** _KINDS[kind]
+    # the columns' integral terms on the aspect rule, c_max = aspect * d_max, at unit scale
+    lead = a_rows + _column_integrals(lat, a_rows, a_cols, aspect, 1.0)
 
     def start(share: float) -> int:
         # leading terms with c_max = aspect * d_max, X = d_max + 1/2:
-        # amp * (2 a_rows / X^2 + (b_rows + b_cols / aspect^3) / X^3) = share,
+        # amp * (lead / X^2 + (b_rows + b_cols / aspect^3) / X^3) = share,
         # i.e. X^3 - a X - b = 0; Newton from above the root stays above it
         if not (math.isfinite(share) and amp > 0.0):
             return d_min
-        a = 2.0 * amp * a_rows / share
+        a = amp * lead / share
         b = amp * (b_rows + b_cols / aspect**3) / share
         x = max(math.sqrt(2.0 * a), (2.0 * b) ** (1.0 / 3.0))
         for _ in range(8):
             x -= (x**3 - a * x - b) / (3.0 * x * x - a)
         return max(d_min, math.floor(x - 0.5))
 
-    def width(d: int) -> int:
-        return max(c_min, math.ceil(aspect * d))
-
-    d = start(tol)
-    while True:
-        c = width(d)
+    def box(d: int) -> tuple[int, float, float]:
+        # (c_max, tail bound, bulk rounding bound) of the box on the rule at d_max = d
+        c = max(c_min, math.ceil(aspect * d))
         if max(c, d) > SHELL_CAP:
             raise PrecisionError(unreachable)
-        tail = _tail_bound(lat, kind, z_bound, c, d)
-        spent = bulk_rounding_bound(lat, z_bound, kind, c)
-        if tail + spent <= tol:
-            break
+        return c, _tail_bound(lat, kind, z_bound, c, d), bulk_rounding_bound(lat, z_bound, kind, c)
+
+    # the estimate lands a few boxes from the answer, on either side (the
+    # rule's ceil moves c_max in steps): step up past the boxes that miss
+    # tol, then down while the box below meets it too, so the plan is the
+    # first box on the rule that meets tol
+    missed = d_min - 1
+    d = start(tol)
+    c, tail, spent = box(d)
+    while tail + spent > tol:
         if spent >= tol:
             raise PrecisionError(f"tolerance {tol:.3g} below the kernel's rounding bound {spent:.3g}")
         # the rounding grows with the box, so the tail's share on a larger
-        # box is at most tol - spent: the estimate at that share stays below
+        # box is at most tol - spent: the estimate at that share stays near
         # the answer
+        missed = d
         d = max(d + 1, start(tol - spent))
+        c, tail, spent = box(d)
+    while d - 1 > missed:
+        below = box(d - 1)
+        if below[1] + below[2] > tol:
+            break
+        d -= 1
+        c, tail, spent = below
     _check_kernel_range(lat, kind, c, d)
     plan = TruncationPlan(c, d, tail, g.delta, kind, z_bound)
     if plan.point_count > POINT_BUDGET:

@@ -38,7 +38,8 @@ budget is a sum of per-term moduli, taken before the terms cancel.
 
 Every tail is its value at 0 rows times exp(-2 pi Im tau rows), so the row
 count is found from that closed form and then confirmed against the tail
-itself: it is the first row count whose tail meets the target.
+itself: it is the first row count whose tail meets the target.  The factors
+rho and 1/(1-q) of a strip are computed once for all of its tails.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ _ROUND_FACTOR = 64.0
 # the smallest positive float: a target that underflowed to 0 is met only
 # where the tail underflows as well
 _TINY = math.ulp(0.0)
+# the smallest tail confirmed by the closed-form count alone (_rows_needed)
+_NORMAL_TAIL = 1e-280
 
 
 def _inv_sin2_pi(w: complex) -> complex:
@@ -95,31 +98,36 @@ def _check_strip(tau: complex, z: complex) -> tuple[float, float]:
     return im_tau, y
 
 
-def _geom_factors(im_tau: float, y: float, rows: int) -> tuple[float, float, float, float, float]:
-    """Common tail quantities: rho, 1/(1-q), and the three leading moduli."""
+def _strip_factors(im_tau: float, y: float) -> tuple[float, float]:
+    """rho and 1/(1-q) of a strip, shared by its tails at every row count."""
     rho = math.exp(-2.0 * _PI * (im_tau - abs(y)))
     q_inv = 1.0 / (1.0 - math.exp(-2.0 * _PI * im_tau))
+    return rho, q_inv
+
+
+def _row_factors(im_tau: float, y: float, rows: int) -> tuple[float, float, float]:
+    """The three leading moduli of the rows beyond ``rows``."""
     a = 2.0 * _PI * im_tau * (rows + 1)
-    plus = math.exp(2.0 * _PI * y - a)
-    minus = math.exp(-2.0 * _PI * y - a)
-    zero = math.exp(-a)
-    return rho, q_inv, plus, minus, zero
+    return math.exp(2.0 * _PI * y - a), math.exp(-2.0 * _PI * y - a), math.exp(-a)
 
 
-def _wp_tail(im_tau: float, y: float, rows: int) -> float:
-    rho, q_inv, plus, minus, zero = _geom_factors(im_tau, y, rows)
+def _wp_tail(im_tau: float, y: float, rows: int, strip: tuple[float, float] | None = None) -> float:
+    rho, q_inv = strip or _strip_factors(im_tau, y)
+    plus, minus, zero = _row_factors(im_tau, y, rows)
     return 4.0 * _PI2 * (plus + minus + 2.0 * zero) * q_inv / (1.0 - rho) ** 2
 
 
-def _eta2_tail(im_tau: float, rows: int) -> float:
+def _eta2_tail(im_tau: float, rows: int, strip: tuple[float, float] | None = None) -> float:
     # 2 pi^2 sum_{c>rows} 4 q^c / (1-q)^2 with q = e(-Im tau)
-    rho, q_inv, _, _, zero = _geom_factors(im_tau, 0.0, rows)
+    rho, q_inv = strip or _strip_factors(im_tau, 0.0)
+    zero = _row_factors(im_tau, 0.0, rows)[2]
     return 8.0 * _PI2 * zero * q_inv / (1.0 - rho) ** 2
 
 
-def _z_tail(im_tau: float, y: float, rows: int) -> float:
+def _z_tail(im_tau: float, y: float, rows: int, strip: tuple[float, float] | None = None) -> float:
     # sum_{c>rows} pi |cot(pi(z-c tau)) + cot(pi(z+c tau))|, the tail of the cot rows
-    rho, q_inv, plus, minus, _ = _geom_factors(im_tau, y, rows)
+    rho, q_inv = strip or _strip_factors(im_tau, y)
+    plus, minus, _ = _row_factors(im_tau, y, rows)
     return 2.0 * _PI * (plus + minus) / (1.0 - rho) * q_inv
 
 
@@ -128,19 +136,30 @@ def _rows_needed(tail_fn, target: float, im_tau: float) -> tuple[int, float]:
     tail_fn(rows) <= target.
 
     tail_fn is nonincreasing in rows and proportional to
-    exp(-2 pi Im tau rows): the closed-form count is within a row or two of
-    the answer, and stepping from it with direct evaluations gives the first
-    hit of a scan from 0 exactly.
+    exp(-2 pi Im tau rows), so the count is the ceiling of the closed-form
+    guess log(tail_fn(0) / target) / (2 pi Im tau).  Its float evaluation is
+    within about 1e-12 rows of the exact crossing, and so is each direct
+    evaluation of tail_fn, while a guess more than 1e-9 (relative) from an
+    integer has a margin of at least 3e-9 in the tail on both sides: there
+    one evaluation of tail_fn confirms the count.  Next to an integer, at a
+    tail below _NORMAL_TAIL (near the subnormal range, where the tails lose
+    relative precision), or where the guess is out of range, the count is
+    stepped to with direct evaluations, which gives the first hit of a scan
+    from 0 exactly.
     """
     rows = 0
     tail = tail_fn(0)
-    if not tail <= target:
-        try:
-            guess = (math.log(tail) - math.log(max(target, _TINY))) / (2.0 * _PI * im_tau)
-            rows = min(max(math.ceil(guess), 0), _MAX_ROWS)
-        except (ValueError, OverflowError):
-            rows = _MAX_ROWS
-        tail = tail_fn(rows)
+    if tail <= target:
+        return rows, tail
+    try:
+        guess = (math.log(tail) - math.log(max(target, _TINY))) / (2.0 * _PI * im_tau)
+        rows = min(max(math.ceil(guess), 0), _MAX_ROWS)
+        clear = abs(guess - round(guess)) > 1e-9 * max(1.0, guess)
+    except (ValueError, OverflowError):
+        rows, clear = _MAX_ROWS, False
+    tail = tail_fn(rows)
+    if clear and _NORMAL_TAIL <= tail <= target:
+        return rows, tail
     while rows > 0:
         below = tail_fn(rows - 1)
         if not below <= target:
@@ -157,7 +176,8 @@ def _rows_needed(tail_fn, target: float, im_tau: float) -> tuple[int, float]:
 def wp_strip(tau: complex, z: complex, tol: float) -> CertifiedValue:
     """wp on tau*Z + Z for z already reduced into the horizontal strip."""
     im_tau, y = _check_strip(tau, z)
-    rows, tail = _rows_needed(lambda c: _wp_tail(im_tau, y, c), 0.5 * tol, im_tau)
+    strip = _strip_factors(im_tau, y)
+    rows, tail = _rows_needed(lambda c: _wp_tail(im_tau, y, c, strip), 0.5 * tol, im_tau)
     s_main = _inv_sin2_pi(z)
     acc = s_main - 1.0 / 3.0
     absacc = abs(s_main) + 1.0 / 3.0
@@ -177,7 +197,8 @@ def wp_strip(tau: complex, z: complex, tol: float) -> CertifiedValue:
 def eta2_strip(tau: complex, tol: float) -> CertifiedValue:
     """The quasi-period eta2 of tau*Z + Z for a reduced tau (module docstring)."""
     im_tau, _ = _check_strip(tau, 0j)
-    rows, tail = _rows_needed(lambda c: _eta2_tail(im_tau, c), 0.5 * tol, im_tau)
+    strip = _strip_factors(im_tau, 0.0)
+    rows, tail = _rows_needed(lambda c: _eta2_tail(im_tau, c, strip), 0.5 * tol, im_tau)
     acc = absacc = 1.0 / 3.0
     for c in range(1, rows + 1):
         t = 2.0 * _inv_sin2_pi(c * tau)
@@ -190,7 +211,8 @@ def eta2_strip(tau: complex, tol: float) -> CertifiedValue:
 def z_strip(tau: complex, z0: complex, tol: float) -> CertifiedValue:
     """The cot rows C(tau, z0) for z0 already reduced into the strip (module docstring)."""
     im_tau, y = _check_strip(tau, z0)
-    rows, tail = _rows_needed(lambda c: _z_tail(im_tau, y, c), 0.5 * tol, im_tau)
+    strip = _strip_factors(im_tau, y)
+    rows, tail = _rows_needed(lambda c: _z_tail(im_tau, y, c, strip), 0.5 * tol, im_tau)
 
     def term(w: complex) -> tuple[complex, float]:
         # cot(pi w) and its rounding budget over pi: |cot| + |pi w| |1 + cot^2|

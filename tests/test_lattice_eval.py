@@ -28,7 +28,7 @@ from weierforms import (
 from weierforms import evaluate
 from weierforms.evaluate import POLE_RTOL
 from weierforms.lattice import reduce_lattice, reduce_points, reduce_tau_matrix
-from weierforms.shells import _bulk_abs_bound
+from weierforms.shells import _bulk_abs_bound, _outside_bound, _outside_coeffs, _tail_bound, bulk_rounding_bound
 
 from oracles import GOLDEN, GOLDEN_BAND, brute_wp, brute_wzeta
 
@@ -352,9 +352,52 @@ class TestPlans:
             assert abs(a.value - (principal + doubled)) < plan.tail_bound
 
 
+class TestTailBound:
+    """The bound on Sum |w|^-4 outside the box against the points between it and k times it."""
+
+    @pytest.mark.parametrize(
+        "basis,tol,k",
+        [
+            ((0.3 + 1.1j, 1.0), 1e-3, 12),
+            ((20j, 1.0), 3e-6, 10),
+            ((0.5 + 0.866j, 1.0), 1e-3, 12),
+            ((2.3 + 1.7j, 1.1 - 0.4j), 1e-3, 12),
+        ],
+    )
+    def test_corners_counted_once(self, basis, tol, k):
+        lat = reduce_lattice(Lattice(*basis)).basis
+        c_max, d_max = plan_truncation(lat, 0.5 * lat.geometry.delta, tol).box
+        c = np.arange(-k * c_max, k * c_max + 1)
+        d = np.arange(-k * d_max, k * d_max + 1)[:, None]
+        outside = (abs(c) > c_max) | (abs(d) > d_max)
+        between = (np.abs(c * lat.omega1 + d * lat.omega2)[outside] ** -4.0).sum()
+        bound = _outside_bound(lat, c_max, d_max)
+        # full rows and full columns beyond the big box: a proven bound on
+        # the rest, which counts its corners twice
+        a_rows, b_rows, a_cols, b_cols = _outside_coeffs(lat)
+        x, y = k * d_max + 0.5, k * c_max + 0.5
+        beyond = a_rows / x**2 + b_rows / x**3 + a_cols / y**2 + b_cols / y**3
+        assert between <= bound <= 1.05 * (between + beyond), (c_max, d_max)
+
+
 # elongated, near-square, tall and skewed bases
 PLAN_BASES = [(20j, 1.0), (0.3 + 1.1j, 1.0), (1.0, 4j), (2.3 + 1.7j, 1.1 - 0.4j)]
 LATTICE_FNS = (("wp", wp_lattice), ("wzeta", wzeta_lattice))
+
+
+def _is_first_on_the_rule(lat, tol, plan):
+    """The plan meets tol, and the box before it on the aspect rule does not."""
+    a_rows, _, a_cols, _ = _outside_coeffs(lat)
+    g = lat.geometry
+    c_min = max(1, math.ceil(2.0 * plan.z_bound / g.h1) - 1)
+    d_min = max(1, math.ceil(2.0 * plan.z_bound / g.h2) - 1)
+
+    def spent(c, d):
+        return _tail_bound(lat, plan.kind, plan.z_bound, c, d) + bulk_rounding_bound(lat, plan.z_bound, plan.kind, c)
+
+    d = plan.d_max - 1
+    c = max(c_min, math.ceil(math.sqrt(a_cols / a_rows) * d))
+    return spent(*plan.box) <= tol and (d < d_min or spent(c, d) > tol)
 
 
 class TestFullTolerancePlans:
@@ -380,15 +423,39 @@ class TestFullTolerancePlans:
             half = plan_truncation(red.basis, abs(z), 0.5 * tol, kind=kind)
             assert info["c_max"] <= half.c_max and info["d_max"] <= half.d_max
 
-    def test_benchmark_plans(self):
+    def test_benchmark_plans(self, monkeypatch):
         # the tail within tol/2 needed (243, 4855), 4,729,256 points, and
-        # (3036, 3461), 42,043,378 points
+        # (3036, 3461), 42,043,378 points; with the full columns' bound, which
+        # counted the box's corners twice, the whole tol needed (172, 3434),
+        # 2,369,804 points, and (2147, 2447), 21,024,024 points
+        plans = []
+
+        def spy(lat, z_bound, tol, *, kind):
+            plans.append((lat, tol, plan_truncation(lat, z_bound, tol, kind=kind)))
+            return plans[-1][2]
+
+        monkeypatch.setattr(evaluate, "plan_truncation", spy)
         elongated = describe_route(Lattice(20j, 1.0), 0.5, 1e-8, route="shell", kind="wp")
         square = describe_route(Lattice(0.3 + 1.1j, 1.0), 0.25 - 0.1j, 1e-8, route="shell", kind="wzeta")
         assert elongated["c_max"] <= 243 and elongated["d_max"] <= 4855
-        assert elongated["points"] <= 2_500_000
+        assert elongated["points"] <= 1_967_000
         assert square["c_max"] <= 3036 and square["d_max"] <= 3461
-        assert square["points"] <= 22_000_000
+        assert square["points"] <= 17_450_000
+        assert len(plans) == 2
+        for lat, share, plan in plans:
+            assert _is_first_on_the_rule(lat, share, plan)
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-5, 1e-7, 1e-9])
+    @pytest.mark.parametrize("basis", PLAN_BASES + [(0.5 + 0.866j, 1.0)])
+    def test_plan_is_the_first_box_on_the_rule(self, basis, tol):
+        lat = reduce_lattice(Lattice(*basis)).basis
+        for frac in (0.05, 0.5, 1.0):
+            for kind in ("wp", "wzeta"):
+                try:
+                    plan = plan_truncation(lat, frac * lat.geometry.delta, tol, kind=kind)
+                except PrecisionError:
+                    continue
+                assert _is_first_on_the_rule(lat, tol, plan), (frac, kind)
 
     @pytest.mark.parametrize(
         "basis,z,tol",
