@@ -13,19 +13,13 @@ then compute the value:
 * ``series`` (also spelled ``auto``) - homogeneity scaling onto the reduced
   ratio and the exponentially convergent row-sum series of
   :mod:`weierforms.trig`;
-* ``shell`` - direct summation over a box of the reduced basis under a
-  :class:`TruncationPlan` (the ground-truth route; cost grows like tol**-1
-  in points).  The box is planned at all of ``tol`` that the rounding of
-  the first shell, of the principal part and of the final addition leaves,
-  and the planner counts the a priori rounding of the bulk, so the tail
-  takes nearly the whole tolerance (:func:`_plan_shell`).  The route raises
-  :class:`PrecisionError` when |z| exceeds the margin of the reduced basis,
-  when that rounding alone exceeds ``tol``, when :func:`plan_truncation`
-  refuses the box (the tolerance out of reach within ``SHELL_CAP``, more
-  than ``POINT_BUDGET`` points, or a basis outside the planner's float
-  range), or when the summed certificate exceeds ``tol``.  Every shell
-  evaluation and :func:`describe_route` take the box from
-  :func:`_plan_shell`, so the reported plan is the one summed.
+* ``shell`` - direct summation over a box of the reduced basis (the
+  ground-truth route; cost grows like tol**-1 in points), planned, summed
+  and certified by :func:`weierforms.shells.shell_route`; the "Budget."
+  section of :mod:`weierforms.shells` splits the tolerance and lists when
+  the route raises :class:`PrecisionError`.  Every shell evaluation and
+  :func:`describe_route` take the box from
+  :func:`weierforms.shells.plan_shell`, so the reported plan is the one summed.
 
 Every wzeta-type value - ``wzeta``, the series route of ``wzeta_lattice``,
 ``eval_g``, and the Klein-form parts of ``eval_h`` and ``eval_hU`` - is one
@@ -46,7 +40,7 @@ import math
 from .arith import TWO_PI_I, CertifiedValue, _inverse
 from .errors import DomainError, PoleError, PrecisionError
 from .lattice import Lattice, reduce_lattice, reduce_points
-from .shells import TruncationPlan, first_shell_bound, plan_truncation, shell_sum
+from .shells import eta2_shell, plan_shell, shell_route, shell_value
 from .trig import eta2_strip, wp_strip, z_strip
 
 __all__ = [
@@ -113,88 +107,13 @@ def _reduce(lat: Lattice, zs):
 
 
 # ---------------------------------------------------------------------------
-# shell route
-
-
-def _principal(z: complex, kind: str) -> complex:
-    return 1.0 / (z * z) if kind == "wp" else 1.0 / z
-
-
-def _addition_bound(principal: complex, total_abs: float) -> float:
-    """Rounding of the principal part and of its addition to a shell sum of modulus total_abs.
-
-    principal: z*z (2.83 u) and Smith's division (7.07 u); the sum: u (|p| + |total|)
-    """
-    return 6.0 * _EPS * abs(principal) + _EPS * total_abs
-
-
-def shell_value(
-    lat: Lattice, z: complex, plan: TruncationPlan, kind: str = "wp"
-) -> CertifiedValue:
-    """Principal part plus the planned shell sum, with the plan's certificate."""
-    z = complex(z)
-    total, rounding = shell_sum(lat, z, plan.box, kind)
-    principal = _principal(z, kind)
-    value = principal + total
-    err = plan.tail_bound + rounding + _addition_bound(principal, abs(total))
-    return CertifiedValue(value, err)
-
-
-def _plan_shell(basis: Lattice, z: complex, tol: float, kind: str) -> TruncationPlan:
-    """The admitted shell plan, or PrecisionError with the reason for refusing it.
-
-    The box takes all of tol that the terms of the certificate which do not
-    depend on it leave: the first shell's rounding and the principal part's
-    rounding and addition (:func:`shell_value`), with an a priori bound on
-    the modulus of the sum.  The planner counts the bulk's a priori rounding,
-    so tail plus rounding stay within tol.
-    """
-    try:
-        first, modulus = first_shell_bound(basis, z, kind)
-        fixed = first + _addition_bound(_principal(z, kind), modulus)
-        if not fixed < tol:
-            raise PrecisionError(
-                f"shell certificate exceeds the requested tolerance: the rounding at z alone is {fixed:.3g}"
-            )
-        # the certificate is a sum of five terms; a share 4 eps smaller
-        # absorbs its rounding and that of the planner's sum
-        return plan_truncation(basis, abs(z), (tol - fixed) * (1.0 - 4.0 * _EPS), kind=kind)
-    except DomainError:
-        raise PrecisionError("shell route infeasible: |z| exceeds the margin of the reduced basis") from None
-
-
-def _shell(basis: Lattice, z: complex, tol: float, kind: str) -> CertifiedValue:
-    cv = shell_value(basis, z, _plan_shell(basis, z, tol, kind), kind)
-    if cv.error > tol:
-        raise PrecisionError("shell certificate exceeds the requested tolerance")
-    return cv
+# dispatch
 
 
 def _eta2(tau_r: complex, tol: float, route: str) -> CertifiedValue:
-    """The quasi-period eta2 of tau_r*Z + Z for a reduced ratio, within tol.
-
-    The closed row series of :func:`eta2_strip`, or on the shell route a
-    literal difference wzeta(z + 1) - wzeta(z) of shell values at base points
-    near -1/2 and +1/2, which lie inside the summation margin of every reduced
-    basis.
-    There the same difference at a second base point must agree to within
-    4 tol plus both certificates; otherwise PrecisionError.
-    """
-    if route != "shell":
-        return eta2_strip(tau_r, tol)
-    lat = Lattice(tau_r, 1.0)
-
-    def difference(base: complex) -> CertifiedValue:
-        return _shell(lat, base + 1.0, 0.25 * tol, "wzeta") - _shell(lat, base, 0.25 * tol, "wzeta")
-
-    eta2, eta2_b = difference(0.13j - 0.5), difference(-0.07 + 0.09j - 0.5)
-    if abs(eta2.value - eta2_b.value) > 4.0 * tol + eta2.error + eta2_b.error:
-        raise PrecisionError("eta2 depends on the base point beyond tolerance")
-    return eta2
-
-
-# ---------------------------------------------------------------------------
-# dispatch
+    """The quasi-period eta2 of tau_r*Z + Z for a reduced ratio, within tol:
+    the closed row series, or on the shell route a difference of shell values."""
+    return eta2_shell(tau_r, tol) if route == "shell" else eta2_strip(tau_r, tol)
 
 
 def _zeta(reds, tol: float, route: str, klein: bool) -> list[CertifiedValue]:
@@ -237,7 +156,7 @@ def _zeta(reds, tol: float, route: str, klein: bool) -> list[CertifiedValue]:
         if shell:
             if lat is None:
                 lat = Lattice(red.tau, 1.0)
-            base = _shell(lat, red.z0, part, "wzeta")
+            base = shell_route(lat, red.z0, part, "wzeta")
         else:
             base = z_strip(red.tau, red.z0, part)
         parts.append((red, base, coeff, k, dw))
@@ -262,7 +181,7 @@ def _evaluate(reds, tol: float, route: str, kind: str) -> list[CertifiedValue]:
     if kind != "wp":
         return _zeta(reds, tol, route, kind == "klein")
     if route == "shell":
-        return [_shell(red.basis, red.point, tol, kind) for red in reds]
+        return [shell_route(red.basis, red.point, tol, kind) for red in reds]
     return [wp_strip(red.tau, red.z0, tol * abs(red.jj) ** 2) * _inverse(red.jj, 2) for red in reds]
 
 
@@ -273,7 +192,7 @@ def _dispatch(lat, z, tol, route, kind) -> CertifiedValue:
     (red,) = _reduce(lat, (z,))
     if route == "shell":
         # the ground truth sums at z itself, using no (quasi-)periodicity
-        return _shell(red.basis, z, tol, kind)
+        return shell_route(red.basis, z, tol, kind)
     return _evaluate((red,), tol, route, kind)[0]
 
 
@@ -360,7 +279,7 @@ def describe_route(lat, z, tol: float = DEFAULT_TOL, *, route: str = "auto", kin
     red = reduce_lattice(_as_lattice(lat), z if label else 0j)
     if route == "shell":
         try:
-            plan = _plan_shell(red.basis, red.point if label else complex(z), tol, kind)
+            plan = plan_shell(red.basis, red.point if label else complex(z), tol, kind)
         except PrecisionError:
             return {"route": "shell", "feasible": False}
         return {

@@ -52,7 +52,6 @@ class LatticeGeometry:
     h1: float
     h2: float
     delta: float
-    covolume: float
 
 
 def _edge_min(wa: complex, wb: complex) -> float:
@@ -114,7 +113,6 @@ class Lattice:
             h1=d / abs(self.omega2),
             h2=d / abs(self.omega1),
             delta=min(e1, e2),
-            covolume=d,
         )
 
 

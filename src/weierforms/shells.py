@@ -1,4 +1,4 @@
-"""Box lattice summation with a provable truncation tail bound.
+"""The shell route: box lattice sums with a proven tail bound, and the certified values on them.
 
 The direct sums run over the box |c| <= c_max, |d| <= d_max of a generator
 basis (on the shell route the reduced basis of ``lattice.reduce_lattice``,
@@ -105,12 +105,21 @@ the first box on the rule that meets the tolerance.
 
 Budget.  A plan's box is the first on the aspect rule whose tail bound plus
 the a priori rounding bound of its bulk (``bulk_rounding_bound``, which grows
-with c_max) is <= tol.  The shell route plans at all of its tolerance that
-the terms independent of the box leave: the first shell's rounding and an a
-priori bound on |sum| (``first_shell_bound``), and the principal part.  So
-the tail takes nearly the whole tolerance, and since the point count scales
+with c_max) is <= tol.  A shell value (``shell_value``) is the principal part
+1/z^2 resp. 1/z plus the sum, and its certificate has five terms: the tail,
+the bulk's rounding, the first shell's rounding, the principal part's
+rounding and that of the final addition.  The last three do not depend on
+the box, so ``plan_shell`` bounds them first, with an a priori bound on
+|sum| (the first shell's computed |g| and the bulk's a priori Sum |g|), and
+plans the box at the rest of tol times 1 - 4 eps (eps = ulp(1)), which
+absorbs the rounding of the five-term sum and of the planner's.  So the
+tail takes nearly the whole tolerance, and since the point count scales
 like 1/tail, the box has about half the points of one whose tail is held
-within tol/2.
+within tol/2.  The shell route (``shell_route``) raises PrecisionError when
+|z| exceeds the margin of the basis, when the terms independent of the box
+alone reach tol, when ``plan_truncation`` refuses the box (the tolerance out
+of reach within SHELL_CAP, more than POINT_BUDGET points, or a basis outside
+the planner's float range), or when the summed certificate exceeds tol.
 """
 
 from __future__ import annotations
@@ -119,6 +128,7 @@ import math
 import sys
 from dataclasses import dataclass
 
+from .arith import CertifiedValue
 from .errors import DomainError, PrecisionError
 from .lattice import Lattice
 
@@ -127,7 +137,10 @@ __all__ = [
     "plan_truncation",
     "shell_sum",
     "bulk_rounding_bound",
-    "first_shell_bound",
+    "plan_shell",
+    "shell_value",
+    "shell_route",
+    "eta2_shell",
     "SHELL_CAP",
     "POINT_BUDGET",
 ]
@@ -448,26 +461,6 @@ def bulk_rounding_bound(lat: Lattice, z_abs: float, kind: str, c_max: int) -> fl
     return 1.01 * _EPS * per_term * _bulk_abs_bound(lat, z_abs, kind)
 
 
-def first_shell_bound(lat: Lattice, z: complex, kind: str) -> tuple[float, float]:
-    """(rounding, modulus) of ``shell_sum`` at z apart from its bulk's rounding.
-
-    For every box that holds the first shell (every planned box): the first
-    shell's share of the rounding bound, and an a priori bound on the modulus
-    of the sum.  Neither depends on the box, so both are known before the box
-    is planned.  Requires |z| <= delta, as ``shell_sum`` does, and raises
-    PrecisionError where the kernel leaves the float range on the first shell.
-    """
-    if kind not in _KINDS:
-        raise DomainError(f"unknown summand kind {kind!r}")
-    z = complex(z)
-    _check_margin(lat, abs(z))
-    _check_kernel_range(lat, kind, 1, 1)
-    values, bound = _first_shell(lat, z, 1, 1, kind)
-    # 1.01 covers the rounding of the computed sum against the exact one
-    modulus = 2.02 * (math.fsum(abs(v) for v in values) + _bulk_abs_bound(lat, abs(z), kind))
-    return 2.0 * bound, modulus
-
-
 def _first_shell(lat: Lattice, z: complex, c_max: int, d_max: int, kind: str):
     """Half pairs at the first-shell points of the half box, and their rounding bound.
 
@@ -574,3 +567,84 @@ def shell_sum(
     )
 
     return total, bulk_rounding_bound(lat, abs(z), kind, c_max) + 2.0 * first_bound
+
+
+# ---------------------------------------------------------------------------
+# Shell route: the planned sum plus the principal part, certified within tol
+# (module docstring, Budget).
+
+
+def _principal(z: complex, kind: str) -> complex:
+    return 1.0 / (z * z) if kind == "wp" else 1.0 / z
+
+
+def _addition_bound(principal: complex, total_abs: float) -> float:
+    """Rounding of the principal part and of its addition to a shell sum of modulus total_abs.
+
+    principal: z*z (2.83 u) and Smith's division (7.07 u); the sum: u (|p| + |total|)
+    """
+    return 6.0 * _EPS * abs(principal) + _EPS * total_abs
+
+
+def plan_shell(lat: Lattice, z: complex, tol: float, kind: str) -> TruncationPlan:
+    """The admitted plan of the shell value at z within tol, or PrecisionError
+    with the reason for refusing it.
+
+    The box takes all of tol that the terms of the certificate which do not
+    depend on it leave: the first shell's rounding and the principal part's
+    rounding and addition, with an a priori bound on the modulus of the sum.
+    """
+    if kind not in _KINDS:
+        raise DomainError(f"unknown summand kind {kind!r}")
+    z = complex(z)
+    try:
+        _check_margin(lat, abs(z))
+    except DomainError:
+        raise PrecisionError("shell route infeasible: |z| exceeds the margin of the reduced basis") from None
+    _check_kernel_range(lat, kind, 1, 1)
+    values, bound = _first_shell(lat, z, 1, 1, kind)
+    # 1.01 covers the rounding of the computed sum against the exact one
+    modulus = 2.02 * (math.fsum(abs(v) for v in values) + _bulk_abs_bound(lat, abs(z), kind))
+    fixed = 2.0 * bound + _addition_bound(_principal(z, kind), modulus)
+    if not fixed < tol:
+        raise PrecisionError(f"shell certificate exceeds the requested tolerance: the rounding at z alone is {fixed:.3g}")
+    # the certificate is a sum of five terms; a share 4 eps smaller absorbs
+    # its rounding and that of the planner's sum
+    return plan_truncation(lat, abs(z), (tol - fixed) * (1.0 - 4.0 * _EPS), kind=kind)
+
+
+def shell_value(lat: Lattice, z: complex, plan: TruncationPlan, kind: str = "wp") -> CertifiedValue:
+    """Principal part plus the planned shell sum, with the plan's certificate."""
+    z = complex(z)
+    total, rounding = shell_sum(lat, z, plan.box, kind)
+    principal = _principal(z, kind)
+    value = principal + total
+    err = plan.tail_bound + rounding + _addition_bound(principal, abs(total))
+    return CertifiedValue(value, err)
+
+
+def shell_route(lat: Lattice, z: complex, tol: float, kind: str) -> CertifiedValue:
+    """The shell value at z on the plan of :func:`plan_shell`, certified within tol."""
+    cv = shell_value(lat, z, plan_shell(lat, z, tol, kind), kind)
+    if cv.error > tol:
+        raise PrecisionError("shell certificate exceeds the requested tolerance")
+    return cv
+
+
+def eta2_shell(tau_r: complex, tol: float) -> CertifiedValue:
+    """The quasi-period eta2 of tau_r*Z + Z for a reduced ratio, within tol.
+
+    A literal difference wzeta(z + 1) - wzeta(z) of shell values at base
+    points near -1/2 and +1/2, which lie inside the summation margin of every
+    reduced basis.  The same difference at a second base point must agree
+    within both certificates; otherwise PrecisionError.
+    """
+    lat = Lattice(tau_r, 1.0)
+
+    def difference(base: complex) -> CertifiedValue:
+        return shell_route(lat, base + 1.0, 0.25 * tol, "wzeta") - shell_route(lat, base, 0.25 * tol, "wzeta")
+
+    eta2, eta2_b = difference(0.13j - 0.5), difference(-0.07 + 0.09j - 0.5)
+    if abs(eta2.value - eta2_b.value) > eta2.error + eta2_b.error:
+        raise PrecisionError("eta2 depends on the base point beyond its certificates")
+    return eta2

@@ -392,9 +392,40 @@ class TestRowCount:
                         got = trig._rows_needed(tail_fn, target, im_tau)
                         assert got == (rows, tail_fn(rows)), (kind, im_tau, y, target)
 
+    @pytest.mark.parametrize("im_tau", [0.87, 1.7, 7.9, 40.0])
+    def test_rows_at_the_tails_match_the_scan(self, im_tau):
+        # a target at a tail value or next to one puts the closed-form guess
+        # next to an integer, and the small tails reach below _NORMAL_TAIL and
+        # down to 0: the count is stepped to, and still the first hit of the scan
+        for frac in (-0.5, 0.0, 0.31):
+            y = frac * im_tau
+            for tail_fn in (
+                lambda c: trig._wp_tail(im_tau, y, c),
+                lambda c: trig._eta2_tail(im_tau, c),
+                lambda c: trig._z_tail(im_tau, y, c),
+            ):
+                tails = [tail_fn(0)]
+                while tails[-1] > 0.0:
+                    tails.append(tail_fn(len(tails)))
+                for tail in tails:
+                    for target in (math.nextafter(tail, 0.0), tail, math.nextafter(tail, math.inf)):
+                        rows = next(r for r, t in enumerate(tails) if t <= target)
+                        assert trig._rows_needed(tail_fn, target, im_tau) == (rows, tails[rows]), (im_tau, y, target)
+
     def test_row_cap(self):
         with pytest.raises(PrecisionError, match="does not reach"):
             trig._rows_needed(lambda c: 1.0, 0.5, 1.0)
+
+    def test_out_of_range_guess(self):
+        # a guess beyond the cap is clamped to it, where the tail misses the target
+        with pytest.raises(PrecisionError, match="does not reach"):
+            trig._rows_needed(lambda c: math.exp(-1e-3 * c), 1e-300, 1e-3 / (2.0 * math.pi))
+        # a tail that overflows at 0 rows has no guess: the count steps down from the cap
+        def tail_fn(c):
+            return math.inf if c == 0 else 0.5**c
+
+        rows = self._scan(tail_fn, 1e-3)
+        assert trig._rows_needed(tail_fn, 1e-3, 1.0) == (rows, tail_fn(rows)) == (10, 0.5**10)
 
 
 class TestEtaCertificates:

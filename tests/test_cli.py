@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from weierforms import evaluate, shell_sum
+from weierforms import shell_sum, shells
 from weierforms.cli import format_complex, main, parse_complex
 
 
@@ -235,7 +235,7 @@ class TestEvalPlan:
             boxes.append(tuple(box))
             return shell_sum(lat, z, box, kind)
 
-        monkeypatch.setattr(evaluate, "shell_sum", spy)
+        monkeypatch.setattr(shells, "shell_sum", spy)
         code, out = run_cli(
             capsys, "eval", "f", "--s", s, "--t", t, "--tau", tau, "--tol", tol, "--route", "shell", "--format", "json"
         )

@@ -32,7 +32,7 @@ from weierforms import (
     random_sl2,
     slash,
 )
-from weierforms import evaluate
+from weierforms import shells
 from weierforms.evaluate import _label_values
 
 from oracles import GOLDEN, GOLDEN_BAND
@@ -340,13 +340,13 @@ class TestEvaluators:
         # the three parts share one reduced ratio: one shell sum at each reduced
         # point and one eta2 difference of four shell sums, not one per part
         calls = []
-        shell_sum = evaluate.shell_sum
+        shell_sum = shells.shell_sum
 
         def counted(*args, **kwargs):
             calls.append(args)
             return shell_sum(*args, **kwargs)
 
-        monkeypatch.setattr(evaluate, "shell_sum", counted)
+        monkeypatch.setattr(shells, "shell_sum", counted)
         tau = 0.2 + 1.3j
         labels = (pair(Fraction(1, 3), Fraction(1, 4)), pair(Fraction(-1, 6), Fraction(1, 2)), pair(Fraction(-1, 6), Fraction(-3, 4)))
         shell = eval_hU(labels, tau, 1e-4, route="shell")

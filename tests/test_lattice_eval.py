@@ -25,10 +25,17 @@ from weierforms import (
     wzeta,
     wzeta_lattice,
 )
-from weierforms import evaluate
+from weierforms import shells
 from weierforms.evaluate import POLE_RTOL
 from weierforms.lattice import reduce_lattice, reduce_points, reduce_tau_matrix
-from weierforms.shells import _bulk_abs_bound, _outside_bound, _outside_coeffs, _tail_bound, bulk_rounding_bound
+from weierforms.shells import (
+    _bulk_abs_bound,
+    _column_integrals,
+    _outside_bound,
+    _outside_coeffs,
+    _tail_bound,
+    bulk_rounding_bound,
+)
 
 from oracles import GOLDEN, GOLDEN_BAND, brute_wp, brute_wzeta
 
@@ -367,10 +374,7 @@ class TestTailBound:
     def test_corners_counted_once(self, basis, tol, k):
         lat = reduce_lattice(Lattice(*basis)).basis
         c_max, d_max = plan_truncation(lat, 0.5 * lat.geometry.delta, tol).box
-        c = np.arange(-k * c_max, k * c_max + 1)
-        d = np.arange(-k * d_max, k * d_max + 1)[:, None]
-        outside = (abs(c) > c_max) | (abs(d) > d_max)
-        between = (np.abs(c * lat.omega1 + d * lat.omega2)[outside] ** -4.0).sum()
+        between = _sum_between(lat, (c_max, d_max), (k * c_max, k * d_max))
         bound = _outside_bound(lat, c_max, d_max)
         # full rows and full columns beyond the big box: a proven bound on
         # the rest, which counts its corners twice
@@ -378,6 +382,37 @@ class TestTailBound:
         x, y = k * d_max + 0.5, k * c_max + 0.5
         beyond = a_rows / x**2 + b_rows / x**3 + a_cols / y**2 + b_cols / y**3
         assert between <= bound <= 1.05 * (between + beyond), (c_max, d_max)
+
+    def test_full_columns_off_a_reduced_basis(self):
+        # far from reduced, the columns' integrals are not convex in c from
+        # c_max + 1/2 on, and the bound takes the full columns there
+        lat = Lattice(3 + 1j, 1.0)
+        c_max, d_max = plan_truncation(lat, 0.1 * lat.geometry.delta, 1e-6).box
+        a_rows, _, a_cols, _ = _outside_coeffs(lat)
+        nu = (lat.omega1 * lat.omega2.conjugate()).real
+        y = c_max + 0.5
+        assert y * abs(lat.omega1) ** 2 < d_max * (abs(nu) + 0.5 * lat.covolume)
+        assert _column_integrals(lat, a_rows, a_cols, y, d_max) == a_cols / y**2
+        assert _outside_bound(lat, c_max, d_max) >= _sum_between(lat, (c_max, d_max), (10 * c_max, 10 * d_max))
+
+    def test_single_row_box(self):
+        # with d_max = 0 the partial columns are single points, counted by b_cols
+        lat = reduce_lattice(Lattice(0.3 + 1.1j, 1.0)).basis
+        a_rows, _, a_cols, _ = _outside_coeffs(lat)
+        assert _column_integrals(lat, a_rows, a_cols, 20.5, 0) == 0.0
+        assert _outside_bound(lat, 20, 0) >= _sum_between(lat, (20, 0), (400, 400))
+
+
+def _sum_between(lat, box, outer):
+    """Sum |w|^-4 over the lattice points in the box ``outer`` and outside ``box``."""
+    (c_max, d_max), (c_out, d_out) = box, outer
+    c = np.arange(-c_out, c_out + 1)
+    total = 0.0
+    for d0 in range(-d_out, d_out + 1, 256):
+        d = np.arange(d0, min(d0 + 256, d_out + 1))[:, None]
+        outside = (abs(c) > c_max) | (abs(d) > d_max)
+        total += (np.abs(c * lat.omega1 + d * lat.omega2)[outside] ** -4.0).sum()
+    return total
 
 
 # elongated, near-square, tall and skewed bases
@@ -434,7 +469,7 @@ class TestFullTolerancePlans:
             plans.append((lat, tol, plan_truncation(lat, z_bound, tol, kind=kind)))
             return plans[-1][2]
 
-        monkeypatch.setattr(evaluate, "plan_truncation", spy)
+        monkeypatch.setattr(shells, "plan_truncation", spy)
         elongated = describe_route(Lattice(20j, 1.0), 0.5, 1e-8, route="shell", kind="wp")
         square = describe_route(Lattice(0.3 + 1.1j, 1.0), 0.25 - 0.1j, 1e-8, route="shell", kind="wzeta")
         assert elongated["c_max"] <= 243 and elongated["d_max"] <= 4855
@@ -473,7 +508,7 @@ class TestFullTolerancePlans:
             boxes.append(tuple(box))
             return shell_sum(lat, z, box, kind)
 
-        monkeypatch.setattr(evaluate, "shell_sum", spy)
+        monkeypatch.setattr(shells, "shell_sum", spy)
         lat = Lattice(*basis)
         for kind, fn in LATTICE_FNS:
             boxes.clear()
@@ -486,7 +521,7 @@ class TestFullTolerancePlans:
         def no_sum(*args, **kwargs):
             raise AssertionError("summed a refused box")
 
-        monkeypatch.setattr(evaluate, "shell_sum", no_sum)
+        monkeypatch.setattr(shells, "shell_sum", no_sum)
         with pytest.raises(PrecisionError, match="certificate exceeds"):
             wp_lattice(Lattice(1j, 1.0), 1e-7, 1e-12, route="shell")
         assert describe_route(Lattice(1j, 1.0), 1e-7, 1e-12, route="shell") == {"route": "shell", "feasible": False}
