@@ -34,78 +34,51 @@ Sum_bulk |g| <= S(1/2) |z|^p 4 (zeta(3) - 1) / delta^4.  numpy is imported on
 the kernel's first call, so the series route, the cusp values and every
 verify suite but eies-bound run without loading it.
 
-Tail.  h1 = covolume/|omega2| and h2 = covolume/|omega1| are the distances of
-omega1 from the line R*omega2 and of omega2 from R*omega1, so |w| >= |c| h1
-and |w| >= |d| h2.  A point outside the box has |d| > d_max or |c| > c_max,
-hence |w| >= min((d_max+1) h2, (c_max+1) h1) =: R and r <= z_bound / R,
-which the planner keeps <= 1/2.  The omitted part of the sum is half the sum
-of the pairs outside the box, so it is at most S(r) |z|^p Sum_out |w|^-4.
-The points outside the box are the rows |d| > d_max (every c) and the
-partial columns |c| > c_max, |d| <= d_max; each is counted once.
+Tail.  Write tau = omega1/omega2, z' = z/omega2 and y = z_bound/|omega2|;
+h2 = covolume/|omega1| is the distance of omega2 from the line R*omega1, so
+|w| >= |d| h2.  The margin |z| <= delta <= e1 <= Im(tau) |omega2| gives
+y <= Im tau.  The points outside the box split into two sets, each symmetric
+under w -> -w.
 
-Segment lemma: a unimodal f sampled with spacing L on a segment [a, b]
-(end points included) sums to at most max f + (1/L) Int_a^b f: every sample
-but the two next to the peak is at most the mean of f over the gap on its
-side toward the peak, and those two are at most max f plus the mean over
-the gap between them.  Along a line at distance rho from 0,
-|w|^-4 = (rho^2 + x^2)^-2 is unimodal with maximum rho^-4.
+(i) Far lines |c| > c_max, every d.  Summed over d (by absolute convergence,
+and the Mittag-Leffler expansions of csc^2 and cot), the lines c and -c give
+exactly the row c of :mod:`weierforms.trig`:
 
-Rows: row d lies on a line at distance rho = |d| h2 from R*omega1 with
-spacing |omega1|; on the whole line the lemma gives rho^-4 +
-pi/(2 |omega1| rho^3).  Summing over |d| > d_max by convexity
-(Sum_{d > D} d^-s <= (D + 1/2)^(1-s) / (s-1)):
+  wp:    omega2^-2 pi^2 [csc^2(pi(z'-c tau)) + csc^2(pi(z'+c tau)) - 2 csc^2(pi c tau)]
+  wzeta: omega2^-1 pi [cot(pi(z'-c tau)) + cot(pi(z'+c tau))] + z omega2^-2 2 pi^2 csc^2(pi c tau)
 
-  rows <= a_rows / X^2 + b_rows / X^3,   X = d_max + 1/2,
-  a_rows = pi / (2 |omega1| h2^3),  b_rows = 2 / (3 h2^4).
+(the 1/w terms of the two lines cancel).  So their sum is at most trig's row
+tails beyond c_max at Im tau and y: ``_wp_tail``/|omega2|^2 resp.
+(``_z_tail`` + |z'| ``_eta2_tail``)/|omega2|.  Those need only
+rho = exp(-2 pi (Im tau - y)) < 1; where rho >= 1 (|z| within 1e-12 of the
+margin) the bound is infinite.  Im tau is rounded down and y, rho and
+q = exp(-2 pi Im tau) up, and a factor 1 + 1e-12 covers the rounding of the
+exponents (at most 4u of arguments below 760 in modulus).
 
-Partial columns: the points c omega1 + t omega2, |t| <= d_max, lie on a line
-at distance rho = |c| h1 from R*omega2 with spacing L = |omega2|, on the
-segment x in [c mu - d_max L, c mu + d_max L], mu = Re(omega1 conj omega2)/L.
-The lemma bounds the column by rho^-4 + G(c), G(c) = Int_{|t| <= d_max}
-|c omega1 + t omega2|^-4 dt.  The rho^-4 terms sum to b_cols / Y^3,
-b_cols = 2 / (3 h1^4), Y = c_max + 1/2.  For fixed t, q(c) = |c omega1 +
-t omega2|^2 is a quadratic with minimum m = t^2 covolume^2 / |omega1|^2 at
-c0 = -t nu / |omega1|^2, nu = Re(omega1 conj omega2), and q^-2 is convex in c
-where (c - c0)^2 >= m / (5 |omega1|^2).  So G is convex on c >= Y when
+(ii) Partial lines |c| <= c_max, |d| > d_max.  Here |w| >= (d_max+1) h2
+>= 2 z_bound (d_max >= d_min), so r <= 1/2 and, by the pair bound, the sum is
+at most S(r) |z|^p Sum |w|^-4 <= S(r) |z|^p (2 c_max + 1) b_rows / (d_max + 1/2)^3,
+with b_rows = 2 / (3 h2^4) and r = z_bound / ((d_max+1) h2), by convexity
+(Sum_{d > D} d^-4 <= (D + 1/2)^-3 / 3).  Where z^p/w^4 keeps its phase along
+the lines (a rectangular basis, z on the line c = 0) it is nearly exact.
 
-  Y |omega1|^2 >= d_max (|nu| + covolume/2)      (1/2 > 1/sqrt(5)),
+Box.  For c_max = 0, 1, 2, ...: bound (i) and the bulk's rounding bound
+(``bulk_rounding_bound``, which grows with c_max) leave a share of tol, and
+d_max is the smallest value >= d_min whose bound (ii) meets it: every d_max
+below the cube root of S(0) |z|^p (2 c_max + 1) b_rows / share, less 1/2,
+misses (S(r) >= S(0)), and one evaluation confirms the integer above it
+(the box below is tried too where the root lies next to an integer).  The
+plan is the candidate with the fewest points.  A box with a larger c_max
+has at least (2 c_max + 1)(2 max(d_min, root) + 1) - 1 points, the root
+taken at the share tol minus the rounding bound; that grows with c_max, so
+the search stops once it exceeds the best count (in particular once
+(2 c_max + 1)(2 d_min + 1) does).  Bound (i) is its value at c_max = 0 times
+exp(-2 pi Im tau c_max), so the search starts just below the first c_max at
+which it alone leaves a share.  The number of lines grows like
+log(1/tol) / Im tau and d_max like tol^(-1/3).
 
-and then Sum_{c > c_max} G(c) <= Int_Y^inf G, the integral of |w|^-4 over
-the half strip {s omega1 + t omega2 : s > Y, |t| <= d_max} divided by the
-covolume; c < -c_max is its mirror image.  In polar coordinates a ray from
-0 enters the half strip through its near edge s = Y and leaves through a
-side t = +-d_max, and a line at distance p contributes (1/2p^2) Int
-cos^2(theta - phi) dtheta = (F(t_b) - F(t_a)) / (4 p^2) over the part of it
-between tangential coordinates p t_a and p t_b, F(t) = atan(t) + t/(1+t^2).
-With k = covolume, D = d_max, l1 = |omega1|, l2 = |omega2|:
-
-  cols <= (l2^2 (F(tn+) - F(tn-)) / Y^2 - l1^2 (pi - F(ts+) - F(ts-)) / D^2)
-          / (2 k^3) + b_cols / Y^3
-       =  (a_cols/Y^2) (F(tn+) - F(tn-)) / pi
-          - (a_rows/D^2) (pi - F(ts+) - F(ts-)) / pi + b_cols / Y^3,
-  tn+- = (Y nu +- D l2^2) / (Y k),   ts+- = (Y l1^2 +- D nu) / (D k),
-
-with a_cols = pi / (2 |omega2| h1^3) = pi l2^2 / (2 k^3), plus an allowance
-for the rounding of the closed form, whose terms cancel.  a_cols / Y^2 is
-the integral over the whole half plane s > Y, so the half strip's never
-exceeds it, and where the convexity condition fails (only on bases far from
-reduced) it bounds the full columns: cols <= a_cols / Y^2 + b_cols / Y^3.
-
-Aspect.  At leading order rows and columns bound the integral of |w|^-4
-outside the parallelogram |s| <= Y, |t| <= X, over the covolume.  Times the
-parallelogram's area, that integral depends on Y l1 / (X l2) only, and
-symmetrically under inverting it (the closed form above, written for the
-four sides), and it is least at 1 (checked on the bases of the tests), so
-the point count for a given bound is least at Y l1 = X l2: c_max/d_max =
-l2/l1 = sqrt(a_cols / a_rows) (1/20 for the basis (20i, 1)), the aspect
-that balanced the full rows and columns as well.
-``plan_truncation`` inverts the leading terms, a_rows + K over X^2 with K the
-columns' integral term on the aspect rule at unit scale, and steps d_max to
-the first box on the rule that meets the tolerance.
-
-Budget.  A plan's box is the first on the aspect rule whose tail bound plus
-the a priori rounding bound of its bulk (``bulk_rounding_bound``, which grows
-with c_max) is <= tol.  A shell value (``shell_value``) is the principal part
+Budget.  A plan's tail bound (i) + (ii) plus the a priori rounding bound of
+its bulk is <= tol.  A shell value (``shell_value``) is the principal part
 1/z^2 resp. 1/z plus the sum, and its certificate has five terms: the tail,
 the bulk's rounding, the first shell's rounding, the principal part's
 rounding and that of the final addition.  The last three do not depend on
@@ -113,13 +86,12 @@ the box, so ``plan_shell`` bounds them first, with an a priori bound on
 |sum| (the first shell's computed |g| and the bulk's a priori Sum |g|), and
 plans the box at the rest of tol times 1 - 4 eps (eps = ulp(1)), which
 absorbs the rounding of the five-term sum and of the planner's.  So the
-tail takes nearly the whole tolerance, and since the point count scales
-like 1/tail, the box has about half the points of one whose tail is held
-within tol/2.  The shell route (``shell_route``) raises PrecisionError when
-|z| exceeds the margin of the basis, when the terms independent of the box
-alone reach tol, when ``plan_truncation`` refuses the box (the tolerance out
-of reach within SHELL_CAP, more than POINT_BUDGET points, or a basis outside
-the planner's float range), or when the summed certificate exceeds tol.
+tail takes nearly the whole tolerance.  The shell route (``shell_route``)
+raises PrecisionError when |z| exceeds the margin of the basis, when the
+terms independent of the box alone reach tol, when ``plan_truncation``
+refuses the box (no box within SHELL_CAP meets the tolerance, the best has
+more than POINT_BUDGET points, or the basis lies outside the planner's float
+range), or when the summed certificate exceeds tol.
 """
 
 from __future__ import annotations
@@ -131,6 +103,7 @@ from dataclasses import dataclass
 from .arith import CertifiedValue
 from .errors import DomainError, PrecisionError
 from .lattice import Lattice
+from .trig import _eta2_tail, _wp_tail, _z_tail
 
 __all__ = [
     "TruncationPlan",
@@ -200,25 +173,20 @@ def _check_margin(lat: Lattice, z_bound: float) -> None:
         )
 
 
-def _outside_coeffs(lat: Lattice) -> tuple[float, float, float, float]:
-    """(a_rows, b_rows, a_cols, b_cols) of the bound on Sum_out |w|^-4.
+def _row_coeff(lat: Lattice) -> float:
+    """b_rows = 2 / (3 h2^4) of bound (ii) (module docstring, Tail).
 
-    Raises PrecisionError when one of them leaves the positive float range
-    (a basis far longer or shorter than 1e77), where no plan is derived.
+    Raises PrecisionError when it or |omega2|^-2, the scale of bound (i),
+    leaves the positive float range (a basis far longer or shorter than
+    1e77), where no plan is derived.
     """
-    g = lat.geometry
     try:
-        coeffs = (
-            math.pi / (2.0 * abs(lat.omega1) * g.h2**3),
-            2.0 / (3.0 * g.h2**4),
-            math.pi / (2.0 * abs(lat.omega2) * g.h1**3),
-            2.0 / (3.0 * g.h1**4),
-        )
+        coeffs = (2.0 / (3.0 * lat.geometry.h2**4), abs(lat.omega2) ** -2)
     except (OverflowError, ZeroDivisionError):
         coeffs = (math.inf,)
     if not all(0.0 < c < math.inf for c in coeffs):
         raise PrecisionError(_OUT_OF_RANGE)
-    return coeffs
+    return coeffs[0]
 
 
 def _check_kernel_range(lat: Lattice, kind: str, c_max: int, d_max: int) -> None:
@@ -238,54 +206,29 @@ def _pair_coeff(kind: str, r2: float) -> float:
     return 1.0 / (1.0 - r2)
 
 
-def _atan_area(t: float) -> float:
-    """F(t) = atan(t) + t/(1+t^2) = 2 Int_0^atan(t) cos^2 (module docstring, Tail)."""
-    return math.atan(t) + t / (1.0 + t * t)
+def _far_bound(lat: Lattice, kind: str, z_bound: float, c_max: int) -> float:
+    """Bound (i) on |Sum of f(w) over the lines |c| > c_max| for |z| <= z_bound (module docstring, Tail)."""
+    l2 = abs(lat.omega2)
+    skew = abs(lat.omega1) * l2 / lat.covolume
+    # Im tau = covolume / |omega2|^2 is within (2 skew + 4) u of the computed value
+    im_tau = lat.geometry.h1 / l2 * (1.0 - 8.0 * _EPS * skew)
+    y = z_bound / l2 * (1.0 + 4.0 * _EPS)
+    rho, q = (math.exp(-2.0 * math.pi * t) * (1.0 + 4.0 * _EPS) for t in (im_tau - y, im_tau))
+    if not rho < 1.0:
+        return math.inf
+    q_inv = 1.0 / (1.0 - q)
+    if kind == "wp":
+        tail = _wp_tail(im_tau, y, c_max, (rho, q_inv)) / l2**2
+    else:
+        tail = (_z_tail(im_tau, y, c_max, (rho, q_inv)) + y * _eta2_tail(im_tau, c_max, (q, q_inv))) / l2
+    return (1.0 + 1e-12) * tail
 
 
-def _column_integrals(lat: Lattice, a_rows: float, a_cols: float, y: float, d: float) -> float:
-    """The partial columns' integral terms beyond Y = y, over |t| <= d (module docstring, Tail).
-
-    Homogeneous of degree -2 in (y, d): the half strips' closed form where
-    the columns' integrals are convex in c from y on, else the full
-    columns' a_cols / y^2, which bounds it everywhere.
-    """
-    full = a_cols / (y * y)
-    w1, w2, k = lat.omega1, lat.omega2, lat.covolume
-    l1_sq, l2_sq = abs(w1) ** 2, abs(w2) ** 2
-    nu = w1.real * w2.real + w1.imag * w2.imag
-    if y * l1_sq < d * (abs(nu) + 0.5 * k):
-        return full
-    if d == 0:
-        return 0.0
-    edge = a_rows / (d * d)
-    tn = ((y * nu + d * l2_sq) / (y * k), (y * nu - d * l2_sq) / (y * k))
-    ts = ((y * l1_sq + d * nu) / (d * k), (y * l1_sq - d * nu) / (d * k))
-    near = _atan_area(tn[0]) - _atan_area(tn[1])
-    sides = math.pi - _atan_area(ts[0]) - _atan_area(ts[1])
-    # near and sides cancel, so their rounding is bounded by their moduli:
-    # nu and k are within 3 u l1 l2 of their values (skew = l1 l2 / k >= 1),
-    # so each t is within 14 u skew (1 + T), T = max |t| of its line; with
-    # |F'| <= 2 and |F| < 2.1, 128 u skew (1 + T) covers a line's two F, its
-    # coefficient, the products and the differences
-    skew = math.sqrt(l1_sq * l2_sq) / k
-    rounding = 128.0 * _EPS * skew * (full * (1.0 + max(map(abs, tn))) + edge * (1.0 + max(map(abs, ts))))
-    strip = (full * near - edge * sides) / math.pi + rounding
-    return strip if strip < full else full
-
-
-def _outside_bound(lat: Lattice, c_max: int, d_max: int) -> float:
-    """Bound on Sum |w|^-4 over the lattice points outside the box (module docstring, Tail)."""
-    a_rows, b_rows, a_cols, b_cols = _outside_coeffs(lat)
-    x, y = d_max + 0.5, c_max + 0.5
-    return a_rows / x**2 + b_rows / x**3 + _column_integrals(lat, a_rows, a_cols, y, d_max) + b_cols / y**3
-
-
-def _tail_bound(lat: Lattice, kind: str, z_bound: float, c_max: int, d_max: int) -> float:
-    """Bound on |Sum of f(w) over the lattice points outside the box| for |z| <= z_bound."""
-    g = lat.geometry
-    r = z_bound / min((d_max + 1) * g.h2, (c_max + 1) * g.h1)
-    return _pair_coeff(kind, r * r) * z_bound ** _KINDS[kind] * _outside_bound(lat, c_max, d_max)
+def _partial_bound(lat: Lattice, kind: str, z_bound: float, c_max: int, d_max: int) -> float:
+    """Bound (ii) on |Sum of f(w) over |c| <= c_max, |d| > d_max| for |z| <= z_bound (module docstring, Tail)."""
+    r = z_bound / ((d_max + 1) * lat.geometry.h2)
+    lines = 2 * c_max + 1
+    return _pair_coeff(kind, r * r) * z_bound ** _KINDS[kind] * lines * _row_coeff(lat) / (d_max + 0.5) ** 3
 
 
 def plan_truncation(
@@ -295,18 +238,19 @@ def plan_truncation(
     *,
     kind: str = "wp",
 ) -> TruncationPlan:
-    """Box of the aspect rule whose tail bound plus bulk rounding bound is <= tol.
+    """The box with the fewest points whose tail bound plus bulk rounding bound is <= tol.
 
-    The smallest such box on the aspect rule: its proven tail bound plus
-    :func:`bulk_rounding_bound`, the a priori rounding of ``shell_sum``'s
-    bulk on it, is <= tol, so ``tail_bound <= tol`` holds as well.
-    Requires z_bound <= delta, so that |z/w| <= 1/2 holds beyond the first
-    shell; the box always contains the first shell and is large enough that
-    |z/w| <= 1/2 on every point outside it.  Raises PrecisionError when the
-    box would need max(c_max, d_max) > SHELL_CAP or more than POINT_BUDGET
-    points, when the bulk rounding alone exceeds tol, or when the basis lies
-    outside the float range of the bound's coefficients or the box outside
-    that of the kernel.
+    Among the boxes whose proven tail bound plus :func:`bulk_rounding_bound`,
+    the a priori rounding of ``shell_sum``'s bulk on it, is <= tol (so
+    ``tail_bound <= tol`` holds as well), the one with the fewest points,
+    found by the search of the module docstring (Box); the first such c_max
+    on a tie.  Requires z_bound <= delta, so that |z/w| <= 1/2 holds beyond
+    the first shell; d_max is large enough that |z/w| <= 1/2 on every point
+    of the partial lines.  Raises PrecisionError when no box with
+    max(c_max, d_max) <= SHELL_CAP meets tol, when the best has more than
+    POINT_BUDGET points, when the bulk rounding alone reaches tol, or when the
+    basis lies outside the float range of the bound's coefficients or the
+    box outside that of the kernel.
     """
     if kind not in _KINDS:
         raise DomainError(f"unknown summand kind {kind!r}")
@@ -317,64 +261,68 @@ def plan_truncation(
     if not tol > 0.0:
         raise DomainError("tol must be positive")
     g = lat.geometry
-    a_rows, b_rows, a_cols, b_cols = _outside_coeffs(lat)
-    aspect = math.sqrt(a_cols / a_rows)
+    # S(0) |z|^p b_rows: bound (ii) per line at r = 0, below its value at any d_max
+    amp = _pair_coeff(kind, 0.0) * z_bound ** _KINDS[kind] * _row_coeff(lat)
     d_min = max(1, math.ceil(2.0 * z_bound / g.h2) - 1)
-    c_min = max(1, math.ceil(2.0 * z_bound / g.h1) - 1)
-    unreachable = f"tolerance {tol:.3g} unreachable within the shell cap {SHELL_CAP}"
-    if max(c_min, d_min) > SHELL_CAP or _tail_bound(lat, kind, z_bound, SHELL_CAP, SHELL_CAP) > tol:
-        raise PrecisionError(unreachable)
-    amp = _pair_coeff(kind, 0.0) * z_bound ** _KINDS[kind]
-    # the columns' integral terms on the aspect rule, c_max = aspect * d_max, at unit scale
-    lead = a_rows + _column_integrals(lat, a_rows, a_cols, aspect, 1.0)
+    far0 = _far_bound(lat, kind, z_bound, 0)
+    unreachable = PrecisionError(f"tolerance {tol:.3g} unreachable within the shell cap {SHELL_CAP}")
+    if d_min > SHELL_CAP or far0 == math.inf:
+        raise unreachable
+    decay = 2.0 * math.pi * g.h1 / abs(lat.omega2)
 
-    def start(share: float) -> int:
-        # leading terms with c_max = aspect * d_max, X = d_max + 1/2:
-        # amp * (lead / X^2 + (b_rows + b_cols / aspect^3) / X^3) = share,
-        # i.e. X^3 - a X - b = 0; Newton from above the root stays above it
-        if not (math.isfinite(share) and amp > 0.0):
-            return d_min
-        a = amp * lead / share
-        b = amp * (b_rows + b_cols / aspect**3) / share
-        x = max(math.sqrt(2.0 * a), (2.0 * b) ** (1.0 / 3.0))
-        for _ in range(8):
-            x -= (x**3 - a * x - b) / (3.0 * x * x - a)
-        return max(d_min, math.floor(x - 0.5))
+    def root(c: int, share: float) -> float:
+        # every d_max below this misses share on c_max = c
+        return (amp * (2 * c + 1) / share) ** (1.0 / 3.0) - 0.5
 
-    def box(d: int) -> tuple[int, float, float]:
-        # (c_max, tail bound, bulk rounding bound) of the box on the rule at d_max = d
-        c = max(c_min, math.ceil(aspect * d))
-        if max(c, d) > SHELL_CAP:
-            raise PrecisionError(unreachable)
-        return c, _tail_bound(lat, kind, z_bound, c, d), bulk_rounding_bound(lat, z_bound, kind, c)
+    def first_line(share: float) -> int:
+        # a c_max at or below the first one whose bound (i) is <= share
+        if far0 <= share:
+            return 0
+        return max(0, math.floor((math.log(far0) - math.log(share)) / decay) - 1)
 
-    # the estimate lands a few boxes from the answer, on either side (the
-    # rule's ceil moves c_max in steps): step up past the boxes that miss
-    # tol, then down while the box below meets it too, so the plan is the
-    # first box on the rule that meets tol
-    missed = d_min - 1
-    d = start(tol)
-    c, tail, spent = box(d)
-    while tail + spent > tol:
-        if spent >= tol:
-            raise PrecisionError(f"tolerance {tol:.3g} below the kernel's rounding bound {spent:.3g}")
-        # the rounding grows with the box, so the tail's share on a larger
-        # box is at most tol - spent: the estimate at that share stays near
-        # the answer
-        missed = d
-        d = max(d + 1, start(tol - spent))
-        c, tail, spent = box(d)
-    while d - 1 > missed:
-        below = box(d - 1)
-        if below[1] + below[2] > tol:
+    def rows(c: int, share: float) -> int:
+        # the smallest d_max >= d_min whose bound (ii) on c_max = c is <= share
+        x = root(c, share)
+        if not x <= SHELL_CAP:
+            return SHELL_CAP + 1
+        d = max(d_min, math.ceil(x))
+        # next to an integer the root's rounding can decide: try the box below
+        if d - 1 >= d_min and d - 1 > x - 1e-9 * max(1.0, x) and _partial_bound(lat, kind, z_bound, c, d - 1) <= share:
+            d -= 1
+        while d <= SHELL_CAP and _partial_bound(lat, kind, z_bound, c, d) > share:
+            d += 1
+        return d
+
+    c = first_line(tol)
+    spent = bulk_rounding_bound(lat, z_bound, kind, c)
+    if spent >= tol:
+        raise PrecisionError(f"tolerance {tol:.3g} below the kernel's rounding bound {spent:.3g}")
+    best = None  # (points, c_max, d_max, tail bound)
+    while c <= SHELL_CAP and spent < tol:
+        # a box with c_max >= c leaves its partial lines at most tol - spent,
+        # so it has at least this many points, which grows with c
+        least = root(c, tol - spent)
+        lines = 2 * c + 1
+        if least > SHELL_CAP or (best and lines * (2.0 * max(d_min, least) + 1.0) - 1.0 > best[0]):
             break
-        d -= 1
-        c, tail, spent = below
+        far = _far_bound(lat, kind, z_bound, c)
+        share = tol - spent - far
+        if share > 0.0:
+            d = rows(c, share)
+            points = lines * (2 * d + 1) - 1
+            if d <= SHELL_CAP and (best is None or points < best[0]):
+                best = (points, c, d, far + _partial_bound(lat, kind, z_bound, c, d))
+            c += 1
+        else:
+            c = max(c + 1, first_line(tol - spent))
+        spent = bulk_rounding_bound(lat, z_bound, kind, c)
+    if best is None:
+        raise unreachable
+    points, c, d, tail = best
     _check_kernel_range(lat, kind, c, d)
-    plan = TruncationPlan(c, d, tail, g.delta, kind, z_bound)
-    if plan.point_count > POINT_BUDGET:
-        raise PrecisionError(f"shell route needs {plan.point_count:,} points, over the budget {POINT_BUDGET:,}")
-    return plan
+    if points > POINT_BUDGET:
+        raise PrecisionError(f"shell route needs {points:,} points, over the budget {POINT_BUDGET:,}")
+    return TruncationPlan(c, d, tail, g.delta, kind, z_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,11 @@ With u = e(w) (whichever of e(w), e(-w) has modulus < 1):
 so row c decays like exp(-2 pi (c Im tau - |Im z|)) and the tail beyond C
 rows is bounded by an explicit geometric series.  Callers must supply
 Im tau >= TAU_IM_MIN and |Im z| <= Im(tau)/2 (both guaranteed after
-reduction), which keeps every row factor below exp(-pi Im tau).
+reduction), which keeps every row factor below exp(-pi Im tau).  The tail
+bounds themselves (``_wp_tail``, ``_z_tail``, ``_eta2_tail``) hold for any
+Im tau > 0 and |Im z| <= y < Im tau, where rho = exp(-2 pi (Im tau - y)) < 1
+bounds every row factor |u| for c >= 1 (|1 - u| >= 1 - rho): the shell planner
+bounds the far lines of its box with them (:mod:`weierforms.shells`).
 
 At z0 = u tau + v the cot rows give the logarithmic derivative of the Klein
 form, Z = wzeta(z0) - u eta1 - v eta2 = C(tau, z0) + 2 pi i u (Kubert-Lang,

@@ -31,6 +31,7 @@ from weierforms import (
 )
 from weierforms import trig
 from weierforms.lattice import reduce_lattice
+from weierforms.shells import shell_route
 
 from oracles import mp_eta12, mp_lattice, mp_torsion_point, mp_wp, mp_wp_mpc, mp_wzeta, mp_wzeta_mpc
 
@@ -136,8 +137,8 @@ class TestRandomizedCertificates:
 class TestShellSoundnessGrid:
     """Forced shell route against the 30-digit oracle over cell shapes and offsets.
 
-    Tall cells exercise the box aspect rule (c_max/d_max down to 1/50); the
-    offsets reach the margin |z| = delta, the largest |z| the route accepts.
+    Tall cells sum one line (c_max = 0), square ones a few; the offsets reach
+    the margin |z| = delta, the largest |z| the route accepts.
     """
 
     OFFSETS = [(rho, 0.3 + k * math.pi / 4) for k, rho in enumerate((0.2, 0.45, 0.7, 1.0) * 2)]
@@ -160,6 +161,41 @@ class TestShellSoundnessGrid:
                 truth = oracle(tau, z, rows=12, dps=30)
                 assert abs(cv.value - truth) <= cv.error, (tau, z, kind, tol)
                 assert cv.error <= tol
+
+
+class TestShellOracleGrid:
+    """Seeded random cases of the forced shell route against the 50-digit oracle.
+
+    Reduced bases and the non-reduced (1 + 1.5i, 1), which ``shell_route``
+    takes as given (``plan_truncation`` is public); |z| up to 0.999 delta and
+    tol from 1e-5 to 1e-12.  Bound (ii) of the tail is nearly exact where
+    z^p/w^4 keeps its phase along the lines, so a slack certificate would
+    not show here; an unsound one would.
+    """
+
+    BASES = [
+        (1j, 1.0),
+        (0.5 + 0.5j * math.sqrt(3.0), 1.0),
+        (0.3 + 1.1j, 1.0),
+        (20j, 1.0),
+        (-0.2 + 2.5j, 1.0),
+        (1 + 1.5j, 1.0),
+    ]
+
+    def test_certificates_contain_oracle(self):
+        import mpmath as mp
+
+        rng = random.Random(2501)
+        for i in range(60):
+            lat = Lattice(*self.BASES[i % len(self.BASES)])
+            kind, oracle = (("wp", mp_wp_mpc), ("wzeta", mp_wzeta_mpc))[i // len(self.BASES) % 2]
+            frac = rng.choice((0.999, rng.uniform(0.2, 0.999)))
+            z = frac * lat.geometry.delta * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            tol = 10.0 ** rng.uniform(-12.0, -5.0)
+            cv = shell_route(lat, z, tol, kind)
+            with mp.workdps(50):
+                miss = abs(mp.mpc(cv.value) - mp_lattice(oracle, lat.omega1, lat.omega2, z, dps=50))
+            assert miss <= cv.error <= tol, (lat, z, kind, tol)
 
 
 class TestSmallImTauGrid:

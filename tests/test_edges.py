@@ -24,7 +24,7 @@ from weierforms import (
     wzeta,
     wzeta_lattice,
 )
-from weierforms.shells import POINT_BUDGET, SHELL_CAP, bulk_rounding_bound
+from weierforms.shells import POINT_BUDGET, SHELL_CAP, _far_bound, bulk_rounding_bound, shell_route
 from weierforms.trig import wp_strip, z_strip
 
 
@@ -36,14 +36,15 @@ ROUTE_CASES = [
     # |z| beyond the margin of the reduced basis
     ("wp", (1j, 1.0), 1.2, 1e-8, SHELL_CAP, "series", "margin"),
     ("wzeta", (1j, 1.0), 1.2, 1e-8, SHELL_CAP, "series", "margin"),
-    # tolerance out of reach within the shell cap
-    ("wp", (1j, 1.0), 0.4, 1e-12, SHELL_CAP, "series", "unreachable within the shell cap 1000000"),
-    ("wzeta", (1j, 1.0), 0.9, 1e-12, SHELL_CAP, "series", "unreachable within the shell cap 1000000"),
-    # admitted, with 3.4 million (wp) and 0.34 million (wzeta) points
+    # admitted and summed at 1e-12: five short lines on either side of the
+    # line c = 0 (341,846 and 415,744 points)
+    ("wp", (1j, 1.0), 0.4, 1e-12, SHELL_CAP, "shell", None),
+    ("wzeta", (1j, 1.0), 0.9, 1e-12, SHELL_CAP, "shell", None),
+    # admitted, with 1,518 (wp) and 544 (wzeta) points
     ("wp", (1j, 1.0), 0.3, 1e-6, SHELL_CAP, "series", None),
     ("wzeta", (1j, 1.0), 0.3, 1e-6, SHELL_CAP, "series", None),
-    # over the forced budget (about 1.2e9 points)
-    ("wp", (1j, 1.0), 0.4, 5e-9, SHELL_CAP, "series", "over the budget 800,000,000"),
+    # admitted and summed (15,002 points)
+    ("wp", (1j, 1.0), 0.4, 5e-9, SHELL_CAP, "shell", None),
     # admitted
     ("wp", (0.3 + 1.2j, 1.0), 0.2 - 0.1j, 1e-4, SHELL_CAP, "shell", None),
     ("wzeta", (0.3 + 1.2j, 1.0), 0.2 - 0.1j, 1e-4, SHELL_CAP, "shell", None),
@@ -86,9 +87,15 @@ class TestDispatchEdges:
             wp_lattice(Lattice(1j, 1.0), 0.5, 1e-8, route="warp")
 
     def test_forced_shell_budget_guard(self):
-        # feasible under the cap but over the runtime point budget (~1.2e9 points)
+        # feasible under the cap but over the runtime point budget (~2.8e9
+        # points): the shell route on a basis far from reduced (Im tau = 0.003,
+        # about 1850 lines) at a share just above the least tail plus rounding.
+        # The evaluators sum on reduced bases, where Im tau >= sqrt(3)/2 keeps the lines few
+        lat = Lattice(1 + 0.003j, 1.0)
+        z = 0.5 * lat.geometry.delta
+        floor = min(_far_bound(lat, "wp", z, c) + bulk_rounding_bound(lat, z, "wp", c) for c in range(3000))
         with pytest.raises(PrecisionError, match="over the budget"):
-            wp_lattice(Lattice(1j, 1.0), 0.4, 5e-9, route="shell")
+            shell_route(lat, z, 1.01 * floor, "wp")
 
     def test_describe_route_shell(self):
         lat = Lattice(20j, 1.0)
@@ -171,9 +178,10 @@ class TestHugeLattices:
     @pytest.mark.parametrize(
         "fn,route,value_hex,error_hex",
         [
-            (wp_lattice, "shell", "0x1.4e5e14ba81baep-329", "0x1.6819b57d53487p-334"),
+            # the shell box is (0, 1), the points +-omega2: the far lines' bound is small
+            (wp_lattice, "shell", "0x1.48c8d7eeecea6p-329", "0x1.412a1d76ec582p-333"),
             (wp_lattice, "series", "0x1.4a11d5281e9abp-329", "0x1.09ae650d7e271p-334"),
-            (wzeta_lattice, "shell", "0x1.854705d1025bbp-165", "0x1.2f556a2236228p-171"),
+            (wzeta_lattice, "shell", "0x1.87fb955e947efp-165", "0x1.f291674dee8d1p-170"),
             # the series errors count the rounding of the cot rows, of W*eta2 and of 1/J
             (wzeta_lattice, "series", "0x1.8770b0ff90c51p-165", "0x1.04ab4d985c54bp-170"),
         ],

@@ -29,11 +29,11 @@ from weierforms import shells
 from weierforms.evaluate import POLE_RTOL
 from weierforms.lattice import reduce_lattice, reduce_points, reduce_tau_matrix
 from weierforms.shells import (
+    SHELL_CAP,
     _bulk_abs_bound,
-    _column_integrals,
-    _outside_bound,
-    _outside_coeffs,
-    _tail_bound,
+    _far_bound,
+    _pair_coeff,
+    _partial_bound,
     bulk_rounding_bound,
 )
 
@@ -309,8 +309,10 @@ class TestLagrangeReduction:
 
 class TestPlans:
     def test_infinite_tol_gives_single_shell(self):
+        # the smallest box: the first-shell points +-omega2 on the line c = 0
         plan = plan_truncation(Lattice(1j, 1.0), 0.4, math.inf)
-        assert plan.box == (1, 1)
+        assert plan.box == (0, 1)
+        assert plan.tail_bound < math.inf
 
     def test_monotone_in_tol(self):
         lat = Lattice(1j, 1.0)
@@ -325,8 +327,12 @@ class TestPlans:
             plan_truncation(Lattice(1j, 1.0), 1.5, 1e-6)
 
     def test_cap_exhaustion(self):
+        # just above the least bound (i) plus bulk rounding of any c_max, the
+        # share left for the partial lines needs d_max beyond the cap
+        lat = Lattice(1j, 1.0)
+        floor = min(_far_bound(lat, "wp", 0.4, c) + bulk_rounding_bound(lat, 0.4, "wp", c) for c in range(40))
         with pytest.raises(PrecisionError, match="shell cap"):
-            plan_truncation(Lattice(1j, 1.0), 0.4, 1e-13)
+            plan_truncation(lat, 0.4, floor * (1.0 + 1e-6))
 
     @pytest.mark.parametrize("tol", [1e-300, 5e-324])
     def test_tiny_tol_refused(self, tol):
@@ -335,8 +341,13 @@ class TestPlans:
             plan_truncation(Lattice(1j, 1.0), 0.4, tol)
 
     def test_point_budget(self):
+        # a basis far from reduced (Im tau = 0.003) needs about 1850 lines, and
+        # a share just above the floor makes them long: over 2e9 points
+        lat = Lattice(1 + 0.003j, 1.0)
+        z_bound = 0.5 * lat.geometry.delta
+        floor = min(_far_bound(lat, "wp", z_bound, c) + bulk_rounding_bound(lat, z_bound, "wp", c) for c in range(3000))
         with pytest.raises(PrecisionError, match="over the budget"):
-            plan_truncation(Lattice(1j, 1.0), 0.4, 0.5e-8)
+            plan_truncation(lat, z_bound, 1.01 * floor)
 
     def test_reference_plan_reaches_1e8(self):
         plan = plan_truncation(Lattice(1j, 1.0), 0.4, 1e-8)
@@ -360,7 +371,25 @@ class TestPlans:
 
 
 class TestTailBound:
-    """The bound on Sum |w|^-4 outside the box against the points between it and k times it."""
+    """Bounds (i), the far lines |c| > c_max, and (ii), the partial lines
+    |c| <= c_max, |d| > d_max, against the sums they bound."""
+
+    @pytest.mark.parametrize(
+        "basis",
+        [(0.5 + 0.5j * math.sqrt(3.0), 1.0), (1j, 1.0), (0.3 + 1.1j, 1.0), (20j, 1.0), (2.3 + 1.7j, 1.1 - 0.4j)],
+    )
+    def test_far_lines(self, basis):
+        # the hexagonal basis has delta = Im tau: at |z| = 0.999 delta next to
+        # i*omega2, y -> Im tau and rho -> 1
+        lat = reduce_lattice(Lattice(*basis)).basis
+        unit = lat.omega2 / abs(lat.omega2)
+        for frac in (0.3, 0.999):
+            for theta in (0.0, 1.1, 0.5 * math.pi, 2.5):
+                z = frac * lat.geometry.delta * unit * cmath.exp(1j * theta)
+                for kind in ("wp", "wzeta"):
+                    for c_max in (0, 1, 3):
+                        bound = _far_bound(lat, kind, abs(z), c_max)
+                        assert _mp_far_lines(lat, kind, z, c_max) <= bound, (frac, theta, kind)
 
     @pytest.mark.parametrize(
         "basis,tol,k",
@@ -372,46 +401,74 @@ class TestTailBound:
         ],
     )
     def test_corners_counted_once(self, basis, tol, k):
+        # bound (ii) takes only the partial lines: the box's corners lie on
+        # the far lines of bound (i), so no point is bounded twice.  Against
+        # the points d_max < |d| <= k d_max and the analytic remainder beyond
         lat = reduce_lattice(Lattice(*basis)).basis
-        c_max, d_max = plan_truncation(lat, 0.5 * lat.geometry.delta, tol).box
-        between = _sum_between(lat, (c_max, d_max), (k * c_max, k * d_max))
-        bound = _outside_bound(lat, c_max, d_max)
-        # full rows and full columns beyond the big box: a proven bound on
-        # the rest, which counts its corners twice
-        a_rows, b_rows, a_cols, b_cols = _outside_coeffs(lat)
-        x, y = k * d_max + 0.5, k * c_max + 0.5
-        beyond = a_rows / x**2 + b_rows / x**3 + a_cols / y**2 + b_cols / y**3
-        assert between <= bound <= 1.05 * (between + beyond), (c_max, d_max)
+        z_bound = 0.5 * lat.geometry.delta
+        c_max, d_max = plan_truncation(lat, z_bound, tol).box
+        lines, b_rows = 2 * c_max + 1, 2.0 / (3.0 * lat.geometry.h2**4)
+        near = _sum_partial(lat, c_max, d_max, k * d_max)
+        rest = lines * b_rows / (k * d_max + 0.5) ** 3
+        assert near + rest <= lines * b_rows / (d_max + 0.5) ** 3, (c_max, d_max)
+        r = z_bound / ((d_max + 1) * lat.geometry.h2)
+        for kind, p in (("wp", 2), ("wzeta", 3)):
+            pairs = _pair_coeff(kind, r * r) * z_bound**p
+            assert _partial_bound(lat, kind, z_bound, c_max, d_max) == pytest.approx(
+                pairs * lines * b_rows / (d_max + 0.5) ** 3, rel=1e-14
+            )
 
     def test_full_columns_off_a_reduced_basis(self):
-        # far from reduced, the columns' integrals are not convex in c from
-        # c_max + 1/2 on, and the bound takes the full columns there
+        # the far lines are whole columns; far from reduced (Im tau = 1, tau = 3 + i)
         lat = Lattice(3 + 1j, 1.0)
-        c_max, d_max = plan_truncation(lat, 0.1 * lat.geometry.delta, 1e-6).box
-        a_rows, _, a_cols, _ = _outside_coeffs(lat)
-        nu = (lat.omega1 * lat.omega2.conjugate()).real
-        y = c_max + 0.5
-        assert y * abs(lat.omega1) ** 2 < d_max * (abs(nu) + 0.5 * lat.covolume)
-        assert _column_integrals(lat, a_rows, a_cols, y, d_max) == a_cols / y**2
-        assert _outside_bound(lat, c_max, d_max) >= _sum_between(lat, (c_max, d_max), (10 * c_max, 10 * d_max))
+        for frac in (0.1, 0.999):
+            z = frac * lat.geometry.delta * cmath.exp(0.4j)
+            for kind in ("wp", "wzeta"):
+                for c_max in (0, 2, 5):
+                    assert _mp_far_lines(lat, kind, z, c_max) <= _far_bound(lat, kind, abs(z), c_max)
 
     def test_single_row_box(self):
-        # with d_max = 0 the partial columns are single points, counted by b_cols
+        # with d_max = 0 the partial lines are the lines |c| <= c_max less the row d = 0
         lat = reduce_lattice(Lattice(0.3 + 1.1j, 1.0)).basis
-        a_rows, _, a_cols, _ = _outside_coeffs(lat)
-        assert _column_integrals(lat, a_rows, a_cols, 20.5, 0) == 0.0
-        assert _outside_bound(lat, 20, 0) >= _sum_between(lat, (20, 0), (400, 400))
+        z_bound = 0.4 * lat.geometry.h2
+        for kind in ("wp", "wzeta"):
+            amp = _pair_coeff(kind, 0.16) * z_bound ** (2 if kind == "wp" else 3)
+            brute = amp * _sum_partial(lat, 20, 0, 400)
+            assert brute <= _partial_bound(lat, kind, z_bound, 20, 0)
+
+    def test_rho_at_one_is_infinite(self):
+        # |z| at the margin of the hexagonal basis, where y = Im tau
+        lat = reduce_lattice(Lattice(0.5 + 0.5j * math.sqrt(3.0), 1.0)).basis
+        assert _far_bound(lat, "wp", lat.geometry.delta * (1.0 + 1e-13), 0) == math.inf
+        with pytest.raises(PrecisionError, match="shell cap"):
+            plan_truncation(lat, lat.geometry.delta * (1.0 + 1e-13), 1e-3)
 
 
-def _sum_between(lat, box, outer):
-    """Sum |w|^-4 over the lattice points in the box ``outer`` and outside ``box``."""
-    (c_max, d_max), (c_out, d_out) = box, outer
-    c = np.arange(-c_out, c_out + 1)
+def _mp_far_lines(lat, kind, z, c_max):
+    """|Sum of f(w) over the lines |c| > c_max|, from the closed-form line pairs in 50 digits."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        w1, w2, z = mp.mpc(lat.omega1), mp.mpc(lat.omega2), mp.mpc(z)
+        tau, zp = w1 / w2, z / w2
+        total = 0
+        # the rows fall by exp(-2 pi Im tau): these reach 1e-45 of the first
+        for c in range(c_max + 1, c_max + 3 + math.ceil(104.0 / (2.0 * math.pi * float(tau.imag)))):
+            a, b, t = mp.pi * (zp - c * tau), mp.pi * (zp + c * tau), mp.pi * c * tau
+            if kind == "wp":
+                total += mp.pi**2 * (mp.csc(a) ** 2 + mp.csc(b) ** 2 - 2 * mp.csc(t) ** 2) / w2**2
+            else:
+                total += mp.pi * (mp.cot(a) + mp.cot(b)) / w2 + z * 2 * mp.pi**2 * mp.csc(t) ** 2 / w2**2
+        return float(abs(total))
+
+
+def _sum_partial(lat, c_max, d_lo, d_hi):
+    """Sum |w|^-4 over the lattice points |c| <= c_max, d_lo < |d| <= d_hi."""
+    c = np.arange(-c_max, c_max + 1)
     total = 0.0
-    for d0 in range(-d_out, d_out + 1, 256):
-        d = np.arange(d0, min(d0 + 256, d_out + 1))[:, None]
-        outside = (abs(c) > c_max) | (abs(d) > d_max)
-        total += (np.abs(c * lat.omega1 + d * lat.omega2)[outside] ** -4.0).sum()
+    for d0 in range(d_lo + 1, d_hi + 1, 256):
+        d = np.arange(d0, min(d0 + 256, d_hi + 1))[:, None]
+        total += 2.0 * (np.abs(c * lat.omega1 + d * lat.omega2) ** -4.0).sum()
     return total
 
 
@@ -420,19 +477,47 @@ PLAN_BASES = [(20j, 1.0), (0.3 + 1.1j, 1.0), (1.0, 4j), (2.3 + 1.7j, 1.1 - 0.4j)
 LATTICE_FNS = (("wp", wp_lattice), ("wzeta", wzeta_lattice))
 
 
-def _is_first_on_the_rule(lat, tol, plan):
-    """The plan meets tol, and the box before it on the aspect rule does not."""
-    a_rows, _, a_cols, _ = _outside_coeffs(lat)
-    g = lat.geometry
-    c_min = max(1, math.ceil(2.0 * plan.z_bound / g.h1) - 1)
-    d_min = max(1, math.ceil(2.0 * plan.z_bound / g.h2) - 1)
+def _is_fewest_on_the_rule(lat, tol, plan):
+    """The plan meets tol, its d_max - 1 misses (or d_max = d_min), and no
+    c_max has a box that meets tol with fewer points (or as few, before it)."""
+    kind, z_bound = plan.kind, plan.z_bound
+    d_min = max(1, math.ceil(2.0 * z_bound / lat.geometry.h2) - 1)
+    p = 2 if kind == "wp" else 3
 
     def spent(c, d):
-        return _tail_bound(lat, plan.kind, plan.z_bound, c, d) + bulk_rounding_bound(lat, plan.z_bound, plan.kind, c)
+        return (
+            _far_bound(lat, kind, z_bound, c)
+            + _partial_bound(lat, kind, z_bound, c, d)
+            + bulk_rounding_bound(lat, z_bound, kind, c)
+        )
 
-    d = plan.d_max - 1
-    c = max(c_min, math.ceil(math.sqrt(a_cols / a_rows) * d))
-    return spent(*plan.box) <= tol and (d < d_min or spent(c, d) > tol)
+    def fewest_rows(c):
+        # the smallest d_max >= d_min that meets tol on c_max = c, by bisection
+        lo, hi = d_min - 1, SHELL_CAP
+        if spent(c, hi) > tol:
+            return None
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if spent(c, mid) <= tol else (mid, hi)
+        return hi
+
+    if spent(*plan.box) > tol or fewest_rows(plan.c_max) != plan.d_max:
+        return False
+    for c in range(SHELL_CAP + 1):
+        share = tol - bulk_rounding_bound(lat, z_bound, kind, c)
+        if share <= 0.0:
+            return True
+        # bound (ii) at r = 0 with the whole share: no box on c_max = c has fewer rows
+        per_line = _pair_coeff(kind, 0.0) * z_bound**p * 2.0 / (3.0 * lat.geometry.h2**4)
+        root = (per_line * (2 * c + 1) / share) ** (1.0 / 3.0)
+        if (2 * c + 1) * (2 * max(d_min, root - 0.5) + 1) - 1 > plan.point_count:
+            return True
+        d = fewest_rows(c)
+        if d is not None:
+            points = (2 * c + 1) * (2 * d + 1) - 1
+            if points < plan.point_count or (points == plan.point_count and c < plan.c_max):
+                return False
+    return True
 
 
 class TestFullTolerancePlans:
@@ -459,10 +544,9 @@ class TestFullTolerancePlans:
             assert info["c_max"] <= half.c_max and info["d_max"] <= half.d_max
 
     def test_benchmark_plans(self, monkeypatch):
-        # the tail within tol/2 needed (243, 4855), 4,729,256 points, and
-        # (3036, 3461), 42,043,378 points; with the full columns' bound, which
-        # counted the box's corners twice, the whole tol needed (172, 3434),
-        # 2,369,804 points, and (2147, 2447), 21,024,024 points
+        # bounding the whole outside by Sum |w|^-4 needed (156, 3101),
+        # 1,941,538 points, and (1929, 2199), 16,975,740 points; the far
+        # lines' row tails leave one line resp. seven short ones
         plans = []
 
         def spy(lat, z_bound, tol, *, kind):
@@ -472,13 +556,11 @@ class TestFullTolerancePlans:
         monkeypatch.setattr(shells, "plan_truncation", spy)
         elongated = describe_route(Lattice(20j, 1.0), 0.5, 1e-8, route="shell", kind="wp")
         square = describe_route(Lattice(0.3 + 1.1j, 1.0), 0.25 - 0.1j, 1e-8, route="shell", kind="wzeta")
-        assert elongated["c_max"] <= 243 and elongated["d_max"] <= 4855
-        assert elongated["points"] <= 1_967_000
-        assert square["c_max"] <= 3036 and square["d_max"] <= 3461
-        assert square["points"] <= 17_450_000
+        assert (elongated["c_max"], elongated["d_max"], elongated["points"]) == (0, 368, 736)
+        assert (square["c_max"], square["d_max"], square["points"]) == (3, 219, 3072)
         assert len(plans) == 2
         for lat, share, plan in plans:
-            assert _is_first_on_the_rule(lat, share, plan)
+            assert _is_fewest_on_the_rule(lat, share, plan)
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-5, 1e-7, 1e-9])
     @pytest.mark.parametrize("basis", PLAN_BASES + [(0.5 + 0.866j, 1.0)])
@@ -490,7 +572,7 @@ class TestFullTolerancePlans:
                     plan = plan_truncation(lat, frac * lat.geometry.delta, tol, kind=kind)
                 except PrecisionError:
                     continue
-                assert _is_first_on_the_rule(lat, tol, plan), (frac, kind)
+                assert _is_fewest_on_the_rule(lat, tol, plan), (frac, kind)
 
     @pytest.mark.parametrize(
         "basis,z,tol",
