@@ -1,8 +1,8 @@
 """Closed-form cusp values, the s = 0 series identity, the explicit
-double-sum bound used to control rows of lattice points, and
-:func:`cusp_report`, the comparison of a value at tau = iY with its closed
-cusp value that the ``table`` command and the cusp-f, cusp-h and zeta2
-suites read.
+double-sum bound used to control rows of lattice points and a certified
+enclosure of that double sum, and :func:`cusp_report`, the comparison of a
+value at tau = iY with its closed cusp value that the ``table`` command and
+the cusp-f, cusp-h and zeta2 suites read.
 
 The cusp of interest is i*infinity; values at other cusps are obtained by
 transporting with the slash action, so only the limits below are needed in
@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .arith import PI, TWO_PI_I, CertifiedValue, as_rational, e_of, zeta_even, zeta_r_enclosure
+from .arith import PI, TWO_PI_I, CertifiedValue, as_rational, bernoulli, e_of, zeta_even, zeta_r_enclosure
 from .errors import DomainError
 from .evaluate import DEFAULT_TOL
 from .forms import FormSpec, RationalPair
@@ -26,7 +27,7 @@ __all__ = [
     "cusp_value_h",
     "cusp_value",
     "lemma_eies_bound",
-    "lattice_row_sum_truncated",
+    "lattice_row_sum_enclosure",
     "CuspValueReport",
     "cusp_report",
 ]
@@ -164,7 +165,8 @@ def _gap(form: FormSpec, Y: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# explicit bound on sum over c != 0 of |c tau + d|^(-k)
+# the closed bound on sum over c != 0 of |c tau + d|^(-k), and a certified
+# enclosure of that sum
 
 
 def _zeta_r(k: int) -> CertifiedValue:
@@ -176,8 +178,8 @@ def _zeta_r(k: int) -> CertifiedValue:
 def lemma_eies_bound(k: int, im_tau: float) -> float:
     """The closed bound 4 zeta_R(k)/Y^k + 2 pi zeta_R(k-1)/Y^(k-1), Y = Im tau.
 
-    Valid for integer k >= 3; the truncated double sum must stay strictly
-    below it.  Upper-biased by the zeta enclosures' error.
+    Valid for integer k >= 3; the full double sum must stay strictly below
+    it.  Upper-biased by the zeta enclosures' error.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 3:
         raise DomainError(f"k must be an integer >= 3, got {k!r}")
@@ -192,29 +194,86 @@ def lemma_eies_bound(k: int, im_tau: float) -> float:
     )
 
 
-def lattice_row_sum_truncated(k: int, tau: complex, shells: int = 500) -> float:
-    """Truncated sum over c != 0, max(|c|,|d|) <= shells of |c tau + d|^(-k).
+# Row c of the sum is R_c = sum_d psi(d + a), psi(s) = (s^2 + b^2)^(-k/2),
+# a = c Re tau, b = c Im tau; its integral over the line is W_k b^(1-k),
+# W_k = sqrt(pi) Gamma((k-1)/2) / Gamma(k/2) (W_3 = 2, W_4 = pi/2, W_(k+2) = W_k (k-1)/k).
+# Far rows, b >= 16: Euler-Maclaurin over the whole line has no end terms, so
+# |R_c - W_k b^(1-k)| <= |B_20|/20! Int |psi^(20)| (DLMF 2.10.1); on the disc of
+# radius b/2 about a real s, |sigma^2 + b^2| >= (s^2 + b^2)/4, and Cauchy's
+# estimate |psi^(m)(s)| <= m! (2/b)^m 2^k psi(s) leaves eps(b) W_k b^(1-k),
+# eps(b) = |B_20| 2^k (2/b)^20.  They sum to W_k Y^(1-k) (zeta_R(k-1) - sum_{c<C} c^(1-k)).
+# Near rows: the points with |s| < T = b max(4, sqrt(2k)) + 16 are summed, and
+# each tail sum_{m>=0} psi(x + m), x >= T, by the binomial series of psi as
+# sum_j (-1)^j C_j b^2j H(k+2j, x), C_j = (k/2)_j / j!, H(n, x) = sum_{m>=0} (x+m)^-n,
+# whose terms fall (ratio <= (k/2)(b/x)^2 <= 1, as H(n+2, x) <= H(n, x)/x^2), so
+# the last one summed bounds the rest.  H(n, x) is Euler-Maclaurin at x with
+# four corrections, the next bounding the remainder, as in zeta_r_enclosure.
+# Rounding, u = 2^-53, with pow within one ulp, as zeta_r_enclosure assumes:
+# s^2 + b^2 is within (4 + sk) u, sk = |Re tau|/Im tau (the rounding of a and b
+# enters through |s a| <= sk (s^2 + b^2)/2), a direct term within
+# (k/2)(4 + sk) u + 2u; a term of H within 16u, C_j b^2j H within
+# (3j + 17 + n sk) u (the rounding of x moves H(n, x) by n |dx|/x); a far row
+# within 12u.  Each part counts the moduli of its terms; the fsums add u each.
+_H_COEFF = [float(bernoulli(2 * i) / math.factorial(2 * i)) for i in range(1, 6)]
 
-    All terms are positive, so any truncation is a strict lower bound for the
-    full sum.
+
+def _row_tail(k: int, b: float, x: float, sk: float) -> tuple[float, float]:
+    """(sum_{m>=0} psi(x + m), error bound) for x >= b max(4, sqrt(2k)) + 16."""
+    values, err, coeff, j = [], 0.0, 1.0, 0
+    while True:
+        n = k + 2 * j
+        xn = x**-n
+        terms, t = [xn * x / (n - 1), 0.5 * xn], xn / x * n
+        for i, b2i in enumerate(_H_COEFF, 1):
+            terms.append(b2i * t)
+            t *= (n + 2 * i - 1) * (n + 2 * i) / (x * x)
+        remainder = abs(terms.pop())
+        term = coeff * math.fsum(terms)
+        values.append(-term if j % 2 else term)
+        err += coeff * (remainder + (3 * j + 17 + n * sk) * _U * math.fsum(abs(v) for v in terms))
+        if term <= _U * values[0]:
+            return math.fsum(values), err + term + _U * values[0]
+        coeff *= (0.5 * k + j) / (j + 1) * b * b
+        j += 1
+
+
+def lattice_row_sum_enclosure(k: int, tau: complex) -> CertifiedValue:
+    """Certified enclosure of the full sum over c != 0 and every d of |c tau + d|^(-k).
+
+    Integer k >= 3.  Twice the rows c >= 1: near rows directly with their
+    tails closed by series, far rows in closed form (comment above).  The
+    ball's radius bounds the remainders and the rounding.
     """
-    import numpy as np
-
     if not isinstance(k, int) or isinstance(k, bool) or k < 3:
         raise DomainError(f"k must be an integer >= 3, got {k!r}")
     t = complex(tau)
     if not t.imag > 0.0:
         raise DomainError("Im tau must be positive")
-    c = np.arange(1, shells + 1, dtype=np.float64)
-    d = np.arange(-shells, shells + 1, dtype=np.float64)
-    # one buffer, |c tau + d|^2 formed in place: (c Re tau + d)^2 + (c Im tau)^2
-    buf = np.add.outer(c * t.real, d)
-    np.square(buf, out=buf)
-    im = c * t.imag
-    buf += (im * im)[:, None]
-    np.power(buf, -k / 2.0, out=buf)
-    # +-c pair off by d -> -d symmetry
-    return float(2.0 * np.sum(buf))
+    x, y = t.real, t.imag
+    sk = abs(x) / y
+    parts, err, c = [], 0.0, 1
+    while c * y < 16.0:
+        a, bb = c * x, (c * y) ** 2
+        reach = c * y * max(4.0, math.sqrt(2.0 * k)) + 16.0
+        lo, hi = math.floor(-reach - a), math.ceil(reach - a)
+        parts.append(math.fsum([((s := d + a) * s + bb) ** (-0.5 * k) for d in range(lo + 1, hi)]))
+        err += ((0.5 * k * (4.0 + sk) + 3.0) * _U) * parts[-1]
+        for start in (hi + a, -(lo + a)):
+            tail, tail_err = _row_tail(k, c * y, start, sk)
+            parts.append(tail)
+            err += tail_err
+        c += 1
+    zeta, head = _zeta_r(k - 1), math.fsum(float(n) ** (1 - k) for n in range(1, c))
+    w = Fraction(2) if k % 2 else Fraction(1, 2)
+    for j in range(3 if k % 2 else 4, k, 2):
+        w *= Fraction(j - 1, j)
+    # W_k within 3u, its power of Y 2u
+    scale = float(w) * (1.0 if k % 2 else _PI) * y ** (1 - k)
+    parts.append(scale * (zeta.value.real - head))
+    eps = abs(float(bernoulli(20))) * 2.0**k * (2.0 / (c * y)) ** 20
+    err += scale * (zeta.error + 4.0 * _U * (zeta.value.real + head)) + (eps + 12.0 * _U) * parts[-1]
+    total = math.fsum(parts)
+    return CertifiedValue(2.0 * total, 2.0 * 1.01 * (err + _U * total))
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ then compute the value:
   ratio and the exponentially convergent row-sum series of
   :mod:`weierforms.trig`;
 * ``shell`` - direct summation over a box of the reduced basis (the
-  ground-truth route; the far lines are bounded by their row tails, so the
-  box has about log(1/tol) lines of tol**(-1/3) points each), planned, summed
+  ground-truth route; far lines bounded by their row tails and lines closed
+  by Euler-Maclaurin: about log(1/tol) lines of tol**(-1/14) points), planned, summed
   and certified by :func:`weierforms.shells.shell_route`; the "Budget."
   section of :mod:`weierforms.shells` splits the tolerance and lists when
   the route raises :class:`PrecisionError`.  Every shell evaluation and

@@ -355,12 +355,6 @@ class FormSpec:
             return eval_hU(self.labels, tau, tol, **opts)
         raise DomainError(f"unknown form kind {self.kind!r}")
 
-    def group_contains(self, mat: ModularMatrix) -> bool:
-        """Membership in the invariance group attached to the form."""
-        if self.kind == "hU":
-            return all(gamma_st_contains(u, mat) for u in self.labels)
-        return gamma_st_contains(self.p, mat)
-
     def describe(self) -> str:
         if self.kind == "wp":
             return f"f{self.p}"

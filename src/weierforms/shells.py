@@ -3,36 +3,18 @@
 The direct sums run over the box |c| <= c_max, |d| <= d_max of a generator
 basis (on the shell route the reduced basis of ``lattice.reduce_lattice``,
 whose ratio lies in the fundamental domain), w = c*omega1 + d*omega2.
-The box is symmetric under w -> -w, so it is summed as half a box (rows
-d >= 1 with every c, and the row d = 0 with c >= 1) of paired summands
+The box is symmetric under w -> -w, so it is summed as half a box (the lines
+c <= 0 from d = 1 and the lines c >= 1 from d = 0) of half pairs g:
 
-  wp pair:    f(w) + f(-w) = 2 z^2 (3w^2 - z^2) / ((z-w)^2 (z+w)^2 w^2)
-  wzeta pair: f(w) + f(-w) = 2 z^3 / ((z-w) (z+w) w^2)
+  wp:    2g = f(w) + f(-w) = 2 z^2 (3w^2 - z^2) / ((z-w)^2 (z+w)^2 w^2)
+  wzeta: 2g = f(w) + f(-w) = 2 z^3 / ((z-w) (z+w) w^2)
 
-with r = |z/w| < 1 their even/odd power series give
+With r = |z/w| < 1 their power series give |2g| <= 2 S(r) |z|^p / |w|^4,
+S_wp(r) = (3 - r^2)/(1 - r^2)^2 (p = 2), S_wzeta(r) = 1/(1 - r^2) (p = 3).
 
-  |f(w) + f(-w)| <= 2 S(r) |z|^p / |w|^4,
-  S_wp(r) = (3 - r^2) / (1 - r^2)^2,  p = 2;   S_wzeta(r) = 1 / (1 - r^2),  p = 3
-
-(S(1/2) = 44/9 resp. 4/3; on real tails r is tiny and S is near 3 resp. 1).
-
-Kernel.  Beyond the first shell (max(|c|, |d|) >= 2, where |w| >= 2|z|) the
-half pairs are summed in numpy blocks in the forms
-
-  wp:    3 z^2 (w^2 - z^2/3) / ((z^2 - w^2)^2 w^2)
-  wzeta: z^3 / ((z^2 - w^2) w^2)
-
-whose denominators cannot cancel there (|z^2 - w^2| >= 3|w|^2/4).  The
-constant factor 3z^2 resp. z^3 multiplies the fsum of the row partials once,
-which leaves 8 resp. 6 array passes per point.  The at most four first-shell
-points of the half box, where z may sit next to w, are summed in the factored
-form above.  The rounding bound is derived next to the kernel: 39u resp. 27u
-per bulk point and 40u resp. 24u per first-shell point, plus the rounding of w
-and of the sums.  The bulk's Sum |g| is bounded a priori, not measured: the
-shell max(|c|, |d|) = n has 4n half-box points, all with |w| >= n delta, so
-Sum_bulk |g| <= S(1/2) |z|^p 4 (zeta(3) - 1) / delta^4.  numpy is imported on
-the kernel's first call, so the series route, the cusp values and every
-verify suite but eies-bound run without loading it.
+Kernel.  ``shell_sum`` sums every point in pure Python in the factored form
+above, which does not cancel when z sits next to w, one line at a time with
+``math.fsum``; its rounding is derived next to it.
 
 Tail.  Write tau = omega1/omega2, z' = z/omega2 and y = z_bound/|omega2|;
 h2 = covolume/|omega1| is the distance of omega2 from the line R*omega1, so
@@ -49,61 +31,74 @@ exactly the row c of :mod:`weierforms.trig`:
 
 (the 1/w terms of the two lines cancel).  So their sum is at most trig's row
 tails beyond c_max at Im tau and y: ``_wp_tail``/|omega2|^2 resp.
-(``_z_tail`` + |z'| ``_eta2_tail``)/|omega2|.  Those need only
-rho = exp(-2 pi (Im tau - y)) < 1; where rho >= 1 (|z| within 1e-12 of the
-margin) the bound is infinite.  Im tau is rounded down and y, rho and
-q = exp(-2 pi Im tau) up, and a factor 1 + 1e-12 covers the rounding of the
-exponents (at most 4u of arguments below 760 in modulus).
+``_z_tail``/|omega2|.  The csc^2 term needs no bound of its own: with
+Q = e(c tau), s = 2 pi z' and 1/((1 - e(z')Q)(1 - e(-z')Q)) =
+Sum_n Q^n sin((n+1)s)/sin(s), the wzeta row is
+4 pi Q Sum_{n>=0} Q^n [sin((n+1)s) - (n+1)s], and |sin x - x| <= e^|x|/2
+puts it below 2 pi |Q| e^(2 pi y) / (1 - |Q| e^(2 pi y)), within ``_z_tail``'s
+row term.  The tails need only rho = exp(-2 pi (Im tau - y)) < 1; where
+rho >= 1 (|z| within 1e-12 of the margin) the bound is infinite.  Im tau is
+rounded down and y, rho and q = exp(-2 pi Im tau) up, and a factor 1 + 1e-12
+covers the rounding of the exponents (at most 4u of arguments below 760).
 
-(ii) Partial lines |c| <= c_max, |d| > d_max.  Here |w| >= (d_max+1) h2
->= 2 z_bound (d_max >= d_min), so r <= 1/2 and, by the pair bound, the sum is
-at most S(r) |z|^p Sum |w|^-4 <= S(r) |z|^p (2 c_max + 1) b_rows / (d_max + 1/2)^3,
-with b_rows = 2 / (3 h2^4) and r = z_bound / ((d_max+1) h2), by convexity
-(Sum_{d > D} d^-4 <= (D + 1/2)^-3 / 3).  Where z^p/w^4 keeps its phase along
-the lines (a rectangular basis, z on the line c = 0) it is nearly exact.
+(ii) Partial lines |c| <= c_max, |d| > d_max.  ``shell_value`` closes each
+line of the half box by Euler-Maclaurin summation from the midpoint (NIST
+DLMF 2.10(i), 24.4.27; Apostol, Amer. Math. Monthly 106, 1999, for real end
+points; Johansson, Numer. Algorithms 69, 2015): with x = d,
+W = c omega1 + (d_max + 1/2) omega2 and B_2k(1/2) = (2^(1-2k) - 1) B_2k,
 
-Box.  For c_max = 0, 1, 2, ...: bound (i) and the bulk's rounding bound
-(``bulk_rounding_bound``, which grows with c_max) leave a share of tol, and
-d_max is the smallest value >= d_min whose bound (ii) meets it: every d_max
-below the cube root of S(0) |z|^p (2 c_max + 1) b_rows / share, less 1/2,
-misses (S(r) >= S(0)), and one evaluation confirms the integer above it
-(the box below is tried too where the root lies next to an integer).  The
-plan is the candidate with the fewest points.  A box with a larger c_max
-has at least (2 c_max + 1)(2 max(d_min, root) + 1) - 1 points, the root
-taken at the share tol minus the rounding bound; that grows with c_max, so
-the search stops once it exceeds the best count (in particular once
-(2 c_max + 1)(2 d_min + 1) does).  Bound (i) is its value at c_max = 0 times
-exp(-2 pi Im tau c_max), so the search starts just below the first c_max at
-which it alone leaves a share.  The number of lines grows like
-log(1/tol) / Im tau and d_max like tol^(-1/3).
+  Sum_{d > d_max} g = Int_{d_max+1/2}^oo g dx - Sum_{k<=P} B_2k(1/2)/(2k)! g^(2k-1) + R,
+  |R| <= |B_2P|/(2P)! Int |g^(2P)| dx,
 
-Budget.  A plan's tail bound (i) + (ii) plus the a priori rounding bound of
-its bulk is <= tol.  A shell value (``shell_value``) is the principal part
-1/z^2 resp. 1/z plus the sum, and its certificate has five terms: the tail,
-the bulk's rounding, the first shell's rounding, the principal part's
-rounding and that of the final addition.  The last three do not depend on
-the box, so ``plan_shell`` bounds them first, with an a priori bound on
-|sum| (the first shell's computed |g| and the bulk's a priori Sum |g|), and
-plans the box at the rest of tol times 1 - 4 eps (eps = ulp(1)), which
-absorbs the rounding of the five-term sum and of the planner's.  So the
-tail takes nearly the whole tolerance.  The shell route (``shell_route``)
-raises PrecisionError when |z| exceeds the margin of the basis, when the
-terms independent of the box alone reach tol, when ``plan_truncation``
-refuses the box (no box within SHELL_CAP meets the tolerance, the best has
-more than POINT_BUDGET points, or the basis lies outside the planner's float
-range), or when the summed certificate exceeds tol.
+a derivative in x being omega2^m times the one in w, where
+
+  wp:    Int_W^oo g dw = z^2 / (W (W^2 - z^2)),
+         g^(2k-1) = -(2k)!/2 [(W-z)^-(2k+1) + (W+z)^-(2k+1) - 2 W^-(2k+1)]
+  wzeta: Int_W^oo g dw = -Sum_{j>=1} t^(2j+1)/(2j+1), t = z/W (26 terms, |t| <= 1/2),
+         g^(2k-1) = (2k-1)!/2 [(W-z)^-2k - (W+z)^-2k - 4k z W^-(2k+1)].
+
+For |w| > |z|, |f^(m)(w)| is at most (m+2)! |z| (|w| - |z|)^-(m+3) (wp: the
+mean value theorem on (s - w)^-(m+2) from s = 0 to z) resp.
+(m+2)!/2 |z|^2 (|w| - |z|)^-(m+3) (wzeta: f = -Sum_{n>=2} z^n w^-(n+1)), and
+|w| >= x h2 on the line, so
+
+  |R| <= |B_2P| (2P+1) kappa |z|^e |omega2|^2P / (h2 G^(2P+2)),  G = (d_max + 1/2) h2 - |z|,
+
+(e, kappa) = (1, 1) for wp and (2, 1/2) for wzeta, and P = 6.  Bound (ii) is
+2 (2 c_max + 1) times that plus the closures' rounding, where (d_max + 1/2) h2
+>= 2|z| (so |t| <= 1/2), h2 rounded down and G lowered by the rounding of W.
+
+Box.  For each c_max, bound (i) leaves a share of tol less the a priori
+rounding (``bulk_rounding_bound``, the same for every box), and d_max is the
+least value whose bound (ii) meets it (the remainder's root in G, confirmed).
+The plan has the fewest points, the first c_max on a tie.  A larger c_max wins
+only with a smaller d_max, so the search jumps to the first c_max at which
+bound (i) (its value at 0 times exp(-2 pi Im tau c_max)) leaves d_max - 1 room,
+and stops when no smaller d_max fits or the least box of any larger c_max
+exceeds the best or POINT_BUDGET.  The lines number about log(1/tol) / Im tau.
+
+Budget.  A shell value is the principal part 1/z^2 resp. 1/z plus the sum and
+the closures; its certificate adds the tail bound (i) + (ii), the a priori
+rounding, the first shell's and that of the principal part and the additions.
+``plan_shell`` bounds the last two first (they do not depend on the box) and
+plans the box at the rest of tol times 1 - 4 eps, which absorbs the rounding
+of those sums.  ``shell_route`` raises PrecisionError when |z| exceeds the
+margin, when those two terms reach tol, when ``plan_truncation`` refuses the
+box, or when the certificate exceeds tol.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .arith import CertifiedValue
+from .arith import CertifiedValue, bernoulli
 from .errors import DomainError, PrecisionError
 from .lattice import Lattice
-from .trig import _eta2_tail, _wp_tail, _z_tail
+from .trig import _wp_tail, _z_tail
 
 __all__ = [
     "TruncationPlan",
@@ -119,33 +114,42 @@ __all__ = [
 ]
 
 _EPS = math.ulp(1.0)
+_U = 0.5 * _EPS
 
-# the largest half-width max(c_max, d_max) of an admitted box: it bounds the
-# kernel's lists, which hold one fsum partial per row
+# the largest half-width max(c_max, d_max) of an admitted box
 SHELL_CAP = 10**6
-# the most points an admitted box may have
-POINT_BUDGET = 800_000_000
+# the most points an admitted box may have: about what the kernel sums in a second
+POINT_BUDGET = 4_000_000
 
-# summand kind -> p, the power of |z| in the pair majorant
+# summand kind -> p, the power of |z| in the pair majorant, and S(1/2)
 _KINDS = {"wp": 2, "wzeta": 3}
-# summand kind -> the largest |w| on which the kernel's denominator,
-# (z^2 - w^2)^2 w^2 (wp) resp. (z^2 - w^2) w^2 (wzeta), stays in the float
-# range: |z| <= |w| gives |z^2 - w^2| <= 2|w|^2, so it and its partial products
-# are at most 4 |w|^6 resp. 2 |w|^4; a factor 2 covers the margin slack and rounding
+_S_HALF = {"wp": 44.0 / 9.0, "wzeta": 4.0 / 3.0}
+# summand kind -> the largest |w| on which the kernel's denominator and its
+# partial products, at most 4|w|^6 (wp) resp. 2|w|^4 (wzeta) as |z| <= |w|, stay
+# in the float range, with a factor 2 for slack; a shell constant below 2^30
+# over it may take the first shell's denominators below the normal range.
 _W_RANGE = {"wp": (sys.float_info.max / 8.0) ** (1.0 / 6.0), "wzeta": (sys.float_info.max / 8.0) ** 0.25}
-_OUT_OF_RANGE = "shell route infeasible: the basis lies outside the planner's float range"
+_OUT_OF_RANGE = "shell route infeasible: the basis lies outside the kernel's float range"
 _MARGIN_SLACK = 1.0 + 1e-12
-# half-box points per numpy block
-_BLOCK_POINTS = 1 << 15
+
+# Euler-Maclaurin closures (module docstring, Tail (ii)): P, B_2k(1/2), the
+# coefficient of omega2^(2k-1) times the bracket of correction k, and
+# |B_2P| (2P+1) kappa
+_EM_P = 6
+_EM_HALF = [float((Fraction(2) ** (1 - 2 * k) - 1) * bernoulli(2 * k)) for k in range(1, _EM_P + 1)]
+_EM_COEFF = {"wp": [b / 2.0 for b in _EM_HALF], "wzeta": [-b / (4.0 * k) for k, b in enumerate(_EM_HALF, 1)]}
+_EM_REM = {kind: abs(float(bernoulli(2 * _EM_P))) * (2 * _EM_P + 1) * kap for kind, kap in (("wp", 1.0), ("wzeta", 0.5))}
+# 1/(2j+3), j < 26: the series of the wzeta closure's integral
+_ATANH = [1.0 / (2 * j + 3) for j in range(26)]
 
 
 @dataclass(frozen=True)
 class TruncationPlan:
     """Box |c| <= c_max, |d| <= d_max with a proven bound on the omitted tail.
 
-    ``tail_bound`` bounds the absolute value of the sum over all lattice
-    points outside the box for any |z| <= z_bound; ``shell_constant`` is the
-    uniform modulus lower bound delta (|w| >= delta * max(|c|, |d|)).
+    ``tail_bound`` bounds, for any |z| <= z_bound, the sum outside the box less
+    the closures ``shell_value`` adds, their rounding included;
+    ``shell_constant`` is delta (|w| >= delta * max(|c|, |d|)).
     """
 
     c_max: int
@@ -173,62 +177,66 @@ def _check_margin(lat: Lattice, z_bound: float) -> None:
         )
 
 
-def _row_coeff(lat: Lattice) -> float:
-    """b_rows = 2 / (3 h2^4) of bound (ii) (module docstring, Tail).
-
-    Raises PrecisionError when it or |omega2|^-2, the scale of bound (i),
-    leaves the positive float range (a basis far longer or shorter than
-    1e77), where no plan is derived.
-    """
-    try:
-        coeffs = (2.0 / (3.0 * lat.geometry.h2**4), abs(lat.omega2) ** -2)
-    except (OverflowError, ZeroDivisionError):
-        coeffs = (math.inf,)
-    if not all(0.0 < c < math.inf for c in coeffs):
-        raise PrecisionError(_OUT_OF_RANGE)
-    return coeffs[0]
-
-
 def _check_kernel_range(lat: Lattice, kind: str, c_max: int, d_max: int) -> None:
     """Raise PrecisionError when the kernel would leave the float range on the box.
 
     |w| is convex in (c, d), so its largest value on the box is at a corner.
     """
     cw1, dw2 = c_max * lat.omega1, d_max * lat.omega2
-    if max(abs(cw1 + dw2), abs(cw1 - dw2)) > _W_RANGE[kind]:
+    top = _W_RANGE[kind]
+    if max(abs(cw1 + dw2), abs(cw1 - dw2)) > top or lat.geometry.delta * top < 2.0**30:
         raise PrecisionError(_OUT_OF_RANGE)
 
 
-def _pair_coeff(kind: str, r2: float) -> float:
-    """S(r) for r^2 = r2 <= 1/4."""
-    if kind == "wp":
-        return (3.0 - r2) / (1.0 - r2) ** 2
-    return 1.0 / (1.0 - r2)
+def _down(lat: Lattice) -> float:
+    """Im tau = h1/|omega2| and h2 are within (2 skew + 4) u of their computed
+    values, skew = |omega1| |omega2| / covolume: this factor rounds them down."""
+    return 1.0 - 8.0 * _EPS * abs(lat.omega1) * abs(lat.omega2) / lat.covolume
 
 
 def _far_bound(lat: Lattice, kind: str, z_bound: float, c_max: int) -> float:
     """Bound (i) on |Sum of f(w) over the lines |c| > c_max| for |z| <= z_bound (module docstring, Tail)."""
     l2 = abs(lat.omega2)
-    skew = abs(lat.omega1) * l2 / lat.covolume
-    # Im tau = covolume / |omega2|^2 is within (2 skew + 4) u of the computed value
-    im_tau = lat.geometry.h1 / l2 * (1.0 - 8.0 * _EPS * skew)
+    im_tau = lat.geometry.h1 / l2 * _down(lat)
     y = z_bound / l2 * (1.0 + 4.0 * _EPS)
     rho, q = (math.exp(-2.0 * math.pi * t) * (1.0 + 4.0 * _EPS) for t in (im_tau - y, im_tau))
     if not rho < 1.0:
         return math.inf
-    q_inv = 1.0 / (1.0 - q)
-    if kind == "wp":
-        tail = _wp_tail(im_tau, y, c_max, (rho, q_inv)) / l2**2
-    else:
-        tail = (_z_tail(im_tau, y, c_max, (rho, q_inv)) + y * _eta2_tail(im_tau, c_max, (q, q_inv))) / l2
+    strip = (rho, 1.0 / (1.0 - q))
+    tail = _wp_tail(im_tau, y, c_max, strip) / l2**2 if kind == "wp" else _z_tail(im_tau, y, c_max, strip) / l2
     return (1.0 + 1e-12) * tail
 
 
+# The closures' rounding, u = 2^-53, against the moduli of their terms, with
+# |W -+ z| >= |W|/2 >= |z|: 1/(W -+ z) 10.1u, a power n of it and the bracket's
+# sums (13n + 2)u, the coefficient, the power of omega2 and two products
+# (6k + 7)u: at most (32k + 24)u.  The wzeta integral: t, t^3 and the product
+# 37u, Horner's 26 steps 138u of |t|^3 Sum 4^-j/(2j+3) <= 4|t|^3/9, truncation
+# below u |t|^3.  The sums (P + 2)u: all within 256u of the moduli.
+_CLOSURE_U = 256.0
+
+
 def _partial_bound(lat: Lattice, kind: str, z_bound: float, c_max: int, d_max: int) -> float:
-    """Bound (ii) on |Sum of f(w) over |c| <= c_max, |d| > d_max| for |z| <= z_bound (module docstring, Tail)."""
-    r = z_bound / ((d_max + 1) * lat.geometry.h2)
-    lines = 2 * c_max + 1
-    return _pair_coeff(kind, r * r) * z_bound ** _KINDS[kind] * lines * _row_coeff(lat) / (d_max + 0.5) ** 3
+    """Bound (ii) for |z| <= z_bound: the Euler-Maclaurin remainder of the
+    closed partial lines |c| <= c_max, |d| > d_max and the closures' rounding
+    (module docstring, Tail); infinite where (d_max + 1/2) h2 < 2|z|."""
+    l2 = abs(lat.omega2)
+    h2 = lat.geometry.h2 * _down(lat)
+    # |W| >= start, less the rounding of W = c omega1 + (d_max + 1/2) omega2
+    start = (d_max + 0.5) * h2 - _EPS * (c_max * abs(lat.omega1) + (d_max + 1) * l2)
+    if not start >= 2.0 * z_bound:
+        return math.inf
+    far = start - z_bound
+    ratio = l2 / far
+    if kind == "wp":
+        remainder = _EM_REM[kind] * z_bound * ratio ** (2 * _EM_P + 2) / (h2 * l2 * l2)
+        moduli = 4.0 * z_bound**2 / (3.0 * l2 * start**3)
+        moduli += sum(2.0 * abs(b) * ratio ** (2 * k - 1) / far**2 for k, b in enumerate(_EM_HALF, 1))
+    else:
+        remainder = _EM_REM[kind] * z_bound**2 * ratio ** (2 * _EM_P + 2) / (h2 * l2 * l2)
+        moduli = 4.0 * z_bound**3 / (9.0 * l2 * start**3)
+        moduli += sum(abs(b) * (2 + 2 * k) / (4 * k) * ratio ** (2 * k - 1) / far for k, b in enumerate(_EM_HALF, 1))
+    return (1.0 + 1e-12) * 2.0 * (2 * c_max + 1) * (remainder + _CLOSURE_U * _U * moduli)
 
 
 def plan_truncation(
@@ -238,19 +246,13 @@ def plan_truncation(
     *,
     kind: str = "wp",
 ) -> TruncationPlan:
-    """The box with the fewest points whose tail bound plus bulk rounding bound is <= tol.
+    """The box with the fewest points whose tail bound plus :func:`bulk_rounding_bound` is <= tol.
 
-    Among the boxes whose proven tail bound plus :func:`bulk_rounding_bound`,
-    the a priori rounding of ``shell_sum``'s bulk on it, is <= tol (so
-    ``tail_bound <= tol`` holds as well), the one with the fewest points,
-    found by the search of the module docstring (Box); the first such c_max
-    on a tie.  Requires z_bound <= delta, so that |z/w| <= 1/2 holds beyond
-    the first shell; d_max is large enough that |z/w| <= 1/2 on every point
-    of the partial lines.  Raises PrecisionError when no box with
+    Found by the search of the module docstring (Box); the first c_max on a
+    tie.  Requires z_bound <= delta.  Raises PrecisionError when no box with
     max(c_max, d_max) <= SHELL_CAP meets tol, when the best has more than
-    POINT_BUDGET points, when the bulk rounding alone reaches tol, or when the
-    basis lies outside the float range of the bound's coefficients or the
-    box outside that of the kernel.
+    POINT_BUDGET points, when the rounding alone reaches tol, or when the
+    basis or the box lies outside the kernel's float range.
     """
     if kind not in _KINDS:
         raise DomainError(f"unknown summand kind {kind!r}")
@@ -260,19 +262,27 @@ def plan_truncation(
     _check_margin(lat, z_bound)
     if not tol > 0.0:
         raise DomainError("tol must be positive")
-    g = lat.geometry
-    # S(0) |z|^p b_rows: bound (ii) per line at r = 0, below its value at any d_max
-    amp = _pair_coeff(kind, 0.0) * z_bound ** _KINDS[kind] * _row_coeff(lat)
-    d_min = max(1, math.ceil(2.0 * z_bound / g.h2) - 1)
+    _check_kernel_range(lat, kind, 1, 1)
+    spent = bulk_rounding_bound(lat, z_bound, kind)
+    if spent >= tol:
+        raise PrecisionError(f"tolerance {tol:.3g} below the kernel's rounding bound {spent:.3g}")
+    budget = tol - spent
+    l2, h2 = abs(lat.omega2), lat.geometry.h2 * _down(lat)
     far0 = _far_bound(lat, kind, z_bound, 0)
     unreachable = PrecisionError(f"tolerance {tol:.3g} unreachable within the shell cap {SHELL_CAP}")
-    if d_min > SHELL_CAP or far0 == math.inf:
+    if far0 == math.inf:
         raise unreachable
-    decay = 2.0 * math.pi * g.h1 / abs(lat.omega2)
+    decay = 2.0 * math.pi * lat.geometry.h1 / l2
+    # the remainder of bound (ii) is (2 c_max + 1) amp (|omega2|/G)^(2P+2)
+    amp = 2.0 * _EM_REM[kind] * z_bound ** (1 if kind == "wp" else 2) / (h2 * l2 * l2)
 
     def root(c: int, share: float) -> float:
-        # every d_max below this misses share on c_max = c
-        return (amp * (2 * c + 1) / share) ** (1.0 / 3.0) - 0.5
+        # every d_max below this misses share on c_max = c, or the margin
+        try:
+            grow = ((2 * c + 1) * amp / share) ** (1.0 / (2 * _EM_P + 2))
+        except (OverflowError, ZeroDivisionError):
+            return math.inf
+        return max(2.0 * z_bound, z_bound + l2 * grow) / h2 - 0.5
 
     def first_line(share: float) -> int:
         # a c_max at or below the first one whose bound (i) is <= share
@@ -280,169 +290,105 @@ def plan_truncation(
             return 0
         return max(0, math.floor((math.log(far0) - math.log(share)) / decay) - 1)
 
-    def rows(c: int, share: float) -> int:
-        # the smallest d_max >= d_min whose bound (ii) on c_max = c is <= share
-        x = root(c, share)
-        if not x <= SHELL_CAP:
-            return SHELL_CAP + 1
-        d = max(d_min, math.ceil(x))
-        # next to an integer the root's rounding can decide: try the box below
-        if d - 1 >= d_min and d - 1 > x - 1e-9 * max(1.0, x) and _partial_bound(lat, kind, z_bound, c, d - 1) <= share:
-            d -= 1
-        while d <= SHELL_CAP and _partial_bound(lat, kind, z_bound, c, d) > share:
-            d += 1
-        return d
-
-    c = first_line(tol)
-    spent = bulk_rounding_bound(lat, z_bound, kind, c)
-    if spent >= tol:
-        raise PrecisionError(f"tolerance {tol:.3g} below the kernel's rounding bound {spent:.3g}")
     best = None  # (points, c_max, d_max, tail bound)
-    while c <= SHELL_CAP and spent < tol:
-        # a box with c_max >= c leaves its partial lines at most tol - spent,
-        # so it has at least this many points, which grows with c
-        least = root(c, tol - spent)
-        lines = 2 * c + 1
-        if least > SHELL_CAP or (best and lines * (2.0 * max(d_min, least) + 1.0) - 1.0 > best[0]):
+    c = first_line(budget)
+    while c <= SHELL_CAP:
+        # a box with c_max >= c has at least this many points
+        least = (2 * c + 1) * (2.0 * max(1.0, root(c, budget)) + 1.0) - 1.0
+        if least > (best[0] if best else POINT_BUDGET):
             break
         far = _far_bound(lat, kind, z_bound, c)
-        share = tol - spent - far
-        if share > 0.0:
-            d = rows(c, share)
-            points = lines * (2 * d + 1) - 1
-            if d <= SHELL_CAP and (best is None or points < best[0]):
-                best = (points, c, d, far + _partial_bound(lat, kind, z_bound, c, d))
-            c += 1
-        else:
-            c = max(c + 1, first_line(tol - spent))
-        spent = bulk_rounding_bound(lat, z_bound, kind, c)
+        if far >= budget:
+            c = max(c + 1, first_line(budget))
+            continue
+        # the smallest d_max whose bound (ii) meets the share, from just below the root
+        x = root(c, budget - far)
+        d = max(1, math.ceil(x - 1e-9 * max(1.0, x))) if x <= SHELL_CAP else SHELL_CAP + 1
+        while d <= SHELL_CAP and _partial_bound(lat, kind, z_bound, c, d) > budget - far:
+            d += 1
+        points = (2 * c + 1) * (2 * d + 1) - 1
+        if d <= SHELL_CAP and (best is None or points < best[0]):
+            best = (points, c, d, far + _partial_bound(lat, kind, z_bound, c, d))
+        # a larger c_max has fewer points only with d_max - 1, which needs
+        # bound (i) below what the lines of d - 1 leave at c + 1
+        room = budget - _partial_bound(lat, kind, z_bound, c + 1, d - 1)
+        if not room > 0.0:
+            break
+        c = max(c + 1, first_line(room))
     if best is None:
+        if c <= SHELL_CAP:
+            raise PrecisionError(f"shell route needs more than {POINT_BUDGET:,} points, over the budget")
         raise unreachable
     points, c, d, tail = best
-    _check_kernel_range(lat, kind, c, d)
+    _check_kernel_range(lat, kind, c, d + 1)
     if points > POINT_BUDGET:
         raise PrecisionError(f"shell route needs {points:,} points, over the budget {POINT_BUDGET:,}")
-    return TruncationPlan(c, d, tail, g.delta, kind, z_bound)
+    return TruncationPlan(c, d, tail, lat.geometry.delta, kind, z_bound)
 
 
 # ---------------------------------------------------------------------------
-# Summation kernel.  Each half-box point contributes the half pair g; the sum
-# is doubled exactly.
+# Summation kernel.  Each half-box point gives g = zz (3s - zz) / (q^2 s) (wp)
+# resp. z^3 / (q s) (wzeta), zz = z^2, s = w^2, q = (z-w)(z+w); the factor zz
+# resp. z^3 multiplies the sum once, and the sum is doubled exactly.
 #
-# Bulk, max(|c|, |d|) >= 2.  There |w| >= 2 delta >= 2|z|, so with zz = z^2 and
-# s = w^2, |zz| <= |s|/4 and |zz - s| >= 3|s|/4: the forms
-#   wzeta: g = z^3 / ((zz - s) s)
-#   wp:    g = 3zz (s - zz/3) / ((zz - s)^2 s)
-# do not cancel.  The constant factor (z^3 resp. 3zz) stays outside the sum and
-# multiplies the math.fsum of the row partials once.  Passes per block:
-#   w = d*omega2 + c*omega1, s = w*w, q = zz - s, then
-#   wzeta: q *= s, q = 1/q                                      (6 with the row sum)
-#   wp:    q *= q, q *= s, s -= zz/3, s /= q                    (8 with the row sum)
-# First shell of the half box, (1,0), (-1,1), (0,1), (1,1): z may sit next to
-# w and zz - s cancels.  ``_first_shell`` sums these <= 4 points with the
-# factored form
-#   wp:    g = z^2 (3w^2 - z^2) / (((z-w)(z+w))^2 w^2)
-#   wzeta: g = z^3 / ((z-w)(z+w) w^2)
-# and the bulk skips them: row 0 starts at c = 2, and the (up to) three entries
-# c = -1, 0, 1 of row 1 are zeroed before the row sum.
-#
-# Rounding, u = 2^-53.  Per operation (normwise, relative): complex + and -,
-# and a real times or by a complex: u; complex *: 2*sqrt(2) u (Higham, Lemma 3.5,
-# with or without FMA); complex / (Smith's algorithm, as in numpy and
-# CPython): 5*sqrt(2) u.  np.reciprocal of a complex array is Smith's algorithm
-# with numerator 1 (numpy's umath loop: r = b/a, d = a + b*r, 1/d and -r/d for
-# |b| <= |a|, mirrored otherwise), fewer roundings, within the same bound.
-# First order, relative errors add along a product.
-#   Bulk (|zz| <= |s|/4, so |zz| + |s| <= 5|q|/3):
-#     s: 2.83;  zz: 2.83;  q = zz - s: 2.83 * 5/3 + 1 = 5.72
-#     wzeta: q s: 11.38;  1/(q s): 18.45;  z^3 = zz*z: 5.66;  times the sum: 2.83
-#            -> 26.94 -> 27 u
-#     wp:    zz/3: 3.83;  t = s - zz/3 (|t| >= 11|s|/12): 2.83 * 12/11 + 3.83/11
-#            + 1 = 4.44;  q^2: 14.27;  q^2 s: 19.93;  t / (q^2 s): 31.44;
-#            3zz: 3.83;  times the sum: 2.83 -> 38.10 -> 39 u
-#   First shell (|z| <= delta <= |w|):
-#     wp:    w^2: 2.83;  3w^2 - z^2: 2 * (3.83 u over 3|w|^2 + |z|^2 <= 2|3w^2 - z^2|)
-#            + 1 = 8.66;  num = z^2 (3w^2 - z^2): 14.32;  (z-w)(z+w): 4.83;
-#            squared: 12.49;  den: 18.15;  g: 39.54 -> 40 u
-#     wzeta: z^3: 5.66;  den = (z-w)(z+w) w^2: 10.49;  g: 23.22 -> 24 u
-# w = c*omega1 + d*omega2 is itself rounded: each component is two products
-# and a sum, so |dw| <= 2u (|c| |omega1| + |d| |omega2|) <= 2u M |w| with
-# M = |omega1|/h1 + |omega2|/h2 (|c| <= |w|/h1, |d| <= |w|/h2).  That moves g
-# by |dw| |g'|, |g'/g| <= 5/|w| + 2/|w-z| + 2/|w+z| (wp) resp.
-# 2/|w| + 1/|w-z| + 1/|w+z| (wzeta).  In the bulk |w -+ z| >= |w|/2, so the
-# shift costs at most 26 M u (wp) resp. 12 M u (wzeta).  In the first shell
-# the points omega1 and omega2 are exact and omega2 -+ omega1 are formed with
-# one rounding, |dw| <= u |w|; those two get their own term, twice the
-# derivative bound at the point, valid while |dw| <= |w -+ z|/16 (otherwise
-# the bound is infinite).
-# Sum|g| is bounded a priori in the bulk: |g| <= S(1/2) |z|^p / |w|^4, and the
-# shell max(|c|, |d|) = n has 4n points in the half box, all with |w| >= n delta,
-# so Sum_bulk |g| <= S(1/2) |z|^p * 4 (zeta(3) - 1) / delta^4.  The first shell
-# counts its computed |g|.  Each row is summed by numpy in some order, at most
-# (len - 1) u Sum|g| for any order (normwise, by the triangle inequality), the
-# row partials by math.fsum, correctly rounded: u Sum|g|, and the bulk and the
-# first-shell values by a last math.fsum: u Sum|g|.  The factor 1.01 covers the
-# second-order terms and the slack of the margin check.
+# Rounding, u = 2^-53, normwise and relative, first order: complex + and -,
+# and a real times a complex: u; complex *: 2.83u (Higham, Lemma 3.5);
+# complex / (Smith's algorithm, as in CPython): 7.07u.  With |z| <= |w|:
+# s, zz 2.83; q 4.83; wp: 3s - zz (3|w|^2 + |z|^2 <= 2|3w^2 - z^2|) 8.66,
+# q^2 s 18.15, the quotient 33.88, zz and its product 5.66 -> 40u; wzeta:
+# 1/(q s) 17.56, z^3 and its product 8.49 -> 27u.  The rounding of
+# w = c*omega1 + d*omega2, |dw| <= 2u M |w| with M = |omega1|/h1 + |omega2|/h2,
+# moves g by |dw| |g'|, |g'/g| <= 5/|w| + 2/|w-z| + 2/|w+z| (wp) resp.
+# 2/|w| + 1/|w-z| + 1/|w+z|: beyond the first shell (max(|c|, |d|) >= 2, so
+# |w -+ z| >= |w|/2) at most 26 M u resp. 12 M u, which also covers a closure's
+# W, off by at most 2u M |w| of each point of its line.  There Sum |g| is bounded
+# a priori: the shell max(|c|, |d|) = n has 4n half-plane points, all with
+# |w| >= n delta, so Sum |g| <= S(1/2) |z|^p 4 (zeta(3) - 1) / delta^4.  The
+# first shell counts its computed |g|; omega2 -+ omega1 are formed with one
+# rounding, |dw| <= u |w|, and add twice the derivative bound at the point,
+# valid while |dw| <= |w -+ z|/16 (otherwise the bound is infinite).  The
+# fsums: u Sum|g| twice.  1.01 covers second order and the margin's slack.
 
-_BULK_U = {"wp": 39.0, "wzeta": 27.0}
-_FIRST_U = {"wp": 40.0, "wzeta": 24.0}
+_POINT_U = {"wp": 40.0, "wzeta": 27.0}
 _SHIFT_U = {"wp": 26.0, "wzeta": 12.0}
 _ZETA3 = 1.2020569031595942
 
 
 def _bulk_abs_bound(lat: Lattice, z_abs: float, kind: str) -> float:
-    """A priori bound on Sum |g| over the half-box points with max(|c|, |d|) >= 2."""
-    delta = lat.geometry.delta
-    return _pair_coeff(kind, 0.25) * z_abs ** _KINDS[kind] * 4.0 * (_ZETA3 - 1.0) / delta**4
+    """A priori bound on Sum |g| over the half-plane points with max(|c|, |d|) >= 2."""
+    return _S_HALF[kind] * z_abs ** _KINDS[kind] * 4.0 * (_ZETA3 - 1.0) / lat.geometry.delta**4
 
 
-def bulk_rounding_bound(lat: Lattice, z_abs: float, kind: str, c_max: int) -> float:
-    """A priori bound on the rounding of ``shell_sum``'s bulk on a box of half-width c_max.
-
-    It holds for every |z| <= z_abs <= delta and every d_max: it depends on
-    the box only through the length 2 c_max + 1 of the numpy rows, and grows
-    with c_max.
-    """
+def bulk_rounding_bound(lat: Lattice, z_abs: float, kind: str) -> float:
+    """A priori bound on the rounding of ``shell_sum`` beyond the first shell,
+    for every |z| <= z_abs <= delta and every box."""
     g = lat.geometry
     spread = abs(lat.omega1) / g.h1 + abs(lat.omega2) / g.h2
-    per_term = _BULK_U[kind] + _SHIFT_U[kind] * spread + (2 * c_max + 1) + 1.0
+    per_term = _POINT_U[kind] + _SHIFT_U[kind] * spread + 2.0
     return 1.01 * _EPS * per_term * _bulk_abs_bound(lat, z_abs, kind)
 
 
-def _first_shell(lat: Lattice, z: complex, c_max: int, d_max: int, kind: str):
-    """Half pairs at the first-shell points of the half box, and their rounding bound.
-
-    Returns (values, bound): the bound covers the arithmetic of each value, its
-    share of the last fsum and, for omega2 -+ omega1, the rounding of w.
-    """
+def _first_shell(lat: Lattice, z: complex, c_max: int, d_max: int, kind: str) -> tuple[float, float]:
+    """(Sum |g|, rounding bound) over the first-shell points of the half box (comment above)."""
     w1, w2 = lat.omega1, lat.omega2
-    # (point, formed with one rounding)
-    points = [(w1, False)] if c_max else []
-    if d_max:
-        points.append((w2, False))
-        if c_max:
-            points += [(w2 - w1, True), (w2 + w1, True)]
-    wp_kind = kind == "wp"
-    zpow = z * z if wp_kind else z * z * z
-    values = []
-    bound = 0.0
+    points = ([(w1, False)] if c_max else []) + ([(w2, False)] if d_max else [])
+    if c_max and d_max:
+        points += [(w2 - w1, True), (w2 + w1, True)]
+    zz = z * z
+    abs_sum = bound = 0.0
     for w, rounded in points:
-        q = (z - w) * (z + w)
-        s = w * w
-        g = zpow * (3.0 * s - zpow) / (q * q * s) if wp_kind else zpow / (q * s)
-        values.append(g)
-        bound += 1.01 * 0.5 * _EPS * (_FIRST_U[kind] + 1.0) * abs(g)
-        if not rounded:
-            continue
-        dw = 0.5 * _EPS * (1.0 + _EPS) * abs(w)
-        near_m, near_p, wa = abs(w - z), abs(w + z), abs(w)
-        if dw > min(near_m, near_p, wa) / 16.0:
-            bound = math.inf
-        elif wp_kind:
-            bound += 2.0 * abs(g) * dw * (5.0 / wa + 2.0 / near_m + 2.0 / near_p)
-        else:
-            bound += 2.0 * abs(g) * dw * (2.0 / wa + 1.0 / near_m + 1.0 / near_p)
-    return values, bound
+        q, s = (z - w) * (z + w), w * w
+        g = abs(zz * (3.0 * s - zz) / (q * q * s) if kind == "wp" else zz * z / (q * s))
+        abs_sum += g
+        bound += 1.01 * _U * (_POINT_U[kind] + 2.0) * g
+        if rounded:
+            dw = _U * (1.0 + _EPS) * abs(w)
+            near = (abs(w), abs(w - z), abs(w + z))
+            if dw > min(near) / 16.0:
+                return abs_sum, math.inf
+            weights = (5.0, 2.0, 2.0) if kind == "wp" else (2.0, 1.0, 1.0)
+            bound += 2.0 * g * dw * sum(a / b for a, b in zip(weights, near))
+    return abs_sum, bound
 
 
 def shell_sum(
@@ -450,14 +396,10 @@ def shell_sum(
 ) -> tuple[complex, float]:
     """Sum the chosen summand over the box (c_max, d_max) in the basis of ``lat``.
 
-    Returns (sum, rounding_bound).  The principal part (1/z^2 or 1/z) is not
-    included.  Requires |z| <= delta (the planner's precondition), which the
-    rounding bound relies on, and raises PrecisionError on a box outside the
-    kernel's float range, as the planner does.  Deterministic: fixed blocks
-    and summation order.
+    Returns (sum, rounding_bound), without the principal part (1/z^2 or 1/z)
+    or the closures.  Requires |z| <= delta, as the planner does, and raises
+    PrecisionError on a box outside the kernel's float range.
     """
-    import numpy as np
-
     if kind not in _KINDS:
         raise DomainError(f"unknown summand kind {kind!r}")
     c_max, d_max = (int(n) for n in box)
@@ -468,53 +410,55 @@ def shell_sum(
     z = complex(z)
     _check_margin(lat, abs(z))
     _check_kernel_range(lat, kind, c_max, d_max)
-    wp_kind = kind == "wp"
     w1, w2 = complex(lat.omega1), complex(lat.omega2)
     zz = z * z
-    zz3 = zz / 3.0
-
-    cw1 = np.arange(-c_max, c_max + 1) * w1
-    step = max(1, _BLOCK_POINTS // cw1.size)
-    # scratch for the points and one temporary, reused by every block
-    bufs = np.empty((2, min(step, max(d_max, 1)), cw1.size), complex)
-    re_parts: list[float] = []
-    im_parts: list[float] = []
-
-    def add(w, q, first_row=False):
-        w *= w
-        np.subtract(zz, w, out=q)
-        if wp_kind:
-            q *= q
-            q *= w
-            w -= zz3
-            g = np.divide(w, q, out=w)
+    dw2 = [d * w2 for d in range(d_max + 1)]
+    re_parts, im_parts = [], []
+    for c in range(-c_max, c_max + 1):
+        cw1 = c * w1
+        # the half box: the lines c <= 0 from d = 1, the lines c >= 1 from d = 0
+        ws = [cw1 + dw for dw in dw2[c <= 0 :]]
+        if kind == "wp":
+            line = [(3.0 * (s := w * w) - zz) / ((q := (z - w) * (z + w)) * q * s) for w in ws]
         else:
-            q *= w
-            g = np.reciprocal(q, out=q)
-        if first_row:
-            g[0, max(c_max - 1, 0) : c_max + 2] = 0.0
-        rows = g.sum(axis=-1)
-        re_parts.extend(np.atleast_1d(rows.real).tolist())
-        im_parts.extend(np.atleast_1d(rows.imag).tolist())
+            line = [1.0 / ((z - w) * (z + w) * (w * w)) for w in ws]
+        re_parts.append(math.fsum([g.real for g in line]))
+        im_parts.append(math.fsum([g.imag for g in line]))
+    total = 2.0 * (zz if kind == "wp" else zz * z) * complex(math.fsum(re_parts), math.fsum(im_parts))
+    if not cmath.isfinite(total):
+        raise PrecisionError(_OUT_OF_RANGE)
+    return total, bulk_rounding_bound(lat, abs(z), kind) + 2.0 * _first_shell(lat, z, c_max, d_max, kind)[1]
 
-    if c_max > 1:
-        row0 = bufs[:, 0, : c_max - 1]
-        row0[0] = cw1[c_max + 2 :]
-        add(*row0)
-    for d0 in range(1, d_max + 1, step):
-        dw2 = np.arange(d0, min(d0 + step, d_max + 1)) * w2
-        block = bufs[:, : dw2.size]
-        np.add(dw2[:, None], cw1, out=block[0])
-        add(*block, first_row=d0 == 1)
-    factor = 3.0 * zz if wp_kind else zz * z
-    bulk = factor * complex(math.fsum(re_parts), math.fsum(im_parts))
-    first, first_bound = _first_shell(lat, z, c_max, d_max, kind)
-    total = 2.0 * complex(
-        math.fsum([bulk.real] + [v.real for v in first]),
-        math.fsum([bulk.imag] + [v.imag for v in first]),
-    )
 
-    return total, bulk_rounding_bound(lat, abs(z), kind, c_max) + 2.0 * first_bound
+def _closures(lat: Lattice, z: complex, c_max: int, d_max: int, kind: str) -> complex:
+    """The Euler-Maclaurin closures of the half box's lines beyond d_max, doubled
+    (module docstring, Tail (ii)); their error and rounding are bound (ii)."""
+    w1, w2 = complex(lat.omega1), complex(lat.omega2)
+    zz = z * z
+    re_parts, im_parts = [], []
+    for c in range(-c_max, c_max + 1):
+        w = c * w1 + (d_max + 0.5) * w2
+        rm, rp, r0 = 1.0 / (w - z), 1.0 / (w + z), 1.0 / w
+        # the powers of omega2 ride on the ratios omega2/(W -+ z), omega2/W, in range
+        um, up, u0 = w2 * rm, w2 * rp, w2 * r0
+        um2, up2, u02 = um * um, up * up, u0 * u0
+        if kind == "wp":
+            terms = [zz / (w2 * w * (w * w - zz))]
+            tm, tp, t0 = um * rm * rm, up * rp * rp, 2.0 * u0 * r0 * r0
+        else:
+            t = z * r0
+            t2 = t * t
+            acc = 0j
+            for a in reversed(_ATANH):
+                acc = acc * t2 + a
+            terms = [-(t * t2 * acc) / w2]
+            tm, tp, t0 = um * rm, up * rp, 4.0 * u0 * z * r0 * r0
+        for k, coeff in enumerate(_EM_COEFF[kind], 1):
+            terms.append(coeff * (tm + tp - t0) if kind == "wp" else coeff * (tm - tp - k * t0))
+            tm, tp, t0 = tm * um2, tp * up2, t0 * u02
+        re_parts.append(math.fsum([v.real for v in terms]))
+        im_parts.append(math.fsum([v.imag for v in terms]))
+    return 2.0 * complex(math.fsum(re_parts), math.fsum(im_parts))
 
 
 # ---------------------------------------------------------------------------
@@ -527,11 +471,12 @@ def _principal(z: complex, kind: str) -> complex:
 
 
 def _addition_bound(principal: complex, total_abs: float) -> float:
-    """Rounding of the principal part and of its addition to a shell sum of modulus total_abs.
+    """Rounding of the principal part, of the closures' addition to the sum and
+    of the principal part's to a total of modulus total_abs.
 
-    principal: z*z (2.83 u) and Smith's division (7.07 u); the sum: u (|p| + |total|)
+    principal: z*z (2.83 u) and Smith's division (7.07 u); the two sums: u (|p| + 2 |total|)
     """
-    return 6.0 * _EPS * abs(principal) + _EPS * total_abs
+    return 6.0 * _EPS * abs(principal) + 2.0 * _EPS * total_abs
 
 
 def plan_shell(lat: Lattice, z: complex, tol: float, kind: str) -> TruncationPlan:
@@ -550,9 +495,10 @@ def plan_shell(lat: Lattice, z: complex, tol: float, kind: str) -> TruncationPla
     except DomainError:
         raise PrecisionError("shell route infeasible: |z| exceeds the margin of the reduced basis") from None
     _check_kernel_range(lat, kind, 1, 1)
-    values, bound = _first_shell(lat, z, 1, 1, kind)
-    # 1.01 covers the rounding of the computed sum against the exact one
-    modulus = 2.02 * (math.fsum(abs(v) for v in values) + _bulk_abs_bound(lat, abs(z), kind))
+    first_abs, bound = _first_shell(lat, z, 1, 1, kind)
+    # 1.01 covers the rounding of the computed sum against the exact one; the
+    # closures differ from the tails they close by at most tol
+    modulus = 2.02 * (first_abs + _bulk_abs_bound(lat, abs(z), kind)) + tol
     fixed = 2.0 * bound + _addition_bound(_principal(z, kind), modulus)
     if not fixed < tol:
         raise PrecisionError(f"shell certificate exceeds the requested tolerance: the rounding at z alone is {fixed:.3g}")
@@ -562,13 +508,13 @@ def plan_shell(lat: Lattice, z: complex, tol: float, kind: str) -> TruncationPla
 
 
 def shell_value(lat: Lattice, z: complex, plan: TruncationPlan, kind: str = "wp") -> CertifiedValue:
-    """Principal part plus the planned shell sum, with the plan's certificate."""
+    """Principal part plus the planned shell sum and its closures, with the plan's certificate."""
     z = complex(z)
-    total, rounding = shell_sum(lat, z, plan.box, kind)
+    box, rounding = shell_sum(lat, z, plan.box, kind)
+    total = box + _closures(lat, z, plan.c_max, plan.d_max, kind)
     principal = _principal(z, kind)
-    value = principal + total
     err = plan.tail_bound + rounding + _addition_bound(principal, abs(total))
-    return CertifiedValue(value, err)
+    return CertifiedValue(principal + total, err)
 
 
 def shell_route(lat: Lattice, z: complex, tol: float, kind: str) -> CertifiedValue:

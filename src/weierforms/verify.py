@@ -11,7 +11,7 @@ Suite names are part of the CLI contract:
   cusp-f        closed cusp values of the weight-2 family
   cusp-h        closed cusp value, phase resolution and boundedness of h
   zeta2         recovery of zeta_R(2) from the s != 0 cusp limit
-  eies-bound    truncated double sums stay below the closed row bound
+  eies-bound    the full double sums' enclosures stay below the closed row bound
   identities    zeta-series identity and the Bernoulli bridge
 
 The five agreement suites (lemma-fsta through theorem-hU) compare two
@@ -36,7 +36,7 @@ from .cusp import (
     cusp_report,
     cusp_value_f,
     cusp_value_f_series,
-    lattice_row_sum_truncated,
+    lattice_row_sum_enclosure,
     lemma_eies_bound,
 )
 from .errors import DomainError
@@ -393,16 +393,17 @@ def suite_eies_bound(seed: int, tol: float) -> SuiteReport:
     for k in (3, 4, 5):
         for y in (1.0, 2.0, 5.0, 10.0):
             bound = lemma_eies_bound(k, y)
-            truncated = lattice_row_sum_truncated(k, complex(0.0, y), shells=500)
+            total = lattice_row_sum_enclosure(k, complex(0.0, y))
+            upper = total.value.real + total.error
             rows.append(
                 VerifyRow(
                     id=f"eies-k{k}-Y{y:g}",
-                    inputs={"k": k, "Im_tau": y, "shells": 500},
-                    value=complex(truncated),
-                    error=None,
+                    inputs={"k": k, "Im_tau": y},
+                    value=total.value,
+                    error=total.error,
                     bound=bound,
-                    residual=bound - truncated,
-                    status="pass" if truncated < bound else "fail",
+                    residual=bound - upper,
+                    status="pass" if upper < bound else "fail",
                 )
             )
     return SuiteReport("eies-bound", seed, tuple(rows))

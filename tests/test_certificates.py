@@ -31,7 +31,7 @@ from weierforms import (
 )
 from weierforms import trig
 from weierforms.lattice import reduce_lattice
-from weierforms.shells import shell_route
+from weierforms.shells import plan_shell, shell_route
 
 from oracles import mp_eta12, mp_lattice, mp_torsion_point, mp_wp, mp_wp_mpc, mp_wzeta, mp_wzeta_mpc
 
@@ -168,9 +168,8 @@ class TestShellOracleGrid:
 
     Reduced bases and the non-reduced (1 + 1.5i, 1), which ``shell_route``
     takes as given (``plan_truncation`` is public); |z| up to 0.999 delta and
-    tol from 1e-5 to 1e-12.  Bound (ii) of the tail is nearly exact where
-    z^p/w^4 keeps its phase along the lines, so a slack certificate would
-    not show here; an unsound one would.
+    tol from 1e-5 to 1e-12.  A slack certificate would not show here; an
+    unsound one would.
     """
 
     BASES = [
@@ -196,6 +195,18 @@ class TestShellOracleGrid:
             with mp.workdps(50):
                 miss = abs(mp.mpc(cv.value) - mp_lattice(oracle, lat.omega1, lat.omega2, z, dps=50))
             assert miss <= cv.error <= tol, (lat, z, kind, tol)
+
+    def test_plans_at_the_floor_are_small(self):
+        # the partial lines closed by Euler-Maclaurin keep every box at tol 1e-12
+        # within 2,000 points, on the reduced bases of this grid and the soundness grid
+        grid = [(complex(re, im), 1.0) for re in (0.0, 0.5, -0.5) for im in (0.87, 2.0, 5.0, 20.0, 50.0)]
+        for basis in self.BASES + grid:
+            lat = reduce_lattice(Lattice(*basis)).basis
+            for frac in (0.2, 0.45, 0.7, 0.999):
+                for k in range(8):
+                    z = frac * lat.geometry.delta * cmath.exp(1j * (0.3 + k * math.pi / 4))
+                    for kind in ("wp", "wzeta"):
+                        assert plan_shell(lat, z, 1e-12, kind).point_count <= 2000, (basis, frac, k, kind)
 
 
 class TestSmallImTauGrid:

@@ -198,7 +198,7 @@ print(json.dumps({"loaded": loaded, "rows": rows}))
 
 
 class TestColdStart:
-    def test_numpy_loads_only_for_the_shell_route(self):
+    def test_numpy_never_loads(self):
         # a fresh interpreter: this process has imported numpy already
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ, PYTHONPATH=src)
@@ -206,11 +206,12 @@ class TestColdStart:
             "eval f --s 1/3 --t 1/5 --tau 0.3+1.2i --format json",
             "verify cusp-f --format json",
             "eval f --s 1/3 --t 1/5 --tau 1.2i --route shell --tol 1e-4 --format json",
+            "verify eies-bound --format json",
         ]
         proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argvs], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
-        assert doc["loaded"] == [False, False, False, True]
+        assert doc["loaded"] == [False] * 5
         shell_row = doc["rows"][2]
         assert shell_row["inputs"]["plan_route"] == "shell"
         from weierforms import FormSpec
@@ -221,6 +222,7 @@ class TestColdStart:
             cv.value.imag,
             cv.error,
         )
+        assert doc["rows"][3]["status"] == "pass"
 
 
 class TestEvalPlan:

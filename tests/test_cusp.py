@@ -16,7 +16,7 @@ from weierforms import (
     cusp_value_f_series,
     cusp_value_h,
     eval_f,
-    lattice_row_sum_truncated,
+    lattice_row_sum_enclosure,
     lemma_eies_bound,
     run_suite,
 )
@@ -143,12 +143,46 @@ class TestRowBound:
     @pytest.mark.parametrize("k", [3, 4, 5])
     @pytest.mark.parametrize("im_tau", [1.0, 2.0, 5.0, 10.0])
     def test_truncated_sum_below_bound(self, k, im_tau):
-        truncated = lattice_row_sum_truncated(k, complex(0.0, im_tau), shells=500)
-        assert truncated < lemma_eies_bound(k, im_tau)
+        # the enclosure of the full sum, which bounds every truncation, stays below the lemma
+        total = lattice_row_sum_enclosure(k, complex(0.0, im_tau))
+        assert total.value.real + total.error < lemma_eies_bound(k, im_tau)
+        assert _row_sum_broadcast(k, complex(0.0, im_tau), 200) < total.value.real + total.error
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("im_tau", [1.0, 2.0])
+    def test_enclosure_contains_the_full_sum(self, k, im_tau):
+        import mpmath as mp
+
+        total = lattice_row_sum_enclosure(k, complex(0.0, im_tau))
+        with mp.workdps(30):
+            miss = abs(mp.mpf(total.value.real) - _mp_row_sum(k, im_tau))
+        assert total.value.imag == 0.0 and miss <= total.error <= 1e-13 * total.value.real
+
+
+def _mp_row_sum(k, im_tau, dps=30):
+    """The full sum at tau = i Y to dps digits by Poisson summation over d in each
+    row (the Chowla-Selberg split): sum_d (d^2 + b^2)^-s is
+    sqrt(pi) Gamma(s - 1/2)/Gamma(s) b^(1-2s) plus
+    4 pi^s/Gamma(s) b^(1/2-s) sum_n n^(s-1/2) K_(s-1/2)(2 pi n b), s = k/2, b = cY."""
+    import mpmath as mp
+
+    with mp.workdps(dps + 10):
+        s, y = mp.mpf(k) / 2, mp.mpf(im_tau)
+        total = mp.sqrt(mp.pi) * mp.gamma(s - 0.5) / mp.gamma(s) * y ** (1 - 2 * s) * mp.zeta(2 * s - 1)
+        # K_nu(x) < e^-x: the terms stop below 10^-(dps + 8)
+        c = 1
+        while 2 * mp.pi * c * y < 2.5 * dps + 20:
+            n = 1
+            while 2 * mp.pi * n * c * y < 2.5 * dps + 20:
+                b = c * y
+                total += 4 * mp.pi**s / mp.gamma(s) * b ** (0.5 - s) * n ** (s - 0.5) * mp.besselk(s - 0.5, 2 * mp.pi * n * b)
+                n += 1
+            c += 1
+        return 2 * total
 
 
 def _row_sum_broadcast(k, tau, shells):
-    """The row sum as separate broadcast temporaries, the reference for the in-place kernel."""
+    """The sum over c != 0, max(|c|, |d|) <= shells in numpy broadcast temporaries."""
     c = np.arange(1, shells + 1, dtype=np.float64)[:, None]
     d = np.arange(-shells, shells + 1, dtype=np.float64)[None, :]
     re = c * tau.real + d
@@ -161,7 +195,15 @@ def _row_sum_broadcast(k, tau, shells):
 @pytest.mark.parametrize("tau", [1j, 2j, 10j, 0.3 + 1.1j, -0.5 + 0.87j])
 @pytest.mark.parametrize("shells", [1, 17, 500])
 def test_row_sum_matches_broadcast_reference(k, tau, shells):
-    assert lattice_row_sum_truncated(k, tau, shells) == _row_sum_broadcast(k, tau, shells)
+    # the truncated sum lies below the enclosure's upper end, and its omitted
+    # points bound the distance to the lower end: tau is reduced, so
+    # |c tau + d|^2 >= (c^2 + d^2)/2 and the 8m - 2 points with c != 0 and
+    # max(|c|, |d|) = m add at most 8m (m^2/2)^(-k/2)
+    total = lattice_row_sum_enclosure(k, tau)
+    truncated = _row_sum_broadcast(k, tau, shells)
+    omitted = 8.0 * 2.0 ** (k / 2.0) * shells ** (2 - k) / (k - 2)
+    assert total.value.real - total.error <= truncated * (1.0 + 1e-12) + omitted
+    assert truncated * (1.0 - 1e-12) <= total.value.real + total.error
 
 
 class TestZetaRecovery:

@@ -15,7 +15,7 @@ from weierforms import (
     PrecisionError,
     describe_route,
     eta12,
-    lattice_row_sum_truncated,
+    lattice_row_sum_enclosure,
     random_in_group,
     shell_sum,
     slash,
@@ -36,14 +36,14 @@ ROUTE_CASES = [
     # |z| beyond the margin of the reduced basis
     ("wp", (1j, 1.0), 1.2, 1e-8, SHELL_CAP, "series", "margin"),
     ("wzeta", (1j, 1.0), 1.2, 1e-8, SHELL_CAP, "series", "margin"),
-    # admitted and summed at 1e-12: five short lines on either side of the
-    # line c = 0 (341,846 and 415,744 points)
+    # admitted and summed at 1e-12: five lines of 21 points on either side of
+    # the line c = 0 (230 points each)
     ("wp", (1j, 1.0), 0.4, 1e-12, SHELL_CAP, "shell", None),
     ("wzeta", (1j, 1.0), 0.9, 1e-12, SHELL_CAP, "shell", None),
-    # admitted, with 1,518 (wp) and 544 (wzeta) points
+    # admitted, with 62 (wp) and 34 (wzeta) points
     ("wp", (1j, 1.0), 0.3, 1e-6, SHELL_CAP, "series", None),
     ("wzeta", (1j, 1.0), 0.3, 1e-6, SHELL_CAP, "series", None),
-    # admitted and summed (15,002 points)
+    # admitted and summed (98 points)
     ("wp", (1j, 1.0), 0.4, 5e-9, SHELL_CAP, "shell", None),
     # admitted
     ("wp", (0.3 + 1.2j, 1.0), 0.2 - 0.1j, 1e-4, SHELL_CAP, "shell", None),
@@ -87,13 +87,15 @@ class TestDispatchEdges:
             wp_lattice(Lattice(1j, 1.0), 0.5, 1e-8, route="warp")
 
     def test_forced_shell_budget_guard(self):
-        # feasible under the cap but over the runtime point budget (~2.8e9
+        # feasible under the cap but over the runtime point budget (over 10^7
         # points): the shell route on a basis far from reduced (Im tau = 0.003,
-        # about 1850 lines) at a share just above the least tail plus rounding.
-        # The evaluators sum on reduced bases, where Im tau >= sqrt(3)/2 keeps the lines few
+        # about 1100 lines, and lines closed only after thousands of points
+        # since h2 = 0.003 |omega2|) at a share just above the least tail plus
+        # rounding.  The evaluators sum on reduced bases, where
+        # Im tau >= sqrt(3)/2 keeps the lines few and short
         lat = Lattice(1 + 0.003j, 1.0)
         z = 0.5 * lat.geometry.delta
-        floor = min(_far_bound(lat, "wp", z, c) + bulk_rounding_bound(lat, z, "wp", c) for c in range(3000))
+        floor = min(_far_bound(lat, "wp", z, c) for c in range(3000)) + bulk_rounding_bound(lat, z, "wp")
         with pytest.raises(PrecisionError, match="over the budget"):
             shell_route(lat, z, 1.01 * floor, "wp")
 
@@ -102,7 +104,7 @@ class TestDispatchEdges:
         info = describe_route(lat, 0.5, 1e-8, route="shell", kind="wp")
         assert info["route"] == "shell"
         # the tail and the bulk's a priori rounding share the tolerance
-        rounding = bulk_rounding_bound(lat, 0.5, "wp", info["c_max"])
+        rounding = bulk_rounding_bound(lat, 0.5, "wp")
         assert info["tail_bound"] + rounding <= 1e-8
         assert info["points"] == (2 * info["c_max"] + 1) * (2 * info["d_max"] + 1) - 1
 
@@ -178,10 +180,11 @@ class TestHugeLattices:
     @pytest.mark.parametrize(
         "fn,route,value_hex,error_hex",
         [
-            # the shell box is (0, 1), the points +-omega2: the far lines' bound is small
-            (wp_lattice, "shell", "0x1.48c8d7eeecea6p-329", "0x1.412a1d76ec582p-333"),
+            # the shell box is (0, 1), the points +-omega2, and its line closed
+            # beyond them: the far lines' bound is small
+            (wp_lattice, "shell", "0x1.4a80b2c3d67c4p-329", "0x1.6d3aee93ce313p-333"),
             (wp_lattice, "series", "0x1.4a11d5281e9abp-329", "0x1.09ae650d7e271p-334"),
-            (wzeta_lattice, "shell", "0x1.87fb955e947efp-165", "0x1.f291674dee8d1p-170"),
+            (wzeta_lattice, "shell", "0x1.874e379644d28p-165", "0x1.8b9bf3dfe9945p-170"),
             # the series errors count the rounding of the cot rows, of W*eta2 and of 1/J
             (wzeta_lattice, "series", "0x1.8770b0ff90c51p-165", "0x1.04ab4d985c54bp-170"),
         ],
@@ -233,7 +236,7 @@ class TestShellSumEdges:
 
     def test_box_outside_kernel_range(self):
         # the planner refuses this box; a direct call refuses it the same way,
-        # before numpy overflows
+        # before the kernel overflows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(PrecisionError, match="float range"):
@@ -243,9 +246,9 @@ class TestShellSumEdges:
 class TestMiscValidation:
     def test_row_sum_domain(self):
         with pytest.raises(DomainError):
-            lattice_row_sum_truncated(2, 1j)
+            lattice_row_sum_enclosure(2, 1j)
         with pytest.raises(DomainError):
-            lattice_row_sum_truncated(3, 1.0 - 1j)
+            lattice_row_sum_enclosure(3, 1.0 - 1j)
 
     def test_group_sampler_budget(self):
         import random

@@ -425,13 +425,6 @@ class TestFormSpec:
         with pytest.raises(DomainError):
             FormSpec.hU_form([])
 
-    def test_group_membership(self):
-        form = FormSpec.hU_form(
-            [pair(0, Fraction(1, 3)), pair(0, Fraction(1, 3)), pair(0, Fraction(-2, 3))]
-        )
-        assert form.group_contains(ModularMatrix(1, 0, 3, 1))
-        assert not form.group_contains(S_MATRIX)
-
     def test_evaluate_dispatch(self):
         tau = 10j
         f = FormSpec.wp_form(0, Fraction(1, 2)).evaluate(tau, 1e-8)

@@ -26,18 +26,20 @@ from weierforms import (
     wzeta_lattice,
 )
 from weierforms import shells
+from weierforms.arith import bernoulli
 from weierforms.evaluate import POLE_RTOL
 from weierforms.lattice import reduce_lattice, reduce_points, reduce_tau_matrix
 from weierforms.shells import (
     SHELL_CAP,
+    TruncationPlan,
     _bulk_abs_bound,
+    _closures,
     _far_bound,
-    _pair_coeff,
     _partial_bound,
     bulk_rounding_bound,
 )
 
-from oracles import GOLDEN, GOLDEN_BAND, brute_wp, brute_wzeta
+from oracles import GOLDEN, GOLDEN_BAND, brute_wp, brute_wzeta, mp_wp, mp_wzeta
 
 TWO_PI_I = 2j * math.pi
 
@@ -327,12 +329,12 @@ class TestPlans:
             plan_truncation(Lattice(1j, 1.0), 1.5, 1e-6)
 
     def test_cap_exhaustion(self):
-        # just above the least bound (i) plus bulk rounding of any c_max, the
-        # share left for the partial lines needs d_max beyond the cap
-        lat = Lattice(1j, 1.0)
-        floor = min(_far_bound(lat, "wp", 0.4, c) + bulk_rounding_bound(lat, 0.4, "wp", c) for c in range(40))
+        # far from reduced (Im tau = 1e-7), bound (i) falls by exp(-2 pi 1e-7) per
+        # line: the far lines need more than SHELL_CAP lines
+        lat = Lattice(1 + 1e-7j, 1.0)
+        z_bound = 0.5 * lat.geometry.delta
         with pytest.raises(PrecisionError, match="shell cap"):
-            plan_truncation(lat, 0.4, floor * (1.0 + 1e-6))
+            plan_truncation(lat, z_bound, 1e3 * bulk_rounding_bound(lat, z_bound, "wp"))
 
     @pytest.mark.parametrize("tol", [1e-300, 5e-324])
     def test_tiny_tol_refused(self, tol):
@@ -341,13 +343,27 @@ class TestPlans:
             plan_truncation(Lattice(1j, 1.0), 0.4, tol)
 
     def test_point_budget(self):
-        # a basis far from reduced (Im tau = 0.003) needs about 1850 lines, and
-        # a share just above the floor makes them long: over 2e9 points
+        # a basis far from reduced (Im tau = 0.003) needs about 1100 lines, and
+        # h2 = 0.003 against |omega2| = 1 makes them long: over 10^7 points
         lat = Lattice(1 + 0.003j, 1.0)
         z_bound = 0.5 * lat.geometry.delta
-        floor = min(_far_bound(lat, "wp", z_bound, c) + bulk_rounding_bound(lat, z_bound, "wp", c) for c in range(3000))
+        floor = min(_far_bound(lat, "wp", z_bound, c) for c in range(3000)) + bulk_rounding_bound(lat, z_bound, "wp")
         with pytest.raises(PrecisionError, match="over the budget"):
             plan_truncation(lat, z_bound, 1.01 * floor)
+
+    def test_far_from_reduced_basis_plans_quickly(self, monkeypatch):
+        # Im tau = 9.5e-6: the search once walked 17,019 values of c_max here
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _far_bound(*args)
+
+        monkeypatch.setattr(shells, "_far_bound", counted)
+        lat = Lattice(-0.0015829836430624915 + 4.184715062317356e-05j, 4.395371689954808)
+        with pytest.raises(PrecisionError, match="over the budget"):
+            plan_truncation(lat, 4.18e-11, 2.1e-12)
+        assert len(calls) <= 50
 
     def test_reference_plan_reaches_1e8(self):
         plan = plan_truncation(Lattice(1j, 1.0), 0.4, 1e-8)
@@ -365,9 +381,13 @@ class TestPlans:
         for kind in ("wp", "wzeta"):
             plan = plan_truncation(lat, abs(z), 1e-4, kind=kind)
             a = shell_value(lat, z, plan, kind)
-            doubled, _ = shell_sum(lat, z, (2 * plan.c_max, 2 * plan.d_max), kind)
-            principal = 1.0 / (z * z) if kind == "wp" else 1.0 / z
-            assert abs(a.value - (principal + doubled)) < plan.tail_bound
+            assert abs(a.value - _doubled(lat, z, plan).value) < plan.tail_bound
+
+
+def _doubled(lat, z, plan):
+    """The shell value on the box of twice the plan's half-widths, its lines closed alike."""
+    doubled = dataclasses.replace(plan, c_max=2 * plan.c_max, d_max=2 * plan.d_max)
+    return shell_value(lat, z, doubled, plan.kind)
 
 
 class TestTailBound:
@@ -401,22 +421,20 @@ class TestTailBound:
         ],
     )
     def test_corners_counted_once(self, basis, tol, k):
-        # bound (ii) takes only the partial lines: the box's corners lie on
-        # the far lines of bound (i), so no point is bounded twice.  Against
-        # the points d_max < |d| <= k d_max and the analytic remainder beyond
+        # bound (ii) takes only the partial lines, closed by Euler-Maclaurin:
+        # the box's corners lie on the far lines of bound (i).  Against the
+        # exact partial lines at the plan's d_max and at k times it
         lat = reduce_lattice(Lattice(*basis)).basis
-        z_bound = 0.5 * lat.geometry.delta
-        c_max, d_max = plan_truncation(lat, z_bound, tol).box
-        lines, b_rows = 2 * c_max + 1, 2.0 / (3.0 * lat.geometry.h2**4)
-        near = _sum_partial(lat, c_max, d_max, k * d_max)
-        rest = lines * b_rows / (k * d_max + 0.5) ** 3
-        assert near + rest <= lines * b_rows / (d_max + 0.5) ** 3, (c_max, d_max)
-        r = z_bound / ((d_max + 1) * lat.geometry.h2)
-        for kind, p in (("wp", 2), ("wzeta", 3)):
-            pairs = _pair_coeff(kind, r * r) * z_bound**p
-            assert _partial_bound(lat, kind, z_bound, c_max, d_max) == pytest.approx(
-                pairs * lines * b_rows / (d_max + 0.5) ** 3, rel=1e-14
-            )
+        delta = lat.geometry.delta
+        plan = plan_truncation(lat, 0.5 * delta, tol)
+        for d_max in (plan.d_max, k * plan.d_max):
+            for kind in ("wp", "wzeta"):
+                bound = _partial_bound(lat, kind, 0.5 * delta, plan.c_max, d_max)
+                assert bound == pytest.approx(_em_bound(lat, kind, 0.5 * delta, plan.c_max, d_max), rel=1e-11)
+                for theta in (0.0, 1.3, 0.5 * math.pi):
+                    z = 0.5 * delta * cmath.exp(1j * theta)
+                    miss = _mp_partial_lines(lat, kind, z, plan.c_max, d_max) - _closures(lat, z, plan.c_max, d_max, kind)
+                    assert abs(miss) <= bound, (kind, d_max, theta)
 
     def test_full_columns_off_a_reduced_basis(self):
         # the far lines are whole columns; far from reduced (Im tau = 1, tau = 3 + i)
@@ -428,13 +446,17 @@ class TestTailBound:
                     assert _mp_far_lines(lat, kind, z, c_max) <= _far_bound(lat, kind, abs(z), c_max)
 
     def test_single_row_box(self):
-        # with d_max = 0 the partial lines are the lines |c| <= c_max less the row d = 0
+        # with d_max = 0 every line is closed from its midpoint c omega1 + omega2/2,
+        # which the margin (d_max + 1/2) h2 >= 2|z| admits for |z| <= h2/4
         lat = reduce_lattice(Lattice(0.3 + 1.1j, 1.0)).basis
-        z_bound = 0.4 * lat.geometry.h2
+        z_bound = 0.24 * lat.geometry.h2
         for kind in ("wp", "wzeta"):
-            amp = _pair_coeff(kind, 0.16) * z_bound ** (2 if kind == "wp" else 3)
-            brute = amp * _sum_partial(lat, 20, 0, 400)
-            assert brute <= _partial_bound(lat, kind, z_bound, 20, 0)
+            bound = _partial_bound(lat, kind, z_bound, 20, 0)
+            assert bound < math.inf
+            for theta in (0.2, 2.0, 4.0):
+                z = z_bound * cmath.exp(1j * theta)
+                assert abs(_mp_partial_lines(lat, kind, z, 20, 0) - _closures(lat, z, 20, 0, kind)) <= bound
+        assert _partial_bound(lat, "wp", 0.26 * lat.geometry.h2, 20, 0) == math.inf
 
     def test_rho_at_one_is_infinite(self):
         # |z| at the margin of the hexagonal basis, where y = Im tau
@@ -462,14 +484,45 @@ def _mp_far_lines(lat, kind, z, c_max):
         return float(abs(total))
 
 
-def _sum_partial(lat, c_max, d_lo, d_hi):
-    """Sum |w|^-4 over the lattice points |c| <= c_max, d_lo < |d| <= d_hi."""
-    c = np.arange(-c_max, c_max + 1)
-    total = 0.0
-    for d0 in range(d_lo + 1, d_hi + 1, 256):
-        d = np.arange(d0, min(d0 + 256, d_hi + 1))[:, None]
-        total += 2.0 * (np.abs(c * lat.omega1 + d * lat.omega2) ** -4.0).sum()
-    return total
+def _mp_partial_lines(lat, kind, z, c_max, d_max):
+    """The sum of f(w) over the partial lines |c| <= c_max, |d| > d_max, in 40 digits.
+
+    In pairs, w = omega2 (d + a) with a = c tau: Hurwitz zeta values for wp,
+    a digamma difference and a Hurwitz zeta value for wzeta.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        w1, w2, z = mp.mpc(lat.omega1), mp.mpc(lat.omega2), mp.mpc(z)
+        zp, total = z / w2, 0
+        for c in range(-c_max, c_max + 1):
+            start = d_max + 1 + c * w1 / w2
+            if kind == "wp":
+                total += (mp.zeta(2, start - zp) + mp.zeta(2, start + zp) - 2 * mp.zeta(2, start)) / w2**2
+            else:
+                total += (mp.digamma(start - zp) - mp.digamma(start + zp)) / w2 + 2 * z * mp.zeta(2, start) / w2**2
+        return complex(total)
+
+
+def _em_bound(lat, kind, z_bound, c_max, d_max):
+    """Bound (ii) from its formula: 2 (2 c_max + 1) times the remainder
+    |B_12| 13 |omega2|^12 kappa |z|^e / (h2 G^14) plus 256u times the
+    moduli of the closure's terms (module docstring of shells, Tail (ii))."""
+    u = 2.0**-53
+    l1, l2 = abs(lat.omega1), abs(lat.omega2)
+    h2 = lat.geometry.h2 * (1.0 - 16.0 * u * l1 * l2 / lat.covolume)
+    start = (d_max + 0.5) * h2 - 2.0 * u * (c_max * l1 + (d_max + 1) * l2)
+    far = start - z_bound
+    halves = [float((Fraction(2) ** (1 - 2 * k) - 1) * bernoulli(2 * k)) for k in range(1, 7)]
+    if kind == "wp":
+        remainder = 691.0 / 2730.0 * 13 * z_bound / (h2 * l2**2) * (l2 / far) ** 14
+        terms = 4.0 * z_bound**2 / (3.0 * l2 * start**3)
+        terms += sum(2.0 * abs(b) * (l2 / far) ** (2 * k - 1) / far**2 for k, b in enumerate(halves, 1))
+    else:
+        remainder = 691.0 / 2730.0 * 13 * 0.5 * z_bound**2 / (h2 * l2**2) * (l2 / far) ** 14
+        terms = 4.0 * z_bound**3 / (9.0 * l2 * start**3)
+        terms += sum(abs(b) * (2 + 2 * k) / (4 * k) * (l2 / far) ** (2 * k - 1) / far for k, b in enumerate(halves, 1))
+    return 2.0 * (2 * c_max + 1) * (remainder + 256.0 * u * terms)
 
 
 # elongated, near-square, tall and skewed bases
@@ -481,19 +534,14 @@ def _is_fewest_on_the_rule(lat, tol, plan):
     """The plan meets tol, its d_max - 1 misses (or d_max = d_min), and no
     c_max has a box that meets tol with fewer points (or as few, before it)."""
     kind, z_bound = plan.kind, plan.z_bound
-    d_min = max(1, math.ceil(2.0 * z_bound / lat.geometry.h2) - 1)
-    p = 2 if kind == "wp" else 3
+    rounding = bulk_rounding_bound(lat, z_bound, kind)
 
     def spent(c, d):
-        return (
-            _far_bound(lat, kind, z_bound, c)
-            + _partial_bound(lat, kind, z_bound, c, d)
-            + bulk_rounding_bound(lat, z_bound, kind, c)
-        )
+        return _far_bound(lat, kind, z_bound, c) + _partial_bound(lat, kind, z_bound, c, d) + rounding
 
     def fewest_rows(c):
-        # the smallest d_max >= d_min that meets tol on c_max = c, by bisection
-        lo, hi = d_min - 1, SHELL_CAP
+        # the smallest d_max >= 1 that meets tol on c_max = c, by bisection
+        lo, hi = 0, SHELL_CAP
         if spent(c, hi) > tol:
             return None
         while hi - lo > 1:
@@ -504,13 +552,8 @@ def _is_fewest_on_the_rule(lat, tol, plan):
     if spent(*plan.box) > tol or fewest_rows(plan.c_max) != plan.d_max:
         return False
     for c in range(SHELL_CAP + 1):
-        share = tol - bulk_rounding_bound(lat, z_bound, kind, c)
-        if share <= 0.0:
-            return True
-        # bound (ii) at r = 0 with the whole share: no box on c_max = c has fewer rows
-        per_line = _pair_coeff(kind, 0.0) * z_bound**p * 2.0 / (3.0 * lat.geometry.h2**4)
-        root = (per_line * (2 * c + 1) / share) ** (1.0 / 3.0)
-        if (2 * c + 1) * (2 * max(d_min, root - 0.5) + 1) - 1 > plan.point_count:
+        # no box on c_max = c has fewer lines than 2c + 1 or rows than d_max >= 1
+        if (2 * c + 1) * 3 - 1 > plan.point_count:
             return True
         d = fewest_rows(c)
         if d is not None:
@@ -536,9 +579,8 @@ class TestFullTolerancePlans:
             assert shell.error <= tol
             assert abs(shell.value - series.value) <= shell.error + series.error
             # doubling the box moves the sum by less than its tail bound
-            doubled, _ = shell_sum(red.basis, z, (2 * info["c_max"], 2 * info["d_max"]), kind)
-            principal = 1.0 / (z * z) if kind == "wp" else 1.0 / z
-            assert abs(shell.value - (principal + doubled)) < info["tail_bound"]
+            plan = TruncationPlan(info["c_max"], info["d_max"], info["tail_bound"], info["shell_constant"], kind, abs(z))
+            assert abs(shell.value - _doubled(red.basis, z, plan).value) < info["tail_bound"]
             # no larger in either half-width than the box of a tail within tol/2
             half = plan_truncation(red.basis, abs(z), 0.5 * tol, kind=kind)
             assert info["c_max"] <= half.c_max and info["d_max"] <= half.d_max
@@ -546,7 +588,8 @@ class TestFullTolerancePlans:
     def test_benchmark_plans(self, monkeypatch):
         # bounding the whole outside by Sum |w|^-4 needed (156, 3101),
         # 1,941,538 points, and (1929, 2199), 16,975,740 points; the far
-        # lines' row tails leave one line resp. seven short ones
+        # lines' row tails left one line of 736 points resp. seven of 3,072,
+        # and closing the lines by Euler-Maclaurin leaves 10 resp. 62
         plans = []
 
         def spy(lat, z_bound, tol, *, kind):
@@ -556,11 +599,16 @@ class TestFullTolerancePlans:
         monkeypatch.setattr(shells, "plan_truncation", spy)
         elongated = describe_route(Lattice(20j, 1.0), 0.5, 1e-8, route="shell", kind="wp")
         square = describe_route(Lattice(0.3 + 1.1j, 1.0), 0.25 - 0.1j, 1e-8, route="shell", kind="wzeta")
-        assert (elongated["c_max"], elongated["d_max"], elongated["points"]) == (0, 368, 736)
-        assert (square["c_max"], square["d_max"], square["points"]) == (3, 219, 3072)
+        assert (elongated["c_max"], elongated["d_max"], elongated["points"]) == (0, 5, 10)
+        assert (square["c_max"], square["d_max"], square["points"]) == (3, 4, 62)
         assert len(plans) == 2
         for lat, share, plan in plans:
             assert _is_fewest_on_the_rule(lat, share, plan)
+        # and the values summed on them lie within their certificates of the 40-digit oracle
+        wp_value = wp_lattice(Lattice(20j, 1.0), 0.5, 1e-8, route="shell")
+        zeta_value = wzeta_lattice(Lattice(0.3 + 1.1j, 1.0), 0.25 - 0.1j, 1e-8, route="shell")
+        assert abs(wp_value.value - mp_wp(20j, 0.5)) <= wp_value.error <= 1e-8
+        assert abs(zeta_value.value - mp_wzeta(0.3 + 1.1j, 0.25 - 0.1j)) <= zeta_value.error <= 1e-8
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-5, 1e-7, 1e-9])
     @pytest.mark.parametrize("basis", PLAN_BASES + [(0.5 + 0.866j, 1.0)])
