@@ -1,4 +1,4 @@
-"""Exact rational arithmetic, Bernoulli numbers, even zeta values and e(*).
+"""Exact rational arithmetic, Bernoulli numbers, zeta values, Euler-Maclaurin terms and e(*).
 
 Rational scalars are plain ``fractions.Fraction`` (arbitrary precision,
 always in lowest terms, positive denominator), re-exported as ``Rational``.
@@ -24,6 +24,7 @@ __all__ = [
     "BERNOULLI_CAP",
     "zeta_even",
     "zeta_even_coefficient",
+    "hurwitz_terms",
     "zeta_r_enclosure",
     "e_of",
 ]
@@ -240,11 +241,11 @@ def zeta_even(n: int) -> CertifiedValue:
     return CertifiedValue(value, 8.0 * _EPS * abs(value))
 
 
-# Euler-Maclaurin for zeta_R(s): N - 1 direct terms, the integral and
-# half-term at N, p = 6 Bernoulli corrections and the first omitted one.
-# B_2 .. B_14 from DLMF Table 24.2.1, kept apart from ``bernoulli`` so that
-# the two routes to the even zeta values stay independent.
-_EM_N = 20
+# Euler-Maclaurin for H(s, x) = sum_{m>=0} (x+m)^-s (``hurwitz_terms``): p = 6
+# corrections and the first omitted one.  B_2 .. B_14 from DLMF Table 24.2.1,
+# kept apart from ``bernoulli`` so that the two routes to the even zeta values
+# stay independent.  zeta_r_enclosure sums n < _EM_N directly, and forms no
+# corrections below _EM_N^-s = _EM_TINY (s > ~208; see its docstring).
 _EM_B = (
     Fraction(1, 6),
     Fraction(-1, 30),
@@ -254,35 +255,57 @@ _EM_B = (
     Fraction(-691, 2730),
     Fraction(7, 6),
 )
-_EM_COEFF = tuple(float(b / math.factorial(2 * j)) for j, b in enumerate(_EM_B, 1))
-# below this N^-s the corrections are not formed (s > ~208; see the docstring)
-_EM_TINY = 2.0**-900
+# per correction j: 2j - 2, B_2j/(2j)! and its rounding (6j+1)u relative to its modulus
+_EM_STEPS = tuple((2 * j - 2, float(b / math.factorial(2 * j)), (6 * j + 1) * _U) for j, b in enumerate(_EM_B, 1))
+_EM_N, _EM_TINY = 20, 2.0**-900
+
+
+def hurwitz_terms(s: float, x: float) -> tuple[list[float], float, float]:
+    """(terms, omitted, rounding) of H(s, x) = sum_{m>=0} (x+m)^-s, s > 1, x > 0.
+
+    With y = x^-s the terms are the integral x y/(s-1), the half term y/2 and
+    the corrections B_2j/(2j)! y prod_{i=0}^{2j-2} (s+i)/x, j = 1..p, and
+    H(s, x) = sum(terms) + R.  Every even derivative of (x+m)^-s in m is
+    positive, so R has the sign of the first omitted term (j = p + 1) and is
+    at most its size, ``omitted`` (DLMF 2.10.1, 24.17; Johansson,
+    arXiv:1309.2877, section 2).  Built from the ratios (s+i)/x times y, the
+    corrections stay finite for every s.
+
+    ``rounding`` bounds the terms' rounding for exact s and x, u = 2^-53, first
+    order, while every term is normal: pow within one ulp (2u).  The integral:
+    y, the product, s - 1 and the quotient, 5u.  The half term: 2u.  A
+    correction j, and the omitted term alike: y, then per ratio (s+i), /x and
+    the product 3u, then B_2j/(2j)! (one rounding of an exact quotient) and the
+    product: (6j+1)u.  The caller adds the rounding of the sum it forms.
+    """
+    if not (s > 1.0 and x > 0.0):
+        raise DomainError(f"Euler-Maclaurin terms need s > 1 and x > 0, got s = {s!r}, x = {x!r}")
+    y = x**-s
+    integral, half, t = x * y / (s - 1.0), 0.5 * y, y * (s / x)
+    terms = [integral, half]
+    rounding = 5.0 * _U * integral + 2.0 * _U * half
+    for i, coeff, weight in _EM_STEPS:
+        if i:
+            si = s + i
+            t = t * ((si - 1) / x) * (si / x)
+        term = coeff * t
+        terms.append(term)
+        rounding += weight * abs(term)
+    return terms, abs(terms.pop()), rounding
 
 
 def zeta_r_enclosure(s: float) -> CertifiedValue:
-    """Certified enclosure of zeta_R(s), s > 1, by Euler-Maclaurin summation.
+    """Certified enclosure of zeta_R(s) = sum_{n<N} n^-s + H(s, N), s > 1, N = 20,
+    the tail by Euler-Maclaurin (:func:`hurwitz_terms`).  Works for odd integer
+    arguments, where the Bernoulli form does not apply.
 
-    With N = 20, p = 6 and x = N^-s,
+    Rounding, u = 2^-53, first order: n^-s within one ulp (2u), exact for
+    n = 1; the tail's terms as ``hurwitz_terms`` counts them; one ``math.fsum``
+    over all terms, u of the result.  The factor 1.01 covers second-order terms
+    and the sums that form the bound.
 
-        zeta_R(s) = sum_{n<N} n^-s + N x/(s-1) + x/2
-                    + sum_{j=1}^{p} B_2j/(2j)! x prod_{i=0}^{2j-2} (s+i)/N + R.
-
-    Every even derivative of x^-s is positive on [N, oo), so R has the sign of
-    the first omitted term (j = p + 1) and is at most its size (DLMF 2.10.1,
-    24.17; Johansson, arXiv:1309.2877, section 2).  The corrections are built
-    from the ratios (s+i)/N times x, so they stay finite for every s.  Works
-    for odd integer arguments, where the Bernoulli form does not apply.
-
-    Rounding, u = 2^-53, first order: pow within one ulp (2u); n^-s for
-    n = 1 is exact.  N x/(s-1): x, the product, s - 1 and the quotient, 5u.
-    x/2: 2u.  A correction j: x, then per ratio (s+i), /N and the product 3u,
-    then B_2j/(2j)! (one rounding of an exact quotient) and the product:
-    (6j+1)u; the omitted term j = p + 1 is formed the same way.
-    One ``math.fsum`` over all terms: u of the result.  The factor 1.01
-    covers second-order terms and the sums that form the bound.
-
-    When x < 2^-900 (s > ~208) only the head is summed: the tail
-    sum_{n>=N} n^-s <= x (1 + N/(s-1)) < 2^-899 joins the error, with
+    When N^-s < 2^-900 (s > ~208) only the head is summed: the tail
+    sum_{n>=N} n^-s <= N^-s (1 + N/(s-1)) < 2^-899 joins the error, with
     2^-1074 for each head term that leaves the normal range.  Otherwise
     every term formed is normal, so the relative counts above hold.
     """
@@ -292,22 +315,13 @@ def zeta_r_enclosure(s: float) -> CertifiedValue:
     n = _EM_N
     head = [1.0] + [float(m) ** -s for m in range(2, n)]
     head_sum = math.fsum(head)
-    x = float(n) ** -s
     rounding = 2.0 * _U * (head_sum - 1.0)
-    if x < _EM_TINY:
+    if float(n) ** -s < _EM_TINY:
         err = 2.0**-899 + (n - 1) * 2.0**-1074 + 1.01 * (rounding + _U * head_sum)
         return CertifiedValue(head_sum, err)
-    terms = head + [n * x / (s - 1.0), 0.5 * x]
-    rounding += 5.0 * _U * terms[-2] + 2.0 * _U * terms[-1]
-    t = x * (s / n)
-    for j, coeff in enumerate(_EM_COEFF):
-        if j:
-            t = t * ((s + 2 * j - 1) / n) * ((s + 2 * j) / n)
-        terms.append(coeff * t)
-        rounding += (6 * j + 7) * _U * abs(terms[-1])
-    remainder = abs(terms.pop())
-    mid = math.fsum(terms)
-    return CertifiedValue(mid, remainder + 1.01 * (rounding + _U * mid))
+    terms, omitted, tail_rounding = hurwitz_terms(s, float(n))
+    mid = math.fsum(head + terms)
+    return CertifiedValue(mid, omitted + 1.01 * (rounding + tail_rounding + _U * mid))
 
 
 def e_of(x) -> complex:

@@ -21,7 +21,7 @@ from .errors import WeierError
 from .evaluate import _ROUTES, DEFAULT_TOL, _check_args, describe_route, wp_lattice, wzeta_lattice
 from .forms import FormSpec, RationalPair
 from .lattice import Lattice
-from .verify import SUITES, VerifyRow, format_complex, run_suite
+from .verify import SUITES, VerifyRow, cusp_row, format_complex, run_suite
 
 __all__ = ["main"]
 
@@ -272,22 +272,8 @@ def cmd_table(args) -> int:
             except WeierError as exc:
                 rows.append(error_row({"form": form.describe(), "Y": y}, exc))
                 continue
-            rows.append(
-                VerifyRow(
-                    id=f"row-{len(rows):03d}",
-                    inputs={
-                        "form": rep.label,
-                        "Y": y,
-                        "closed": format_complex(rep.closed_form),
-                        "residual": rep.residual,
-                    },
-                    value=rep.numeric.value,
-                    error=rep.numeric.error,
-                    bound=rep.bound,
-                    residual=rep.residual,
-                    status="pass" if rep.valid else "fail",
-                )
-            )
+            inputs = {"form": rep.label, "Y": y, "closed": format_complex(rep.closed_form), "residual": rep.residual}
+            rows.append(cusp_row(f"row-{len(rows):03d}", inputs, rep))
     _emit("table", args, rows)
     return 0 if all(r.passed for r in rows) else 1
 

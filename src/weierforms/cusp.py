@@ -15,16 +15,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import PI, TWO_PI_I, CertifiedValue, as_rational, bernoulli, e_of, zeta_even, zeta_r_enclosure
+from .arith import PI, TWO_PI_I, CertifiedValue, as_rational, bernoulli, e_of, hurwitz_terms, zeta_even, zeta_r_enclosure
 from .errors import DomainError
 from .evaluate import DEFAULT_TOL
-from .forms import FormSpec, RationalPair
+from .forms import FormSpec
 from .trig import _wp_tail, _z_tail
 
 __all__ = [
-    "cusp_value_f",
     "cusp_value_f_series",
-    "cusp_value_h",
     "cusp_value",
     "lemma_eies_bound",
     "lattice_row_sum_enclosure",
@@ -35,28 +33,6 @@ __all__ = [
 _EPS = math.ulp(1.0)
 _U = 0.5 * _EPS
 _PI = math.pi
-
-
-def _closed_f(p: RationalPair) -> CertifiedValue:
-    """The i*infinity limit of the weight-2 member, with a bound on its rounding."""
-    if p.is_integral():
-        raise DomainError(f"label {p} is integral")
-    third = -(PI * PI) / 3
-    if p.s.denominator != 1:
-        return third
-    # the argument 2 pi x carries 3u (x, fl(pi), the product), <= 6 pi u absolute,
-    # and cos one ulp (<= 2u): |d two_cos| <= 2 (2 + 6 pi) u < 42u
-    two_cos = CertifiedValue(2.0 * math.cos(2.0 * _PI * float(p.t % 1)), 42.0 * _U)
-    return third * (two_cos + 10.0) / (two_cos - 2.0)
-
-
-def cusp_value_f(p: RationalPair) -> complex:
-    """Limit of the weight-2 member at i*infinity (exact two-branch form).
-
-    s integral: -(pi^2/3) (e(t) + 10 + e(-t)) / (e(t) - 2 + e(-t));
-    s non-integral: -(pi^2/3).
-    """
-    return _closed_f(p).value
 
 
 def cusp_value_f_series(t, terms: int = 80) -> CertifiedValue:
@@ -87,47 +63,32 @@ def cusp_value_f_series(t, terms: int = 80) -> CertifiedValue:
     return CertifiedValue(complex(acc), err)
 
 
-def _closed_h(r: int, t) -> CertifiedValue:
-    """The i*infinity limit of h for an s = 0 label, with a bound on its rounding."""
-    if not isinstance(r, int) or isinstance(r, bool) or r == 0:
-        raise DomainError(f"r must be a nonzero integer, got {r!r}")
-    t = as_rational(t)
-    if t.denominator == 1:
-        raise DomainError(f"t = {t} is integral: e(t) = 1 is a pole of the formula")
-    rt = r * t
-    if rt.denominator == 1:
-        raise DomainError(f"r*t = {rt} is integral: e(rt) = 1 is a pole of the formula")
+def cusp_value(form: FormSpec) -> CertifiedValue:
+    """The closed i*infinity value of f, or of h at an s = 0 label, as a ball
+    whose radius bounds its rounding (``FormSpec`` has checked the label):
+
+        f, s integral:     -(pi^2/3) (e(t) + 10 + e(-t)) / (e(t) - 2 + e(-t));
+        f, s non-integral: -(pi^2/3);
+        h[r](0, t):        2 pi i ( (r-1)/2 + r/(e(t)-1) - 1/(e(rt)-1) ).
+    """
+    p = form.p
+    if form.kind == "wp":
+        third = -(PI * PI) / 3
+        if p.s.denominator != 1:
+            return third
+        # the argument 2 pi x carries 3u (x, fl(pi), the product), <= 6 pi u absolute,
+        # and cos one ulp (<= 2u): |d two_cos| <= 2 (2 + 6 pi) u < 42u
+        two_cos = CertifiedValue(2.0 * math.cos(2.0 * _PI * float(p.t % 1)), 42.0 * _U)
+        return third * (two_cos + 10.0) / (two_cos - 2.0)
+    if form.kind != "h":
+        raise DomainError(f"no closed cusp value for kind {form.kind!r}")
+    if p.s != 0:
+        raise DomainError("closed cusp value implemented for s = 0 labels only; transport other cusps with the slash action")
     # e_of(x): the argument 2 pi x carries 3u, <= 6 pi u absolute, and cos and
     # sin one ulp each: < 22u absolute
-    a = CertifiedValue(e_of(t), 22.0 * _U) - 1.0
-    b = CertifiedValue(e_of(rt), 22.0 * _U) - 1.0
-    return TWO_PI_I * ((r - 1) / 2.0 + r / a - 1.0 / b)
-
-
-def cusp_value_h(r: int, t) -> complex:
-    """Limit of the weight-1 combination at i*infinity for s = 0 labels:
-
-        2 pi i ( (r-1)/2 + r/(e(t)-1) - 1/(e(rt)-1) ).
-    """
-    return _closed_h(r, t).value
-
-
-def _closed(form: FormSpec) -> CertifiedValue:
-    if form.kind == "wp":
-        return _closed_f(form.p)
-    if form.kind == "h":
-        if form.p.s != 0:
-            raise DomainError(
-                "closed cusp value implemented for s = 0 labels only; "
-                "transport other cusps with the slash action"
-            )
-        return _closed_h(form.r, form.p.t)
-    raise DomainError(f"no closed cusp value for kind {form.kind!r}")
-
-
-def cusp_value(form: FormSpec) -> complex:
-    """Closed-form i*infinity value for the supported form kinds."""
-    return _closed(form).value
+    a = CertifiedValue(e_of(p.t), 22.0 * _U) - 1.0
+    b = CertifiedValue(e_of(form.r * p.t), 22.0 * _U) - 1.0
+    return TWO_PI_I * ((form.r - 1) / 2.0 + form.r / a - 1.0 / b)
 
 
 def _gap(form: FormSpec, Y: float) -> float:
@@ -206,15 +167,15 @@ def lemma_eies_bound(k: int, im_tau: float) -> float:
 # each tail sum_{m>=0} psi(x + m), x >= T, by the binomial series of psi as
 # sum_j (-1)^j C_j b^2j H(k+2j, x), C_j = (k/2)_j / j!, H(n, x) = sum_{m>=0} (x+m)^-n,
 # whose terms fall (ratio <= (k/2)(b/x)^2 <= 1, as H(n+2, x) <= H(n, x)/x^2), so
-# the last one summed bounds the rest.  H(n, x) is Euler-Maclaurin at x with
-# four corrections, the next bounding the remainder, as in zeta_r_enclosure.
-# Rounding, u = 2^-53, with pow within one ulp, as zeta_r_enclosure assumes:
+# the last one summed bounds the rest.  H(n, x) is ``arith.hurwitz_terms``, its
+# first omitted term bounding the remainder.
+# Rounding, u = 2^-53, with pow within one ulp, as ``arith`` assumes:
 # s^2 + b^2 is within (4 + sk) u, sk = |Re tau|/Im tau (the rounding of a and b
 # enters through |s a| <= sk (s^2 + b^2)/2), a direct term within
-# (k/2)(4 + sk) u + 2u; a term of H within 16u, C_j b^2j H within
-# (3j + 17 + n sk) u (the rounding of x moves H(n, x) by n |dx|/x); a far row
-# within 12u.  Each part counts the moduli of its terms; the fsums add u each.
-_H_COEFF = [float(bernoulli(2 * i) / math.factorial(2 * i)) for i in range(1, 6)]
+# (k/2)(4 + sk) u + 2u; the terms of H as ``hurwitz_terms`` counts them, and
+# their fsum, C_j b^2j and the product within (3j + 2 + n sk) u of their moduli
+# (the rounding of x moves H(n, x) by n |dx|/x); a far row within 12u.  Each
+# part counts the moduli of its terms; the fsums add u each.
 
 
 def _row_tail(k: int, b: float, x: float, sk: float) -> tuple[float, float]:
@@ -222,15 +183,10 @@ def _row_tail(k: int, b: float, x: float, sk: float) -> tuple[float, float]:
     values, err, coeff, j = [], 0.0, 1.0, 0
     while True:
         n = k + 2 * j
-        xn = x**-n
-        terms, t = [xn * x / (n - 1), 0.5 * xn], xn / x * n
-        for i, b2i in enumerate(_H_COEFF, 1):
-            terms.append(b2i * t)
-            t *= (n + 2 * i - 1) * (n + 2 * i) / (x * x)
-        remainder = abs(terms.pop())
+        terms, omitted, rounding = hurwitz_terms(float(n), x)
         term = coeff * math.fsum(terms)
         values.append(-term if j % 2 else term)
-        err += coeff * (remainder + (3 * j + 17 + n * sk) * _U * math.fsum(abs(v) for v in terms))
+        err += coeff * (omitted + rounding + (3 * j + 2 + n * sk) * _U * math.fsum(map(abs, terms)))
         if term <= _U * values[0]:
             return math.fsum(values), err + term + _U * values[0]
         coeff *= (0.5 * k + j) / (j + 1) * b * b
@@ -310,7 +266,7 @@ def cusp_report(form: FormSpec, Y: float, tol: float = DEFAULT_TOL) -> CuspValue
     Y = float(Y)
     if not (Y > 0.0 and math.isfinite(Y)):
         raise DomainError(f"Y must be positive and finite, got {Y!r}")
-    closed = _closed(form)
+    closed = cusp_value(form)
     gap = _gap(form, Y)
     numeric = form.evaluate(complex(0.0, Y), tol)
     return CuspValueReport(

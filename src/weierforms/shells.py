@@ -96,7 +96,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import CertifiedValue, bernoulli
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, PoleError, PrecisionError
 from .lattice import Lattice
 from .trig import _wp_tail, _z_tail
 
@@ -175,6 +175,14 @@ def _check_margin(lat: Lattice, z_bound: float) -> None:
             f"|z| = {z_bound:.6g} exceeds the shell constant {delta:.6g}; "
             "the margin |z/w| <= 1/2 would fail beyond the first shell"
         )
+
+
+def _check_pole(lat: Lattice, z: complex) -> None:
+    """Refuse z = 0 and the first-shell points, where the principal part or a
+    pair's denominator is 0; other points of the box are beyond the margin."""
+    w1, w2 = lat.omega1, lat.omega2
+    if z == 0 or any(z in (w, -w) for w in (w1, w2, w2 - w1, w2 + w1)):
+        raise PoleError(f"z = {z!r} is a lattice point, a pole of wp and wzeta", nearest=z)
 
 
 def _check_kernel_range(lat: Lattice, kind: str, c_max: int, d_max: int) -> None:
@@ -409,6 +417,7 @@ def shell_sum(
         return 0.0 + 0.0j, 0.0
     z = complex(z)
     _check_margin(lat, abs(z))
+    _check_pole(lat, z)
     _check_kernel_range(lat, kind, c_max, d_max)
     w1, w2 = complex(lat.omega1), complex(lat.omega2)
     zz = z * z
@@ -494,6 +503,7 @@ def plan_shell(lat: Lattice, z: complex, tol: float, kind: str) -> TruncationPla
         _check_margin(lat, abs(z))
     except DomainError:
         raise PrecisionError("shell route infeasible: |z| exceeds the margin of the reduced basis") from None
+    _check_pole(lat, z)
     _check_kernel_range(lat, kind, 1, 1)
     first_abs, bound = _first_shell(lat, z, 1, 1, kind)
     # 1.01 covers the rounding of the computed sum against the exact one; the
@@ -507,9 +517,12 @@ def plan_shell(lat: Lattice, z: complex, tol: float, kind: str) -> TruncationPla
     return plan_truncation(lat, abs(z), (tol - fixed) * (1.0 - 4.0 * _EPS), kind=kind)
 
 
-def shell_value(lat: Lattice, z: complex, plan: TruncationPlan, kind: str = "wp") -> CertifiedValue:
-    """Principal part plus the planned shell sum and its closures, with the plan's certificate."""
-    z = complex(z)
+def shell_value(lat: Lattice, z: complex, plan: TruncationPlan) -> CertifiedValue:
+    """Principal part plus the planned shell sum of ``plan.kind`` and its
+    closures, with the plan's certificate; the plan must cover |z|."""
+    z, kind = complex(z), plan.kind
+    if abs(z) > plan.z_bound:
+        raise DomainError(f"|z| = {abs(z):.6g} exceeds the plan's z_bound {plan.z_bound:.6g}")
     box, rounding = shell_sum(lat, z, plan.box, kind)
     total = box + _closures(lat, z, plan.c_max, plan.d_max, kind)
     principal = _principal(z, kind)
@@ -519,7 +532,7 @@ def shell_value(lat: Lattice, z: complex, plan: TruncationPlan, kind: str = "wp"
 
 def shell_route(lat: Lattice, z: complex, tol: float, kind: str) -> CertifiedValue:
     """The shell value at z on the plan of :func:`plan_shell`, certified within tol."""
-    cv = shell_value(lat, z, plan_shell(lat, z, tol, kind), kind)
+    cv = shell_value(lat, z, plan_shell(lat, z, tol, kind))
     if cv.error > tol:
         raise PrecisionError("shell certificate exceeds the requested tolerance")
     return cv

@@ -27,7 +27,8 @@ so row c decays like exp(-2 pi (c Im tau - |Im z|)) and the tail beyond C
 rows is bounded by an explicit geometric series.  Callers must supply
 Im tau >= TAU_IM_MIN and |Im z| <= Im(tau)/2 (both guaranteed after
 reduction), which keeps every row factor below exp(-pi Im tau).  The tail
-bounds themselves (``_wp_tail``, ``_z_tail``, ``_eta2_tail``) hold for any
+bounds themselves (``_wp_tail`` and ``_z_tail``; eta2's is half of
+``_wp_tail`` at y = 0) hold for any
 Im tau > 0 and |Im z| <= y < Im tau, where rho = exp(-2 pi (Im tau - y)) < 1
 bounds every row factor |u| for c >= 1 (|1 - u| >= 1 - rho): the shell planner
 bounds the far lines of its box with them (:mod:`weierforms.shells`).
@@ -43,7 +44,8 @@ budget is a sum of per-term moduli, taken before the terms cancel.
 Every tail is its value at 0 rows times exp(-2 pi Im tau rows), so the row
 count is found from that closed form and then confirmed against the tail
 itself: it is the first row count whose tail meets the target.  The factors
-rho and 1/(1-q) of a strip are computed once for all of its tails.
+rho and 1/(1-q) of a strip are computed once for all of its tails.  The strips
+share one loop, :func:`_strip_sum`; each gives only its row terms.
 """
 
 from __future__ import annotations
@@ -121,13 +123,6 @@ def _wp_tail(im_tau: float, y: float, rows: int, strip: tuple[float, float] | No
     return 4.0 * _PI2 * (plus + minus + 2.0 * zero) * q_inv / (1.0 - rho) ** 2
 
 
-def _eta2_tail(im_tau: float, rows: int, strip: tuple[float, float] | None = None) -> float:
-    # 2 pi^2 sum_{c>rows} 4 q^c / (1-q)^2 with q = e(-Im tau)
-    rho, q_inv = strip or _strip_factors(im_tau, 0.0)
-    zero = _row_factors(im_tau, 0.0, rows)[2]
-    return 8.0 * _PI2 * zero * q_inv / (1.0 - rho) ** 2
-
-
 def _z_tail(im_tau: float, y: float, rows: int, strip: tuple[float, float] | None = None) -> float:
     # sum_{c>rows} pi |cot(pi(z-c tau)) + cot(pi(z+c tau))|, the tail of the cot rows
     rho, q_inv = strip or _strip_factors(im_tau, y)
@@ -177,57 +172,61 @@ def _rows_needed(tail_fn, target: float, im_tau: float) -> tuple[int, float]:
     return rows, tail
 
 
-def wp_strip(tau: complex, z: complex, tol: float) -> CertifiedValue:
-    """wp on tau*Z + Z for z already reduced into the horizontal strip."""
+def _strip_sum(tau: complex, z: complex, tol: float, tail_fn, scale: float, row) -> CertifiedValue:
+    """scale * sum_{c<=rows} of row(tau, z, c) = (value, moduli of its terms) for z
+    in the strip, on the fewest rows whose tail_fn(im_tau, y, rows, strip) meets
+    tol/2; the certificate is that tail plus _ROUND_FACTOR eps scale times the moduli."""
     im_tau, y = _check_strip(tau, z)
     strip = _strip_factors(im_tau, y)
-    rows, tail = _rows_needed(lambda c: _wp_tail(im_tau, y, c, strip), 0.5 * tol, im_tau)
-    s_main = _inv_sin2_pi(z)
-    acc = s_main - 1.0 / 3.0
-    absacc = abs(s_main) + 1.0 / 3.0
+    rows, tail = _rows_needed(lambda c: tail_fn(im_tau, y, c, strip), 0.5 * tol, im_tau)
+    acc, absacc = row(tau, z, 0)
     for c in range(1, rows + 1):
-        ct = c * tau
-        t1 = _inv_sin2_pi(z - ct)
-        t2 = _inv_sin2_pi(z + ct)
-        t3 = _inv_sin2_pi(ct)
-        row = t1 + t2 - 2.0 * t3
-        acc += row
-        absacc += abs(t1) + abs(t2) + 2.0 * abs(t3)
-    value = _PI2 * acc
-    err = tail + _ROUND_FACTOR * _EPS * _PI2 * absacc
-    return CertifiedValue(value, err)
+        value, moduli = row(tau, z, c)
+        acc += value
+        absacc += moduli
+    return CertifiedValue(scale * acc, tail + _ROUND_FACTOR * _EPS * scale * absacc)
+
+
+def _wp_row(tau: complex, z: complex, c: int) -> tuple[complex, float]:
+    if not c:
+        s = _inv_sin2_pi(z)
+        return s - 1.0 / 3.0, abs(s) + 1.0 / 3.0
+    ct = c * tau
+    t1, t2, t3 = _inv_sin2_pi(z - ct), _inv_sin2_pi(z + ct), _inv_sin2_pi(ct)
+    return t1 + t2 - 2.0 * t3, abs(t1) + abs(t2) + 2.0 * abs(t3)
+
+
+def wp_strip(tau: complex, z: complex, tol: float) -> CertifiedValue:
+    """wp on tau*Z + Z for z already reduced into the horizontal strip."""
+    return _strip_sum(tau, z, tol, _wp_tail, _PI2, _wp_row)
+
+
+def _eta2_row(tau: complex, z: complex, c: int) -> tuple[complex, float]:
+    t = 2.0 * _inv_sin2_pi(c * tau) if c else 1.0 / 3.0
+    return t, abs(t)
 
 
 def eta2_strip(tau: complex, tol: float) -> CertifiedValue:
     """The quasi-period eta2 of tau*Z + Z for a reduced tau (module docstring)."""
-    im_tau, _ = _check_strip(tau, 0j)
-    strip = _strip_factors(im_tau, 0.0)
-    rows, tail = _rows_needed(lambda c: _eta2_tail(im_tau, c, strip), 0.5 * tol, im_tau)
-    acc = absacc = 1.0 / 3.0
-    for c in range(1, rows + 1):
-        t = 2.0 * _inv_sin2_pi(c * tau)
-        acc += t
-        absacc += abs(t)
-    err = tail + _ROUND_FACTOR * _EPS * _PI2 * absacc
-    return CertifiedValue(_PI2 * acc, err)
+    # the tail 2 pi^2 sum_{c>rows} 4 q^c / (1-q)^2, q = e(-Im tau), is half the
+    # wp tail at y = 0
+    return _strip_sum(tau, 0j, tol, lambda im_tau, y, c, strip: 0.5 * _wp_tail(im_tau, y, c, strip), _PI2, _eta2_row)
+
+
+def _cot_term(w: complex) -> tuple[complex, float]:
+    # cot(pi w) and its rounding budget over pi: |cot| + |pi w| |1 + cot^2|
+    k = _cot_pi(w)
+    return k, abs(k) + _PI * abs(w) * abs(1.0 + k * k)
+
+
+def _cot_row(tau: complex, z0: complex, c: int) -> tuple[complex, float]:
+    if not c:
+        return _cot_term(z0)
+    ct = c * tau
+    (k1, a1), (k2, a2) = _cot_term(z0 - ct), _cot_term(z0 + ct)
+    return k1 + k2, a1 + a2
 
 
 def z_strip(tau: complex, z0: complex, tol: float) -> CertifiedValue:
     """The cot rows C(tau, z0) for z0 already reduced into the strip (module docstring)."""
-    im_tau, y = _check_strip(tau, z0)
-    strip = _strip_factors(im_tau, y)
-    rows, tail = _rows_needed(lambda c: _z_tail(im_tau, y, c, strip), 0.5 * tol, im_tau)
-
-    def term(w: complex) -> tuple[complex, float]:
-        # cot(pi w) and its rounding budget over pi: |cot| + |pi w| |1 + cot^2|
-        k = _cot_pi(w)
-        return k, abs(k) + _PI * abs(w) * abs(1.0 + k * k)
-
-    acc, absacc = term(z0)
-    for c in range(1, rows + 1):
-        ct = c * tau
-        k1, a1 = term(z0 - ct)
-        k2, a2 = term(z0 + ct)
-        acc += k1 + k2
-        absacc += a1 + a2
-    return CertifiedValue(_PI * acc, tail + _ROUND_FACTOR * _EPS * _PI * absacc)
+    return _strip_sum(tau, z0, tol, _z_tail, _PI, _cot_row)

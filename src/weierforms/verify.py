@@ -18,7 +18,8 @@ The five agreement suites (lemma-fsta through theorem-hU) compare two
 certified values per row: a row passes when the residual |shown - other| is
 within the summed certificates plus the suite's slack (1e-9 for the
 covariance lemmas, 0 otherwise).  The three cusp suites (cusp-f, cusp-h,
-zeta2) read :func:`weierforms.cusp.cusp_report`: a row passes when the value
+zeta2) read :func:`weierforms.cusp.cusp_report` and make their rows with
+:func:`cusp_row`, as the ``table`` command does: a row passes when the value
 at tau = iY is within its certificate, the closed value's rounding and the
 finite-height gap of the closed cusp value.
 """
@@ -34,7 +35,7 @@ from .arith import CertifiedValue, bernoulli, zeta_even, zeta_even_coefficient, 
 from .cusp import (
     CuspValueReport,
     cusp_report,
-    cusp_value_f,
+    cusp_value,
     cusp_value_f_series,
     lattice_row_sum_enclosure,
     lemma_eies_bound,
@@ -60,7 +61,7 @@ from .forms import (
     slash,
 )
 
-__all__ = ["VerifyRow", "SuiteReport", "SUITES", "run_suite"]
+__all__ = ["VerifyRow", "SuiteReport", "SUITES", "run_suite", "cusp_row"]
 
 _SQRT3_PI = math.sqrt(3.0) * math.pi
 _EPS = math.ulp(1.0)
@@ -250,11 +251,11 @@ def suite_theorem_hU(seed: int, tol: float) -> SuiteReport:
 # (``CuspValueReport.bound``).
 
 
-def _cusp_row(id: str, rep: CuspValueReport, detail: str = "") -> VerifyRow:
+def cusp_row(id: str, inputs: dict, rep: CuspValueReport, detail: str = "") -> VerifyRow:
     """Row comparing a numeric value at the cusp height with its closed value."""
     return VerifyRow(
         id=id,
-        inputs={"form": rep.label, "Y": rep.Y, "closed": format_complex(rep.closed_form)},
+        inputs=inputs,
         value=rep.numeric.value,
         error=rep.numeric.error,
         bound=rep.bound,
@@ -262,6 +263,10 @@ def _cusp_row(id: str, rep: CuspValueReport, detail: str = "") -> VerifyRow:
         status="pass" if rep.valid else "fail",
         detail=detail,
     )
+
+
+def _closed_inputs(rep: CuspValueReport) -> dict:
+    return {"form": rep.label, "Y": rep.Y, "closed": format_complex(rep.closed_form)}
 
 
 _CUSP_F_GRID = (
@@ -276,10 +281,8 @@ _CUSP_F_GRID = (
 
 def suite_cusp_f(seed: int, tol: float) -> SuiteReport:
     tol = min(tol, 1e-8)
-    rows = [
-        _cusp_row(f"cusp-f-{i}", cusp_report(FormSpec.wp_form(s, t), 20.0, tol))
-        for i, (s, t) in enumerate(_CUSP_F_GRID)
-    ]
+    reports = [cusp_report(FormSpec.wp_form(s, t), 20.0, tol) for s, t in _CUSP_F_GRID]
+    rows = [cusp_row(f"cusp-f-{i}", _closed_inputs(rep), rep) for i, rep in enumerate(reports)]
     return SuiteReport("cusp-f", seed, tuple(rows))
 
 
@@ -299,12 +302,13 @@ def suite_cusp_h(seed: int, tol: float) -> SuiteReport:
         f"lattice-sum evaluation supports {supported} for the h[r=2](0,1/3) cusp value; "
         f"|numeric - sqrt3*pi| = {d_real:.3e}, |numeric + sqrt3*pi*i| = {d_imag:.3e}"
     )
-    rows.append(_cusp_row("cusp-h-phase", rep, f"oracle-supported phase: {supported}"))
+    rows.append(cusp_row("cusp-h-phase", _closed_inputs(rep), rep, f"oracle-supported phase: {supported}"))
     rows.append(_modulus_row(rep))
 
     # closed values across a few s = 0 labels
     for i, (r, t) in enumerate(((3, Fraction(1, 5)), (-1, Fraction(1, 4)), (2, Fraction(2, 7)))):
-        rows.append(_cusp_row(f"cusp-h-{i}", cusp_report(FormSpec.h_form(r, 0, t), 20.0, tol)))
+        rep = cusp_report(FormSpec.h_form(r, 0, t), 20.0, tol)
+        rows.append(cusp_row(f"cusp-h-{i}", _closed_inputs(rep), rep))
 
     # boundedness along the imaginary axis, at the infinite cusp and at the
     # cusps reached by transporting with coset representatives
@@ -361,17 +365,7 @@ def suite_zeta2(seed: int, tol: float) -> SuiteReport:
     for y in (5.0, 10.0, 20.0):
         rep = cusp_report(form, y, tol)
         implied = -rep.numeric.value.real / 2.0
-        rows.append(
-            VerifyRow(
-                id=f"zeta2-Y{int(y)}",
-                inputs={"Y": rep.Y, "implied_zeta2": implied},
-                value=rep.numeric.value,
-                error=rep.numeric.error,
-                bound=rep.bound,
-                residual=rep.residual,
-                status="pass" if rep.valid else "fail",
-            )
-        )
+        rows.append(cusp_row(f"zeta2-Y{int(y)}", {"Y": rep.Y, "implied_zeta2": implied}, rep))
     residual = abs(implied - math.pi**2 / 6.0)
     rows.append(
         VerifyRow(
@@ -423,9 +417,9 @@ def suite_identities(seed: int, tol: float) -> SuiteReport:
     rows = []
     for t in _IDENTITY_TS:
         series = cusp_value_f_series(t, 80)
-        closed = cusp_value_f(RationalPair.of(0, t))
-        residual = abs(series.value - closed)
-        honored = residual <= series.error
+        closed = cusp_value(FormSpec.wp_form(0, t))
+        residual = abs(series.value - closed.value)
+        honored = residual <= series.error + closed.error
         rows.append(
             VerifyRow(
                 id=f"series-t={t}",

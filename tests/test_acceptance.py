@@ -152,10 +152,10 @@ def test_criterion_10_doubling_validates_plans():
             z = off * delta
             for kind in ("wp", "wzeta"):
                 plan = plan_truncation(lat, abs(z), 1e-3, kind=kind)
-                base = shell_value(lat, z, plan, kind)
+                base = shell_value(lat, z, plan)
                 # the box of twice the half-widths, its lines closed alike
                 doubled = dataclasses.replace(plan, c_max=2 * plan.c_max, d_max=2 * plan.d_max)
-                change = abs(base.value - shell_value(lat, z, doubled, kind).value)
+                change = abs(base.value - shell_value(lat, z, doubled).value)
                 assert change < plan.tail_bound
                 worst_margin = max(worst_margin, change / plan.tail_bound)
                 checked += 1

@@ -19,7 +19,7 @@ from weierforms import (
     zeta_even,
     zeta_r_enclosure,
 )
-from weierforms.arith import BERNOULLI_CAP, zeta_even_coefficient
+from weierforms.arith import BERNOULLI_CAP, hurwitz_terms, zeta_even_coefficient
 
 
 class TestBernoulli:
@@ -143,6 +143,32 @@ class TestZetaEnclosure:
     def test_domain(self, s):
         with pytest.raises(DomainError):
             zeta_r_enclosure(s)
+
+
+class TestHurwitzTerms:
+    """The shared Euler-Maclaurin terms of H(s, x) = sum_{m>=0} (x+m)^-s against
+    mpmath, at integer s and at x like those of the row tails and of zeta_R."""
+
+    @pytest.mark.parametrize("x", [16.5, 20.0, 40.25])
+    def test_encloses_hurwitz_zeta(self, x):
+        mpmath = pytest.importorskip("mpmath")
+        u = 0.5 * math.ulp(1.0)
+        for s in range(3, 31):
+            terms, omitted, rounding = hurwitz_terms(float(s), x)
+            assert len(terms) == 8
+            total = math.fsum(terms)
+            radius = omitted + 1.01 * (rounding + u * total)
+            # mpmath's zeta(s, x) at 40 digits is off by up to 3e-13 (relative) on
+            # this grid, at 60 digits by 2e-21
+            with mpmath.workdps(80):
+                assert abs(mpmath.mpf(total) - mpmath.zeta(s, x)) <= radius, (s, x)
+            if s <= 5:  # the k of the eies-bound rows: a few ulps
+                assert radius <= 1e-14 * total, (s, x)
+
+    @pytest.mark.parametrize("s,x", [(1.0, 20.0), (0.5, 20.0), (3.0, 0.0), (3.0, -1.5), (math.nan, 20.0)])
+    def test_domain(self, s, x):
+        with pytest.raises(DomainError):
+            hurwitz_terms(s, x)
 
 
 class TestEOf:

@@ -428,7 +428,7 @@ class TestRowCount:
             y = frac * im_tau
             tails = {
                 "wp": lambda c: trig._wp_tail(im_tau, y, c),
-                "eta2": lambda c: trig._eta2_tail(im_tau, c),
+                "eta2": lambda c: 0.5 * trig._wp_tail(im_tau, 0.0, c),
                 "z": lambda c: trig._z_tail(im_tau, y, c),
             }
             for exp in range(3, 15):
@@ -448,7 +448,7 @@ class TestRowCount:
             y = frac * im_tau
             for tail_fn in (
                 lambda c: trig._wp_tail(im_tau, y, c),
-                lambda c: trig._eta2_tail(im_tau, c),
+                lambda c: 0.5 * trig._wp_tail(im_tau, 0.0, c),
                 lambda c: trig._z_tail(im_tau, y, c),
             ):
                 tails = [tail_fn(0)]

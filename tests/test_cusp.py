@@ -12,9 +12,7 @@ from weierforms import (
     RationalPair,
     cusp_report,
     cusp_value,
-    cusp_value_f,
     cusp_value_f_series,
-    cusp_value_h,
     eval_f,
     lattice_row_sum_enclosure,
     lemma_eies_bound,
@@ -31,20 +29,28 @@ def pair(s, t):
     return RationalPair.of(s, t)
 
 
+def f_limit(s, t) -> complex:
+    return cusp_value(FormSpec.wp_form(s, t)).value
+
+
+def h_limit(r, t) -> complex:
+    return cusp_value(FormSpec.h_form(r, 0, t)).value
+
+
 class TestClosedCuspValuesF:
     def test_half(self):
-        assert abs(cusp_value_f(pair(0, Fraction(1, 2))) - 2 * PI**2 / 3) < 1e-12
+        assert abs(f_limit(0, Fraction(1, 2)) - 2 * PI**2 / 3) < 1e-12
 
     def test_third(self):
-        assert abs(cusp_value_f(pair(0, Fraction(1, 3))) - PI**2) < 1e-12
+        assert abs(f_limit(0, Fraction(1, 3)) - PI**2) < 1e-12
 
     def test_nonintegral_s_branch(self):
-        assert abs(cusp_value_f(pair(Fraction(1, 2), 0)) + PI**2 / 3) < 1e-14
-        assert abs(cusp_value_f(pair(Fraction(1, 3), Fraction(1, 5))) + PI**2 / 3) < 1e-14
+        assert abs(f_limit(Fraction(1, 2), 0) + PI**2 / 3) < 1e-14
+        assert abs(f_limit(Fraction(1, 3), Fraction(1, 5)) + PI**2 / 3) < 1e-14
 
     def test_integral_rejected(self):
         with pytest.raises(DomainError):
-            cusp_value_f(pair(1, 0))
+            f_limit(1, 0)
 
     GRID = [
         (0, Fraction(1, 2)),
@@ -59,7 +65,7 @@ class TestClosedCuspValuesF:
     def test_numeric_limits_on_grid(self, s, t):
         p = pair(s, t)
         cv = eval_f(p, 20j, 1e-8)
-        assert abs(cv.value - cusp_value_f(p)) <= 1e-6
+        assert abs(cv.value - f_limit(s, t)) <= 1e-6
 
 
 class TestSeriesIdentity:
@@ -73,7 +79,7 @@ class TestSeriesIdentity:
 
     def test_quarter_matches_closed_form(self):
         cv = cusp_value_f_series(Fraction(1, 4), 80)
-        closed = cusp_value_f(pair(0, Fraction(1, 4)))
+        closed = f_limit(0, Fraction(1, 4))
         assert abs(cv.value - closed) <= cv.error
 
     @pytest.mark.parametrize(
@@ -81,7 +87,7 @@ class TestSeriesIdentity:
     )
     def test_identity_grid(self, t):
         cv = cusp_value_f_series(t, 80)
-        closed = cusp_value_f(pair(0, t))
+        closed = f_limit(0, t)
         assert abs(cv.value - closed) < 1e-10
         assert abs(cv.value - closed) <= cv.error  # stated tail bound honored
 
@@ -99,32 +105,32 @@ class TestSeriesIdentity:
 
 class TestClosedCuspValuesH:
     def test_value_at_third_is_real_sqrt3_pi(self):
-        v = cusp_value_h(2, Fraction(1, 3))
+        v = h_limit(2, Fraction(1, 3))
         assert abs(v.real - math.sqrt(3.0) * PI) < 1e-12
         assert abs(v.imag) < 1e-12
 
     def test_r_minus_one_vanishes(self):
         for t in (Fraction(1, 5), Fraction(1, 3), Fraction(2, 7)):
-            assert abs(cusp_value_h(-1, t)) < 1e-12
+            assert abs(h_limit(-1, t)) < 1e-12
 
     @pytest.mark.parametrize("r,t", [(2, Fraction(1, 5)), (3, Fraction(1, 5)), (2, Fraction(2, 7))])
     def test_conjugate_symmetry(self, r, t):
-        a = cusp_value_h(r, t)
-        b = cusp_value_h(r, 1 - t)
+        a = h_limit(r, t)
+        b = h_limit(r, 1 - t)
         assert abs(b - (-a.conjugate())) < 1e-12
 
     def test_poles_rejected(self):
         with pytest.raises(DomainError):
-            cusp_value_h(2, Fraction(3, 1))
+            h_limit(2, Fraction(3, 1))
         with pytest.raises(DomainError):
-            cusp_value_h(3, Fraction(1, 3))
+            h_limit(3, Fraction(1, 3))
         with pytest.raises(DomainError):
-            cusp_value_h(0, Fraction(1, 3))
+            h_limit(0, Fraction(1, 3))
 
     def test_matches_numeric_limit(self):
         form = FormSpec.h_form(2, 0, Fraction(1, 3))
         cv = form.evaluate(20j, 1e-8)
-        assert abs(cv.value - cusp_value_h(2, Fraction(1, 3))) < 1e-6
+        assert abs(cv.value - h_limit(2, Fraction(1, 3))) < 1e-6
 
 
 class TestRowBound:
@@ -236,7 +242,13 @@ class TestReports:
             cusp_report(FormSpec.wp_form(0, Fraction(1, 2)), Y)
 
     def test_cusp_value_dispatch(self):
-        assert abs(cusp_value(FormSpec.wp_form(0, Fraction(1, 3))) - PI**2) < 1e-12
+        mp = pytest.importorskip("mpmath")
+        closed = cusp_value(FormSpec.wp_form(0, Fraction(1, 3)))
+        assert abs(closed.value - PI**2) < 1e-12
+        # the ball holds pi^2, and its radius is a few ulps of it
+        with mp.workdps(40):
+            assert abs(mp.mpc(closed.value) - mp.pi**2) <= closed.error
+        assert 0.0 < closed.error < 1e-13
         with pytest.raises(DomainError):
             cusp_value(FormSpec.zeta_form(0, Fraction(1, 3)))
         with pytest.raises(DomainError):

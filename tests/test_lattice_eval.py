@@ -39,7 +39,7 @@ from weierforms.shells import (
     bulk_rounding_bound,
 )
 
-from oracles import GOLDEN, GOLDEN_BAND, brute_wp, brute_wzeta, mp_wp, mp_wzeta
+from oracles import GOLDEN, GOLDEN_BAND, brute_wp, brute_wzeta, mp_wp, mp_wzeta, mp_wzeta_mpc
 
 TWO_PI_I = 2j * math.pi
 
@@ -380,14 +380,33 @@ class TestPlans:
     def test_doubling_stays_within_tail_bound(self, lat, z):
         for kind in ("wp", "wzeta"):
             plan = plan_truncation(lat, abs(z), 1e-4, kind=kind)
-            a = shell_value(lat, z, plan, kind)
+            a = shell_value(lat, z, plan)
             assert abs(a.value - _doubled(lat, z, plan).value) < plan.tail_bound
+
+
+    def test_shell_value_sums_the_plan_kind(self):
+        # the plan carries its kind: a wzeta plan gives wzeta, within its certificate
+        mp = pytest.importorskip("mpmath")
+        lat = Lattice(0.3 + 1.1j, 1.0)
+        for z in (0.2 + 0.1j, -0.35 + 0.3j, 0.45j):
+            cv = shell_value(lat, z, shells.plan_shell(lat, z, 1e-6, "wzeta"))
+            with mp.workdps(40):
+                assert abs(mp.mpc(cv.value) - mp_wzeta_mpc(0.3 + 1.1j, z)) <= cv.error, z
+
+    @pytest.mark.parametrize("kind", ["wp", "wzeta"])
+    def test_shell_value_refuses_z_beyond_the_plan(self, kind):
+        # the plan's tail bound holds for |z| <= z_bound only
+        lat = Lattice(0.3 + 1.1j, 1.0)
+        plan = plan_truncation(lat, 1e-6, 1e-6, kind=kind)
+        for z in (0.5, -0.3 + 0.6j, 0.95j):
+            with pytest.raises(DomainError, match="z_bound"):
+                shell_value(lat, z, plan)
 
 
 def _doubled(lat, z, plan):
     """The shell value on the box of twice the plan's half-widths, its lines closed alike."""
     doubled = dataclasses.replace(plan, c_max=2 * plan.c_max, d_max=2 * plan.d_max)
-    return shell_value(lat, z, doubled, plan.kind)
+    return shell_value(lat, z, doubled)
 
 
 class TestTailBound:
@@ -741,6 +760,19 @@ class TestErrors:
             assert abs(info.value.nearest - corner) < 1e-15
             cv = call(corner + 1.01 * POLE_RTOL * delta * direction)
             assert cmath.isfinite(cv.value)
+
+    def test_shell_route_at_a_lattice_point(self):
+        # z = 0 and the first-shell points are poles, not a division by zero
+        lat = Lattice(1j, 1.0)
+        for call in (
+            lambda: shells.plan_shell(lat, 1.0, 1e-6, "wp"),
+            lambda: shells.plan_shell(lat, 0j, 1e-6, "wp"),
+            lambda: shell_sum(lat, -1.0, (2, 2), "wzeta"),
+            lambda: shells.shell_route(lat, -1j, 1e-6, "wzeta"),
+            lambda: shell_value(lat, 0j, plan_truncation(lat, 0.5, 1e-6)),
+        ):
+            with pytest.raises(PoleError):
+                call()
 
     def test_tolerance_floor(self):
         with pytest.raises(DomainError):
