@@ -18,7 +18,7 @@ import sys
 from .arith import as_rational
 from .cusp import cusp_report
 from .errors import WeierError
-from .evaluate import _ROUTES, DEFAULT_TOL, _check_args, describe_route, wp_lattice, wzeta_lattice
+from .evaluate import _ROUTES, DEFAULT_TOL, _check_args, _reported, wp_lattice, wzeta_lattice
 from .forms import FormSpec, RationalPair
 from .lattice import Lattice
 from .verify import SUITES, VerifyRow, cusp_row, format_complex, run_suite
@@ -163,16 +163,7 @@ def cmd_eval(args) -> int:
         if args.tau is None:
             raise WeierError(f"eval {kind} requires --tau")
         tau = parse_complex(args.tau)
-        cv = form.evaluate(tau, args.tol, route=args.route)
-        lat = Lattice(tau, 1.0)
-        if kind == "f":
-            # eval_f sums one box, at the reduced point of the exact label
-            plan = describe_route(lat, (form.p.s, form.p.t), args.tol, route=args.route)
-        elif args.route == "shell":
-            # g, h and hU sum several boxes, each at a share of the tolerance
-            plan = {"route": "shell"}
-        else:
-            plan = describe_route(lat, 0j, args.tol, route=args.route)
+        call = (form.evaluate, tau)
         inputs = {"form": form.describe(), "tau": format_complex(tau)}
     else:
         if args.z is None:
@@ -184,14 +175,14 @@ def cmd_eval(args) -> int:
             lat = Lattice(parse_complex(args.omega1), parse_complex(args.omega2))
         else:
             raise WeierError(f"eval {kind} requires --tau or both --omega1/--omega2")
-        fn = wp_lattice if kind == "wp" else wzeta_lattice
-        cv = fn(lat, z, args.tol, route=args.route)
-        plan = describe_route(lat, z, args.tol, route=args.route, kind=kind)
+        call = (wp_lattice if kind == "wp" else wzeta_lattice, lat, z)
         inputs = {
             "omega1": format_complex(lat.omega1),
             "omega2": format_complex(lat.omega2),
             "z": format_complex(z),
         }
+    # the report of the route is that of the evaluation which ran
+    cv, plan = _reported(*call, args.tol, route=args.route)
     inputs.update({f"plan_{k}": v for k, v in plan.items()})
     row = VerifyRow(
         id=f"eval-{kind}",

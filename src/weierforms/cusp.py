@@ -205,7 +205,7 @@ def lattice_row_sum_enclosure(k: int, tau: complex) -> CertifiedValue:
     t = complex(tau)
     if not t.imag > 0.0:
         raise DomainError("Im tau must be positive")
-    x, y = t.real, t.imag
+    x, y = math.remainder(t.real, 1.0), t.imag  # exact; the sum is invariant under tau -> tau + 1
     sk = abs(x) / y
     parts, err, c = [], 0.0, 1
     while c * y < 16.0:

@@ -18,9 +18,9 @@ then compute the value:
   by Euler-Maclaurin: about log(1/tol) lines of tol**(-1/14) points), planned, summed
   and certified by :func:`weierforms.shells.shell_route`; the "Budget."
   section of :mod:`weierforms.shells` splits the tolerance and lists when
-  the route raises :class:`PrecisionError`.  Every shell evaluation and
-  :func:`describe_route` take the box from
-  :func:`weierforms.shells.plan_shell`, so the reported plan is the one summed.
+  the route raises :class:`PrecisionError`.  :func:`describe_route` and
+  ``eval`` report the route from a record of the evaluation that ran
+  (:func:`_reported`), so the reported boxes are the ones summed.
 
 Every wzeta-type value - ``wzeta``, the series route of ``wzeta_lattice``,
 ``eval_g``, and the Klein-form parts of ``eval_h`` and ``eval_hU`` - is one
@@ -41,7 +41,7 @@ import math
 from .arith import TWO_PI_I, CertifiedValue, _inverse
 from .errors import DomainError, PoleError, PrecisionError
 from .lattice import Lattice, reduce_lattice, reduce_points
-from .shells import eta2_shell, plan_shell, shell_route, shell_value
+from .shells import _RECORD, TruncationPlan, eta2_shell, shell_route, shell_value
 from .trig import eta2_strip, wp_strip, z_strip
 
 __all__ = [
@@ -94,8 +94,9 @@ def _reduce(lat: Lattice, zs):
     |point| >= 2 * POLE_RTOL * |J| passes without building the geometry.  A
     label (s, t) is guarded alike: its reduced point is exactly nonzero, but
     at a level beyond about 1/POLE_RTOL it is too close to the lattice for
-    binary64, and the strips overflow on it.
+    binary64, and the strips overflow on it.  :func:`_reported` reads the record.
     """
+    record = _RECORD.get()
     for z, red in zip(zs, reduce_points(lat, zs)):
         pt = abs(red.point)
         if pt < 2.0 * POLE_RTOL * abs(red.jj) and pt < POLE_RTOL * red.basis.geometry.delta:
@@ -104,6 +105,8 @@ def _reduce(lat: Lattice, zs):
             else:
                 what, nearest = f"z = {z!r}", z - red.point
             raise PoleError(f"{what} lies on the lattice (within {POLE_RTOL:g} * shell constant)", nearest=nearest)
+        if record is not None:
+            record.append(red)
         yield red
 
 
@@ -265,35 +268,43 @@ def eta12(tau, tol: float = DEFAULT_TOL, *, route: str = "auto") -> tuple[Certif
     return (eta1_r * d - eta2_r * b) * inv, (eta1_r * (-c) + eta2_r * a) * inv
 
 
-def describe_route(lat, z, tol: float = DEFAULT_TOL, *, route: str = "auto", kind: str = "wp") -> dict:
-    """Report, without summing, the route a request runs on and its plan.
+def _reported(fn, *args, **kwargs) -> tuple:
+    """``fn(*args, **kwargs)`` and the report of its route, read from what it recorded:
+    the reduced ratio and scale (series), the box summed (shell), or the number
+    of boxes and their points where it summed several (labels and eta2)."""
+    record = []
+    token = _RECORD.set(record)
+    try:
+        value = fn(*args, **kwargs)
+    finally:
+        _RECORD.reset(token)
+    plans = [p for p in record if isinstance(p, TruncationPlan)]
+    if not plans:
+        red = record[0]
+        return value, {"route": "series", "reduced_tau_re": red.tau.real, "reduced_tau_im": red.tau.imag,
+                       "scale_modulus": abs(red.jj)}
+    if len(plans) > 1:
+        return value, {"route": "shell", "boxes": len(plans), "points": sum(p.point_count for p in plans)}
+    (p,) = plans
+    return value, {"route": "shell", "c_max": p.c_max, "d_max": p.d_max, "points": p.point_count,
+                   "tail_bound": p.tail_bound, "shell_constant": p.shell_constant}
 
-    z is a complex point, which the shell route of ``wp_lattice`` and
-    ``wzeta_lattice`` sums where it is, or an exact label (s, t), which
-    ``eval_f`` sums at its reduced point; the reported box is the one
-    summed.  ``kind`` is "wp" or "wzeta".
+
+def describe_route(lat, z, tol: float = DEFAULT_TOL, *, route: str = "auto", kind: str = "wp") -> dict:
+    """Evaluate a request and report (:func:`_reported`) the route it ran on and what it summed.
+
+    z is a complex point, evaluated as by ``wp_lattice`` and ``wzeta_lattice``,
+    or an exact label (s, t), evaluated as by ``eval_f`` and ``eval_g``; ``kind``
+    is "wp" or "wzeta".  A pole raises PoleError; a refused shell request, for its
+    plan or for its summed certificate over tol, reports ``{"route": "shell", "feasible": False}``.
     """
     _check_args(tol, route)
     if kind not in ("wp", "wzeta"):
         raise DomainError(f"kind must be 'wp' or 'wzeta', got {kind!r}")
-    label = type(z) is tuple
-    red = reduce_lattice(_as_lattice(lat), z if label else 0j)
-    if route == "shell":
-        try:
-            plan = plan_shell(red.basis, red.point if label else complex(z), tol, kind)
-        except PrecisionError:
-            return {"route": "shell", "feasible": False}
-        return {
-            "route": "shell",
-            "c_max": plan.c_max,
-            "d_max": plan.d_max,
-            "points": plan.point_count,
-            "tail_bound": plan.tail_bound,
-            "shell_constant": plan.shell_constant,
-        }
-    return {
-        "route": "series",
-        "reduced_tau_re": red.tau.real,
-        "reduced_tau_im": red.tau.imag,
-        "scale_modulus": abs(red.jj),
-    }
+    call = (_evaluate, _reduce(_as_lattice(lat), (z,))) if type(z) is tuple else (_dispatch, lat, z)
+    try:
+        return _reported(*call, tol, route, kind)[1]
+    except PrecisionError:
+        if route != "shell":
+            raise
+        return {"route": "shell", "feasible": False}

@@ -92,6 +92,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -131,6 +132,9 @@ _S_HALF = {"wp": 44.0 / 9.0, "wzeta": 4.0 / 3.0}
 _W_RANGE = {"wp": (sys.float_info.max / 8.0) ** (1.0 / 6.0), "wzeta": (sys.float_info.max / 8.0) ** 0.25}
 _OUT_OF_RANGE = "shell route infeasible: the basis lies outside the kernel's float range"
 _MARGIN_SLACK = 1.0 + 1e-12
+
+# where set, the list of what an evaluation ran: each plan shell_route summed, each reduction
+_RECORD = ContextVar("weierforms_record", default=None)
 
 # Euler-Maclaurin closures (module docstring, Tail (ii)): P, B_2k(1/2), the
 # coefficient of omega2^(2k-1) times the bracket of correction k, and
@@ -410,9 +414,9 @@ def shell_sum(
     """
     if kind not in _KINDS:
         raise DomainError(f"unknown summand kind {kind!r}")
-    c_max, d_max = (int(n) for n in box)
-    if c_max < 0 or d_max < 0:
-        raise DomainError("box half-widths must be nonnegative")
+    c_max, d_max = box
+    if any(not isinstance(n, int) or isinstance(n, bool) or n < 0 for n in box):
+        raise DomainError(f"box half-widths must be nonnegative integers, got {box!r}")
     if c_max == 0 and d_max == 0:
         return 0.0 + 0.0j, 0.0
     z = complex(z)
@@ -532,9 +536,12 @@ def shell_value(lat: Lattice, z: complex, plan: TruncationPlan) -> CertifiedValu
 
 def shell_route(lat: Lattice, z: complex, tol: float, kind: str) -> CertifiedValue:
     """The shell value at z on the plan of :func:`plan_shell`, certified within tol."""
-    cv = shell_value(lat, z, plan_shell(lat, z, tol, kind))
+    plan = plan_shell(lat, z, tol, kind)
+    cv = shell_value(lat, z, plan)
     if cv.error > tol:
         raise PrecisionError("shell certificate exceeds the requested tolerance")
+    if (record := _RECORD.get()) is not None:
+        record.append(plan)
     return cv
 
 

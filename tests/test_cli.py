@@ -246,20 +246,63 @@ class TestEvalPlan:
         assert boxes == [(inputs["plan_c_max"], inputs["plan_d_max"])]
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,boxes,points",
         [
-            ("g", "--s", "1/3", "--t", "1/5"),
-            ("h", "--r", "2", "--s", "0", "--t", "1/3"),
-            ("hU", "--u", "0,1/3", "--u", "0,1/3", "--u", "0,-2/3"),
+            # g at (1/3, 1/5) needs no eta2: one box, reported as a box
+            (("g", "--s", "1/3", "--t", "1/5"), 1, 34),
+            # h and hU: a box per Klein form and the four of the eta2 difference
+            (("h", "--r", "2", "--s", "0", "--t", "1/3"), 6, 336),
+            (("hU", "--u", "0,1/3", "--u", "0,1/3", "--u", "0,-2/3"), 7, 380),
         ],
     )
-    def test_multi_box_rows_report_no_box(self, capsys, argv):
-        # g, h and hU sum several boxes, each at a share of the tolerance
+    def test_rows_report_every_box_summed(self, capsys, monkeypatch, argv, boxes, points):
+        summed = []
+
+        def spy(lat, z, box, kind="wp"):
+            summed.append(tuple(box))
+            return shell_sum(lat, z, box, kind)
+
+        monkeypatch.setattr(shells, "shell_sum", spy)
         code, out = run_cli(capsys, "eval", *argv, "--tau", "1.1i", "--tol", "1e-6", "--route", "shell", "--format", "json")
         assert code == 0
         inputs = json.loads(out)["rows"][0]["inputs"]
         assert inputs["plan_route"] == "shell"
-        assert "plan_points" not in inputs
+        assert len(summed) == inputs.get("plan_boxes", 1) == boxes
+        assert sum((2 * c + 1) * (2 * d + 1) - 1 for c, d in summed) == inputs["plan_points"] == points
+        if boxes == 1:
+            assert summed == [(inputs["plan_c_max"], inputs["plan_d_max"])]
+
+    def test_shell_eval_plans_once(self, capsys, monkeypatch):
+        plans = []
+        plan_truncation = shells.plan_truncation
+
+        def spy(*args, **kwargs):
+            plans.append(plan_truncation(*args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(shells, "plan_truncation", spy)
+        code, out = run_cli(capsys, "eval", "f", "--s", "0", "--t", "1/2", "--tau", "20i", "--route", "shell", "--format", "json")
+        assert code == 0
+        assert len(plans) == 1
+        assert json.loads(out)["rows"][0]["inputs"]["plan_points"] == plans[0].point_count
+
+    def test_series_eval_reduces_once(self, capsys, monkeypatch):
+        from weierforms import evaluate, lattice
+
+        calls = []
+        reduce_points = lattice.reduce_points
+
+        def spy(lat, zs):
+            calls.append(zs)
+            return reduce_points(lat, zs)
+
+        # the evaluators call it through evaluate, reduce_lattice through lattice
+        monkeypatch.setattr(evaluate, "reduce_points", spy)
+        monkeypatch.setattr(lattice, "reduce_points", spy)
+        code, out = run_cli(capsys, "eval", "f", "--s", "1/3", "--t", "1/5", "--tau", "0.3+1.2i", "--format", "json")
+        assert code == 0
+        assert len(calls) == 1
+        assert json.loads(out)["rows"][0]["inputs"]["plan_route"] == "series"
 
 
 class TestDeterminism:

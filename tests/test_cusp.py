@@ -164,6 +164,14 @@ class TestRowBound:
             miss = abs(mp.mpf(total.value.real) - _mp_row_sum(k, im_tau))
         assert total.value.imag == 0.0 and miss <= total.error <= 1e-13 * total.value.real
 
+    def test_enclosure_at_a_large_real_part(self):
+        # the sum is invariant under tau -> tau + 1, and Re tau is reduced mod 1
+        # exactly: at 1e17 the near rows' tail starts no longer cancel to 0
+        at_i = lattice_row_sum_enclosure(3, 1j)
+        far = lattice_row_sum_enclosure(3, 1e17 + 1j)
+        assert (far.value, far.error) == (at_i.value, at_i.error)
+        assert lattice_row_sum_enclosure(3, 3e15 + 1j).error < 1e-13
+
 
 def _mp_row_sum(k, im_tau, dps=30):
     """The full sum at tau = i Y to dps digits by Poisson summation over d in each

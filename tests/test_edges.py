@@ -229,6 +229,12 @@ class TestShellSumEdges:
         with pytest.raises(DomainError):
             shell_sum(Lattice(1j, 1.0), 0.3, (-1, 2))
 
+    @pytest.mark.parametrize("box", [(2.5, 3), ("2", 3), (True, 3), (2, 3.0)])
+    def test_half_widths_must_be_integers(self, box):
+        # as ModularMatrix and as_rational: no float, string or bool is read as an int
+        with pytest.raises(DomainError, match="integers"):
+            shell_sum(Lattice(1j, 1.0), 0.3, box)
+
     def test_point_outside_margin(self):
         # the rounding bound needs |z| <= delta, as the planner does
         with pytest.raises(DomainError):

@@ -15,8 +15,10 @@ from weierforms import (
     Lattice,
     PoleError,
     PrecisionError,
+    RationalPair,
     describe_route,
     eta12,
+    eval_g,
     plan_truncation,
     shell_sum,
     shell_value,
@@ -663,7 +665,26 @@ class TestFullTolerancePlans:
             boxes.clear()
             fn(lat, z, tol, route="shell")
             info = describe_route(lat, z, tol, route="shell", kind=kind)
-            assert boxes == [(info["c_max"], info["d_max"])]
+            # the evaluation's box, then that of describe_route's own evaluation
+            assert boxes == [(info["c_max"], info["d_max"])] * 2
+
+    def test_describe_route_reports_every_box_of_a_label(self, monkeypatch):
+        # eval_g sums the label's box and the four of the eta2 difference
+        boxes = []
+
+        def spy(lat, z, box, kind="wp"):
+            boxes.append(tuple(box))
+            return shell_sum(lat, z, box, kind)
+
+        monkeypatch.setattr(shells, "shell_sum", spy)
+        label = (Fraction(4, 3), Fraction(1, 3))
+        eval_g(RationalPair.of(*label), 1.2j, 1e-6, route="shell")
+        summed = list(boxes)
+        boxes.clear()
+        info = describe_route(Lattice(1.2j, 1.0), label, 1e-6, route="shell", kind="wzeta")
+        assert boxes == summed
+        assert info == {"route": "shell", "boxes": 5, "points": 220}
+        assert sum((2 * c + 1) * (2 * d + 1) - 1 for c, d in summed) == 220
 
     def test_rounding_alone_over_tol_is_refused_before_summing(self, monkeypatch):
         # near the pole the principal part's rounding alone exceeds tol
