@@ -25,18 +25,9 @@ from .verify import SUITES, VerifyRow, cusp_row, format_complex, run_suite
 
 __all__ = ["main"]
 
-_NUM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_REAL_ONLY = re.compile(rf"^{_NUM}$")
-_IMAG_ONLY = re.compile(rf"^(?P<body>[+-]|{_NUM})?[ij]$")
-_BOTH = re.compile(rf"^(?P<re>{_NUM})(?P<im>[+-](?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?|[+-])[ij]$")
-
-
-def _imag_body(body: str | None) -> float:
-    if body is None or body == "+":
-        return 1.0
-    if body == "-":
-        return -1.0
-    return float(body)
+# the characters of a literal such as 1e-3, -2.5i or 0.5+2i; complex() alone
+# would also take underscores, parentheses, inf and nan
+_LITERAL = re.compile(r"[0-9.eE+\-ij]+")
 
 
 def parse_complex(text: str) -> complex:
@@ -46,14 +37,12 @@ def parse_complex(text: str) -> complex:
     than read as infinity.
     """
     s = text.strip()
-    if m := _IMAG_ONLY.match(s):
-        z = complex(0.0, _imag_body(m.group("body")))
-    elif _REAL_ONLY.match(s):
-        z = complex(float(s), 0.0)
-    elif m := _BOTH.match(s):
-        z = complex(float(m.group("re")), _imag_body(m.group("im")))
-    else:
-        raise WeierError(f"cannot parse complex number {text!r}")
+    try:
+        if not _LITERAL.fullmatch(s):
+            raise ValueError(s)
+        z = complex(s.replace("i", "j"))
+    except ValueError:
+        raise WeierError(f"cannot parse complex number {text!r}") from None
     if math.isinf(z.real) or math.isinf(z.imag):
         raise WeierError(f"cannot parse complex number {text!r}: component overflows binary64")
     return z
@@ -76,8 +65,8 @@ def _row_payload(row: VerifyRow) -> dict:
     }
 
 
-def _emit(command: str, args, rows: list[VerifyRow], notes: tuple[str, ...] = (), stream=None) -> None:
-    out = stream or sys.stdout
+def _emit(command: str, args, rows: list[VerifyRow], notes: tuple[str, ...] = ()) -> None:
+    out = sys.stdout
     fmt = args.output_format
     if fmt == "json":
         doc = {
@@ -118,8 +107,7 @@ def _emit(command: str, args, rows: list[VerifyRow], notes: tuple[str, ...] = ()
             out.write(f"# {note}\n")
 
 
-def _error_record(command: str, text: bool, exc: Exception, stream=None) -> None:
-    out = stream or sys.stdout
+def _error_record(command: str, text: bool, exc: Exception) -> None:
     record = {
         "command": command,
         "error": {"type": type(exc).__name__, "message": str(exc)},
@@ -127,7 +115,7 @@ def _error_record(command: str, text: bool, exc: Exception, stream=None) -> None
     if text:
         print(f"error: {record['error']['type']}: {record['error']['message']}", file=sys.stderr)
     else:
-        out.write(json.dumps(record) + "\n")
+        sys.stdout.write(json.dumps(record) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -373,15 +373,15 @@ class FormSpec:
 _STEPS = ((0, -1, 1, 0), (1, 1, 0, 1), (1, -1, 0, 1))
 
 
-def random_sl2(rng: random.Random, max_entry: int = 20, max_len: int = 24) -> ModularMatrix:
-    """Random word in the standard generators with all entries <= max_entry.
+def random_sl2(rng: random.Random, max_entry: int = 20) -> ModularMatrix:
+    """Random word of at most 24 standard generators with all entries <= max_entry.
 
     A word whose running product leaves the entry box is dropped and a new
     one drawn.  The product is walked on plain int tuples; only the accepted
     word becomes a ``ModularMatrix``.
     """
     while True:
-        length = rng.randint(0, max_len)
+        length = rng.randint(0, 24)
         a, b, c, d = 1, 0, 0, 1
         for _ in range(length):
             sa, sb, sc, sd = rng.choice(_STEPS)

@@ -68,14 +68,17 @@ mean value theorem on (s - w)^-(m+2) from s = 0 to z) resp.
 2 (2 c_max + 1) times that plus the closures' rounding, where (d_max + 1/2) h2
 >= 2|z| (so |t| <= 1/2), h2 rounded down and G lowered by the rounding of W.
 
-Box.  For each c_max, bound (i) leaves a share of tol less the a priori
-rounding (``bulk_rounding_bound``, the same for every box), and d_max is the
-least value whose bound (ii) meets it (the remainder's root in G, confirmed).
-The plan has the fewest points, the first c_max on a tie.  A larger c_max wins
-only with a smaller d_max, so the search jumps to the first c_max at which
-bound (i) (its value at 0 times exp(-2 pi Im tau c_max)) leaves d_max - 1 room,
-and stops when no smaller d_max fits or the least box of any larger c_max
-exceeds the best or POINT_BUDGET.  The lines number about log(1/tol) / Im tau.
+Box.  Bound (i) and (ii) share tol less the a priori rounding
+(``bulk_rounding_bound``, the same for every box).  c1 is the fewest far lines
+whose bound (i) is below that budget; for c_max in {c1, c1 + 1}, d_max is the
+fewest rows whose bound (ii) meets the rest, and the plan is the candidate with
+fewer points, c1 on a tie.  On a reduced basis no box has fewer points:
+Im tau >= sqrt(3)/2, so bound (i) falls by exp(-2 pi Im tau) < 1/230 per line,
+while bound (ii) is proportional to 2 c_max + 1 (the rows' rounding only adds
+to it), so from c1 + 1 on d_max cannot fall while c_max < 230.  The lines
+number about log(1/tol) / Im tau: at most 7 on reduced bases of scale e^-30 to
+e^30 at tol down to 1e-30.  On other bases the box meets tol, but a larger
+c_max may have fewer points.
 
 Budget.  A shell value is the principal part 1/z^2 resp. 1/z plus the sum and
 the closures; its certificate adds the tail bound (i) + (ii), the a priori
@@ -258,13 +261,14 @@ def plan_truncation(
     *,
     kind: str = "wp",
 ) -> TruncationPlan:
-    """The box with the fewest points whose tail bound plus :func:`bulk_rounding_bound` is <= tol.
+    """The box of the module docstring's rule (Box): its tail bound plus
+    :func:`bulk_rounding_bound` is <= tol, and on a reduced basis no box with
+    fewer points is, nor one with as many and a smaller c_max.
 
-    Found by the search of the module docstring (Box); the first c_max on a
-    tie.  Requires z_bound <= delta.  Raises PrecisionError when no box with
-    max(c_max, d_max) <= SHELL_CAP meets tol, when the best has more than
-    POINT_BUDGET points, when the rounding alone reaches tol, or when the
-    basis or the box lies outside the kernel's float range.
+    Requires z_bound <= delta.  Raises PrecisionError when the far lines need
+    more than SHELL_CAP lines, when neither candidate box meets tol within
+    SHELL_CAP rows and POINT_BUDGET points, when the rounding alone reaches
+    tol, or when the basis or the box lies outside the kernel's float range.
     """
     if kind not in _KINDS:
         raise DomainError(f"unknown summand kind {kind!r}")
@@ -279,62 +283,41 @@ def plan_truncation(
     if spent >= tol:
         raise PrecisionError(f"tolerance {tol:.3g} below the kernel's rounding bound {spent:.3g}")
     budget = tol - spent
-    l2, h2 = abs(lat.omega2), lat.geometry.h2 * _down(lat)
-    far0 = _far_bound(lat, kind, z_bound, 0)
     unreachable = PrecisionError(f"tolerance {tol:.3g} unreachable within the shell cap {SHELL_CAP}")
-    if far0 == math.inf:
+    far = _far_bound(lat, kind, z_bound, 0)
+    if far == math.inf:
         raise unreachable
+    l2, h2 = abs(lat.omega2), lat.geometry.h2 * _down(lat)
+    # c1, the fewest far lines within budget: bound (i) is its value at 0 times
+    # about exp(-2 pi Im tau c_max), so this start is at or below it
     decay = 2.0 * math.pi * lat.geometry.h1 / l2
-    # the remainder of bound (ii) is (2 c_max + 1) amp (|omega2|/G)^(2P+2)
-    amp = 2.0 * _EM_REM[kind] * z_bound ** (1 if kind == "wp" else 2) / (h2 * l2 * l2)
-
-    def root(c: int, share: float) -> float:
-        # every d_max below this misses share on c_max = c, or the margin
-        try:
-            grow = ((2 * c + 1) * amp / share) ** (1.0 / (2 * _EM_P + 2))
-        except (OverflowError, ZeroDivisionError):
-            return math.inf
-        return max(2.0 * z_bound, z_bound + l2 * grow) / h2 - 0.5
-
-    def first_line(share: float) -> int:
-        # a c_max at or below the first one whose bound (i) is <= share
-        if far0 <= share:
-            return 0
-        return max(0, math.floor((math.log(far0) - math.log(share)) / decay) - 1)
-
-    best = None  # (points, c_max, d_max, tail bound)
-    c = first_line(budget)
+    c = 0 if far <= budget else max(0, math.floor((math.log(far) - math.log(budget)) / decay) - 1)
     while c <= SHELL_CAP:
-        # a box with c_max >= c has at least this many points
-        least = (2 * c + 1) * (2.0 * max(1.0, root(c, budget)) + 1.0) - 1.0
-        if least > (best[0] if best else POINT_BUDGET):
+        if c:
+            far = _far_bound(lat, kind, z_bound, c)
+        if far < budget:
             break
-        far = _far_bound(lat, kind, z_bound, c)
-        if far >= budget:
-            c = max(c + 1, first_line(budget))
-            continue
-        # the smallest d_max whose bound (ii) meets the share, from just below the root
-        x = root(c, budget - far)
-        d = max(1, math.ceil(x - 1e-9 * max(1.0, x))) if x <= SHELL_CAP else SHELL_CAP + 1
-        while d <= SHELL_CAP and _partial_bound(lat, kind, z_bound, c, d) > budget - far:
-            d += 1
-        points = (2 * c + 1) * (2 * d + 1) - 1
-        if d <= SHELL_CAP and (best is None or points < best[0]):
-            best = (points, c, d, far + _partial_bound(lat, kind, z_bound, c, d))
-        # a larger c_max has fewer points only with d_max - 1, which needs
-        # bound (i) below what the lines of d - 1 leave at c + 1
-        room = budget - _partial_bound(lat, kind, z_bound, c + 1, d - 1)
-        if not room > 0.0:
-            break
-        c = max(c + 1, first_line(room))
-    if best is None:
-        if c <= SHELL_CAP:
-            raise PrecisionError(f"shell route needs more than {POINT_BUDGET:,} points, over the budget")
+        c += 1
+    else:
         raise unreachable
-    points, c, d, tail = best
+    # the remainder of bound (ii) is (2 c_max + 1) amp (|omega2|/G)^(2P+2); every
+    # d_max below its root misses the share, or the margin
+    amp = 2.0 * _EM_REM[kind] * z_bound ** (1 if kind == "wp" else 2) / (h2 * l2 * l2)
+    boxes = []
+    for c_max, far in ((c, far), (c + 1, _far_bound(lat, kind, z_bound, c + 1))):
+        # within SHELL_CAP and POINT_BUDGET; c1 + 1 has fewer points only with fewer rows
+        most = min(SHELL_CAP, ((POINT_BUDGET + 1) // (2 * c_max + 1) - 1) // 2, *(box[2] - 1 for box in boxes))
+        grow = ((2 * c_max + 1) * amp / (budget - far)) ** (1.0 / (2 * _EM_P + 2))
+        x = max(2.0 * z_bound, z_bound + l2 * grow) / h2 - 0.5
+        d = max(1, math.ceil(x - 1e-9 * max(1.0, x))) if x <= most else most + 1
+        while d <= most and (partial := _partial_bound(lat, kind, z_bound, c_max, d)) > budget - far:
+            d += 1
+        if d <= most:
+            boxes.append(((2 * c_max + 1) * (2 * d + 1) - 1, c_max, d, far + partial))
+    if not boxes:
+        raise PrecisionError(f"shell route needs more than {POINT_BUDGET:,} points, over the budget")
+    _, c, d, tail = min(boxes)
     _check_kernel_range(lat, kind, c, d + 1)
-    if points > POINT_BUDGET:
-        raise PrecisionError(f"shell route needs {points:,} points, over the budget {POINT_BUDGET:,}")
     return TruncationPlan(c, d, tail, lat.geometry.delta, kind, z_bound)
 
 

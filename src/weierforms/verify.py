@@ -148,12 +148,12 @@ def _agreement(
     )
 
 
-def _covariance_suite(name: str, weight: int, seed: int, tol: float, instances: int = 200) -> SuiteReport:
+def _covariance_suite(name: str, weight: int, seed: int, tol: float) -> SuiteReport:
     rng = random.Random(seed)
     tol = min(tol, 1e-9)
     evaluator = eval_f if weight == 2 else eval_g
     rows = []
-    for idx in range(instances):
+    for idx in range(200):
         p, mat, tau = _random_label(rng), random_sl2(rng), _random_tau(rng)
         lhs = slash(lambda w, tt: evaluator(p, w, tt), weight, mat, tau, tol)
         rhs = evaluator(pair_act(p, mat), tau, tol)

@@ -32,10 +32,20 @@ class TestComplexParsing:
             ("1.5e-3+2i", 1.5e-3 + 2j),
             ("-2.5i", -2.5j),
             ("3-4i", 3 - 4j),
+            ("+1.0i", 1j),
+            ("0+1i", 1j),
+            ("1j", 1j),
+            ("1e0i", 1j),
+            (".5-i", 0.5 - 1j),
         ],
     )
     def test_parse(self, text, expected):
         assert parse_complex(text) == expected
+
+    def test_signed_zeros(self):
+        for text, parts in (("-0", (-1.0, 1.0)), ("-0i", (1.0, -1.0)), ("0-0i", (1.0, -1.0)), ("-0-0i", (-1.0, -1.0))):
+            z = parse_complex(text)
+            assert (math.copysign(1.0, z.real), math.copysign(1.0, z.imag)) == parts, text
 
     def test_reject_garbage(self):
         from weierforms.errors import WeierError
@@ -44,6 +54,10 @@ class TestComplexParsing:
             parse_complex("10i+3")
         with pytest.raises(WeierError):
             parse_complex("")
+        # complex() alone would read these
+        for text in ("1_0i", "(1+2j)", "nan", "infj", "inf", "1+2J"):
+            with pytest.raises(WeierError, match="cannot parse complex number"):
+                parse_complex(text)
         # a component beyond the binary64 range is not read as infinity
         for text in ("1e999", "1e999i", "-1e999i", "1e999+1i", "1-1e999i", "1e999-1e999i"):
             with pytest.raises(WeierError, match="component overflows binary64"):
@@ -131,6 +145,21 @@ class TestEvalCommand:
         assert code == 2
         doc = json.loads(out)
         assert doc["error"]["type"] == "DomainError"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("f", "--s", "0", "--t", "1/2"), "eval f requires --tau"),
+            (("wp", "--tau", "1i"), "eval wp requires --z"),
+            (("wzeta", "--z", "0.3", "--omega1", "1i"), "eval wzeta requires --tau or both --omega1/--omega2"),
+            (("hU", "--tau", "2i"), "eval hU requires at least one --u s,t"),
+            (("hU", "--u", "1/3", "--tau", "2i"), "--u expects 's,t', got '1/3'"),
+        ],
+    )
+    def test_missing_arguments_are_records(self, capsys, argv, message):
+        code, out = run_cli(capsys, "eval", *argv, "--format", "json")
+        assert code == 2
+        assert _strict(out) == {"command": "eval", "error": {"type": "WeierError", "message": message}}
 
     def test_missing_r_rejected(self, capsys):
         code, out = run_cli(
@@ -339,6 +368,21 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit):
             main(["verify", "nonsense"])
 
+    def test_unknown_suite_in_process(self):
+        from weierforms import DomainError, run_suite
+
+        with pytest.raises(DomainError, match="unknown suite 'nope'"):
+            run_suite("nope")
+
+    def test_text_notes(self, capsys):
+        # the suite's notes and its summary close the text report as comments
+        code, out = run_cli(capsys, "verify", "cusp-h", "--format", "text")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[-2].startswith("# lattice-sum evaluation supports sqrt(3)*pi")
+        assert lines[-1] == "# cusp-h: 17/17 checks passed (seed 0)"
+        assert not any(line.startswith("#") for line in lines[:-2])
+
 
 class TestTableCommand:
     def test_table_grid(self, tmp_path, capsys):
@@ -353,6 +397,14 @@ class TestTableCommand:
         for row in doc["rows"]:
             assert row["status"] == "pass"
             assert row["inputs"]["residual"] < 1e-6
+
+    def test_blank_and_comment_lines_skipped(self, tmp_path, capsys):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("# labels\n\n   \nf 0 1/2  # the half-period\n\t\n# h 0 1/3 2\n")
+        code, out = run_cli(capsys, "table", "--grid", str(grid), "--Y", "20", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [(r["id"], r["inputs"]["form"], r["status"]) for r in rows] == [("row-000", "f(0,1/2)", "pass")]
 
     def test_empty_grid_ok(self, tmp_path, capsys):
         grid = tmp_path / "grid.txt"

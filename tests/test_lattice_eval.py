@@ -18,7 +18,9 @@ from weierforms import (
     RationalPair,
     describe_route,
     eta12,
+    eval_f,
     eval_g,
+    eval_h,
     plan_truncation,
     shell_sum,
     shell_value,
@@ -631,17 +633,81 @@ class TestFullTolerancePlans:
         assert abs(wp_value.value - mp_wp(20j, 0.5)) <= wp_value.error <= 1e-8
         assert abs(zeta_value.value - mp_wzeta(0.3 + 1.1j, 0.25 - 0.1j)) <= zeta_value.error <= 1e-8
 
-    @pytest.mark.parametrize("tol", [1e-3, 1e-5, 1e-7, 1e-9])
+    @pytest.mark.parametrize("tol", [1e-3, 1e-5, 1e-7, 1e-9, 1e-12])
     @pytest.mark.parametrize("basis", PLAN_BASES + [(0.5 + 0.866j, 1.0)])
     def test_plan_is_the_first_box_on_the_rule(self, basis, tol):
         lat = reduce_lattice(Lattice(*basis)).basis
-        for frac in (0.05, 0.5, 1.0):
+        for frac in (0.05, 0.5, 0.999, 1.0):
             for kind in ("wp", "wzeta"):
                 try:
                     plan = plan_truncation(lat, frac * lat.geometry.delta, tol, kind=kind)
                 except PrecisionError:
                     continue
                 assert _is_fewest_on_the_rule(lat, tol, plan), (frac, kind)
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
+    @pytest.mark.parametrize("basis", [(1 + 0.3j, 1.0), (1.0, 0.2 + 0.4j)])
+    def test_plan_off_a_reduced_basis_is_a_candidate(self, basis, tol):
+        # the two candidates by direct scans: c1, the first c_max whose bound (i)
+        # is below what the rounding leaves of tol, and c1 + 1, each with its
+        # fewest rows; the plan is the one with fewer points, and meets tol
+        lat = Lattice(*basis)
+        for frac in (0.05, 0.5, 0.999):
+            for kind in ("wp", "wzeta"):
+                z_bound = frac * lat.geometry.delta
+                rounding = bulk_rounding_bound(lat, z_bound, kind)
+                if rounding >= tol:
+                    with pytest.raises(PrecisionError, match="rounding bound"):
+                        plan_truncation(lat, z_bound, tol, kind=kind)
+                    continue
+                budget = tol - rounding
+                c1 = next(c for c in range(SHELL_CAP) if _far_bound(lat, kind, z_bound, c) < budget)
+                boxes = []
+                for c in (c1, c1 + 1):
+                    share = budget - _far_bound(lat, kind, z_bound, c)
+                    d = next(d for d in range(1, SHELL_CAP) if _partial_bound(lat, kind, z_bound, c, d) <= share)
+                    boxes.append(((2 * c + 1) * (2 * d + 1) - 1, c, d))
+                plan = plan_truncation(lat, z_bound, tol, kind=kind)
+                assert plan.box == min(boxes)[1:], (frac, kind)
+                assert plan.tail_bound + rounding <= tol
+                spent = _far_bound(lat, kind, z_bound, plan.c_max) + _partial_bound(lat, kind, z_bound, *plan.box)
+                assert plan.tail_bound == spent
+
+    def test_plan_off_a_reduced_basis_may_not_be_the_fewest(self):
+        # Im tau = 0.25: bound (i) falls by only exp(-pi/2) per line, and the
+        # box of c_max = 19, beyond the candidates 17 and 18, has fewer points
+        lat = Lattice(0.16426680087030032 + 0.24948510656751263j, 1.0)
+        z_bound, tol = 0.12474255328375632, 2.3379565877421616e-11
+        plan = plan_truncation(lat, z_bound, tol, kind="wzeta")
+        assert (plan.box, plan.point_count) == ((18, 8), 628)
+        rounding = bulk_rounding_bound(lat, z_bound, "wzeta")
+        assert _far_bound(lat, "wzeta", z_bound, 16) >= tol - rounding > _far_bound(lat, "wzeta", z_bound, 17)
+        assert _far_bound(lat, "wzeta", z_bound, 19) + _partial_bound(lat, "wzeta", z_bound, 19, 7) + rounding <= tol
+
+    def test_plans_evaluate_few_bounds(self, monkeypatch):
+        # the benchmark's two plans and the six of an h on the shell route
+        # evaluate no more bounds (i) and (ii) than the search they replaced
+        # did: 5, 7 and 42
+        calls = []
+
+        def counted(bound):
+            def spy(*args):
+                calls.append(args)
+                return bound(*args)
+
+            return spy
+
+        monkeypatch.setattr(shells, "_far_bound", counted(_far_bound))
+        monkeypatch.setattr(shells, "_partial_bound", counted(_partial_bound))
+        half, third = RationalPair.of(0, Fraction(1, 2)), RationalPair.of(0, Fraction(1, 3))
+        for run, parent in (
+            (lambda: eval_f(half, 20j, 1e-8, route="shell"), 5),
+            (lambda: wzeta_lattice(Lattice(0.3 + 1.1j, 1.0), 0.25 - 0.1j, 1e-8, route="shell"), 7),
+            (lambda: eval_h(2, third, 1.1j, 1e-6, route="shell"), 42),
+        ):
+            calls.clear()
+            run()
+            assert 0 < len(calls) <= parent
 
     @pytest.mark.parametrize(
         "basis,z,tol",
@@ -781,6 +847,13 @@ class TestErrors:
             assert abs(info.value.nearest - corner) < 1e-15
             cv = call(corner + 1.01 * POLE_RTOL * delta * direction)
             assert cmath.isfinite(cv.value)
+
+    def test_label_of_high_level_is_a_pole(self):
+        # the label (1/10^9, 0) is exactly off the lattice, but its point lies
+        # within POLE_RTOL of 0: refused by the label's name, nearest 0
+        with pytest.raises(PoleError, match=r"label \(1/1000000000, 0\)") as info:
+            eval_f(RationalPair.of(Fraction(1, 10**9), 0), 1j)
+        assert info.value.nearest == 0j
 
     def test_shell_route_at_a_lattice_point(self):
         # z = 0 and the first-shell points are poles, not a division by zero
