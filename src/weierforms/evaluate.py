@@ -4,11 +4,13 @@ Every evaluation first reduces the lattice once, and each of its points in
 the reduced basis, exactly (:func:`weierforms.lattice.reduce_points`); the
 forms of :mod:`weierforms.forms` pass their exact labels (s, t) rather than
 float points, and the parts of ``eval_h`` and ``eval_hU`` share that one
-reduction.  Each point is
-guarded against poles on its own result: the shell constant delta of the
-reduced basis (A, J) is at most |J|, so the guard reads the basis geometry
-only for points within 2 * POLE_RTOL * |J| of a lattice point.  Two routes
-then compute the value:
+reduction.  The reduction is at unit scale, the lattice over a power of two
+2**k, and wp and wzeta are homogeneous of weight 2 and 1: every route runs
+there at tol * 2**(w k), and :func:`_unscale` takes each result back.  Each
+point is guarded against poles on its own result: the shell constant delta
+of the reduced basis (A, J) is at most |J|, so the guard reads the basis
+geometry only for points within 2 * POLE_RTOL * |J| of a lattice point.  Two
+routes then compute the value:
 
 * ``series`` (also spelled ``auto``) - homogeneity scaling onto the reduced
   ratio and the exponentially convergent row-sum series of
@@ -37,8 +39,10 @@ certificates (exercised heavily by the test-suite).
 from __future__ import annotations
 
 import math
+import sys
+from dataclasses import replace
 
-from .arith import TWO_PI_I, CertifiedValue, _inverse
+from .arith import TWO_PI_I, CertifiedValue, _ball, _inverse, _new, _set_error, _set_value
 from .errors import DomainError, PoleError, PrecisionError
 from .lattice import Lattice, reduce_lattice, reduce_points
 from .shells import _RECORD, TruncationPlan, eta2_shell, shell_route, shell_value
@@ -46,7 +50,6 @@ from .trig import eta2_strip, wp_strip, z_strip
 
 __all__ = [
     "DEFAULT_TOL",
-    "TOL_FLOOR",
     "wp",
     "wp_lattice",
     "wzeta",
@@ -56,10 +59,10 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-8
-TOL_FLOOR = 1e-12
 POLE_RTOL = 1e-8
 
 _EPS = math.ulp(1.0)
+_NORMAL = sys.float_info.min
 _ROUTES = ("auto", "shell", "series")
 
 
@@ -81,8 +84,48 @@ def _as_tau(tau) -> complex:
 def _check_args(tol: float, route: str) -> None:
     if route not in _ROUTES:
         raise DomainError(f"route must be one of {_ROUTES}, got {route!r}")
-    if not TOL_FLOOR <= tol < math.inf:
-        raise DomainError(f"tolerance must be >= {TOL_FLOOR} and finite, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
+
+
+def _unit_tol(tol: float, e: int) -> float:
+    """tol * 2**e, the tolerance at unit scale; where that overflows, any is met."""
+    try:
+        return math.ldexp(tol, e)
+    except OverflowError:
+        return sys.float_info.max
+
+
+def _unscale(cv: CertifiedValue, e: int) -> CertifiedValue:
+    """cv times 2**e, back from the unit-scale reduction: exact in the normal
+    range, rounded once and then up as a ball (arith._ball) where a part leaves it."""
+    if not e:
+        return cv
+    v, r = cv.value, cv.error
+    try:
+        re, im, err = math.ldexp(v.real, e), math.ldexp(v.imag, e), math.ldexp(r, e)
+    except OverflowError:
+        raise PrecisionError(f"a value scaled by 2**{e} from the unit-scale lattice leaves the float range") from None
+    if abs(re) < _NORMAL and v.real or abs(im) < _NORMAL and v.imag or err < _NORMAL and r:
+        return _ball(complex(re, im), err)
+    cv = _new(CertifiedValue)
+    _set_value(cv, complex(re, im))
+    _set_error(cv, err)
+    return cv
+
+
+def _basis_route(red, z: complex, tol: float, kind: str) -> CertifiedValue:
+    """shell_route on the unit-scale basis of red at z within tol: the value and
+    the plan it records at the caller's scale."""
+    e = (2 if kind == "wp" else 1) * red.k
+    try:
+        cv = shell_route(red.basis, z, _unit_tol(tol, e), kind)
+    except PrecisionError as exc:  # its figures are those at unit scale
+        raise (PrecisionError(f"{exc} (on the lattice times 2**{-red.k})") if e else exc) from None
+    if e and (record := _RECORD.get()) is not None:
+        p = record[-1]
+        record[-1] = replace(p, tail_bound=math.ldexp(p.tail_bound, -e), shell_constant=math.ldexp(p.shell_constant, red.k))
+    return _unscale(cv, -e)
 
 
 def _reduce(lat: Lattice, zs):
@@ -100,10 +143,11 @@ def _reduce(lat: Lattice, zs):
     for z, red in zip(zs, reduce_points(lat, zs)):
         pt = abs(red.point)
         if pt < 2.0 * POLE_RTOL * abs(red.jj) and pt < POLE_RTOL * red.basis.geometry.delta:
+            # 2**k, the caller's scale against red's, is a float: -1074 <= k < 1024
             if type(z) is tuple:
-                what, nearest = f"label ({z[0]}, {z[1]})", red.m * red.aa + red.n * red.jj
+                what, nearest = f"label ({z[0]}, {z[1]})", (red.m * red.aa + red.n * red.jj) * 2.0**red.k
             else:
-                what, nearest = f"z = {z!r}", z - red.point
+                what, nearest = f"z = {z!r}", z - red.point * 2.0**red.k
             raise PoleError(f"{what} lies on the lattice (within {POLE_RTOL:g} * shell constant)", nearest=nearest)
         if record is not None:
             record.append(red)
@@ -143,7 +187,7 @@ def _zeta(reds, tol: float, route: str, klein: bool) -> list[CertifiedValue]:
     parts = []
     eta_tol = None
     for red in reds:
-        part = tol * abs(red.jj)
+        part = _unit_tol(tol, red.k) * abs(red.jj)
         if klein:
             # |z0| <= |tau|: the share of eta2 is the same for every label; u is rounded once
             coeff, bound, dw, k = (-red.z0 if shell else 0j), abs(red.tau), 0.0, red.u and CertifiedValue(red.u, 0.5 * _EPS * abs(red.u))
@@ -173,7 +217,7 @@ def _zeta(reds, tol: float, route: str, klein: bool) -> list[CertifiedValue]:
         if k:
             base = base + TWO_PI_I * k
         # + 0.0, exact, makes a zero component +0.0 whichever terms were absent
-        values.append((base + 0.0 if 0.0 in (base.value.real, base.value.imag) else base) * inv)
+        values.append(_unscale((base + 0.0 if 0.0 in (base.value.real, base.value.imag) else base) * inv, -red.k))
     return values
 
 
@@ -185,8 +229,9 @@ def _evaluate(reds, tol: float, route: str, kind: str) -> list[CertifiedValue]:
     if kind != "wp":
         return _zeta(reds, tol, route, kind == "klein")
     if route == "shell":
-        return [shell_route(red.basis, red.point, tol, kind) for red in reds]
-    return [wp_strip(red.tau, red.z0, tol * abs(red.jj) ** 2) * _inverse(red.jj, 2) for red in reds]
+        return [_basis_route(red, red.point, tol, kind) for red in reds]
+    return [_unscale(wp_strip(red.tau, red.z0, _unit_tol(tol, 2 * red.k) * abs(red.jj) ** 2) * _inverse(red.jj, 2), -2 * red.k)
+            for red in reds]
 
 
 def _dispatch(lat, z, tol, route, kind) -> CertifiedValue:
@@ -195,8 +240,8 @@ def _dispatch(lat, z, tol, route, kind) -> CertifiedValue:
     z = complex(z)
     (red,) = _reduce(lat, (z,))
     if route == "shell":
-        # the ground truth sums at z itself, using no (quasi-)periodicity
-        return shell_route(red.basis, z, tol, kind)
+        # the ground truth sums at z itself, at unit scale, using no (quasi-)periodicity
+        return _basis_route(red, _unscale(CertifiedValue(z, 0.0), -red.k).value, tol, kind)
     return _evaluate((red,), tol, route, kind)[0]
 
 
@@ -240,9 +285,8 @@ def _label_values(tau, labels, part: float, route: str, kind: str) -> list[Certi
     standing for the point s*tau + t, one reduction for all, at a share of a
     tolerance that the caller checked with ``_check_args``.
 
-    ``kind`` is "wp", "wzeta" or "klein" (:func:`_zeta`).  The share may lie
-    below TOL_FLOOR; where rounding then exceeds it, the certificate is
-    honestly larger than the share.
+    ``kind`` is "wp", "wzeta" or "klein" (:func:`_zeta`).  Where rounding
+    exceeds the share, the certificate is honestly larger than the share.
     """
     return _evaluate(_reduce(Lattice(_as_tau(tau), 1.0), labels), part, route, kind)
 
@@ -262,10 +306,10 @@ def eta12(tau, tol: float = DEFAULT_TOL, *, route: str = "auto") -> tuple[Certif
     a, b, c, d = red.matrix
     coeff = max(abs(a) + abs(b), abs(c) + abs(d), 1)
     # eta2_r within tol |J| / (4 coeff |tau_r|), so that eta1_r is within tol |J| / (4 coeff)
-    eta2_r = _eta2(red.tau, 0.25 * tol * abs(red.jj) / coeff / abs(red.tau), route)
+    eta2_r = _eta2(red.tau, 0.25 * _unit_tol(tol, red.k) * abs(red.jj) / coeff / abs(red.tau), route)
     eta1_r = eta2_r * red.tau - TWO_PI_I
     inv = _inverse(red.jj)
-    return (eta1_r * d - eta2_r * b) * inv, (eta1_r * (-c) + eta2_r * a) * inv
+    return _unscale((eta1_r * d - eta2_r * b) * inv, -red.k), _unscale((eta1_r * (-c) + eta2_r * a) * inv, -red.k)
 
 
 def _reported(fn, *args, **kwargs) -> tuple:
@@ -282,7 +326,7 @@ def _reported(fn, *args, **kwargs) -> tuple:
     if not plans:
         red = record[0]
         return value, {"route": "series", "reduced_tau_re": red.tau.real, "reduced_tau_im": red.tau.imag,
-                       "scale_modulus": abs(red.jj)}
+                       "scale_modulus": math.ldexp(abs(red.jj), red.k)}
     if len(plans) > 1:
         return value, {"route": "shell", "boxes": len(plans), "points": sum(p.point_count for p in plans)}
     (p,) = plans

@@ -268,7 +268,7 @@ def eval_h(r: int, p: RationalPair, tau: complex, tol: float = DEFAULT_TOL, *, r
     Klein-form logarithmic derivative (``evaluate._zeta``).  Both parts are
     evaluated at tolerance tol/(|r|+1) so the certified error of the
     difference stays below tol despite the cancellation; they share one
-    reduction of the lattice.  The share may undercut the tolerance floor.
+    reduction of the lattice.
     """
     _check_h(r, p)
     _check_args(tol, route)

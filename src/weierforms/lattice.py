@@ -6,13 +6,12 @@ a list of points in its reduced basis, in exact integer arithmetic, and
 rounds each output once (``reduce_lattice`` is its one-point case); a point is
 a complex number or an exact label (s, t), the point s*omega1 + t*omega2 in
 basis coordinates.  The basis change is unimodular, so it never changes the
-underlying point set.
+underlying point set, and the reduction is at unit scale (:class:`Reduction`).
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,14 +25,6 @@ __all__ = [
     "reduce_points",
     "reduce_tau_matrix",
 ]
-
-
-_NORMAL_MIN = sys.float_info.min
-
-
-def _imag_product(a: complex, b: complex) -> float:
-    """Im(a * conj(b)) without forming the product's real part error-prone way."""
-    return a.imag * b.real - a.real * b.imag
 
 
 @dataclass(frozen=True)
@@ -80,15 +71,16 @@ class Lattice:
     def __post_init__(self):
         w1 = complex(self.omega1)
         w2 = complex(self.omega2)
-        d = _imag_product(w1, w2)
-        try:
-            scale = abs(w1) * abs(w2)
-        except OverflowError:
-            # abs() of a finite generator whose modulus exceeds the float range
-            raise DomainError(f"generator modulus outside the float range: ({w1!r}, {w2!r})") from None
-        if scale == 0.0 or abs(d) <= 1e-15 * scale:
+        if not (w1 and w2):
             raise DomainError("generators must be R-linearly independent and nonzero")
-        if d < 0.0:
+        # the ratio in either order, as the lattice does not depend on it
+        tau, inv = w1 / w2, w2 / w1
+        size = math.hypot(tau.real, tau.imag)
+        if not (size < math.inf and math.hypot(inv.real, inv.imag) < math.inf):
+            raise DomainError(f"generator ratio ({w1!r})/({w2!r}) or its inverse leaves the float range")
+        if not abs(tau.imag) > 1e-15 * size:
+            raise DomainError("generators must be R-linearly independent and nonzero")
+        if tau.imag < 0.0:
             w1, w2 = w2, w1
         object.__setattr__(self, "omega1", w1)
         object.__setattr__(self, "omega2", w2)
@@ -100,7 +92,8 @@ class Lattice:
 
     @property
     def covolume(self) -> float:
-        return _imag_product(self.omega1, self.omega2)
+        # Im(omega1 * conj(omega2))
+        return self.omega1.imag * self.omega2.real - self.omega1.real * self.omega2.imag
 
     @cached_property
     def geometry(self) -> LatticeGeometry:
@@ -154,12 +147,13 @@ class Reduction:
     reduced basis is (A, J) = (a*omega1 + b*omega2, c*omega1 + d*omega2), with
     ratio ``tau`` = A/J in the fundamental domain, so (A, J) is
     Lagrange-reduced: J is a shortest nonzero vector and
-    |Re(A*conj(J))| <= |J|**2 / 2.  ``aa`` is A and ``jj`` is J, so the
-    lattice is jj * (tau*Z + Z); ``basis`` is the Lattice (A, J).  The point
-    splits as z = point + m*A + n*J with point = u*A + v*J, u and v in
-    [-1/2, 1/2]; ``u`` is that A-coordinate, and ``z0`` = point/J = u*tau + v
-    is the image of the point on tau*Z + Z.  Every float field is its exact
-    value rounded once.
+    |Re(A*conj(J))| <= |J|**2 / 2.  The point splits as z = P + m*A + n*J
+    with P = u*A + v*J, u and v in [-1/2, 1/2]; ``u`` is that A-coordinate,
+    and ``z0`` = P/J = u*tau + v is the image of the point on tau*Z + Z.
+    ``aa``, ``jj`` and ``point`` are A, J and P at unit scale, times 2**-k for
+    the int ``k`` that puts |jj| in [1, 2*sqrt(2)) (or |aa| below 2**1024,
+    where |tau| passes 2**1022); ``basis`` is the Lattice (aa, jj).  Every
+    float field is its exact value rounded once.
     """
 
     matrix: tuple[int, int, int, int]
@@ -171,6 +165,7 @@ class Reduction:
     u: float
     m: int
     n: int
+    k: int
 
     @cached_property
     def basis(self) -> Lattice:
@@ -192,9 +187,10 @@ def reduce_points(lat: Lattice, zs) -> list[Reduction]:
     The lattice is reduced once: omega1, omega2 and the complex points are
     written as Gaussian integers over one common power of two, the matrix is
     applied in integers, and each output component is one correctly rounded
-    int / int.  A label's coordinates in (A, J) are (s*d - t*c, t*a - s*b),
-    over the label's level.  Every output is an exact rational rounded once,
-    so each Reduction equals the one-point reduction of its point.
+    int / int, the lengths over the power of two of the unit scale.  A label's
+    coordinates in (A, J) are (s*d - t*c, t*a - s*b), over the label's level.
+    Every output is an exact rational rounded once, so each Reduction equals
+    the one-point reduction of its point.
     """
     zs = [z if type(z) is tuple else complex(z) for z in zs]
     for z in zs:
@@ -210,49 +206,44 @@ def reduce_points(lat: Lattice, zs) -> list[Reduction]:
     w1r, w1i, w2r, w2i, *zints = (p * (den // q) for p, q in ratios)
     ar, ai = a * w1r + b * w2r, a * w1i + b * w2i
     jr, ji = c * w1r + d * w2r, c * w1i + d * w2i
+    # 2**k = unit/den puts J's larger component in [1, 2) and A's below 2**1023
+    unit = 1 << max(max(abs(jr), abs(ji)).bit_length() - 1, max(abs(ar), abs(ai)).bit_length() - 1023)
+    k = unit.bit_length() - den.bit_length()
     norm = jr * jr + ji * ji
     # Im(A conj J) > 0 in units of den**2: the coefficients of z in (A, J)
     # are Im(z conj J) / det and Im(A conj z) / det
     det = ai * jr - ar * ji
     zints = iter(zints)
+    tr = ar * jr + ai * ji
+    tau = complex(tr / norm, det / norm)
+    aa = complex(ar / unit, ai / unit)
+    jj = complex(jr / unit, ji / unit)
     reds = []
-    try:
-        tr = ar * jr + ai * ji
-        tau = complex(tr / norm, det / norm)
-        aa = complex(ar / den, ai / den)
-        jj = complex(jr / den, ji / den)
-        for z in zs:
-            if type(z) is tuple:
-                # the label over its level L: (s, t) = (S, T) / L, and its
-                # coordinates in (A, J) are (S*d - T*c, T*a - S*b) / L
-                s, t = z
-                level = math.lcm(s.denominator, t.denominator)
-                sn, tn = s.numerator * (level // s.denominator), t.numerator * (level // t.denominator)
-                un, vn = sn * d - tn * c, tn * a - sn * b
-                m, n = _nearest(un, level), _nearest(vn, level)
-                un -= m * level
-                vn -= n * level
-                scale, zscale = level * den, level * norm
-                point = complex((un * ar + vn * jr) / scale, (un * ai + vn * ji) / scale)
-                # z0 = (un*tau + vn) / L with tau = (tr + i*det) / norm
-                z0 = complex((un * tr + vn * norm) / zscale, un * det / zscale)
-                u = un / level
-            else:
-                zr, zi = next(zints), next(zints)
-                m = _nearest(zi * jr - zr * ji, det)
-                n = _nearest(ai * zr - ar * zi, det)
-                pr, pi = zr - m * ar - n * jr, zi - m * ai - n * ji
-                point = complex(pr / den, pi / den)
-                z0 = complex((pr * jr + pi * ji) / norm, (pi * jr - pr * ji) / norm)
-                u = (pi * jr - pr * ji) / det
-            reds.append(Reduction(matrix, tau, aa, jj, point, z0, u, m, n))
-        in_range = norm / (den * den) >= _NORMAL_MIN
-    except OverflowError:
-        in_range = False
-    # |J|**2 must be a normal float: the geometry divides by it and the
-    # evaluators scale by J**-2
-    if not in_range:
-        raise DomainError(f"lattice ({lat.omega1!r}, {lat.omega2!r}) leaves the float range once reduced")
+    for z in zs:
+        if type(z) is tuple:
+            # the label over its level L: (s, t) = (S, T) / L, and its
+            # coordinates in (A, J) are (S*d - T*c, T*a - S*b) / L
+            s, t = z
+            level = math.lcm(s.denominator, t.denominator)
+            sn, tn = s.numerator * (level // s.denominator), t.numerator * (level // t.denominator)
+            un, vn = sn * d - tn * c, tn * a - sn * b
+            m, n = _nearest(un, level), _nearest(vn, level)
+            un -= m * level
+            vn -= n * level
+            scale, zscale = level * unit, level * norm
+            point = complex((un * ar + vn * jr) / scale, (un * ai + vn * ji) / scale)
+            # z0 = (un*tau + vn) / L with tau = (tr + i*det) / norm
+            z0 = complex((un * tr + vn * norm) / zscale, un * det / zscale)
+            u = un / level
+        else:
+            zr, zi = next(zints), next(zints)
+            m = _nearest(zi * jr - zr * ji, det)
+            n = _nearest(ai * zr - ar * zi, det)
+            pr, pi = zr - m * ar - n * jr, zi - m * ai - n * ji
+            point = complex(pr / unit, pi / unit)
+            z0 = complex((pr * jr + pi * ji) / norm, (pi * jr - pr * ji) / norm)
+            u = (pi * jr - pr * ji) / det
+        reds.append(Reduction(matrix, tau, aa, jj, point, z0, u, m, n, k))
     return reds
 
 

@@ -300,15 +300,18 @@ def plan_truncation(
         c += 1
     else:
         raise unreachable
-    # the remainder of bound (ii) is (2 c_max + 1) amp (|omega2|/G)^(2P+2); every
-    # d_max below its root misses the share, or the margin
+    # bound (ii) exceeds its remainder, (2 c_max + 1) amp (|omega2|/G)^(2P+2), and
+    # the rounding of its k = 1 closures, (2 c_max + 1) lead |omega2| / G^p (wp:
+    # p = 3, wzeta: 2); every d_max below either root misses the share, or the margin
     amp = 2.0 * _EM_REM[kind] * z_bound ** (1 if kind == "wp" else 2) / (h2 * l2 * l2)
+    lead = 2.0 * _CLOSURE_U * _U * abs(_EM_HALF[0]) * (2.0 if kind == "wp" else 1.0)
     boxes = []
     for c_max, far in ((c, far), (c + 1, _far_bound(lat, kind, z_bound, c + 1))):
         # within SHELL_CAP and POINT_BUDGET; c1 + 1 has fewer points only with fewer rows
         most = min(SHELL_CAP, ((POINT_BUDGET + 1) // (2 * c_max + 1) - 1) // 2, *(box[2] - 1 for box in boxes))
         grow = ((2 * c_max + 1) * amp / (budget - far)) ** (1.0 / (2 * _EM_P + 2))
-        x = max(2.0 * z_bound, z_bound + l2 * grow) / h2 - 0.5
+        reach = ((2 * c_max + 1) * lead * l2 / (budget - far)) ** (1.0 / (3 if kind == "wp" else 2))
+        x = max(2.0 * z_bound, z_bound + l2 * grow, z_bound + reach) / h2 - 0.5
         d = max(1, math.ceil(x - 1e-9 * max(1.0, x))) if x <= most else most + 1
         while d <= most and (partial := _partial_bound(lat, kind, z_bound, c_max, d)) > budget - far:
             d += 1

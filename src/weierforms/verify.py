@@ -477,7 +477,7 @@ SUITES = {
 
 def run_suite(name: str, seed: int = 0, tol: float = DEFAULT_TOL) -> SuiteReport:
     """Run the named suite; ``seed`` drives its random instances and ``tol``
-    (at least TOL_FLOOR) caps the tolerance of every evaluation."""
+    (positive and finite) caps the tolerance of every evaluation."""
     _check_args(tol, "auto")
     try:
         fn = SUITES[name]

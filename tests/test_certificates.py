@@ -10,12 +10,12 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from weierforms import (
-    DomainError,
     Lattice,
     PrecisionError,
     RationalPair,
@@ -149,7 +149,9 @@ class TestShellSoundnessGrid:
     def test_shell_certificates_contain_oracle(self, im_tau, re_tau):
         tau = complex(re_tau, im_tau)
         lat = Lattice(tau, 1.0)
-        delta = reduce_lattice(lat).basis.geometry.delta
+        # the shell constant of the reduced basis, at the caller's scale
+        red = reduce_lattice(lat)
+        delta = math.ldexp(red.basis.geometry.delta, red.k)
         for k, (rho, theta) in enumerate(self.OFFSETS):
             z = rho * delta * cmath.exp(1j * theta)
             for j, (kind, fn, oracle) in enumerate(
@@ -481,7 +483,7 @@ class TestEtaCertificates:
     At tol 1e-8 the tail of the closed eta2 series dominates these
     certificates, and near Re tau = 0 its rows all have one sign, so the
     geometric tail bound is nearly tight (the error is 0.996 of the
-    certificate at tau = i).  At the floor 1e-12 the rounding term dominates.
+    certificate at tau = i).  At 1e-12 the rounding term dominates.
     """
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-12])
@@ -492,7 +494,7 @@ class TestEtaCertificates:
 
 
 class TestToleranceFloor:
-    """TOL_FLOOR bounds the requested tol, not the shares handed to the parts."""
+    """Tolerances at and below 1e-12, requested or handed to the parts as shares."""
 
     @pytest.mark.parametrize("tol", [1.9e-10, 1.5e-12])
     def test_far_point(self, tol):
@@ -521,5 +523,34 @@ class TestToleranceFloor:
         assert abs(cv.value - truth) <= cv.error
 
     def test_requested_tol_below_floor(self):
-        with pytest.raises(DomainError, match="tolerance must be >= 1e-12"):
-            wzeta(1.6 + 0.021j, -2.44 + 1.05j, 5e-13)
+        tau, z = 1.6 + 0.021j, -2.44 + 1.05j
+        cv = wzeta(tau, z, 5e-13)
+        assert abs(cv.value - mp_wzeta(tau, z, rows=12, dps=30)) <= cv.error
+
+    @pytest.mark.parametrize("tol", [1e-15, 1e-100, 5e-324])
+    def test_tolerances_below_reach(self, tol):
+        # the series route returns its honestly larger certificate; the forced
+        # shell route refuses the tolerance at once, as one it cannot reach
+        import mpmath as mp
+
+        tau, z = 0.3 + 0.01j, 0.21 + 0.0043j
+        p = RationalPair.of(Fraction(1, 3), Fraction(1, 5))
+        with mp.workdps(30):
+            h_truth = 2 * _torsion_g(p, tau) - _torsion_g(p.scaled(2), tau)
+        calls = {
+            "wp": (lambda route: wp(tau, z, tol, route=route), mp_wp_mpc(tau, z, rows=12, dps=30)),
+            "wzeta": (lambda route: wzeta(tau, z, tol, route=route), mp_wzeta_mpc(tau, z, rows=12, dps=30)),
+            "f": (
+                lambda route: eval_f(p, tau, tol, route=route),
+                mp_wp_mpc(tau, mp_torsion_point(p.s, p.t, tau, 30), rows=12, dps=30),
+            ),
+            "h": (lambda route: eval_h(2, p, tau, tol, route=route), h_truth),
+        }
+        for k, eta in enumerate(mp_eta12(tau, rows=12, dps=30)):
+            calls[f"eta{k + 1}"] = (lambda route, k=k: eta12(tau, tol, route=route)[k], eta)
+        for name, (call, truth) in calls.items():
+            _assert_contains(call("series"), truth, name, tol)
+            start = time.perf_counter()
+            with pytest.raises(PrecisionError):
+                call("shell")
+            assert time.perf_counter() - start < 1.0, (name, tol)

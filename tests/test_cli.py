@@ -562,12 +562,12 @@ class TestFlags:
     def test_tolerance_floor_record(self, capsys, argv):
         # reported before the command runs, like every other error: one line
         # on stderr in text format, a JSON record on stdout in json format
-        message = "tolerance must be >= 1e-12 and finite, got 1e-15"
-        assert main([*argv, "--tol", "1e-15", "--format", "text"]) == 2
+        message = "tolerance must be positive and finite, got 0.0"
+        assert main([*argv, "--tol", "0", "--format", "text"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: DomainError: {message}\n"
-        code, out = run_cli(capsys, *argv, "--tol", "1e-15", "--format", "json")
+        code, out = run_cli(capsys, *argv, "--tol", "0", "--format", "json")
         assert code == 2
         assert json.loads(out) == {"command": argv[0], "error": {"type": "DomainError", "message": message}}
 

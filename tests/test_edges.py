@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import cmath
 import math
+import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -26,6 +29,8 @@ from weierforms import (
 )
 from weierforms.shells import POINT_BUDGET, SHELL_CAP, _far_bound, bulk_rounding_bound, shell_route
 from weierforms.trig import wp_strip, z_strip
+
+from oracles import mp_lattice, mp_wp_mpc, mp_wzeta_mpc
 
 
 # (kind, basis, z, tol, cap, summed, forced-shell refusal): an admitted box
@@ -124,14 +129,33 @@ class TestDispatchEdges:
 
 
 class TestTinyLattices:
-    # |J|**2 of the reduced basis underflows, or the reduced ratio overflows
+    # each lattice is evaluated at unit scale: a result beyond the float range
+    # raises PrecisionError naming the scale, and one within it is sound
     @pytest.mark.parametrize(
         "fn,args",
-        [(wp, (1e-300j, 0.1)), (wzeta, (1e-170j, 0.1)), (wp, (5e-324j, 0.1)), (eta12, (1e-300j,))],
+        [
+            (wp, (1e-300j, 0.1)),
+            (wzeta, (1e-170j, 0.1)),
+            (wp, (5e-324j, 0.1)),
+            (eta12, (1e-300j,)),
+            (wzeta, (1e-170j, 1e-171 + 1e-172j)),
+        ],
     )
     def test_out_of_float_range(self, fn, args):
-        with pytest.raises(DomainError, match="leaves the float range once reduced"):
-            fn(*args)
+        import mpmath as mp
+
+        if args[0] == 5e-324j:
+            # the inverse ratio, 2**1074, is not a float
+            with pytest.raises(DomainError, match="generator ratio .* leaves the float range"):
+                fn(*args)
+        elif args[1:] == (1e-171 + 1e-172j,):
+            # about 9.9e170
+            cv = fn(*args)
+            with mp.workdps(30):
+                assert abs(mp.mpc(cv.value) - mp_wzeta_mpc(*args, rows=12, dps=30)) <= cv.error
+        else:
+            with pytest.raises(PrecisionError, match=r"scaled by 2\*\*\d+ .* leaves the float range"):
+                fn(*args)
 
 
 class TestHugeLattices:
@@ -163,19 +187,21 @@ class TestHugeLattices:
         with pytest.raises(PoleError):
             wp(1e155j, 1e-12, 1e-8)
 
-    # a square basis of scale 1e60: the planner's coefficients are in range,
-    # but the wp kernel's denominator (z^2 - w^2)^2 w^2 ~ |w|^6 is not
+    # a square basis of scale 1e60: the wp kernel's denominator
+    # (z^2 - w^2)^2 w^2 ~ |w|^6 would leave the float range, but the shell
+    # route sums the unit-scale basis
     def test_shell_kernel_out_of_float_range(self):
         lat = Lattice(1e60j, 1e60)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(PrecisionError, match="float range"):
-                wp_lattice(lat, 3e59, 1e-4, route="shell")
-        assert describe_route(lat, 3e59, 1e-4, route="shell") == {"route": "shell", "feasible": False}
-        series = wp_lattice(lat, 3e59, 1e-4, route="series")
+            shell = wp_lattice(lat, 3e59, 1e-124, route="shell")
+        assert describe_route(lat, 3e59, 1e-124, route="shell")["shell_constant"] == 1e60
+        series = wp_lattice(lat, 3e59, 1e-124, route="series")
+        assert abs(shell.value - series.value) <= shell.error + series.error
         # wp(lambda L, lambda z) = lambda^-2 wp(L, z)
         unit = wp_lattice(Lattice(1j, 1.0), 0.3, 1e-12, route="series")
-        assert abs(series.value * 1e120 - unit.value) <= series.error * 1e120 + unit.error + 1e-12
+        for cv in (shell, series):
+            assert abs(cv.value * 1e120 - unit.value) <= cv.error * 1e120 + unit.error + 1e-12
 
     @pytest.mark.parametrize(
         "fn,route,value_hex,error_hex",
@@ -201,9 +227,88 @@ class TestHugeLattices:
         # finite components, |w| above the largest float: abs() overflows
         w = complex(1.5e308, 1.5e308)
         for make in (lambda: Lattice(w, 1.0), lambda: Lattice(1.0, w), lambda: wp_lattice((w, 1.0), 0.1)):
-            with pytest.raises(DomainError, match="modulus outside the float range"):
+            with pytest.raises(DomainError, match="generator ratio .* leaves the float range"):
                 make()
         assert Lattice(complex(1.2e308, 1.2e308), 1.0).omega1 == complex(1.2e308, 1.2e308)
+
+
+def _scaled_requests(seed: int, count: int = 16):
+    """(kind, fn, route, basis, z, tol) on unit-size lattices: random ratios
+    in random unimodular bases, rotated, with |z| within the shell margin."""
+    rng = random.Random(seed)
+    for i in range(count):
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.9, 3.0))
+        w2 = cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0 * math.pi))
+        a, b, c, d = rng.choice(((1, 0, 0, 1), (0, -1, 1, 0), (2, 1, 1, 1), (1, -3, 1, -2)))
+        basis = (a * tau * w2 + b * w2, c * tau * w2 + d * w2)
+        delta = abs(w2) * Lattice(tau, 1.0).geometry.delta
+        z = rng.uniform(0.2, 0.9) * delta * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        kind, fn = (("wp", wp_lattice), ("wzeta", wzeta_lattice))[i % 2]
+        yield kind, fn, ("series", "shell")[i // 2 % 2], basis, z, 10.0 ** rng.uniform(-12.0, -5.0)
+
+
+class TestScale:
+    """wp(lambda L, lambda z) = lambda^-2 wp(L, z) and wzeta(lambda L, lambda z)
+    = lambda^-1 wzeta(L, z); every lattice is evaluated at unit scale."""
+
+    @pytest.mark.parametrize("k", [-1000, -500, -100, 100, 500, 1000])
+    def test_power_of_two_scale(self, k):
+        # at lambda = 2**k the result is the unit one times lambda^-w, bit for
+        # bit, wherever that and the tolerance stay normal; otherwise it is
+        # sound, or PrecisionError names the scale
+        import mpmath as mp
+
+        for kind, fn, route, basis, z, tol in _scaled_requests(k):
+            w = 2 if kind == "wp" else 1
+            with mp.workdps(30):
+                scaled_tol = min(max(float(mp.ldexp(tol, -w * k)), math.ulp(0.0)), sys.float_info.max)
+            big = Lattice(*(complex(math.ldexp(x.real, k), math.ldexp(x.imag, k)) for x in basis))
+            zk = complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+            try:
+                unit = fn(Lattice(*basis), z, tol, route=route)
+            except PrecisionError:
+                with pytest.raises(PrecisionError):
+                    fn(big, zk, scaled_tol, route=route)
+                continue
+            with mp.workdps(30):
+                # the unit result times lambda^-w, exactly
+                parts = [mp.ldexp(x, -w * k) for x in (unit.value.real, unit.value.imag, unit.error)]
+            exact_tol = math.ldexp(scaled_tol, w * k) == tol
+            normal = exact_tol and all(y == 0 or sys.float_info.min <= abs(y) <= sys.float_info.max for y in parts)
+            try:
+                cv = fn(big, zk, scaled_tol, route=route)
+            except PrecisionError as exc:
+                # the result leaves the float range, or the shell route cannot
+                # reach a tolerance that itself left it
+                overflow = "scaled by 2**" in str(exc) and max(map(abs, parts)) > sys.float_info.max
+                assert overflow or (route == "shell" and not exact_tol), (kind, route, k, str(exc))
+                continue
+            if normal:
+                assert (cv.value, cv.error) == (complex(*map(float, parts[:2])), float(parts[2])), (kind, route, k, basis, z)
+            else:
+                oracle = mp_wp_mpc if kind == "wp" else mp_wzeta_mpc
+                with mp.workdps(30):
+                    truth = mp_lattice(oracle, big.omega1, big.omega2, zk, rows=12, dps=30)
+                    assert abs(mp.mpc(cv.value) - truth) <= cv.error, (kind, route, k, basis, z)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
+    def test_decimal_scale_is_sound(self, scale):
+        import mpmath as mp
+
+        for kind, fn, route, basis, z, tol in _scaled_requests(int(math.log10(scale)) + 7, 8):
+            w = 2 if kind == "wp" else 1
+            big = Lattice(*(x * scale for x in basis))
+            with mp.workdps(30):
+                scaled_tol = min(max(float(mp.mpf(tol) / mp.mpf(scale) ** w), math.ulp(0.0)), sys.float_info.max)
+            try:
+                cv = fn(big, z * scale, scaled_tol, route=route)
+            except PrecisionError as exc:
+                assert "scaled by 2**" in str(exc) or route == "shell", (kind, route, scale)
+                continue
+            oracle = mp_wp_mpc if kind == "wp" else mp_wzeta_mpc
+            with mp.workdps(30):
+                truth = mp_lattice(oracle, big.omega1, big.omega2, z * scale, rows=12, dps=30)
+                assert abs(mp.mpc(cv.value) - truth) <= cv.error, (kind, route, scale, basis, z)
 
 
 class TestStripPreconditions:
@@ -269,10 +374,10 @@ class TestMiscValidation:
             slash(lambda w, t: None, 2, IDENTITY, 1.0 - 2j)
 
     def test_run_suite_tolerance_floor(self):
+        # no tolerance floor: every certificate of the suite holds at 1e-15
         from weierforms import run_suite
 
-        with pytest.raises(DomainError, match="tolerance must be >= 1e-12"):
-            run_suite("eies-bound", tol=1e-15)
+        assert run_suite("cusp-f", tol=1e-15).ok
 
     def test_fraction_label_level(self):
         from weierforms import RationalPair

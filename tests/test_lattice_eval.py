@@ -298,7 +298,9 @@ class TestLagrangeReduction:
     @pytest.mark.parametrize("tau", [0.2j, 0.4 + 0.001j, 3 + 0.7j, -0.45 + 0.05j])
     def test_reduced_as_a_set(self, tau):
         lat = Lattice(tau, 1.0)
-        red = reduce_lattice(lat).basis
+        red = reduce_lattice(lat)
+        # the reduced basis at the caller's scale: 2**k times the unit-scale one, exactly
+        red = Lattice(red.aa * 2.0**red.k, red.jj * 2.0**red.k)
         assert red.covolume == pytest.approx(lat.covolume, rel=1e-12)
         w1, w2 = red.omega1, red.omega2
         shorter = min(abs(w1), abs(w2))
@@ -709,6 +711,20 @@ class TestFullTolerancePlans:
             run()
             assert 0 < len(calls) <= parent
 
+    def test_row_walk_starts_at_the_rounding_root(self, monkeypatch):
+        # here the closures' rounding, not the Euler-Maclaurin remainder, decides
+        # d_max: a walk from the remainder's root, near 19, took 1,149 steps
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return _partial_bound(*args)
+
+        monkeypatch.setattr(shells, "_partial_bound", spy)
+        lat = Lattice(-5.617658370119283e-09 - 1.3856758031920324e-07j, -5.176745466573823e-08 + 8.239493606701452e-09j)
+        plan = plan_truncation(lat, 2.6029363975198063e-09, 3.2232215424625084e-11, kind="wzeta")
+        assert plan.box == (2, 593) and len(calls) <= 10
+
     @pytest.mark.parametrize(
         "basis,z,tol",
         [
@@ -855,6 +871,19 @@ class TestErrors:
             eval_f(RationalPair.of(Fraction(1, 10**9), 0), 1j)
         assert info.value.nearest == 0j
 
+    def test_reports_at_the_callers_scale(self):
+        # the evaluation runs on the unit-scale reduction; the pole's nearest
+        # lattice point and the reported scale are the caller's
+        big = Lattice(1e100j, 1e100)
+        with pytest.raises(PoleError) as info:
+            wp_lattice(big, 3e100 + 2e100j + 1e80, 1e-200)
+        assert abs(info.value.nearest - (3e100 + 2e100j)) <= 1e-15 * 1e100
+        with pytest.raises(PoleError) as info:
+            describe_route(big, (2 + Fraction(1, 10**9), Fraction(3)), 1e-200, kind="wp")
+        assert abs(info.value.nearest - (3e100 + 2e100j)) <= 1e-15 * 1e100
+        for lat, modulus in ((big, 1e100), (Lattice(0.8j, 1.0), 0.8)):
+            assert describe_route(lat, 0.3 * lat.omega2, route="series")["scale_modulus"] == modulus
+
     def test_shell_route_at_a_lattice_point(self):
         # z = 0 and the first-shell points are poles, not a division by zero
         lat = Lattice(1j, 1.0)
@@ -869,8 +898,9 @@ class TestErrors:
                 call()
 
     def test_tolerance_floor(self):
-        with pytest.raises(DomainError):
-            wp(1j, 0.5, 1e-13)
+        # no tolerance floor: a tol below 1e-12 returns a certificate that holds
+        cv = wp(1j, 0.5, 1e-13)
+        assert abs(cv.value - mp_wp(1j, 0.5, rows=12, dps=30)) <= cv.error
 
     def test_floor_tolerance_falls_back_to_series(self):
         # the shell plan for 5e-13 would blow the shell cap; auto must not
@@ -894,6 +924,8 @@ def _fraction_reduction(lat: Lattice, z):
     """reduce_lattice's outputs from Fraction arithmetic, each rounded once at the end.
 
     z is a complex point or a label (s, t), the point s*omega1 + t*omega2.
+    The lengths are at unit scale: over 2**k, the power of two at or below
+    J's larger component.
     """
     a, b, c, d = reduce_tau_matrix(lat.tau)
     w1r, w1i, w2r, w2i = map(Fraction, (lat.omega1.real, lat.omega1.imag, lat.omega2.real, lat.omega2.imag))
@@ -908,6 +940,10 @@ def _fraction_reduction(lat: Lattice, z):
     det = ai * jr - ar * ji
     m, n = round((zi * jr - zr * ji) / det), round((ai * zr - ar * zi) / det)
     pr, pi = zr - m * ar - n * jr, zi - m * ai - n * ji
+    top = max(abs(jr), abs(ji))
+    k = top.numerator.bit_length() - top.denominator.bit_length()
+    k -= Fraction(2) ** k > top
+    unit = Fraction(2) ** k
 
     def fl(re, im):
         return complex(float(re), float(im))
@@ -915,13 +951,14 @@ def _fraction_reduction(lat: Lattice, z):
     return {
         "matrix": (a, b, c, d),
         "tau": fl((ar * jr + ai * ji) / norm, det / norm),
-        "jj": fl(jr, ji),
-        "A": fl(ar, ai),
-        "point": fl(pr, pi),
+        "jj": fl(jr / unit, ji / unit),
+        "A": fl(ar / unit, ai / unit),
+        "point": fl(pr / unit, pi / unit),
         "z0": fl((pr * jr + pi * ji) / norm, (pi * jr - pr * ji) / norm),
         "u": float((pi * jr - pr * ji) / det),
         "m": m,
         "n": n,
+        "k": k,
     }
 
 
@@ -937,6 +974,7 @@ def _reduction_fields(red) -> dict:
         "u": red.u,
         "m": red.m,
         "n": red.n,
+        "k": red.k,
     }
 
 
