@@ -20,16 +20,18 @@ routes then compute the value:
   by Euler-Maclaurin: about log(1/tol) lines of tol**(-1/14) points), planned, summed
   and certified by :func:`weierforms.shells.shell_route`; the "Budget."
   section of :mod:`weierforms.shells` splits the tolerance and lists when
-  the route raises :class:`PrecisionError`.  :func:`describe_route` and
-  ``eval`` report the route from a record of the evaluation that ran
-  (:func:`_reported`), so the reported boxes are the ones summed.
+  the route raises :class:`PrecisionError`.  ``eval`` reports the route
+  from a record of the evaluation that ran (:func:`_reported`), so the
+  reported boxes are the ones summed.
 
 Every wzeta-type value - ``wzeta``, the series route of ``wzeta_lattice``,
 ``eval_g``, and the Klein-form parts of ``eval_h`` and ``eval_hU`` - is one
 linear form over two sums of the reduced lattice tau*Z + Z, the cot rows C and
 the quasi-period eta2 (:func:`_zeta`); the route decides only how those two
-are summed, and eta2 is summed at most once per evaluation.  eta1 enters
-through Legendre's relation, and only ``eta12`` forms it.
+are summed, and eta2 is summed at most once per evaluation, on the shell
+route as 2*wzeta(1/2): wzeta is odd, so eta2 = wzeta(1/2) - wzeta(-1/2)
+(DLMF 23.2).  eta1 enters through Legendre's relation, and only ``eta12``
+forms it.
 
 Both routes return a :class:`CertifiedValue` whose error field is a
 rigorous absolute bound, and they agree within the sum of their
@@ -45,7 +47,7 @@ from dataclasses import replace
 from .arith import TWO_PI_I, CertifiedValue, _ball, _inverse, _new, _set_error, _set_value
 from .errors import DomainError, PoleError, PrecisionError
 from .lattice import Lattice, reduce_lattice, reduce_points
-from .shells import _RECORD, TruncationPlan, eta2_shell, shell_route, shell_value
+from .shells import _RECORD, TruncationPlan, shell_route, shell_value
 from .trig import eta2_strip, wp_strip, z_strip
 
 __all__ = [
@@ -114,18 +116,26 @@ def _unscale(cv: CertifiedValue, e: int) -> CertifiedValue:
     return cv
 
 
+def _plan_to_scale(w: int, k: int, j: float = 1.0) -> None:
+    """Rewrite the plan shell_route recorded last, for a value of weight w, to the
+    summed lattice times j * 2**k: its tail bound over (j * 2**k)**w, rounded up
+    (j != 1 only at weight 1), and its shell constant times j * 2**k."""
+    if (record := _RECORD.get()) is not None:
+        p = record[-1]
+        tail = p.tail_bound if j == 1.0 else p.tail_bound / j * (1.0 + 2.0 * _EPS)
+        record[-1] = replace(p, tail_bound=math.ldexp(tail, -w * k), shell_constant=math.ldexp(p.shell_constant * j, k))
+
+
 def _basis_route(red, z: complex, tol: float, kind: str) -> CertifiedValue:
     """shell_route on the unit-scale basis of red at z within tol: the value and
     the plan it records at the caller's scale."""
-    e = (2 if kind == "wp" else 1) * red.k
+    w = 2 if kind == "wp" else 1
     try:
-        cv = shell_route(red.basis, z, _unit_tol(tol, e), kind)
+        cv = shell_route(red.basis, z, _unit_tol(tol, w * red.k), kind)
     except PrecisionError as exc:  # its figures are those at unit scale
-        raise (PrecisionError(f"{exc} (on the lattice times 2**{-red.k})") if e else exc) from None
-    if e and (record := _RECORD.get()) is not None:
-        p = record[-1]
-        record[-1] = replace(p, tail_bound=math.ldexp(p.tail_bound, -e), shell_constant=math.ldexp(p.shell_constant, red.k))
-    return _unscale(cv, -e)
+        raise (PrecisionError(f"{exc} (on the lattice times 2**{-red.k})") if red.k else exc) from None
+    _plan_to_scale(w, red.k)
+    return _unscale(cv, -w * red.k)
 
 
 def _reduce(lat: Lattice, zs):
@@ -159,9 +169,10 @@ def _reduce(lat: Lattice, zs):
 
 
 def _eta2(tau_r: complex, tol: float, route: str) -> CertifiedValue:
-    """The quasi-period eta2 of tau_r*Z + Z for a reduced ratio, within tol:
-    the closed row series, or on the shell route a difference of shell values."""
-    return eta2_shell(tau_r, tol) if route == "shell" else eta2_strip(tau_r, tol)
+    """The quasi-period eta2 of tau_r*Z + Z for a reduced ratio, within tol: the
+    closed row series, or on the shell route twice the shell value at 1/2 (module
+    docstring; delta >= sqrt(3)/2), within a quarter of tol to leave the doubling room."""
+    return 2.0 * shell_route(Lattice(tau_r, 1.0), 0.5, 0.25 * tol, "wzeta") if route == "shell" else eta2_strip(tau_r, tol)
 
 
 def _zeta(reds, tol: float, route: str, klein: bool) -> list[CertifiedValue]:
@@ -183,7 +194,6 @@ def _zeta(reds, tol: float, route: str, klein: bool) -> list[CertifiedValue]:
     coefficient is 0.
     """
     shell = route == "shell"
-    lat = None
     parts = []
     eta_tol = None
     for red in reds:
@@ -192,19 +202,24 @@ def _zeta(reds, tol: float, route: str, klein: bool) -> list[CertifiedValue]:
             # |z0| <= |tau|: the share of eta2 is the same for every label; u is rounded once
             coeff, bound, dw, k = (-red.z0 if shell else 0j), abs(red.tau), 0.0, red.u and CertifiedValue(red.u, 0.5 * _EPS * abs(red.u))
         else:
-            mt = red.m * red.tau
-            shift = mt + red.n
+            try:
+                mt = red.m * red.tau
+                shift = mt + red.n
+            except OverflowError:  # m or n is an int beyond the float range
+                mt = shift = math.inf
             coeff, k = (shift if shell else red.z0 + shift), -red.m
             # W rounds up to three times, each within u of its result, and
             # m itself where |m| > 2**53
             bound, dw = abs(coeff), _EPS * (abs(mt) + abs(shift) + abs(coeff))
+            # below this, as |m| <= |m*tau| and |eta2| < 4, the terms W*eta2 and 2 pi m stay in range
+            if not dw < _EPS * sys.float_info.max / 16.0:
+                raise PrecisionError("wzeta(z) leaves the float range: z/J = z0 + m*tau + n is too large")
         if coeff:
             part *= 0.5
             eta_tol = part / bound if eta_tol is None else min(eta_tol, part / bound)
         if shell:
-            if lat is None:
-                lat = Lattice(red.tau, 1.0)
-            base = shell_route(lat, red.z0, part, "wzeta")
+            base = shell_route(Lattice(red.tau, 1.0), red.z0, part, "wzeta")
+            _plan_to_scale(1, red.k, abs(red.jj))
         else:
             base = z_strip(red.tau, red.z0, part)
         parts.append((red, base, coeff, k, dw))
@@ -296,8 +311,8 @@ def eta12(tau, tol: float = DEFAULT_TOL, *, route: str = "auto") -> tuple[Certif
 
     eta1 = wzeta(tau, z + tau) - wzeta(tau, z) and eta2 the same with z + 1.
     tau is first reduced to the fundamental domain; eta2 of the reduced ratio
-    comes from its closed row series (``route="series"``) or from a literal
-    difference of shell wzeta values (``route="shell"``), eta1 from Legendre's
+    comes from its closed row series (``route="series"``) or from twice the
+    shell value wzeta(1/2) (``route="shell"``), eta1 from Legendre's
     relation eta1 = tau*eta2 - 2 pi i, and both are transported back along
     the unimodular basis change (quasi-periods are additive in the period).
     """
@@ -332,23 +347,3 @@ def _reported(fn, *args, **kwargs) -> tuple:
     (p,) = plans
     return value, {"route": "shell", "c_max": p.c_max, "d_max": p.d_max, "points": p.point_count,
                    "tail_bound": p.tail_bound, "shell_constant": p.shell_constant}
-
-
-def describe_route(lat, z, tol: float = DEFAULT_TOL, *, route: str = "auto", kind: str = "wp") -> dict:
-    """Evaluate a request and report (:func:`_reported`) the route it ran on and what it summed.
-
-    z is a complex point, evaluated as by ``wp_lattice`` and ``wzeta_lattice``,
-    or an exact label (s, t), evaluated as by ``eval_f`` and ``eval_g``; ``kind``
-    is "wp" or "wzeta".  A pole raises PoleError; a refused shell request, for its
-    plan or for its summed certificate over tol, reports ``{"route": "shell", "feasible": False}``.
-    """
-    _check_args(tol, route)
-    if kind not in ("wp", "wzeta"):
-        raise DomainError(f"kind must be 'wp' or 'wzeta', got {kind!r}")
-    call = (_evaluate, _reduce(_as_lattice(lat), (z,))) if type(z) is tuple else (_dispatch, lat, z)
-    try:
-        return _reported(*call, tol, route, kind)[1]
-    except PrecisionError:
-        if route != "shell":
-            raise
-        return {"route": "shell", "feasible": False}

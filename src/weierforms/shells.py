@@ -112,16 +112,12 @@ __all__ = [
     "plan_shell",
     "shell_value",
     "shell_route",
-    "eta2_shell",
-    "SHELL_CAP",
     "POINT_BUDGET",
 ]
 
 _EPS = math.ulp(1.0)
 _U = 0.5 * _EPS
 
-# the largest half-width max(c_max, d_max) of an admitted box
-SHELL_CAP = 10**6
 # the most points an admitted box may have: about what the kernel sums in a second
 POINT_BUDGET = 4_000_000
 
@@ -265,9 +261,8 @@ def plan_truncation(
     :func:`bulk_rounding_bound` is <= tol, and on a reduced basis no box with
     fewer points is, nor one with as many and a smaller c_max.
 
-    Requires z_bound <= delta.  Raises PrecisionError when the far lines need
-    more than SHELL_CAP lines, when neither candidate box meets tol within
-    SHELL_CAP rows and POINT_BUDGET points, when the rounding alone reaches
+    Requires z_bound <= delta.  Raises PrecisionError when neither candidate
+    box meets tol within POINT_BUDGET points, when the rounding alone reaches
     tol, or when the basis or the box lies outside the kernel's float range.
     """
     if kind not in _KINDS:
@@ -283,23 +278,23 @@ def plan_truncation(
     if spent >= tol:
         raise PrecisionError(f"tolerance {tol:.3g} below the kernel's rounding bound {spent:.3g}")
     budget = tol - spent
-    unreachable = PrecisionError(f"tolerance {tol:.3g} unreachable within the shell cap {SHELL_CAP}")
+    over = PrecisionError(f"shell route needs more than {POINT_BUDGET:,} points, over the budget")
     far = _far_bound(lat, kind, z_bound, 0)
     if far == math.inf:
-        raise unreachable
+        raise over
     l2, h2 = abs(lat.omega2), lat.geometry.h2 * _down(lat)
     # c1, the fewest far lines within budget: bound (i) is its value at 0 times
     # about exp(-2 pi Im tau c_max), so this start is at or below it
     decay = 2.0 * math.pi * lat.geometry.h1 / l2
     c = 0 if far <= budget else max(0, math.floor((math.log(far) - math.log(budget)) / decay) - 1)
-    while c <= SHELL_CAP:
-        if c:
-            far = _far_bound(lat, kind, z_bound, c)
-        if far < budget:
-            break
+    if c:
+        far = _far_bound(lat, kind, z_bound, c)
+    # while the fewest points on c lines, those of d_max = 1, are within POINT_BUDGET
+    while far >= budget and 6 * c + 2 <= POINT_BUDGET:
         c += 1
-    else:
-        raise unreachable
+        far = _far_bound(lat, kind, z_bound, c)
+    if far >= budget:
+        raise over
     # bound (ii) exceeds its remainder, (2 c_max + 1) amp (|omega2|/G)^(2P+2), and
     # the rounding of its k = 1 closures, (2 c_max + 1) lead |omega2| / G^p (wp:
     # p = 3, wzeta: 2); every d_max below either root misses the share, or the margin
@@ -307,8 +302,8 @@ def plan_truncation(
     lead = 2.0 * _CLOSURE_U * _U * abs(_EM_HALF[0]) * (2.0 if kind == "wp" else 1.0)
     boxes = []
     for c_max, far in ((c, far), (c + 1, _far_bound(lat, kind, z_bound, c + 1))):
-        # within SHELL_CAP and POINT_BUDGET; c1 + 1 has fewer points only with fewer rows
-        most = min(SHELL_CAP, ((POINT_BUDGET + 1) // (2 * c_max + 1) - 1) // 2, *(box[2] - 1 for box in boxes))
+        # within POINT_BUDGET; c1 + 1 has fewer points only with fewer rows
+        most = min([((POINT_BUDGET + 1) // (2 * c_max + 1) - 1) // 2] + [box[2] - 1 for box in boxes])
         grow = ((2 * c_max + 1) * amp / (budget - far)) ** (1.0 / (2 * _EM_P + 2))
         reach = ((2 * c_max + 1) * lead * l2 / (budget - far)) ** (1.0 / (3 if kind == "wp" else 2))
         x = max(2.0 * z_bound, z_bound + l2 * grow, z_bound + reach) / h2 - 0.5
@@ -318,7 +313,7 @@ def plan_truncation(
         if d <= most:
             boxes.append(((2 * c_max + 1) * (2 * d + 1) - 1, c_max, d, far + partial))
     if not boxes:
-        raise PrecisionError(f"shell route needs more than {POINT_BUDGET:,} points, over the budget")
+        raise over
     _, c, d, tail = min(boxes)
     _check_kernel_range(lat, kind, c, d + 1)
     return TruncationPlan(c, d, tail, lat.geometry.delta, kind, z_bound)
@@ -529,22 +524,3 @@ def shell_route(lat: Lattice, z: complex, tol: float, kind: str) -> CertifiedVal
     if (record := _RECORD.get()) is not None:
         record.append(plan)
     return cv
-
-
-def eta2_shell(tau_r: complex, tol: float) -> CertifiedValue:
-    """The quasi-period eta2 of tau_r*Z + Z for a reduced ratio, within tol.
-
-    A literal difference wzeta(z + 1) - wzeta(z) of shell values at base
-    points near -1/2 and +1/2, which lie inside the summation margin of every
-    reduced basis.  The same difference at a second base point must agree
-    within both certificates; otherwise PrecisionError.
-    """
-    lat = Lattice(tau_r, 1.0)
-
-    def difference(base: complex) -> CertifiedValue:
-        return shell_route(lat, base + 1.0, 0.25 * tol, "wzeta") - shell_route(lat, base, 0.25 * tol, "wzeta")
-
-    eta2, eta2_b = difference(0.13j - 0.5), difference(-0.07 + 0.09j - 0.5)
-    if abs(eta2.value - eta2_b.value) > eta2.error + eta2_b.error:
-        raise PrecisionError("eta2 depends on the base point beyond its certificates")
-    return eta2

@@ -12,13 +12,13 @@ from fractions import Fraction
 from weierforms import (
     Lattice,
     RationalPair,
-    describe_route,
     eval_f,
     eval_h,
     plan_truncation,
     run_suite,
     shell_value,
 )
+from weierforms.evaluate import _reported
 
 PI = math.pi
 
@@ -32,11 +32,9 @@ def _report(n, text):
 
 
 def test_criterion_1_cusp_value_half_shell_route():
-    lat = Lattice(20j, 1.0)
-    route = describe_route(lat, 0.5, 1e-8, route="shell", kind="wp")
-    assert route["route"] == "shell"
     t0 = time.perf_counter()
-    cv = eval_f(pair(0, Fraction(1, 2)), 20j, 1e-8, route="shell")
+    cv, route = _reported(eval_f, pair(0, Fraction(1, 2)), 20j, 1e-8, route="shell")
+    assert route["route"] == "shell"
     elapsed = time.perf_counter() - t0
     residual = abs(cv.value - 2 * PI**2 / 3)
     assert residual < 1e-6

@@ -279,9 +279,9 @@ class TestEvalPlan:
         [
             # g at (1/3, 1/5) needs no eta2: one box, reported as a box
             (("g", "--s", "1/3", "--t", "1/5"), 1, 34),
-            # h and hU: a box per Klein form and the four of the eta2 difference
-            (("h", "--r", "2", "--s", "0", "--t", "1/3"), 6, 336),
-            (("hU", "--u", "0,1/3", "--u", "0,1/3", "--u", "0,-2/3"), 7, 380),
+            # h and hU: a box per Klein form and the one of eta2 = 2 wzeta(1/2)
+            (("h", "--r", "2", "--s", "0", "--t", "1/3"), 3, 150),
+            (("hU", "--u", "0,1/3", "--u", "0,1/3", "--u", "0,-2/3"), 4, 194),
         ],
     )
     def test_rows_report_every_box_summed(self, capsys, monkeypatch, argv, boxes, points):
@@ -300,6 +300,15 @@ class TestEvalPlan:
         assert sum((2 * c + 1) * (2 * d + 1) - 1 for c, d in summed) == inputs["plan_points"] == points
         if boxes == 1:
             assert summed == [(inputs["plan_c_max"], inputs["plan_d_max"])]
+
+    def test_label_row_reports_at_the_callers_scale(self, capsys):
+        # g sums on tau_r*Z + Z = (0.8i*Z + Z) / J with |J| = 0.8: the row reports
+        # the box's shell constant and tail bound on the caller's lattice
+        code, out = run_cli(capsys, "eval", "g", "--s", "1/3", "--t", "1/5", "--tau", "0.8i", "--route", "shell", "--format", "json")
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert row["inputs"]["plan_shell_constant"] == 0.8
+        assert row["inputs"]["plan_tail_bound"] == row["bound"] <= row["error"]
 
     def test_shell_eval_plans_once(self, capsys, monkeypatch):
         plans = []

@@ -16,7 +16,6 @@ from weierforms import (
     Lattice,
     PoleError,
     PrecisionError,
-    describe_route,
     eta12,
     lattice_row_sum_enclosure,
     random_in_group,
@@ -27,36 +26,37 @@ from weierforms import (
     wzeta,
     wzeta_lattice,
 )
-from weierforms.shells import POINT_BUDGET, SHELL_CAP, _far_bound, bulk_rounding_bound, shell_route
+from weierforms.evaluate import _reported
+from weierforms.shells import POINT_BUDGET, _far_bound, bulk_rounding_bound, shell_route
 from weierforms.trig import wp_strip, z_strip
 
 from oracles import mp_lattice, mp_wp_mpc, mp_wzeta_mpc
 
 
 # (kind, basis, z, tol, cap, summed, forced-shell refusal): an admitted box
-# keeps max(c_max, d_max) <= cap; ``summed`` is "shell" where the forced shell
-# route sums its box, "series" where the planner refuses it or the box is too
-# large to sum here
+# keeps max(c_max, d_max) <= cap = 10^6 and at most POINT_BUDGET points;
+# ``summed`` is "shell" where the forced shell route's value is checked
+# against the series route
 ROUTE_CASES = [
     # |z| beyond the margin of the reduced basis
-    ("wp", (1j, 1.0), 1.2, 1e-8, SHELL_CAP, "series", "margin"),
-    ("wzeta", (1j, 1.0), 1.2, 1e-8, SHELL_CAP, "series", "margin"),
+    ("wp", (1j, 1.0), 1.2, 1e-8, 10**6, "series", "margin"),
+    ("wzeta", (1j, 1.0), 1.2, 1e-8, 10**6, "series", "margin"),
     # admitted and summed at 1e-12: five lines of 21 points on either side of
     # the line c = 0 (230 points each)
-    ("wp", (1j, 1.0), 0.4, 1e-12, SHELL_CAP, "shell", None),
-    ("wzeta", (1j, 1.0), 0.9, 1e-12, SHELL_CAP, "shell", None),
+    ("wp", (1j, 1.0), 0.4, 1e-12, 10**6, "shell", None),
+    ("wzeta", (1j, 1.0), 0.9, 1e-12, 10**6, "shell", None),
     # admitted, with 62 (wp) and 34 (wzeta) points
-    ("wp", (1j, 1.0), 0.3, 1e-6, SHELL_CAP, "series", None),
-    ("wzeta", (1j, 1.0), 0.3, 1e-6, SHELL_CAP, "series", None),
+    ("wp", (1j, 1.0), 0.3, 1e-6, 10**6, "series", None),
+    ("wzeta", (1j, 1.0), 0.3, 1e-6, 10**6, "series", None),
     # admitted and summed (98 points)
-    ("wp", (1j, 1.0), 0.4, 5e-9, SHELL_CAP, "shell", None),
+    ("wp", (1j, 1.0), 0.4, 5e-9, 10**6, "shell", None),
     # admitted
-    ("wp", (0.3 + 1.2j, 1.0), 0.2 - 0.1j, 1e-4, SHELL_CAP, "shell", None),
-    ("wzeta", (0.3 + 1.2j, 1.0), 0.2 - 0.1j, 1e-4, SHELL_CAP, "shell", None),
+    ("wp", (0.3 + 1.2j, 1.0), 0.2 - 0.1j, 1e-4, 10**6, "shell", None),
+    ("wzeta", (0.3 + 1.2j, 1.0), 0.2 - 0.1j, 1e-4, 10**6, "shell", None),
     # refused before summing: the rounding of the principal part near the pole
     # alone exceeds tol
-    ("wp", (1j, 1.0), 1e-7, 1e-12, SHELL_CAP, "shell", "certificate exceeds"),
-    ("wzeta", (1j, 1.0), 1e-7, 1e-12, SHELL_CAP, "shell", "certificate exceeds"),
+    ("wp", (1j, 1.0), 1e-7, 1e-12, 10**6, "shell", "certificate exceeds"),
+    ("wzeta", (1j, 1.0), 1e-7, 1e-12, 10**6, "shell", "certificate exceeds"),
 ]
 
 
@@ -66,20 +66,18 @@ class TestDispatchEdges:
         # "auto" is the series route, whatever the forced shell route does
         fn = wp_lattice if kind == "wp" else wzeta_lattice
         lat = Lattice(*basis)
-        info = describe_route(lat, z, tol, route="auto", kind=kind)
-        assert info == describe_route(lat, z, tol, route="series", kind=kind)
+        auto, info = _reported(fn, lat, z, tol, route="auto")
+        series, series_info = _reported(fn, lat, z, tol, route="series")
+        assert info == series_info
         assert info["route"] == "series"
-        series = fn(lat, z, tol, route="series")
-        auto = fn(lat, z, tol, route="auto")
         assert (auto.value, auto.error) == (series.value, series.error)
         if refusal:
             with pytest.raises(PrecisionError, match=refusal):
                 fn(lat, z, tol, route="shell")
             return
-        plan = describe_route(lat, z, tol, route="shell", kind=kind)
+        shell, plan = _reported(fn, lat, z, tol, route="shell")
         assert max(plan["c_max"], plan["d_max"]) <= cap and plan["points"] <= POINT_BUDGET
         if summed == "shell":
-            shell = fn(lat, z, tol, route="shell")
             assert abs(shell.value - series.value) <= shell.error + series.error
 
     def test_tuple_accepted_as_lattice(self):
@@ -105,8 +103,9 @@ class TestDispatchEdges:
             shell_route(lat, z, 1.01 * floor, "wp")
 
     def test_describe_route_shell(self):
+        # the route report of a shell evaluation
         lat = Lattice(20j, 1.0)
-        info = describe_route(lat, 0.5, 1e-8, route="shell", kind="wp")
+        _, info = _reported(wp_lattice, lat, 0.5, 1e-8, route="shell")
         assert info["route"] == "shell"
         # the tail and the bulk's a priori rounding share the tolerance
         rounding = bulk_rounding_bound(lat, 0.5, "wp")
@@ -114,18 +113,14 @@ class TestDispatchEdges:
         assert info["points"] == (2 * info["c_max"] + 1) * (2 * info["d_max"] + 1) - 1
 
     def test_describe_route_infeasible_shell(self):
-        info = describe_route(Lattice(20j, 1.0), 10j, 1e-8, route="shell", kind="wp")
-        assert info == {"route": "shell", "feasible": False}
+        # a refused shell evaluation reports nothing: it raises
+        with pytest.raises(PrecisionError, match="margin"):
+            _reported(wp_lattice, Lattice(20j, 1.0), 10j, 1e-8, route="shell")
 
     def test_describe_route_series(self):
-        info = describe_route(Lattice(1j, 1.0), 0.5, 1e-10, route="series", kind="wp")
+        _, info = _reported(wp_lattice, Lattice(1j, 1.0), 0.5, 1e-10, route="series")
         assert info["route"] == "series"
         assert info["reduced_tau_im"] >= math.sqrt(3.0) / 2.0 - 1e-9
-
-    @pytest.mark.parametrize("route", ["shell", "series"])
-    def test_describe_route_unknown_kind(self, route):
-        with pytest.raises(DomainError, match="kind"):
-            describe_route(Lattice(1j, 1.0), 0.3, 1e-6, route=route, kind="sigma")
 
 
 class TestTinyLattices:
@@ -181,7 +176,24 @@ class TestHugeLattices:
             wp(tau, 0.1, 1e-8, route="shell")
         with pytest.raises(PrecisionError, match="float range"):
             wzeta_lattice(Lattice(tau, 1.0), 0.1, 1e-8, route="shell")
-        assert describe_route(Lattice(tau, 1.0), 0.1, route="shell") == {"route": "shell", "feasible": False}
+        with pytest.raises(PrecisionError, match="float range"):
+            _reported(wp_lattice, Lattice(tau, 1.0), 0.1, route="shell")
+
+    # wzeta(z) = (C + W*eta2 - 2 pi i m) / J with W = z/J = z0 + m*tau + n: where
+    # W is beyond the float range, as an int m (about 2.6e432) or as m*tau
+    # (m = 1e308), or W*eta2 and 2 pi m are, both routes raise PrecisionError
+    @pytest.mark.parametrize("route", ["series", "shell"])
+    @pytest.mark.parametrize(
+        "fn,lat,z",
+        [
+            (wzeta_lattice, Lattice(-0.05341139298370955 + 4.0615688972836885j, 3.6470552046674196e-276j), -9.357278102587967e156 - 2.471976133161178e62j),
+            (wzeta_lattice, Lattice(4e-300j, 1e-300), 4e8j),
+            (wzeta, 0.3 + 1.1j, 0.37 + 4e307j),
+        ],
+    )
+    def test_wzeta_beyond_the_float_range(self, fn, lat, z, route):
+        with pytest.raises(PrecisionError, match="float range"):
+            fn(lat, z, 312198171496.7086, route=route)
 
     def test_pole_guard_on_a_long_basis(self):
         with pytest.raises(PoleError):
@@ -194,8 +206,8 @@ class TestHugeLattices:
         lat = Lattice(1e60j, 1e60)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            shell = wp_lattice(lat, 3e59, 1e-124, route="shell")
-        assert describe_route(lat, 3e59, 1e-124, route="shell")["shell_constant"] == 1e60
+            shell, plan = _reported(wp_lattice, lat, 3e59, 1e-124, route="shell")
+        assert plan["shell_constant"] == 1e60
         series = wp_lattice(lat, 3e59, 1e-124, route="series")
         assert abs(shell.value - series.value) <= shell.error + series.error
         # wp(lambda L, lambda z) = lambda^-2 wp(L, z)

@@ -16,7 +16,6 @@ from weierforms import (
     PoleError,
     PrecisionError,
     RationalPair,
-    describe_route,
     eta12,
     eval_f,
     eval_g,
@@ -31,21 +30,34 @@ from weierforms import (
 )
 from weierforms import shells
 from weierforms.arith import bernoulli
-from weierforms.evaluate import POLE_RTOL
+from weierforms.evaluate import POLE_RTOL, _eta2, _reduce, _reported
 from weierforms.lattice import reduce_lattice, reduce_points, reduce_tau_matrix
 from weierforms.shells import (
-    SHELL_CAP,
+    POINT_BUDGET,
     TruncationPlan,
     _bulk_abs_bound,
     _closures,
     _far_bound,
     _partial_bound,
     bulk_rounding_bound,
+    shell_route,
 )
+from weierforms.trig import eta2_strip
 
 from oracles import GOLDEN, GOLDEN_BAND, brute_wp, brute_wzeta, mp_wp, mp_wzeta, mp_wzeta_mpc
 
 TWO_PI_I = 2j * math.pi
+
+
+def _seeded_reduced_taus(seed: int = 5, count: int = 8) -> list[complex]:
+    """Ratios in the fundamental domain, |Re tau| <= 1/2 and |tau| >= 1, with Im tau in [sqrt(3)/2, 5]."""
+    rng = random.Random(seed)
+    taus = []
+    while len(taus) < count:
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(math.sqrt(3.0) / 2.0, 5.0))
+        if abs(tau) >= 1.0:
+            taus.append(tau)
+    return taus
 
 
 class TestGoldenValues:
@@ -281,17 +293,38 @@ class TestEta:
         _, eta2b = eta12(tau + 1.0, 1e-10)
         assert abs(eta2a.value - eta2b.value) <= eta2a.error + eta2b.error + 1e-12
 
-    def test_shell_route_eta(self):
+    def test_shell_route_eta(self, monkeypatch):
+        # eta2 of the reduced ratio is 2 wzeta(1/2): one shell sum
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return shell_sum(*args, **kwargs)
+
+        monkeypatch.setattr(shells, "shell_sum", spy)
         eta1, eta2 = eta12(1j, 1e-5, route="shell")
+        assert len(calls) == 1
         assert abs(eta2.value - math.pi) <= eta2.error + 1e-6
         assert abs(eta1.value + 1j * math.pi) <= eta1.error + 1e-6
 
-    @pytest.mark.parametrize("tau", [1j, 0.3 + 1.2j, 2j, 5j, 0.3 + 0.2j])
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 1.2j, 2j, 5j, 0.3 + 0.2j, 0.5 + 0.5j * math.sqrt(3.0)] + _seeded_reduced_taus())
     def test_shell_route_eta_matches_series(self, tau):
         shell = eta12(tau, 1e-4, route="shell")
         series = eta12(tau, 1e-4, route="series")
         for a, b in zip(shell, series):
             assert abs(a.value - b.value) <= a.error + b.error
+        # on the reduced ratio, 2 wzeta(1/2) agrees with the closed row series and
+        # with the literal difference wzeta(z + 1) - wzeta(z) at two base points
+        tau_r = reduce_lattice(Lattice(tau, 1.0)).tau
+        lat = Lattice(tau_r, 1.0)
+        for tol in (1e-6, 1e-9, 1e-12):
+            eta2 = _eta2(tau_r, tol, "shell")
+            assert eta2.error <= tol
+            strip = eta2_strip(tau_r, tol)
+            assert abs(eta2.value - strip.value) <= eta2.error + strip.error
+            for base in (-0.5 + 0.13j, -0.57 + 0.09j):
+                diff = shell_route(lat, base + 1.0, 0.25 * tol, "wzeta") - shell_route(lat, base, 0.25 * tol, "wzeta")
+                assert abs(eta2.value - diff.value) <= eta2.error + diff.error
 
 
 class TestLagrangeReduction:
@@ -336,10 +369,10 @@ class TestPlans:
 
     def test_cap_exhaustion(self):
         # far from reduced (Im tau = 1e-7), bound (i) falls by exp(-2 pi 1e-7) per
-        # line: the far lines need more than SHELL_CAP lines
+        # line: the far lines alone need more than POINT_BUDGET points
         lat = Lattice(1 + 1e-7j, 1.0)
         z_bound = 0.5 * lat.geometry.delta
-        with pytest.raises(PrecisionError, match="shell cap"):
+        with pytest.raises(PrecisionError, match="over the budget"):
             plan_truncation(lat, z_bound, 1e3 * bulk_rounding_bound(lat, z_bound, "wp"))
 
     @pytest.mark.parametrize("tol", [1e-300, 5e-324])
@@ -487,7 +520,7 @@ class TestTailBound:
         # |z| at the margin of the hexagonal basis, where y = Im tau
         lat = reduce_lattice(Lattice(0.5 + 0.5j * math.sqrt(3.0), 1.0)).basis
         assert _far_bound(lat, "wp", lat.geometry.delta * (1.0 + 1e-13), 0) == math.inf
-        with pytest.raises(PrecisionError, match="shell cap"):
+        with pytest.raises(PrecisionError, match="over the budget"):
             plan_truncation(lat, lat.geometry.delta * (1.0 + 1e-13), 1e-3)
 
 
@@ -566,7 +599,7 @@ def _is_fewest_on_the_rule(lat, tol, plan):
 
     def fewest_rows(c):
         # the smallest d_max >= 1 that meets tol on c_max = c, by bisection
-        lo, hi = 0, SHELL_CAP
+        lo, hi = 0, POINT_BUDGET
         if spent(c, hi) > tol:
             return None
         while hi - lo > 1:
@@ -576,7 +609,7 @@ def _is_fewest_on_the_rule(lat, tol, plan):
 
     if spent(*plan.box) > tol or fewest_rows(plan.c_max) != plan.d_max:
         return False
-    for c in range(SHELL_CAP + 1):
+    for c in range(POINT_BUDGET):
         # no box on c_max = c has fewer lines than 2c + 1 or rows than d_max >= 1
         if (2 * c + 1) * 3 - 1 > plan.point_count:
             return True
@@ -598,8 +631,7 @@ class TestFullTolerancePlans:
         red = reduce_lattice(lat)
         z = 0.1 * red.basis.geometry.delta * cmath.exp(0.7j)
         for kind, fn in LATTICE_FNS:
-            info = describe_route(lat, z, tol, route="shell", kind=kind)
-            shell = fn(lat, z, tol, route="shell")
+            shell, info = _reported(fn, lat, z, tol, route="shell")
             series = fn(lat, z, tol, route="series")
             assert shell.error <= tol
             assert abs(shell.value - series.value) <= shell.error + series.error
@@ -622,16 +654,14 @@ class TestFullTolerancePlans:
             return plans[-1][2]
 
         monkeypatch.setattr(shells, "plan_truncation", spy)
-        elongated = describe_route(Lattice(20j, 1.0), 0.5, 1e-8, route="shell", kind="wp")
-        square = describe_route(Lattice(0.3 + 1.1j, 1.0), 0.25 - 0.1j, 1e-8, route="shell", kind="wzeta")
+        wp_value, elongated = _reported(wp_lattice, Lattice(20j, 1.0), 0.5, 1e-8, route="shell")
+        zeta_value, square = _reported(wzeta_lattice, Lattice(0.3 + 1.1j, 1.0), 0.25 - 0.1j, 1e-8, route="shell")
         assert (elongated["c_max"], elongated["d_max"], elongated["points"]) == (0, 5, 10)
         assert (square["c_max"], square["d_max"], square["points"]) == (3, 4, 62)
         assert len(plans) == 2
         for lat, share, plan in plans:
             assert _is_fewest_on_the_rule(lat, share, plan)
         # and the values summed on them lie within their certificates of the 40-digit oracle
-        wp_value = wp_lattice(Lattice(20j, 1.0), 0.5, 1e-8, route="shell")
-        zeta_value = wzeta_lattice(Lattice(0.3 + 1.1j, 1.0), 0.25 - 0.1j, 1e-8, route="shell")
         assert abs(wp_value.value - mp_wp(20j, 0.5)) <= wp_value.error <= 1e-8
         assert abs(zeta_value.value - mp_wzeta(0.3 + 1.1j, 0.25 - 0.1j)) <= zeta_value.error <= 1e-8
 
@@ -663,11 +693,11 @@ class TestFullTolerancePlans:
                         plan_truncation(lat, z_bound, tol, kind=kind)
                     continue
                 budget = tol - rounding
-                c1 = next(c for c in range(SHELL_CAP) if _far_bound(lat, kind, z_bound, c) < budget)
+                c1 = next(c for c in range(POINT_BUDGET) if _far_bound(lat, kind, z_bound, c) < budget)
                 boxes = []
                 for c in (c1, c1 + 1):
                     share = budget - _far_bound(lat, kind, z_bound, c)
-                    d = next(d for d in range(1, SHELL_CAP) if _partial_bound(lat, kind, z_bound, c, d) <= share)
+                    d = next(d for d in range(1, POINT_BUDGET) if _partial_bound(lat, kind, z_bound, c, d) <= share)
                     boxes.append(((2 * c + 1) * (2 * d + 1) - 1, c, d))
                 plan = plan_truncation(lat, z_bound, tol, kind=kind)
                 assert plan.box == min(boxes)[1:], (frac, kind)
@@ -746,12 +776,12 @@ class TestFullTolerancePlans:
         for kind, fn in LATTICE_FNS:
             boxes.clear()
             fn(lat, z, tol, route="shell")
-            info = describe_route(lat, z, tol, route="shell", kind=kind)
-            # the evaluation's box, then that of describe_route's own evaluation
+            _, info = _reported(fn, lat, z, tol, route="shell")
+            # the evaluation's box, then that of the reported evaluation
             assert boxes == [(info["c_max"], info["d_max"])] * 2
 
     def test_describe_route_reports_every_box_of_a_label(self, monkeypatch):
-        # eval_g sums the label's box and the four of the eta2 difference
+        # eval_g sums the label's box and the one of eta2 = 2 wzeta(1/2)
         boxes = []
 
         def spy(lat, z, box, kind="wp"):
@@ -763,10 +793,10 @@ class TestFullTolerancePlans:
         eval_g(RationalPair.of(*label), 1.2j, 1e-6, route="shell")
         summed = list(boxes)
         boxes.clear()
-        info = describe_route(Lattice(1.2j, 1.0), label, 1e-6, route="shell", kind="wzeta")
+        _, info = _reported(eval_g, RationalPair.of(*label), 1.2j, 1e-6, route="shell")
         assert boxes == summed
-        assert info == {"route": "shell", "boxes": 5, "points": 220}
-        assert sum((2 * c + 1) * (2 * d + 1) - 1 for c, d in summed) == 220
+        assert info == {"route": "shell", "boxes": 2, "points": 88}
+        assert sum((2 * c + 1) * (2 * d + 1) - 1 for c, d in summed) == 88
 
     def test_rounding_alone_over_tol_is_refused_before_summing(self, monkeypatch):
         # near the pole the principal part's rounding alone exceeds tol
@@ -776,7 +806,8 @@ class TestFullTolerancePlans:
         monkeypatch.setattr(shells, "shell_sum", no_sum)
         with pytest.raises(PrecisionError, match="certificate exceeds"):
             wp_lattice(Lattice(1j, 1.0), 1e-7, 1e-12, route="shell")
-        assert describe_route(Lattice(1j, 1.0), 1e-7, 1e-12, route="shell") == {"route": "shell", "feasible": False}
+        with pytest.raises(PrecisionError, match="certificate exceeds"):
+            _reported(wp_lattice, Lattice(1j, 1.0), 1e-7, 1e-12, route="shell")
 
 
 class TestKernelParity:
@@ -879,10 +910,10 @@ class TestErrors:
             wp_lattice(big, 3e100 + 2e100j + 1e80, 1e-200)
         assert abs(info.value.nearest - (3e100 + 2e100j)) <= 1e-15 * 1e100
         with pytest.raises(PoleError) as info:
-            describe_route(big, (2 + Fraction(1, 10**9), Fraction(3)), 1e-200, kind="wp")
+            list(_reduce(big, ((2 + Fraction(1, 10**9), Fraction(3)),)))
         assert abs(info.value.nearest - (3e100 + 2e100j)) <= 1e-15 * 1e100
         for lat, modulus in ((big, 1e100), (Lattice(0.8j, 1.0), 0.8)):
-            assert describe_route(lat, 0.3 * lat.omega2, route="series")["scale_modulus"] == modulus
+            assert _reported(wp_lattice, lat, 0.3 * lat.omega2, route="series")[1]["scale_modulus"] == modulus
 
     def test_shell_route_at_a_lattice_point(self):
         # z = 0 and the first-shell points are poles, not a division by zero
