@@ -143,11 +143,11 @@ def _reduce(lat: Lattice, zs):
 
     Guarding lazily keeps the order of errors of one evaluation per point: a
     pole at a later point does not preempt an error of an earlier one.
-    delta <= e2 = min over x in [-1, 1] of |J + x*A| <= |J|, so a point with
-    |point| >= 2 * POLE_RTOL * |J| passes without building the geometry.  A
-    label (s, t) is guarded alike: its reduced point is exactly nonzero, but
-    at a level beyond about 1/POLE_RTOL it is too close to the lattice for
-    binary64, and the strips overflow on it.  :func:`_reported` reads the record.
+    delta <= h2 <= |J|, so a point with |point| >= 2 * POLE_RTOL * |J| passes
+    without building the geometry.  A label (s, t) is guarded alike: its
+    reduced point is exactly nonzero, but at a level beyond about 1/POLE_RTOL
+    it is too close to the lattice for binary64, and the strips overflow on
+    it.  :func:`_reported` reads the record.
     """
     record = _RECORD.get()
     for z, red in zip(zs, reduce_points(lat, zs)):

@@ -31,30 +31,16 @@ __all__ = [
 class LatticeGeometry:
     """Lower-bound geometry of a basis, used by truncation planning.
 
-    ``e1``/``e2`` are the minima of |omega1 + y*omega2| (y in [-1,1]) and
-    |x*omega1 + omega2| (x in [-1,1]); ``h1``/``h2`` the distances from each
-    generator to the line spanned by the other; ``delta`` = min(e1, e2).
-    For every integer point c*omega1 + d*omega2 with max(|c|,|d|) = n the
-    modulus is >= n*delta, and >= |c|*h1, >= |d|*h2 individually.
+    ``h1``/``h2`` are the distances from each generator to the line spanned by
+    the other, and ``delta`` = min(h1, h2).  On every basis an integer point
+    c*omega1 + d*omega2 has modulus >= |c|*h1 and >= |d|*h2, so >= n*delta
+    where max(|c|, |d|) = n.  On a Lagrange-reduced basis delta is also the
+    least of |omega1 + t*omega2| and |t*omega1 + omega2| over t in [-1, 1].
     """
 
-    e1: float
-    e2: float
     h1: float
     h2: float
     delta: float
-
-
-def _edge_min(wa: complex, wb: complex) -> float:
-    # min over t in [-1, 1] of |wa + t*wb|, at t = -Re(wa conj wb) / |wb|^2
-    try:
-        t = -(wa.real * wb.real + wa.imag * wb.imag) / abs(wb) ** 2
-    except (OverflowError, ZeroDivisionError):
-        # |wb|^2 outside the float range (|wb| above ~1e154 or below ~1e-162):
-        # the same t as the real part of a quotient, which does not square |wb|
-        t = -(wa / wb).real
-    t = max(-1.0, min(1.0, t))
-    return abs(wa + t * wb)
 
 
 @dataclass(frozen=True)
@@ -90,23 +76,17 @@ class Lattice:
         """Period ratio omega1/omega2; lies in the upper half plane."""
         return self.omega1 / self.omega2
 
-    @property
-    def covolume(self) -> float:
-        # Im(omega1 * conj(omega2))
-        return self.omega1.imag * self.omega2.real - self.omega1.real * self.omega2.imag
-
     @cached_property
     def geometry(self) -> LatticeGeometry:
-        e1 = _edge_min(self.omega1, self.omega2)
-        e2 = _edge_min(self.omega2, self.omega1)
-        d = self.covolume
-        return LatticeGeometry(
-            e1=e1,
-            e2=e2,
-            h1=d / abs(self.omega2),
-            h2=d / abs(self.omega1),
-            delta=min(e1, e2),
-        )
+        # h1 = |omega2| Im tau and h2 = h1/|tau| on the basis times the power of
+        # two 2**-e that puts omega2 at unit scale, where the ratio and lengths
+        # stay normal; scaling is exact, back to a subnormal length rounded once
+        e = math.frexp(max(abs(self.omega2.real), abs(self.omega2.imag)))[1]
+        w1, w2 = (complex(math.ldexp(w.real, -e), math.ldexp(w.imag, -e)) for w in (self.omega1, self.omega2))
+        tau = w1 / w2
+        h1 = abs(w2) * tau.imag
+        h1, h2 = math.ldexp(h1, e), math.ldexp(h1 / abs(tau), e)
+        return LatticeGeometry(h1, h2, min(h1, h2))
 
 
 def reduce_tau_matrix(tau: complex) -> tuple[int, int, int, int]:

@@ -17,8 +17,8 @@ above, which does not cancel when z sits next to w, one line at a time with
 ``math.fsum``; its rounding is derived next to it.
 
 Tail.  Write tau = omega1/omega2, z' = z/omega2 and y = z_bound/|omega2|;
-h2 = covolume/|omega1| is the distance of omega2 from the line R*omega1, so
-|w| >= |d| h2.  The margin |z| <= delta <= e1 <= Im(tau) |omega2| gives
+h2 = h1/|tau| is the distance of omega2 from the line R*omega1, so
+|w| >= |d| h2.  The margin |z| <= delta <= h1 = Im(tau) |omega2| gives
 y <= Im tau.  The points outside the box split into two sets, each symmetric
 under w -> -w.
 
@@ -77,8 +77,7 @@ Im tau >= sqrt(3)/2, so bound (i) falls by exp(-2 pi Im tau) < 1/230 per line,
 while bound (ii) is proportional to 2 c_max + 1 (the rows' rounding only adds
 to it), so from c1 + 1 on d_max cannot fall while c_max < 230.  The lines
 number about log(1/tol) / Im tau: at most 7 on reduced bases of scale e^-30 to
-e^30 at tol down to 1e-30.  On other bases the box meets tol, but a larger
-c_max may have fewer points.
+e^30 at tol down to 1e-30.
 
 Budget.  A shell value is the principal part 1/z^2 resp. 1/z plus the sum and
 the closures; its certificate adds the tail bound (i) + (ii), the a priori
@@ -88,6 +87,11 @@ plans the box at the rest of tol times 1 - 4 eps, which absorbs the rounding
 of those sums.  ``shell_route`` raises PrecisionError when |z| exceeds the
 margin, when those two terms reach tol, when ``plan_truncation`` refuses the
 box, or when the certificate exceeds tol.
+
+Entries.  The route sums on reduced bases only, |Re tau| <= 1/2 and |tau| >= 1
+within 1e-9.  ``plan_shell`` checks the kind, the basis, the margin, the pole
+and the kernel's range once, and ``shell_value`` checks z against the plan and
+the pole; ``plan_truncation`` and ``shell_sum`` take their inputs as checked.
 """
 
 from __future__ import annotations
@@ -104,16 +108,7 @@ from .errors import DomainError, PoleError, PrecisionError
 from .lattice import Lattice
 from .trig import _wp_tail, _z_tail
 
-__all__ = [
-    "TruncationPlan",
-    "plan_truncation",
-    "shell_sum",
-    "bulk_rounding_bound",
-    "plan_shell",
-    "shell_value",
-    "shell_route",
-    "POINT_BUDGET",
-]
+__all__ = ["shell_route", "plan_shell", "shell_value", "POINT_BUDGET"]
 
 _EPS = math.ulp(1.0)
 _U = 0.5 * _EPS
@@ -130,7 +125,6 @@ _S_HALF = {"wp": 44.0 / 9.0, "wzeta": 4.0 / 3.0}
 # over it may take the first shell's denominators below the normal range.
 _W_RANGE = {"wp": (sys.float_info.max / 8.0) ** (1.0 / 6.0), "wzeta": (sys.float_info.max / 8.0) ** 0.25}
 _OUT_OF_RANGE = "shell route infeasible: the basis lies outside the kernel's float range"
-_MARGIN_SLACK = 1.0 + 1e-12
 
 # where set, the list of what an evaluation ran: each plan shell_route summed, each reduction
 _RECORD = ContextVar("weierforms_record", default=None)
@@ -171,15 +165,6 @@ class TruncationPlan:
         return (2 * self.c_max + 1) * (2 * self.d_max + 1) - 1
 
 
-def _check_margin(lat: Lattice, z_bound: float) -> None:
-    delta = lat.geometry.delta
-    if z_bound > delta * _MARGIN_SLACK:
-        raise DomainError(
-            f"|z| = {z_bound:.6g} exceeds the shell constant {delta:.6g}; "
-            "the margin |z/w| <= 1/2 would fail beyond the first shell"
-        )
-
-
 def _check_pole(lat: Lattice, z: complex) -> None:
     """Refuse z = 0 and the first-shell points, where the principal part or a
     pair's denominator is 0; other points of the box are beyond the margin."""
@@ -200,9 +185,16 @@ def _check_kernel_range(lat: Lattice, kind: str, c_max: int, d_max: int) -> None
 
 
 def _down(lat: Lattice) -> float:
-    """Im tau = h1/|omega2| and h2 are within (2 skew + 4) u of their computed
-    values, skew = |omega1| |omega2| / covolume: this factor rounds them down."""
-    return 1.0 - 8.0 * _EPS * abs(lat.omega1) * abs(lat.omega2) / lat.covolume
+    """A factor that rounds Im tau = h1/|omega2| and h2 down to lower bounds.
+
+    With skew = |tau|/Im tau = |omega2|/h2 >= 1, the computed tau is within
+    7.07u |tau| (Smith's division), so Im tau within 7.07u skew relative, and
+    Im tau/|tau| also, to first order.  |omega2| and |tau| (hypot) are within
+    2u each and the product and quotient u each, so h1 = |omega2| Im tau and
+    h2 = h1/|tau| are within (7.07 skew + 6)u; 16u skew covers that, and the
+    rounding of h1/|omega2| and of skew, since skew >= 1.
+    """
+    return 1.0 - 8.0 * _EPS * abs(lat.omega2) / lat.geometry.h2
 
 
 def _far_bound(lat: Lattice, kind: str, z_bound: float, c_max: int) -> float:
@@ -261,19 +253,12 @@ def plan_truncation(
     :func:`bulk_rounding_bound` is <= tol, and on a reduced basis no box with
     fewer points is, nor one with as many and a smaller c_max.
 
-    Requires z_bound <= delta.  Raises PrecisionError when neither candidate
-    box meets tol within POINT_BUDGET points, when the rounding alone reaches
-    tol, or when the basis or the box lies outside the kernel's float range.
+    Takes its inputs as :func:`plan_shell` checks them: a reduced basis in the
+    kernel's range, a kind, 0 <= z_bound <= delta and tol > 0.  Raises
+    PrecisionError when neither candidate box meets tol within POINT_BUDGET
+    points, when the rounding alone reaches tol, or when the box lies outside
+    the kernel's float range.
     """
-    if kind not in _KINDS:
-        raise DomainError(f"unknown summand kind {kind!r}")
-    z_bound = float(z_bound)
-    if z_bound < 0.0:
-        raise DomainError("z_bound must be nonnegative")
-    _check_margin(lat, z_bound)
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
-    _check_kernel_range(lat, kind, 1, 1)
     spent = bulk_rounding_bound(lat, z_bound, kind)
     if spent >= tol:
         raise PrecisionError(f"tolerance {tol:.3g} below the kernel's rounding bound {spent:.3g}")
@@ -289,12 +274,9 @@ def plan_truncation(
     c = 0 if far <= budget else max(0, math.floor((math.log(far) - math.log(budget)) / decay) - 1)
     if c:
         far = _far_bound(lat, kind, z_bound, c)
-    # while the fewest points on c lines, those of d_max = 1, are within POINT_BUDGET
-    while far >= budget and 6 * c + 2 <= POINT_BUDGET:
+    while far >= budget:
         c += 1
         far = _far_bound(lat, kind, z_bound, c)
-    if far >= budget:
-        raise over
     # bound (ii) exceeds its remainder, (2 c_max + 1) amp (|omega2|/G)^(2P+2), and
     # the rounding of its k = 1 closures, (2 c_max + 1) lead |omega2| / G^p (wp:
     # p = 3, wzeta: 2); every d_max below either root misses the share, or the margin
@@ -390,20 +372,13 @@ def shell_sum(
     """Sum the chosen summand over the box (c_max, d_max) in the basis of ``lat``.
 
     Returns (sum, rounding_bound), without the principal part (1/z^2 or 1/z)
-    or the closures.  Requires |z| <= delta, as the planner does, and raises
-    PrecisionError on a box outside the kernel's float range.
+    or the closures.  Takes z and the box as :func:`shell_value` checks them
+    (|z| <= delta, z off the first shell), and raises PrecisionError where the
+    sum leaves the float range.
     """
-    if kind not in _KINDS:
-        raise DomainError(f"unknown summand kind {kind!r}")
     c_max, d_max = box
-    if any(not isinstance(n, int) or isinstance(n, bool) or n < 0 for n in box):
-        raise DomainError(f"box half-widths must be nonnegative integers, got {box!r}")
     if c_max == 0 and d_max == 0:
         return 0.0 + 0.0j, 0.0
-    z = complex(z)
-    _check_margin(lat, abs(z))
-    _check_pole(lat, z)
-    _check_kernel_range(lat, kind, c_max, d_max)
     w1, w2 = complex(lat.omega1), complex(lat.omega2)
     zz = z * z
     dw2 = [d * w2 for d in range(d_max + 1)]
@@ -475,7 +450,8 @@ def _addition_bound(principal: complex, total_abs: float) -> float:
 
 def plan_shell(lat: Lattice, z: complex, tol: float, kind: str) -> TruncationPlan:
     """The admitted plan of the shell value at z within tol, or PrecisionError
-    with the reason for refusing it.
+    with the reason for refusing it (DomainError for an unknown kind or a basis
+    that is not reduced).
 
     The box takes all of tol that the terms of the certificate which do not
     depend on it leave: the first shell's rounding and the principal part's
@@ -483,11 +459,12 @@ def plan_shell(lat: Lattice, z: complex, tol: float, kind: str) -> TruncationPla
     """
     if kind not in _KINDS:
         raise DomainError(f"unknown summand kind {kind!r}")
+    tau = lat.tau
+    if not (abs(tau.real) <= 0.5 + 1e-9 and abs(tau) >= 1.0 - 1e-9):
+        raise DomainError(f"the shell route sums on reduced bases only; omega1/omega2 = {tau!r} is not reduced")
     z = complex(z)
-    try:
-        _check_margin(lat, abs(z))
-    except DomainError:
-        raise PrecisionError("shell route infeasible: |z| exceeds the margin of the reduced basis") from None
+    if abs(z) > lat.geometry.delta * (1.0 + 1e-12):
+        raise PrecisionError("shell route infeasible: |z| exceeds the margin of the reduced basis")
     _check_pole(lat, z)
     _check_kernel_range(lat, kind, 1, 1)
     first_abs, bound = _first_shell(lat, z, 1, 1, kind)
@@ -508,6 +485,7 @@ def shell_value(lat: Lattice, z: complex, plan: TruncationPlan) -> CertifiedValu
     z, kind = complex(z), plan.kind
     if abs(z) > plan.z_bound:
         raise DomainError(f"|z| = {abs(z):.6g} exceeds the plan's z_bound {plan.z_bound:.6g}")
+    _check_pole(lat, z)
     box, rounding = shell_sum(lat, z, plan.box, kind)
     total = box + _closures(lat, z, plan.c_max, plan.d_max, kind)
     principal = _principal(z, kind)

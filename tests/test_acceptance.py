@@ -14,11 +14,11 @@ from weierforms import (
     RationalPair,
     eval_f,
     eval_h,
-    plan_truncation,
     run_suite,
     shell_value,
 )
 from weierforms.evaluate import _reported
+from weierforms.shells import plan_truncation
 
 PI = math.pi
 

@@ -168,10 +168,9 @@ class TestShellSoundnessGrid:
 class TestShellOracleGrid:
     """Seeded random cases of the forced shell route against the 50-digit oracle.
 
-    Reduced bases and the non-reduced (1 + 1.5i, 1), which ``shell_route``
-    takes as given (``plan_truncation`` is public); |z| up to 0.999 delta and
-    tol from 1e-5 to 1e-12.  A slack certificate would not show here; an
-    unsound one would.
+    The reduced bases of these, which ``shell_route`` requires, the one of
+    (1 + 1.5i, 1) included; |z| up to 0.999 delta and tol from 1e-5 to 1e-12.
+    A slack certificate would not show here; an unsound one would.
     """
 
     BASES = [
@@ -188,7 +187,7 @@ class TestShellOracleGrid:
 
         rng = random.Random(2501)
         for i in range(60):
-            lat = Lattice(*self.BASES[i % len(self.BASES)])
+            lat = reduce_lattice(Lattice(*self.BASES[i % len(self.BASES)])).basis
             kind, oracle = (("wp", mp_wp_mpc), ("wzeta", mp_wzeta_mpc))[i // len(self.BASES) % 2]
             frac = rng.choice((0.999, rng.uniform(0.2, 0.999)))
             z = frac * lat.geometry.delta * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))

@@ -10,8 +10,9 @@ import sys
 
 import pytest
 
-from weierforms import shell_sum, shells
+from weierforms import shells
 from weierforms.cli import format_complex, main, parse_complex
+from weierforms.shells import shell_sum
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:

@@ -19,7 +19,6 @@ from weierforms import (
     eta12,
     lattice_row_sum_enclosure,
     random_in_group,
-    shell_sum,
     slash,
     wp,
     wp_lattice,
@@ -27,7 +26,8 @@ from weierforms import (
     wzeta_lattice,
 )
 from weierforms.evaluate import _reported
-from weierforms.shells import POINT_BUDGET, _far_bound, bulk_rounding_bound, shell_route
+from weierforms.lattice import reduce_lattice
+from weierforms.shells import POINT_BUDGET, bulk_rounding_bound, plan_shell, shell_route, shell_sum, shell_value
 from weierforms.trig import wp_strip, z_strip
 
 from oracles import mp_lattice, mp_wp_mpc, mp_wzeta_mpc
@@ -90,17 +90,15 @@ class TestDispatchEdges:
             wp_lattice(Lattice(1j, 1.0), 0.5, 1e-8, route="warp")
 
     def test_forced_shell_budget_guard(self):
-        # feasible under the cap but over the runtime point budget (over 10^7
-        # points): the shell route on a basis far from reduced (Im tau = 0.003,
-        # about 1100 lines, and lines closed only after thousands of points
-        # since h2 = 0.003 |omega2|) at a share just above the least tail plus
-        # rounding.  The evaluators sum on reduced bases, where
-        # Im tau >= sqrt(3)/2 keeps the lines few and short
+        # a basis far from reduced (Im tau = 0.003) would need about 1100 lines
+        # of thousands of points: the shell route refuses it by its ratio.  The
+        # evaluators sum on the reduced basis of the same lattice, where
+        # Im tau >= sqrt(3)/2 keeps the lines few and short even at 1e-12
         lat = Lattice(1 + 0.003j, 1.0)
-        z = 0.5 * lat.geometry.delta
-        floor = min(_far_bound(lat, "wp", z, c) for c in range(3000)) + bulk_rounding_bound(lat, z, "wp")
-        with pytest.raises(PrecisionError, match="over the budget"):
-            shell_route(lat, z, 1.01 * floor, "wp")
+        with pytest.raises(DomainError, match=r"reduced bases only; omega1/omega2 = \(1\+0\.003j\)"):
+            shell_route(lat, 0.5 * lat.geometry.delta, 1e-8, "wp")
+        basis = reduce_lattice(lat).basis
+        assert plan_shell(basis, 0.5 * basis.geometry.delta, 1e-12, "wp").point_count <= 100
 
     def test_describe_route_shell(self):
         # the route report of a shell evaluation
@@ -158,10 +156,10 @@ class TestHugeLattices:
     # h**3, h**4 of the line distances beyond the float range
     def test_geometry_of_a_long_basis(self):
         g = Lattice(1e155j, 1.0).geometry
-        assert (g.e1, g.e2, g.h1, g.h2, g.delta) == (1e155, 1.0, 1e155, 1.0, 1.0)
+        assert (g.h1, g.h2, g.delta) == (1e155, 1.0, 1.0)
         # |omega1|^2 underflows to 0
         g = Lattice(1e-170j, 1.0).geometry
-        assert (g.e1, g.e2, g.h1, g.h2, g.delta) == (1e-170, 1.0, 1e-170, 1.0, 1e-170)
+        assert (g.h1, g.h2, g.delta) == (1e-170, 1.0, 1e-170)
 
     def test_series_route_values(self):
         for route in ("auto", "series"):
@@ -242,6 +240,60 @@ class TestHugeLattices:
             with pytest.raises(DomainError, match="generator ratio .* leaves the float range"):
                 make()
         assert Lattice(complex(1.2e308, 1.2e308), 1.0).omega1 == complex(1.2e308, 1.2e308)
+
+
+class TestGeometry:
+    """h1 = |omega2| Im tau, h2 = h1/|tau| and delta = min(h1, h2) at any scale."""
+
+    # reduced, sheared and elongated ratios
+    RATIOS = [0.3 + 1.1j, 1j, -0.5 + 0.87j, 2.3 + 0.7j, -3.0 + 0.5j, 20j, 0.01 + 300j]
+
+    def test_distances_at_every_scale(self):
+        # against the distances of the float generators in 50 digits, within 8
+        # ulps, from scale 2**-1070 to 2**1020, with omega2 real and rotated
+        import mpmath as mp
+
+        for k in range(-1070, 1021, 23):
+            for rot in (1, 3 + 4j):
+                for tau in self.RATIOS:
+                    # omega2 = rot * 2**(k - 3) and omega1 = tau * omega2, each part rounded once
+                    p = tau * rot
+                    w1, w2 = (complex(math.ldexp(x.real, k - 3), math.ldexp(x.imag, k - 3)) for x in (p, rot * (1 + 0j)))
+                    g = Lattice(w1, w2).geometry
+                    with mp.workdps(50):
+                        a, b = mp.mpc(w1), mp.mpc(w2)
+                        cov = mp.im(a * mp.conj(b))
+                        h1, h2 = cov / abs(b), cov / abs(a)
+                        truth = [float(h1), float(h2), float(min(h1, h2))]
+                        for got, want, exact in zip((g.h1, g.h2, g.delta), truth, (h1, h2, min(h1, h2))):
+                            assert abs(mp.mpf(got) - exact) <= 8 * math.ulp(want), (k, rot, tau)
+
+    def test_extreme_scales(self):
+        # the covolume Im(omega1 conj(omega2)) leaves the normal range at these
+        # scales; the distances do not
+        for x in (3e-162, 1.5e-162, 1e160):
+            g = Lattice(x * 1j, x).geometry
+            assert (g.h1, g.h2, g.delta) == (x, x, x)
+
+    def test_shell_constant_on_any_basis(self):
+        # |c*omega1 + d*omega2| >= n * delta with n = max(|c|, |d|), exactly,
+        # for n <= 5, on reduced and sheared bases of any scale and rotation
+        rng = random.Random(33)
+        slack = Fraction(1) - 8 * Fraction(sys.float_info.epsilon)
+        for i in range(200):
+            if i % 2:
+                tau = complex(rng.uniform(-50.0, 50.0), 10.0 ** rng.uniform(-6.0, 1.0))
+            else:
+                tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.0, 3.0))
+                tau += 1j * math.sqrt(max(0.0, 1.0 - tau.real**2))
+            w2 = cmath.rect(math.ldexp(rng.uniform(0.5, 1.0), rng.choice((-600, 0, 600))), rng.uniform(0.0, 2.0 * math.pi))
+            lat = Lattice(tau * w2, w2)
+            (a, b), (c, d) = ((Fraction(w.real), Fraction(w.imag)) for w in (lat.omega1, lat.omega2))
+            least = (Fraction(lat.geometry.delta) * slack) ** 2
+            for m in range(-5, 6):
+                for n in range(-5, 6):
+                    if m or n:
+                        assert (m * a + n * c) ** 2 + (m * b + n * d) ** 2 >= max(m * m, n * n) * least, (tau, w2, m, n)
 
 
 def _scaled_requests(seed: int, count: int = 16):
@@ -333,37 +385,66 @@ class TestStripPreconditions:
             z_strip(1j, 0.1 + 0.9j, 1e-8)
 
 
+def _planned_boxes():
+    """The boxes plan_shell admits on reduced bases, over |z| and tol."""
+    for tau in (1j, 0.3 + 1.1j, 0.5 + 0.87j, 20j):
+        lat = Lattice(tau, 1.0)
+        for frac in (0.1, 0.6, 0.999):
+            for tol in (1e-3, 1e-8, 1e-12):
+                for kind in ("wp", "wzeta"):
+                    try:
+                        yield plan_shell(lat, frac * lat.geometry.delta * cmath.exp(0.4j), tol, kind).box
+                    except PrecisionError:
+                        pass
+
+
+def _half_widths(box) -> bool:
+    return all(type(n) is int and n >= 0 for n in box)
+
+
 class TestShellSumEdges:
+    # shell_sum takes its box from a plan and z as shell_value checks it: the
+    # kind, the margin and the pole are checked by plan_shell and shell_value
+
     def test_zero_shells(self):
         total, rounding = shell_sum(Lattice(1j, 1.0), 0.3, (0, 0))
         assert total == 0 and rounding == 0.0
 
     def test_bad_kind(self):
-        with pytest.raises(DomainError):
-            shell_sum(Lattice(1j, 1.0), 0.3, (5, 5), "sigma")
+        with pytest.raises(DomainError, match="kind"):
+            plan_shell(Lattice(1j, 1.0), 0.3, 1e-6, "sigma")
 
     def test_negative_count(self):
-        with pytest.raises(DomainError):
-            shell_sum(Lattice(1j, 1.0), 0.3, (-1, 2))
+        # every planned box has nonnegative half-widths and at least one row
+        assert not _half_widths((-1, 2))
+        boxes = list(_planned_boxes())
+        assert len(boxes) > 40 and all(_half_widths(box) and box[1] >= 1 for box in boxes)
 
     @pytest.mark.parametrize("box", [(2.5, 3), ("2", 3), (True, 3), (2, 3.0)])
     def test_half_widths_must_be_integers(self, box):
-        # as ModularMatrix and as_rational: no float, string or bool is read as an int
-        with pytest.raises(DomainError, match="integers"):
-            shell_sum(Lattice(1j, 1.0), 0.3, box)
+        # as ModularMatrix and as_rational: no float, string or bool is a
+        # half-width, and every box the planner hands shell_sum is one of ints
+        assert not _half_widths(box)
+        assert all(_half_widths(b) for b in _planned_boxes())
 
     def test_point_outside_margin(self):
-        # the rounding bound needs |z| <= delta, as the planner does
-        with pytest.raises(DomainError):
-            shell_sum(Lattice(1j, 1.0), 1.2, (5, 5))
+        # the rounding bound needs |z| <= delta: plan_shell refuses beyond it,
+        # and shell_value beyond the plan's z_bound
+        lat = Lattice(1j, 1.0)
+        with pytest.raises(PrecisionError, match="margin"):
+            plan_shell(lat, 1.2, 1e-6, "wp")
+        with pytest.raises(DomainError, match="z_bound"):
+            shell_value(lat, 1.2, plan_shell(lat, 0.5, 1e-6, "wp"))
 
     def test_box_outside_kernel_range(self):
-        # the planner refuses this box; a direct call refuses it the same way,
-        # before the kernel overflows
+        # the planner refuses this basis; summed directly, the kernel's result
+        # is not finite, and shell_sum refuses it the same way
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(PrecisionError, match="float range"):
                 shell_sum(Lattice(1e60j, 1e60), 3e59, (1, 1), "wp")
+            with pytest.raises(PrecisionError, match="float range"):
+                plan_shell(Lattice(1e60j, 1e60), 3e59, 1e-100, "wp")
 
 
 class TestMiscValidation:

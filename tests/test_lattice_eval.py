@@ -20,8 +20,6 @@ from weierforms import (
     eval_f,
     eval_g,
     eval_h,
-    plan_truncation,
-    shell_sum,
     shell_value,
     wp,
     wp_lattice,
@@ -40,7 +38,10 @@ from weierforms.shells import (
     _far_bound,
     _partial_bound,
     bulk_rounding_bound,
+    plan_shell,
+    plan_truncation,
     shell_route,
+    shell_sum,
 )
 from weierforms.trig import eta2_strip
 
@@ -327,6 +328,10 @@ class TestEta:
                 assert abs(eta2.value - diff.value) <= eta2.error + diff.error
 
 
+def _covolume(lat):
+    return (lat.omega1 * lat.omega2.conjugate()).imag
+
+
 class TestLagrangeReduction:
     @pytest.mark.parametrize("tau", [0.2j, 0.4 + 0.001j, 3 + 0.7j, -0.45 + 0.05j])
     def test_reduced_as_a_set(self, tau):
@@ -334,7 +339,7 @@ class TestLagrangeReduction:
         red = reduce_lattice(lat)
         # the reduced basis at the caller's scale: 2**k times the unit-scale one, exactly
         red = Lattice(red.aa * 2.0**red.k, red.jj * 2.0**red.k)
-        assert red.covolume == pytest.approx(lat.covolume, rel=1e-12)
+        assert _covolume(red) == pytest.approx(_covolume(lat), rel=1e-12)
         w1, w2 = red.omega1, red.omega2
         shorter = min(abs(w1), abs(w2))
         # brute force over small coefficients of the original basis (tau, 1)
@@ -364,16 +369,19 @@ class TestPlans:
             last = n
 
     def test_margin_precondition(self):
-        with pytest.raises(DomainError):
-            plan_truncation(Lattice(1j, 1.0), 1.5, 1e-6)
+        with pytest.raises(PrecisionError, match="margin"):
+            plan_shell(Lattice(1j, 1.0), 1.5, 1e-6, "wp")
 
     def test_cap_exhaustion(self):
-        # far from reduced (Im tau = 1e-7), bound (i) falls by exp(-2 pi 1e-7) per
-        # line: the far lines alone need more than POINT_BUDGET points
+        # far from reduced (Im tau = 1e-7), bound (i) would fall by only
+        # exp(-2 pi 1e-7) per line: the shell route refuses the basis by its
+        # ratio; its reduced basis (Im tau = 1e7) needs no far line
         lat = Lattice(1 + 1e-7j, 1.0)
-        z_bound = 0.5 * lat.geometry.delta
-        with pytest.raises(PrecisionError, match="over the budget"):
-            plan_truncation(lat, z_bound, 1e3 * bulk_rounding_bound(lat, z_bound, "wp"))
+        z = 0.5 * lat.geometry.delta
+        with pytest.raises(DomainError, match="not reduced"):
+            plan_shell(lat, z, 1e3 * bulk_rounding_bound(lat, z, "wp"), "wp")
+        basis = reduce_lattice(lat).basis
+        assert plan_shell(basis, 0.5 * basis.geometry.delta, 1e-8, "wp").c_max == 0
 
     @pytest.mark.parametrize("tol", [1e-300, 5e-324])
     def test_tiny_tol_refused(self, tol):
@@ -382,16 +390,18 @@ class TestPlans:
             plan_truncation(Lattice(1j, 1.0), 0.4, tol)
 
     def test_point_budget(self):
-        # a basis far from reduced (Im tau = 0.003) needs about 1100 lines, and
-        # h2 = 0.003 against |omega2| = 1 makes them long: over 10^7 points
+        # a basis far from reduced (Im tau = 0.003) would need about 1100 lines
+        # of thousands of points (h2 = 0.003 |omega2|): refused by its ratio; its
+        # reduced basis (Im tau about 333) sums one line
         lat = Lattice(1 + 0.003j, 1.0)
-        z_bound = 0.5 * lat.geometry.delta
-        floor = min(_far_bound(lat, "wp", z_bound, c) for c in range(3000)) + bulk_rounding_bound(lat, z_bound, "wp")
-        with pytest.raises(PrecisionError, match="over the budget"):
-            plan_truncation(lat, z_bound, 1.01 * floor)
+        with pytest.raises(DomainError, match="not reduced"):
+            plan_shell(lat, 0.5 * lat.geometry.delta, 1e-8, "wp")
+        basis = reduce_lattice(lat).basis
+        assert plan_shell(basis, 0.5 * basis.geometry.delta, 1e-8, "wp").c_max == 0
 
     def test_far_from_reduced_basis_plans_quickly(self, monkeypatch):
-        # Im tau = 9.5e-6: the search once walked 17,019 values of c_max here
+        # Im tau = 9.5e-6: the search once walked 17,019 values of c_max here;
+        # the basis is refused before any bound is evaluated
         calls = []
 
         def counted(*args):
@@ -400,9 +410,9 @@ class TestPlans:
 
         monkeypatch.setattr(shells, "_far_bound", counted)
         lat = Lattice(-0.0015829836430624915 + 4.184715062317356e-05j, 4.395371689954808)
-        with pytest.raises(PrecisionError, match="over the budget"):
-            plan_truncation(lat, 4.18e-11, 2.1e-12)
-        assert len(calls) <= 50
+        with pytest.raises(DomainError, match="not reduced"):
+            plan_shell(lat, 4.18e-11, 2.1e-12, "wzeta")
+        assert calls == []
 
     def test_reference_plan_reaches_1e8(self):
         plan = plan_truncation(Lattice(1j, 1.0), 0.4, 1e-8)
@@ -496,12 +506,16 @@ class TestTailBound:
 
     def test_full_columns_off_a_reduced_basis(self):
         # the far lines are whole columns; far from reduced (Im tau = 1, tau = 3 + i)
+        # the route refuses the basis, and bounds them on the reduced one
         lat = Lattice(3 + 1j, 1.0)
+        basis = reduce_lattice(lat).basis
         for frac in (0.1, 0.999):
-            z = frac * lat.geometry.delta * cmath.exp(0.4j)
+            z = frac * basis.geometry.delta * cmath.exp(0.4j)
+            with pytest.raises(DomainError, match="not reduced"):
+                plan_shell(lat, z, 1e-6, "wp")
             for kind in ("wp", "wzeta"):
                 for c_max in (0, 2, 5):
-                    assert _mp_far_lines(lat, kind, z, c_max) <= _far_bound(lat, kind, abs(z), c_max)
+                    assert _mp_far_lines(basis, kind, z, c_max) <= _far_bound(basis, kind, abs(z), c_max)
 
     def test_single_row_box(self):
         # with d_max = 0 every line is closed from its midpoint c omega1 + omega2/2,
@@ -568,7 +582,7 @@ def _em_bound(lat, kind, z_bound, c_max, d_max):
     moduli of the closure's terms (module docstring of shells, Tail (ii))."""
     u = 2.0**-53
     l1, l2 = abs(lat.omega1), abs(lat.omega2)
-    h2 = lat.geometry.h2 * (1.0 - 16.0 * u * l1 * l2 / lat.covolume)
+    h2 = lat.geometry.h2 * (1.0 - 16.0 * u * l2 / lat.geometry.h2)
     start = (d_max + 0.5) * h2 - 2.0 * u * (c_max * l1 + (d_max + 1) * l2)
     far = start - z_bound
     halves = [float((Fraction(2) ** (1 - 2 * k) - 1) * bernoulli(2 * k)) for k in range(1, 7)]
@@ -680,10 +694,13 @@ class TestFullTolerancePlans:
     @pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
     @pytest.mark.parametrize("basis", [(1 + 0.3j, 1.0), (1.0, 0.2 + 0.4j)])
     def test_plan_off_a_reduced_basis_is_a_candidate(self, basis, tol):
-        # the two candidates by direct scans: c1, the first c_max whose bound (i)
-        # is below what the rounding leaves of tol, and c1 + 1, each with its
+        # the shell route refuses the basis; on the reduced one, the two
+        # candidates by direct scans: c1, the first c_max whose bound (i) is
+        # below what the rounding leaves of tol, and c1 + 1, each with its
         # fewest rows; the plan is the one with fewer points, and meets tol
-        lat = Lattice(*basis)
+        with pytest.raises(DomainError, match="not reduced"):
+            plan_shell(Lattice(*basis), 1e-3, tol, "wp")
+        lat = reduce_lattice(Lattice(*basis)).basis
         for frac in (0.05, 0.5, 0.999):
             for kind in ("wp", "wzeta"):
                 z_bound = frac * lat.geometry.delta
@@ -706,15 +723,17 @@ class TestFullTolerancePlans:
                 assert plan.tail_bound == spent
 
     def test_plan_off_a_reduced_basis_may_not_be_the_fewest(self):
-        # Im tau = 0.25: bound (i) falls by only exp(-pi/2) per line, and the
-        # box of c_max = 19, beyond the candidates 17 and 18, has fewer points
+        # Im tau = 0.25: bound (i) would fall by only exp(-pi/2) per line, and
+        # the box of c_max = 19, beyond the candidates 17 and 18, had fewer
+        # points.  The route refuses the basis, and on the reduced one its plan
+        # is the fewest on the rule
         lat = Lattice(0.16426680087030032 + 0.24948510656751263j, 1.0)
         z_bound, tol = 0.12474255328375632, 2.3379565877421616e-11
-        plan = plan_truncation(lat, z_bound, tol, kind="wzeta")
-        assert (plan.box, plan.point_count) == ((18, 8), 628)
-        rounding = bulk_rounding_bound(lat, z_bound, "wzeta")
-        assert _far_bound(lat, "wzeta", z_bound, 16) >= tol - rounding > _far_bound(lat, "wzeta", z_bound, 17)
-        assert _far_bound(lat, "wzeta", z_bound, 19) + _partial_bound(lat, "wzeta", z_bound, 19, 7) + rounding <= tol
+        with pytest.raises(DomainError, match="not reduced"):
+            plan_shell(lat, z_bound, tol, "wzeta")
+        basis = reduce_lattice(lat).basis
+        plan = plan_truncation(basis, 0.5 * basis.geometry.delta, tol, kind="wzeta")
+        assert _is_fewest_on_the_rule(basis, tol, plan)
 
     def test_plans_evaluate_few_bounds(self, monkeypatch):
         # the benchmark's two plans and the six of an h on the shell route
@@ -921,7 +940,7 @@ class TestErrors:
         for call in (
             lambda: shells.plan_shell(lat, 1.0, 1e-6, "wp"),
             lambda: shells.plan_shell(lat, 0j, 1e-6, "wp"),
-            lambda: shell_sum(lat, -1.0, (2, 2), "wzeta"),
+            lambda: shell_value(lat, -1.0, shells.TruncationPlan(2, 2, 1e-6, 1.0, "wzeta", 1.0)),
             lambda: shells.shell_route(lat, -1j, 1e-6, "wzeta"),
             lambda: shell_value(lat, 0j, plan_truncation(lat, 0.5, 1e-6)),
         ):
