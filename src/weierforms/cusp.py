@@ -19,6 +19,7 @@ from .arith import PI, TWO_PI_I, CertifiedValue, as_rational, bernoulli, e_of, h
 from .errors import DomainError
 from .evaluate import DEFAULT_TOL
 from .forms import FormSpec
+from .lattice import Lattice, reduce_lattice
 from .trig import _wp_tail, _z_tail
 
 __all__ = [
@@ -198,13 +199,35 @@ def lattice_row_sum_enclosure(k: int, tau: complex) -> CertifiedValue:
 
     Integer k >= 3.  Twice the rows c >= 1: near rows directly with their
     tails closed by series, far rows in closed form (comment above).  The
-    ball's radius bounds the remainders and the rounding.
+    ball's radius bounds the remainders and the rounding.  A ratio that
+    tau -> tau + 1 does not bring to the fundamental domain is summed at the
+    reduced ratio tau_r = (a tau + b)/J, J = c tau + d: the sum over all of
+    tau*Z + Z, this one plus 2 zeta(k), is |J|^-k times that over tau_r*Z + Z.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 3:
         raise DomainError(f"k must be an integer >= 3, got {k!r}")
     t = complex(tau)
     if not t.imag > 0.0:
         raise DomainError("Im tau must be positive")
+    # tau -> tau + 1 leaves the sum alone, and Re tau mod 1 is exact
+    red = reduce_lattice(Lattice(complex(math.remainder(t.real, 1.0), t.imag), 1.0))
+    if not red.matrix[2]:
+        return _row_sum_enclosure(k, t)
+    # tau_r is rounded once per component, |d tau_r| <= u |tau_r|, and each term
+    # moves by at most k |d tau_r| / Im tau_r of itself, as |c tau + d| >= |c| Im tau
+    rows = _row_sum_enclosure(k, red.tau)
+    zeta = 2.0 * _zeta_r(k)
+    full = CertifiedValue(rows.value, rows.error + 1.01 * k * _U * abs(red.tau) / red.tau.imag * rows.value.real) + zeta
+    # J = jj 2^red.k, jj rounded once per component: |jj| within 3u, |J|^-k within (3k + 2)u
+    try:
+        scale = math.ldexp(abs(red.jj) ** -k, -k * red.k)
+    except OverflowError:
+        raise DomainError(f"the sum at tau = {t!r} leaves the float range") from None
+    return full * CertifiedValue(scale, 1.01 * (3 * k + 2) * _U * scale) - zeta
+
+
+def _row_sum_enclosure(k: int, t: complex) -> CertifiedValue:
+    """The enclosure of :func:`lattice_row_sum_enclosure`, by its rows at t."""
     x, y = math.remainder(t.real, 1.0), t.imag  # exact; the sum is invariant under tau -> tau + 1
     sk = abs(x) / y
     parts, err, c = [], 0.0, 1

@@ -168,11 +168,14 @@ def _reduce(lat: Lattice, zs):
 # dispatch
 
 
-def _eta2(tau_r: complex, tol: float, route: str) -> CertifiedValue:
+def _eta2(tau_r: complex, tol: float, route: str, unit: Lattice | None = None) -> CertifiedValue:
     """The quasi-period eta2 of tau_r*Z + Z for a reduced ratio, within tol: the
     closed row series, or on the shell route twice the shell value at 1/2 (module
-    docstring; delta >= sqrt(3)/2), within a quarter of tol to leave the doubling room."""
-    return 2.0 * shell_route(Lattice(tau_r, 1.0), 0.5, 0.25 * tol, "wzeta") if route == "shell" else eta2_strip(tau_r, tol)
+    docstring; delta >= sqrt(3)/2), within a quarter of tol to leave the doubling
+    room, on ``unit`` = Lattice(tau_r, 1) where the caller has built it."""
+    if route != "shell":
+        return eta2_strip(tau_r, tol)
+    return 2.0 * shell_route(unit or Lattice(tau_r, 1.0), 0.5, 0.25 * tol, "wzeta")
 
 
 def _zeta(reds, tol: float, route: str, klein: bool) -> list[CertifiedValue]:
@@ -191,11 +194,11 @@ def _zeta(reds, tol: float, route: str, klein: bool) -> list[CertifiedValue]:
     wzeta(tau, z0) = C + eta2*z0 instead, so there the coefficient of eta2 is
     W - z0 = m*tau + n, or -z0 for Z.  eta2 is summed once for all points, at
     the smallest share any of them needs, and not at all where every
-    coefficient is 0.
+    coefficient is 0.  The shell route sums every box on one tau*Z + Z.
     """
     shell = route == "shell"
     parts = []
-    eta_tol = None
+    eta_tol = unit = None
     for red in reds:
         part = _unit_tol(tol, red.k) * abs(red.jj)
         if klein:
@@ -218,12 +221,13 @@ def _zeta(reds, tol: float, route: str, klein: bool) -> list[CertifiedValue]:
             part *= 0.5
             eta_tol = part / bound if eta_tol is None else min(eta_tol, part / bound)
         if shell:
-            base = shell_route(Lattice(red.tau, 1.0), red.z0, part, "wzeta")
+            unit = unit or Lattice(red.tau, 1.0)
+            base = shell_route(unit, red.z0, part, "wzeta")
             _plan_to_scale(1, red.k, abs(red.jj))
         else:
             base = z_strip(red.tau, red.z0, part)
         parts.append((red, base, coeff, k, dw))
-    eta2 = None if eta_tol is None else _eta2(parts[0][0].tau, eta_tol, route)
+    eta2 = None if eta_tol is None else _eta2(parts[0][0].tau, eta_tol, route, unit)
     inv = _inverse(parts[0][0].jj)
     values = []
     for red, base, coeff, k, dw in parts:

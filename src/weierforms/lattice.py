@@ -153,12 +153,6 @@ class Reduction:
         return Lattice(self.aa, self.jj)
 
 
-def _nearest(num: int, den: int) -> int:
-    """num/den rounded to the nearest integer, ties to even, for den > 0."""
-    q, r = divmod(2 * num + den, 2 * den)
-    return q - 1 if r == 0 and q % 2 else q
-
-
 def reduce_points(lat: Lattice, zs) -> list[Reduction]:
     """The exact reductions of ``lat`` and each point of zs (see :class:`Reduction`).
 
@@ -170,20 +164,22 @@ def reduce_points(lat: Lattice, zs) -> list[Reduction]:
     int / int, the lengths over the power of two of the unit scale.  A label's
     coordinates in (A, J) are (s*d - t*c, t*a - s*b), over the label's level.
     Every output is an exact rational rounded once, so each Reduction equals
-    the one-point reduction of its point.
+    the one-point reduction of its point.  m and n are the point's coordinates
+    num/den rounded half to even: q = (2 num + den) // (2 den), less 1 on a tie
+    (2 num + den a multiple of 2 den) with q odd.
     """
+    w1, w2 = lat.omega1, lat.omega2
     zs = [z if type(z) is tuple else complex(z) for z in zs]
+    ratios = [w1.real.as_integer_ratio(), w1.imag.as_integer_ratio(), w2.real.as_integer_ratio(), w2.imag.as_integer_ratio()]
     for z in zs:
-        if type(z) is complex and not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise DomainError(f"z must be finite, got {z!r}")
+        if type(z) is complex:
+            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+                raise DomainError(f"z must be finite, got {z!r}")
+            ratios += (z.real.as_integer_ratio(), z.imag.as_integer_ratio())
     matrix = a, b, c, d = reduce_tau_matrix(lat.tau)
-    ratios = [
-        x.as_integer_ratio()
-        for w in (lat.omega1, lat.omega2, *(z for z in zs if type(z) is complex))
-        for x in (w.real, w.imag)
-    ]
-    den = max(q for _, q in ratios)
-    w1r, w1i, w2r, w2i, *zints = (p * (den // q) for p, q in ratios)
+    den = max([q for _, q in ratios])
+    ints = [p * (den // q) for p, q in ratios]
+    w1r, w1i, w2r, w2i = ints[:4]
     ar, ai = a * w1r + b * w2r, a * w1i + b * w2i
     jr, ji = c * w1r + d * w2r, c * w1i + d * w2i
     # 2**k = unit/den puts J's larger component in [1, 2) and A's below 2**1023
@@ -193,12 +189,12 @@ def reduce_points(lat: Lattice, zs) -> list[Reduction]:
     # Im(A conj J) > 0 in units of den**2: the coefficients of z in (A, J)
     # are Im(z conj J) / det and Im(A conj z) / det
     det = ai * jr - ar * ji
-    zints = iter(zints)
     tr = ar * jr + ai * ji
     tau = complex(tr / norm, det / norm)
     aa = complex(ar / unit, ai / unit)
     jj = complex(jr / unit, ji / unit)
     reds = []
+    at = 4
     for z in zs:
         if type(z) is tuple:
             # the label over its level L: (s, t) = (S, T) / L, and its
@@ -207,7 +203,10 @@ def reduce_points(lat: Lattice, zs) -> list[Reduction]:
             level = math.lcm(s.denominator, t.denominator)
             sn, tn = s.numerator * (level // s.denominator), t.numerator * (level // t.denominator)
             un, vn = sn * d - tn * c, tn * a - sn * b
-            m, n = _nearest(un, level), _nearest(vn, level)
+            m, r = divmod(2 * un + level, 2 * level)
+            m = m - 1 if r == 0 and m & 1 else m
+            n, r = divmod(2 * vn + level, 2 * level)
+            n = n - 1 if r == 0 and n & 1 else n
             un -= m * level
             vn -= n * level
             scale, zscale = level * unit, level * norm
@@ -216,9 +215,12 @@ def reduce_points(lat: Lattice, zs) -> list[Reduction]:
             z0 = complex((un * tr + vn * norm) / zscale, un * det / zscale)
             u = un / level
         else:
-            zr, zi = next(zints), next(zints)
-            m = _nearest(zi * jr - zr * ji, det)
-            n = _nearest(ai * zr - ar * zi, det)
+            zr, zi = ints[at], ints[at + 1]
+            at += 2
+            m, r = divmod(2 * (zi * jr - zr * ji) + det, 2 * det)
+            m = m - 1 if r == 0 and m & 1 else m
+            n, r = divmod(2 * (ai * zr - ar * zi) + det, 2 * det)
+            n = n - 1 if r == 0 and n & 1 else n
             pr, pi = zr - m * ar - n * jr, zi - m * ai - n * ji
             point = complex(pr / unit, pi / unit)
             z0 = complex((pr * jr + pi * ji) / norm, (pi * jr - pr * ji) / norm)

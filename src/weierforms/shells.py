@@ -54,7 +54,7 @@ a derivative in x being omega2^m times the one in w, where
 
   wp:    Int_W^oo g dw = z^2 / (W (W^2 - z^2)),
          g^(2k-1) = -(2k)!/2 [(W-z)^-(2k+1) + (W+z)^-(2k+1) - 2 W^-(2k+1)]
-  wzeta: Int_W^oo g dw = -Sum_{j>=1} t^(2j+1)/(2j+1), t = z/W (26 terms, |t| <= 1/2),
+  wzeta: Int_W^oo g dw = -Sum_{j>=1} t^(2j+1)/(2j+1), t = z/W (|t| <= 1/2, J terms),
          g^(2k-1) = (2k-1)!/2 [(W-z)^-2k - (W+z)^-2k - 4k z W^-(2k+1)].
 
 For |w| > |z|, |f^(m)(w)| is at most (m+2)! |z| (|w| - |z|)^-(m+3) (wp: the
@@ -69,10 +69,11 @@ mean value theorem on (s - w)^-(m+2) from s = 0 to z) resp.
 >= 2|z| (so |t| <= 1/2), h2 rounded down and G lowered by the rounding of W.
 
 Box.  Bound (i) and (ii) share tol less the a priori rounding
-(``bulk_rounding_bound``, the same for every box).  c1 is the fewest far lines
-whose bound (i) is below that budget; for c_max in {c1, c1 + 1}, d_max is the
-fewest rows whose bound (ii) meets the rest, and the plan is the candidate with
-fewer points, c1 on a tie.  On a reduced basis no box has fewer points:
+(``bulk_rounding_bound``, the same for every box), reading the basis
+constants once (``_Bounds``).  c1 is the fewest far lines whose bound (i) is
+below that budget; for c_max in {c1, c1 + 1}, d_max is the fewest rows whose
+bound (ii) meets the rest, and the plan is the candidate with fewer points, c1
+on a tie.  On a reduced basis no box has fewer points:
 Im tau >= sqrt(3)/2, so bound (i) falls by exp(-2 pi Im tau) < 1/230 per line,
 while bound (ii) is proportional to 2 c_max + 1 (the rows' rounding only adds
 to it), so from c1 + 1 on d_max cannot fall while c_max < 230.  The lines
@@ -82,16 +83,19 @@ e^30 at tol down to 1e-30.
 Budget.  A shell value is the principal part 1/z^2 resp. 1/z plus the sum and
 the closures; its certificate adds the tail bound (i) + (ii), the a priori
 rounding, the first shell's and that of the principal part and the additions.
-``plan_shell`` bounds the last two first (they do not depend on the box) and
-plans the box at the rest of tol times 1 - 4 eps, which absorbs the rounding
-of those sums.  ``shell_route`` raises PrecisionError when |z| exceeds the
-margin, when those two terms reach tol, when ``plan_truncation`` refuses the
-box, or when the certificate exceeds tol.
+``plan_shell`` forms the first shell's four pair terms at z and bounds the last
+two (they do not depend on the box), and ``plan_truncation`` the a priori
+rounding, planning the box at the rest of tol times 1 - 4 eps, which absorbs
+the rounding of those sums.  The plan keeps both: the value at that z adds the
+a priori rounding and, in the same order, the pair terms its box holds.  The
+route raises PrecisionError when |z| exceeds the margin, when those two terms
+reach tol, when the box is refused, or when the certificate exceeds tol.
 
 Entries.  The route sums on reduced bases only, |Re tau| <= 1/2 and |tau| >= 1
 within 1e-9.  ``plan_shell`` checks the kind, the basis, the margin, the pole
-and the kernel's range once, and ``shell_value`` checks z against the plan and
-the pole; ``plan_truncation`` and ``shell_sum`` take their inputs as checked.
+and the kernel's range once; ``shell_value`` checks z against the plan and,
+unless the plan was formed at z, the pole; ``plan_truncation`` and ``shell_sum``
+trust theirs.
 """
 
 from __future__ import annotations
@@ -115,6 +119,7 @@ _U = 0.5 * _EPS
 
 # the most points an admitted box may have: about what the kernel sums in a second
 POINT_BUDGET = 4_000_000
+_OVER_BUDGET = f"shell route needs more than {POINT_BUDGET:,} points, over the budget"
 
 # summand kind -> p, the power of |z| in the pair majorant, and S(1/2)
 _KINDS = {"wp": 2, "wzeta": 3}
@@ -130,12 +135,13 @@ _OUT_OF_RANGE = "shell route infeasible: the basis lies outside the kernel's flo
 _RECORD = ContextVar("weierforms_record", default=None)
 
 # Euler-Maclaurin closures (module docstring, Tail (ii)): P, B_2k(1/2), the
-# coefficient of omega2^(2k-1) times the bracket of correction k, and
-# |B_2P| (2P+1) kappa
+# coefficient of omega2^(2k-1) times the bracket of correction k, |B_2P|
+# (2P+1) kappa, and that of the corrections' moduli in bound (ii)
 _EM_P = 6
 _EM_HALF = [float((Fraction(2) ** (1 - 2 * k) - 1) * bernoulli(2 * k)) for k in range(1, _EM_P + 1)]
 _EM_COEFF = {"wp": [b / 2.0 for b in _EM_HALF], "wzeta": [-b / (4.0 * k) for k, b in enumerate(_EM_HALF, 1)]}
 _EM_REM = {kind: abs(float(bernoulli(2 * _EM_P))) * (2 * _EM_P + 1) * kap for kind, kap in (("wp", 1.0), ("wzeta", 0.5))}
+_EM_MOD = {"wp": [2.0 * abs(b) for b in _EM_HALF], "wzeta": [abs(b) * (2 + 2 * k) / (4 * k) for k, b in enumerate(_EM_HALF, 1)]}
 # 1/(2j+3), j < 26: the series of the wzeta closure's integral
 _ATANH = [1.0 / (2 * j + 3) for j in range(26)]
 
@@ -155,6 +161,8 @@ class TruncationPlan:
     shell_constant: float
     kind: str
     z_bound: float
+    # not fields, set on a new plan: the a priori rounding, and the z plan_shell checked with its first shell's terms
+    _bulk, _first = None, (None, ())
 
     @property
     def box(self) -> tuple[int, int]:
@@ -184,71 +192,64 @@ def _check_kernel_range(lat: Lattice, kind: str, c_max: int, d_max: int) -> None
         raise PrecisionError(_OUT_OF_RANGE)
 
 
-def _down(lat: Lattice) -> float:
-    """A factor that rounds Im tau = h1/|omega2| and h2 down to lower bounds.
-
-    With skew = |tau|/Im tau = |omega2|/h2 >= 1, the computed tau is within
-    7.07u |tau| (Smith's division), so Im tau within 7.07u skew relative, and
-    Im tau/|tau| also, to first order.  |omega2| and |tau| (hypot) are within
-    2u each and the product and quotient u each, so h1 = |omega2| Im tau and
-    h2 = h1/|tau| are within (7.07 skew + 6)u; 16u skew covers that, and the
-    rounding of h1/|omega2| and of skew, since skew >= 1.
-    """
-    return 1.0 - 8.0 * _EPS * abs(lat.omega2) / lat.geometry.h2
-
-
-def _far_bound(lat: Lattice, kind: str, z_bound: float, c_max: int) -> float:
-    """Bound (i) on |Sum of f(w) over the lines |c| > c_max| for |z| <= z_bound (module docstring, Tail)."""
-    l2 = abs(lat.omega2)
-    im_tau = lat.geometry.h1 / l2 * _down(lat)
-    y = z_bound / l2 * (1.0 + 4.0 * _EPS)
-    rho, q = (math.exp(-2.0 * math.pi * t) * (1.0 + 4.0 * _EPS) for t in (im_tau - y, im_tau))
-    if not rho < 1.0:
-        return math.inf
-    strip = (rho, 1.0 / (1.0 - q))
-    tail = _wp_tail(im_tau, y, c_max, strip) / l2**2 if kind == "wp" else _z_tail(im_tau, y, c_max, strip) / l2
-    return (1.0 + 1e-12) * tail
-
-
 # The closures' rounding, u = 2^-53, against the moduli of their terms, with
 # |W -+ z| >= |W|/2 >= |z|: 1/(W -+ z) 10.1u, a power n of it and the bracket's
 # sums (13n + 2)u, the coefficient, the power of omega2 and two products
 # (6k + 7)u: at most (32k + 24)u.  The wzeta integral: t, t^3 and the product
-# 37u, Horner's 26 steps 138u of |t|^3 Sum 4^-j/(2j+3) <= 4|t|^3/9, truncation
-# below u |t|^3.  The sums (P + 2)u: all within 256u of the moduli.
+# 37u, Horner's J <= 26 steps 138u of |t|^3 Sum 4^-j/(2j+3) <= 4|t|^3/9, the
+# omitted terms below u |t|^3 (J the fewest with a^J / ((2J + 3)(1 - a)) <= u at
+# a = |z|^2 / min |W|^2, every computed |t|^2 within 64u of a or less, which the
+# steps short of 26 cover: J <= 24 at |t| <= 1/2).  The sums (P + 2)u: all
+# within 256u of the moduli.
 _CLOSURE_U = 256.0
 
 
-def _partial_bound(lat: Lattice, kind: str, z_bound: float, c_max: int, d_max: int) -> float:
-    """Bound (ii) for |z| <= z_bound: the Euler-Maclaurin remainder of the
-    closed partial lines |c| <= c_max, |d| > d_max and the closures' rounding
-    (module docstring, Tail); infinite where (d_max + 1/2) h2 < 2|z|."""
-    l2 = abs(lat.omega2)
-    h2 = lat.geometry.h2 * _down(lat)
-    # |W| >= start, less the rounding of W = c omega1 + (d_max + 1/2) omega2
-    start = (d_max + 0.5) * h2 - _EPS * (c_max * abs(lat.omega1) + (d_max + 1) * l2)
-    if not start >= 2.0 * z_bound:
-        return math.inf
-    far = start - z_bound
-    ratio = l2 / far
-    if kind == "wp":
-        remainder = _EM_REM[kind] * z_bound * ratio ** (2 * _EM_P + 2) / (h2 * l2 * l2)
-        moduli = 4.0 * z_bound**2 / (3.0 * l2 * start**3)
-        moduli += sum(2.0 * abs(b) * ratio ** (2 * k - 1) / far**2 for k, b in enumerate(_EM_HALF, 1))
-    else:
-        remainder = _EM_REM[kind] * z_bound**2 * ratio ** (2 * _EM_P + 2) / (h2 * l2 * l2)
-        moduli = 4.0 * z_bound**3 / (9.0 * l2 * start**3)
-        moduli += sum(abs(b) * (2 + 2 * k) / (4 * k) * ratio ** (2 * k - 1) / far for k, b in enumerate(_EM_HALF, 1))
-    return (1.0 + 1e-12) * 2.0 * (2 * c_max + 1) * (remainder + _CLOSURE_U * _U * moduli)
+class _Bounds:
+    """Bounds (i) and (ii) for |z| <= z_bound on one basis (module docstring,
+    Tail), from constants derived once: |omega1|, |omega2|, h2 and Im tau rounded
+    down, y, rho and q up.  With skew = |omega2|/h2 >= 1, the computed tau is
+    within 7.07u |tau| (Smith's division), Im tau and Im tau/|tau| within 7.07u
+    skew to first order, and h1 = |omega2| Im tau and h2 = h1/|tau| within
+    (7.07 skew + 6)u; 1 - 16u skew covers that and the rounding of h1/|omega2|."""
+
+    __slots__ = ("kind", "z", "l1", "l2", "h2", "rows", "rem", "hll")
+
+    def __init__(self, lat: Lattice, kind: str, z_bound: float):
+        g, l2 = lat.geometry, abs(lat.omega2)
+        down = 1.0 - 8.0 * _EPS * l2 / g.h2
+        self.kind, self.z, self.l1, self.l2, self.h2 = kind, z_bound, abs(lat.omega1), l2, g.h2 * down
+        im_tau, y = g.h1 / l2 * down, z_bound / l2 * (1.0 + 4.0 * _EPS)
+        rho, q = (math.exp(-2.0 * math.pi * t) * (1.0 + 4.0 * _EPS) for t in (im_tau - y, im_tau))
+        tail, scale = (_wp_tail, l2**2) if kind == "wp" else (_z_tail, l2)
+        # bound (i)'s row tail, its arguments and scale; None where rho >= 1 (the bound is infinite)
+        self.rows = (tail, im_tau, y, (rho, 1.0 / (1.0 - q)), scale) if rho < 1.0 else None
+        # bound (ii)'s |B_2P| (2P+1) kappa |z|^e and h2 |omega2|^2
+        self.rem, self.hll = _EM_REM[kind] * z_bound ** (1 if kind == "wp" else 2), self.h2 * l2 * l2
+
+    def far(self, c_max: int) -> float:
+        """Bound (i) on |Sum of f(w) over the lines |c| > c_max|."""
+        if self.rows is None:
+            return math.inf
+        tail, im_tau, y, strip, scale = self.rows
+        return (1.0 + 1e-12) * (tail(im_tau, y, c_max, strip) / scale)
+
+    def partial(self, c_max: int, d_max: int) -> float:
+        """Bound (ii): the Euler-Maclaurin remainder of the closed lines |c| <= c_max, |d| > d_max
+        and the closures' rounding; infinite where (d_max + 1/2) h2 < 2|z|."""
+        z, l2, wp = self.z, self.l2, self.kind == "wp"
+        # |W| >= start, less the rounding of W = c omega1 + (d_max + 1/2) omega2
+        start = (d_max + 0.5) * self.h2 - _EPS * (c_max * self.l1 + (d_max + 1) * l2)
+        if not start >= 2.0 * z:
+            return math.inf
+        far = start - z
+        ratio = l2 / far
+        remainder = self.rem * ratio ** (2 * _EM_P + 2) / self.hll
+        moduli = 4.0 * z**2 / (3.0 * l2 * start**3) if wp else 4.0 * z**3 / (9.0 * l2 * start**3)
+        moduli += sum(m * ratio ** (2 * k - 1) / (far**2 if wp else far) for k, m in enumerate(_EM_MOD[self.kind], 1))
+        return (1.0 + 1e-12) * 2.0 * (2 * c_max + 1) * (remainder + _CLOSURE_U * _U * moduli)
 
 
-def plan_truncation(
-    lat: Lattice,
-    z_bound: float,
-    tol: float = 1e-8,
-    *,
-    kind: str = "wp",
-) -> TruncationPlan:
+def plan_truncation(lat: Lattice, z_bound: float, tol: float = 1e-8, *, kind: str = "wp") -> TruncationPlan:
     """The box of the module docstring's rule (Box): its tail bound plus
     :func:`bulk_rounding_bound` is <= tol, and on a reduced basis no box with
     fewer points is, nor one with as many and a smaller c_max.
@@ -263,42 +264,42 @@ def plan_truncation(
     if spent >= tol:
         raise PrecisionError(f"tolerance {tol:.3g} below the kernel's rounding bound {spent:.3g}")
     budget = tol - spent
-    over = PrecisionError(f"shell route needs more than {POINT_BUDGET:,} points, over the budget")
-    far = _far_bound(lat, kind, z_bound, 0)
+    bounds = _Bounds(lat, kind, z_bound)
+    far = bounds.far(0)
     if far == math.inf:
-        raise over
-    l2, h2 = abs(lat.omega2), lat.geometry.h2 * _down(lat)
+        raise PrecisionError(_OVER_BUDGET)
     # c1, the fewest far lines within budget: bound (i) is its value at 0 times
     # about exp(-2 pi Im tau c_max), so this start is at or below it
-    decay = 2.0 * math.pi * lat.geometry.h1 / l2
+    decay = 2.0 * math.pi * lat.geometry.h1 / bounds.l2
     c = 0 if far <= budget else max(0, math.floor((math.log(far) - math.log(budget)) / decay) - 1)
     if c:
-        far = _far_bound(lat, kind, z_bound, c)
+        far = bounds.far(c)
     while far >= budget:
         c += 1
-        far = _far_bound(lat, kind, z_bound, c)
+        far = bounds.far(c)
     # bound (ii) exceeds its remainder, (2 c_max + 1) amp (|omega2|/G)^(2P+2), and
     # the rounding of its k = 1 closures, (2 c_max + 1) lead |omega2| / G^p (wp:
     # p = 3, wzeta: 2); every d_max below either root misses the share, or the margin
-    amp = 2.0 * _EM_REM[kind] * z_bound ** (1 if kind == "wp" else 2) / (h2 * l2 * l2)
+    amp = 2.0 * _EM_REM[kind] * z_bound ** (1 if kind == "wp" else 2) / bounds.hll
     lead = 2.0 * _CLOSURE_U * _U * abs(_EM_HALF[0]) * (2.0 if kind == "wp" else 1.0)
     boxes = []
-    for c_max, far in ((c, far), (c + 1, _far_bound(lat, kind, z_bound, c + 1))):
+    for c_max, far in ((c, far), (c + 1, bounds.far(c + 1))):
         # within POINT_BUDGET; c1 + 1 has fewer points only with fewer rows
         most = min([((POINT_BUDGET + 1) // (2 * c_max + 1) - 1) // 2] + [box[2] - 1 for box in boxes])
         grow = ((2 * c_max + 1) * amp / (budget - far)) ** (1.0 / (2 * _EM_P + 2))
-        reach = ((2 * c_max + 1) * lead * l2 / (budget - far)) ** (1.0 / (3 if kind == "wp" else 2))
-        x = max(2.0 * z_bound, z_bound + l2 * grow, z_bound + reach) / h2 - 0.5
+        reach = ((2 * c_max + 1) * lead * bounds.l2 / (budget - far)) ** (1.0 / (3 if kind == "wp" else 2))
+        x = max(2.0 * z_bound, z_bound + bounds.l2 * grow, z_bound + reach) / bounds.h2 - 0.5
         d = max(1, math.ceil(x - 1e-9 * max(1.0, x))) if x <= most else most + 1
-        while d <= most and (partial := _partial_bound(lat, kind, z_bound, c_max, d)) > budget - far:
+        while d <= most and (partial := bounds.partial(c_max, d)) > budget - far:
             d += 1
         if d <= most:
             boxes.append(((2 * c_max + 1) * (2 * d + 1) - 1, c_max, d, far + partial))
     if not boxes:
-        raise over
+        raise PrecisionError(_OVER_BUDGET)
     _, c, d, tail = min(boxes)
     _check_kernel_range(lat, kind, c, d + 1)
-    return TruncationPlan(c, d, tail, lat.geometry.delta, kind, z_bound)
+    object.__setattr__(plan := TruncationPlan(c, d, tail, lat.geometry.delta, kind, z_bound), "_bulk", spent)
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -343,40 +344,41 @@ def bulk_rounding_bound(lat: Lattice, z_abs: float, kind: str) -> float:
     return 1.01 * _EPS * per_term * _bulk_abs_bound(lat, z_abs, kind)
 
 
-def _first_shell(lat: Lattice, z: complex, c_max: int, d_max: int, kind: str) -> tuple[float, float]:
-    """(Sum |g|, rounding bound) over the first-shell points of the half box (comment above)."""
+def _first_shell(lat: Lattice, z: complex, kind: str) -> list[tuple[float, float, float]]:
+    """The first shell's pair terms at w = omega1, omega2, omega2 - omega1 and
+    omega2 + omega1 (comment above): |g|, its rounding and that of the point."""
     w1, w2 = lat.omega1, lat.omega2
-    points = ([(w1, False)] if c_max else []) + ([(w2, False)] if d_max else [])
-    if c_max and d_max:
-        points += [(w2 - w1, True), (w2 + w1, True)]
     zz = z * z
-    abs_sum = bound = 0.0
-    for w, rounded in points:
+    terms = []
+    for w, rounded in ((w1, False), (w2, False), (w2 - w1, True), (w2 + w1, True)):
         q, s = (z - w) * (z + w), w * w
         g = abs(zz * (3.0 * s - zz) / (q * q * s) if kind == "wp" else zz * z / (q * s))
-        abs_sum += g
-        bound += 1.01 * _U * (_POINT_U[kind] + 2.0) * g
+        shift = 0.0
         if rounded:
-            dw = _U * (1.0 + _EPS) * abs(w)
-            near = (abs(w), abs(w - z), abs(w + z))
-            if dw > min(near) / 16.0:
-                return abs_sum, math.inf
-            weights = (5.0, 2.0, 2.0) if kind == "wp" else (2.0, 1.0, 1.0)
-            bound += 2.0 * g * dw * sum(a / b for a, b in zip(weights, near))
+            dw, near = _U * (1.0 + _EPS) * abs(w), (abs(w), abs(w - z), abs(w + z))
+            a, b, c = (5.0, 2.0, 2.0) if kind == "wp" else (2.0, 1.0, 1.0)
+            shift = math.inf if dw > min(near) / 16.0 else 2.0 * g * dw * (a / near[0] + b / near[1] + c / near[2])
+        terms.append((g, 1.01 * _U * (_POINT_U[kind] + 2.0) * g, shift))
+    return terms
+
+
+def _first_sum(terms: list, c_max: int, d_max: int) -> tuple[float, float]:
+    """(Sum |g|, rounding bound) over the first-shell points of the half box (c_max, d_max), in the order formed."""
+    abs_sum = bound = 0.0
+    for g, rounding, shift in (terms[:1] if c_max else []) + (terms[1:2] if d_max else []) + (terms[2:] if c_max and d_max else []):
+        abs_sum, bound = abs_sum + g, bound + rounding + shift
     return abs_sum, bound
 
 
-def shell_sum(
-    lat: Lattice, z: complex, box: tuple[int, int], kind: str = "wp"
-) -> tuple[complex, float]:
-    """Sum the chosen summand over the box (c_max, d_max) in the basis of ``lat``.
+def shell_sum(lat: Lattice, z: complex, plan: TruncationPlan) -> tuple[complex, float]:
+    """Sum ``plan.kind`` over the plan's box (c_max, d_max) in the basis of ``lat``.
 
     Returns (sum, rounding_bound), without the principal part (1/z^2 or 1/z)
-    or the closures.  Takes z and the box as :func:`shell_value` checks them
-    (|z| <= delta, z off the first shell), and raises PrecisionError where the
-    sum leaves the float range.
+    or the closures, reusing the rounding terms the plan formed at z (module
+    docstring, Budget).  Takes z as :func:`shell_value` checks it, and raises
+    PrecisionError where the sum leaves the float range.
     """
-    c_max, d_max = box
+    c_max, d_max, kind = plan.c_max, plan.d_max, plan.kind
     if c_max == 0 and d_max == 0:
         return 0.0 + 0.0j, 0.0
     w1, w2 = complex(lat.omega1), complex(lat.omega2)
@@ -396,7 +398,19 @@ def shell_sum(
     total = 2.0 * (zz if kind == "wp" else zz * z) * complex(math.fsum(re_parts), math.fsum(im_parts))
     if not cmath.isfinite(total):
         raise PrecisionError(_OUT_OF_RANGE)
-    return total, bulk_rounding_bound(lat, abs(z), kind) + 2.0 * _first_shell(lat, z, c_max, d_max, kind)[1]
+    at, first, bulk = *plan._first, plan._bulk
+    if at != z:  # plan_shell formed both at another z, or none
+        first, bulk = _first_shell(lat, z, kind), bulk_rounding_bound(lat, abs(z), kind)
+    return total, bulk + 2.0 * _first_sum(first, c_max, d_max)[1]
+
+
+def _atanh_terms(a: float) -> int:
+    """J <= 26, the fewest terms of Sum_{j<J} t^(2j+3)/(2j+3) whose omitted part, at most
+    a^J |t|^3 / ((2J + 3)(1 - a)) where |t|^2 <= a < 1, is below u |t|^3."""
+    j, p = 1, a
+    while j < len(_ATANH) and p > _U * (2 * j + 3) * (1.0 - a):
+        j, p = j + 1, p * a
+    return j
 
 
 def _closures(lat: Lattice, z: complex, c_max: int, d_max: int, kind: str) -> complex:
@@ -404,9 +418,12 @@ def _closures(lat: Lattice, z: complex, c_max: int, d_max: int, kind: str) -> co
     (module docstring, Tail (ii)); their error and rounding are bound (ii)."""
     w1, w2 = complex(lat.omega1), complex(lat.omega2)
     zz = z * z
+    lines = [c * w1 + (d_max + 0.5) * w2 for c in range(-c_max, c_max + 1)]
+    if kind == "wzeta":
+        # the integral's series to the fewest terms at the largest |t| (comment above _CLOSURE_U)
+        series = _ATANH[_atanh_terms((abs(z) / min(map(abs, lines))) ** 2) - 1 :: -1]
     re_parts, im_parts = [], []
-    for c in range(-c_max, c_max + 1):
-        w = c * w1 + (d_max + 0.5) * w2
+    for w in lines:
         rm, rp, r0 = 1.0 / (w - z), 1.0 / (w + z), 1.0 / w
         # the powers of omega2 ride on the ratios omega2/(W -+ z), omega2/W, in range
         um, up, u0 = w2 * rm, w2 * rp, w2 * r0
@@ -418,7 +435,7 @@ def _closures(lat: Lattice, z: complex, c_max: int, d_max: int, kind: str) -> co
             t = z * r0
             t2 = t * t
             acc = 0j
-            for a in reversed(_ATANH):
+            for a in series:
                 acc = acc * t2 + a
             terms = [-(t * t2 * acc) / w2]
             tm, tp, t0 = um * rm, up * rp, 4.0 * u0 * z * r0 * r0
@@ -467,7 +484,7 @@ def plan_shell(lat: Lattice, z: complex, tol: float, kind: str) -> TruncationPla
         raise PrecisionError("shell route infeasible: |z| exceeds the margin of the reduced basis")
     _check_pole(lat, z)
     _check_kernel_range(lat, kind, 1, 1)
-    first_abs, bound = _first_shell(lat, z, 1, 1, kind)
+    first_abs, bound = _first_sum(first := _first_shell(lat, z, kind), 1, 1)
     # 1.01 covers the rounding of the computed sum against the exact one; the
     # closures differ from the tails they close by at most tol
     modulus = 2.02 * (first_abs + _bulk_abs_bound(lat, abs(z), kind)) + tol
@@ -476,7 +493,9 @@ def plan_shell(lat: Lattice, z: complex, tol: float, kind: str) -> TruncationPla
         raise PrecisionError(f"shell certificate exceeds the requested tolerance: the rounding at z alone is {fixed:.3g}")
     # the certificate is a sum of five terms; a share 4 eps smaller absorbs
     # its rounding and that of the planner's sum
-    return plan_truncation(lat, abs(z), (tol - fixed) * (1.0 - 4.0 * _EPS), kind=kind)
+    plan = plan_truncation(lat, abs(z), (tol - fixed) * (1.0 - 4.0 * _EPS), kind=kind)
+    object.__setattr__(plan, "_first", (z, first))
+    return plan
 
 
 def shell_value(lat: Lattice, z: complex, plan: TruncationPlan) -> CertifiedValue:
@@ -485,8 +504,9 @@ def shell_value(lat: Lattice, z: complex, plan: TruncationPlan) -> CertifiedValu
     z, kind = complex(z), plan.kind
     if abs(z) > plan.z_bound:
         raise DomainError(f"|z| = {abs(z):.6g} exceeds the plan's z_bound {plan.z_bound:.6g}")
-    _check_pole(lat, z)
-    box, rounding = shell_sum(lat, z, plan.box, kind)
+    if plan._first[0] != z:  # plan_shell checked the z it planned at
+        _check_pole(lat, z)
+    box, rounding = shell_sum(lat, z, plan)
     total = box + _closures(lat, z, plan.c_max, plan.d_max, kind)
     principal = _principal(z, kind)
     err = plan.tail_bound + rounding + _addition_bound(principal, abs(total))

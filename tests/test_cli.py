@@ -263,9 +263,9 @@ class TestEvalPlan:
     def test_f_plan_is_the_summed_box(self, capsys, monkeypatch, s, t, tau, tol):
         boxes = []
 
-        def spy(lat, z, box, kind="wp"):
-            boxes.append(tuple(box))
-            return shell_sum(lat, z, box, kind)
+        def spy(lat, z, plan):
+            boxes.append(plan.box)
+            return shell_sum(lat, z, plan)
 
         monkeypatch.setattr(shells, "shell_sum", spy)
         code, out = run_cli(
@@ -288,9 +288,9 @@ class TestEvalPlan:
     def test_rows_report_every_box_summed(self, capsys, monkeypatch, argv, boxes, points):
         summed = []
 
-        def spy(lat, z, box, kind="wp"):
-            summed.append(tuple(box))
-            return shell_sum(lat, z, box, kind)
+        def spy(lat, z, plan):
+            summed.append(plan.box)
+            return shell_sum(lat, z, plan)
 
         monkeypatch.setattr(shells, "shell_sum", spy)
         code, out = run_cli(capsys, "eval", *argv, "--tau", "1.1i", "--tol", "1e-6", "--route", "shell", "--format", "json")

@@ -27,7 +27,7 @@ from weierforms import (
 )
 from weierforms.evaluate import _reported
 from weierforms.lattice import reduce_lattice
-from weierforms.shells import POINT_BUDGET, bulk_rounding_bound, plan_shell, shell_route, shell_sum, shell_value
+from weierforms.shells import POINT_BUDGET, TruncationPlan, bulk_rounding_bound, plan_shell, shell_route, shell_sum, shell_value
 from weierforms.trig import wp_strip, z_strip
 
 from oracles import mp_lattice, mp_wp_mpc, mp_wzeta_mpc
@@ -407,7 +407,7 @@ class TestShellSumEdges:
     # kind, the margin and the pole are checked by plan_shell and shell_value
 
     def test_zero_shells(self):
-        total, rounding = shell_sum(Lattice(1j, 1.0), 0.3, (0, 0))
+        total, rounding = shell_sum(Lattice(1j, 1.0), 0.3, TruncationPlan(0, 0, 0.0, 1.0, "wp", 0.3))
         assert total == 0 and rounding == 0.0
 
     def test_bad_kind(self):
@@ -442,7 +442,7 @@ class TestShellSumEdges:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(PrecisionError, match="float range"):
-                shell_sum(Lattice(1e60j, 1e60), 3e59, (1, 1), "wp")
+                shell_sum(Lattice(1e60j, 1e60), 3e59, TruncationPlan(1, 1, 0.0, 1e60, "wp", 3e59))
             with pytest.raises(PrecisionError, match="float range"):
                 plan_shell(Lattice(1e60j, 1e60), 3e59, 1e-100, "wp")
 

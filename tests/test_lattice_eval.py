@@ -33,10 +33,10 @@ from weierforms.lattice import reduce_lattice, reduce_points, reduce_tau_matrix
 from weierforms.shells import (
     POINT_BUDGET,
     TruncationPlan,
+    _atanh_terms,
+    _Bounds,
     _bulk_abs_bound,
     _closures,
-    _far_bound,
-    _partial_bound,
     bulk_rounding_bound,
     plan_shell,
     plan_truncation,
@@ -48,6 +48,16 @@ from weierforms.trig import eta2_strip
 from oracles import GOLDEN, GOLDEN_BAND, brute_wp, brute_wzeta, mp_wp, mp_wzeta, mp_wzeta_mpc
 
 TWO_PI_I = 2j * math.pi
+
+
+def _far_bound(lat, kind, z_bound, c_max):
+    """Bound (i) of shells on the lines |c| > c_max."""
+    return _Bounds(lat, kind, z_bound).far(c_max)
+
+
+def _partial_bound(lat, kind, z_bound, c_max, d_max):
+    """Bound (ii) of shells on the partial lines |c| <= c_max, |d| > d_max."""
+    return _Bounds(lat, kind, z_bound).partial(c_max, d_max)
 
 
 def _seeded_reduced_taus(seed: int = 5, count: int = 8) -> list[complex]:
@@ -402,13 +412,13 @@ class TestPlans:
     def test_far_from_reduced_basis_plans_quickly(self, monkeypatch):
         # Im tau = 9.5e-6: the search once walked 17,019 values of c_max here;
         # the basis is refused before any bound is evaluated
-        calls = []
+        calls, far = [], _Bounds.far
 
         def counted(*args):
             calls.append(args)
-            return _far_bound(*args)
+            return far(*args)
 
-        monkeypatch.setattr(shells, "_far_bound", counted)
+        monkeypatch.setattr(_Bounds, "far", counted)
         lat = Lattice(-0.0015829836430624915 + 4.184715062317356e-05j, 4.395371689954808)
         with pytest.raises(DomainError, match="not reduced"):
             plan_shell(lat, 4.18e-11, 2.1e-12, "wzeta")
@@ -748,8 +758,8 @@ class TestFullTolerancePlans:
 
             return spy
 
-        monkeypatch.setattr(shells, "_far_bound", counted(_far_bound))
-        monkeypatch.setattr(shells, "_partial_bound", counted(_partial_bound))
+        monkeypatch.setattr(_Bounds, "far", counted(_Bounds.far))
+        monkeypatch.setattr(_Bounds, "partial", counted(_Bounds.partial))
         half, third = RationalPair.of(0, Fraction(1, 2)), RationalPair.of(0, Fraction(1, 3))
         for run, parent in (
             (lambda: eval_f(half, 20j, 1e-8, route="shell"), 5),
@@ -760,16 +770,53 @@ class TestFullTolerancePlans:
             run()
             assert 0 < len(calls) <= parent
 
+    def test_shell_value_derives_each_bound_once(self, monkeypatch):
+        # the benchmark's two values: one pole check, one first shell and one a
+        # priori rounding, which the value reuses from its plan, and no more
+        # row tails (bound (i)) than the c walk needs: c = 0, the start, its
+        # steps and c1 + 1
+        counts = {}
+
+        def counted(name, fn):
+            def spy(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            return spy
+
+        for name in ("_check_pole", "_first_shell", "bulk_rounding_bound", "_wp_tail", "_z_tail"):
+            monkeypatch.setattr(shells, name, counted(name, getattr(shells, name)))
+        half = RationalPair.of(0, Fraction(1, 2))
+        for fn, args in ((eval_f, (half, 20j)), (wzeta_lattice, (Lattice(0.3 + 1.1j, 1.0), 0.25 - 0.1j))):
+            counts.clear()
+            _, info = _reported(fn, *args, 1e-8, route="shell")
+            assert counts["_check_pole"] == 1 and counts["_first_shell"] == 1 and counts["bulk_rounding_bound"] == 1
+            assert counts.get("_wp_tail", 0) + counts.get("_z_tail", 0) <= info["c_max"] + 2
+
+    def test_closure_series_meets_its_budget(self):
+        # the wzeta closure's integral -Sum_{j<J} t^(2j+3)/(2j+3) at J =
+        # _atanh_terms(|t|^2) is within u |t|^3 of -(atanh(t) - t); J is at most
+        # 24 at |t| = 1/2, where J - 1 terms miss by 3.5 u |t|^3
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(34)
+        ts = [0.5, -0.5j, 0.5 * cmath.exp(0.3j), 1e-8, 1e-8j]
+        ts += [rng.uniform(0.0, 0.5) * cmath.exp(1j * rng.uniform(-math.pi, math.pi)) for _ in range(300)]
+        with mp.workdps(40):
+            for t in map(complex, ts):
+                terms = _atanh_terms(abs(t) ** 2)
+                partial = mp.fsum(mp.mpc(t) ** (2 * j + 3) / (2 * j + 3) for j in range(terms))
+                assert terms <= 24 and abs(partial - (mp.atanh(t) - t)) <= 2.0**-53 * abs(t) ** 3, t
+
     def test_row_walk_starts_at_the_rounding_root(self, monkeypatch):
         # here the closures' rounding, not the Euler-Maclaurin remainder, decides
         # d_max: a walk from the remainder's root, near 19, took 1,149 steps
-        calls = []
+        calls, partial = [], _Bounds.partial
 
         def spy(*args):
             calls.append(args)
-            return _partial_bound(*args)
+            return partial(*args)
 
-        monkeypatch.setattr(shells, "_partial_bound", spy)
+        monkeypatch.setattr(_Bounds, "partial", spy)
         lat = Lattice(-5.617658370119283e-09 - 1.3856758031920324e-07j, -5.176745466573823e-08 + 8.239493606701452e-09j)
         plan = plan_truncation(lat, 2.6029363975198063e-09, 3.2232215424625084e-11, kind="wzeta")
         assert plan.box == (2, 593) and len(calls) <= 10
@@ -786,9 +833,9 @@ class TestFullTolerancePlans:
     def test_describe_route_reports_the_summed_box(self, basis, z, tol, monkeypatch):
         boxes = []
 
-        def spy(lat, z, box, kind="wp"):
-            boxes.append(tuple(box))
-            return shell_sum(lat, z, box, kind)
+        def spy(lat, z, plan):
+            boxes.append(plan.box)
+            return shell_sum(lat, z, plan)
 
         monkeypatch.setattr(shells, "shell_sum", spy)
         lat = Lattice(*basis)
@@ -803,9 +850,9 @@ class TestFullTolerancePlans:
         # eval_g sums the label's box and the one of eta2 = 2 wzeta(1/2)
         boxes = []
 
-        def spy(lat, z, box, kind="wp"):
-            boxes.append(tuple(box))
-            return shell_sum(lat, z, box, kind)
+        def spy(lat, z, plan):
+            boxes.append(plan.box)
+            return shell_sum(lat, z, plan)
 
         monkeypatch.setattr(shells, "shell_sum", spy)
         label = (Fraction(4, 3), Fraction(1, 3))
@@ -846,7 +893,7 @@ class TestKernelParity:
                     if c or d
                 ]
                 ref = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-                total, rounding = shell_sum(Lattice(w1, w2), z, (c_max, d_max), kind)
+                total, rounding = shell_sum(Lattice(w1, w2), z, TruncationPlan(c_max, d_max, 0.0, 1.0, kind, abs(z)))
                 assert abs(total - ref) <= 1e-13 * abs(ref)
                 assert 0.0 < rounding < 1e-12
 
